@@ -694,7 +694,7 @@ fn endpoint(emb: &Embedding, flow: &Flow, ep: Endpoint) -> NodeId {
 fn position_layers(sfc: &DagSfc) -> Vec<usize> {
     let mut out = Vec::new();
     for l in 0..sfc.depth() {
-        out.extend(std::iter::repeat(l).take(sfc.layer(l).width()));
+        out.extend(std::iter::repeat_n(l, sfc.layer(l).width()));
     }
     out
 }

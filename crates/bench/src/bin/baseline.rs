@@ -7,18 +7,16 @@
 //! * per-solver ns/solve and success rate on a fixed instance,
 //! * the path oracle's cache hit rate per solver,
 //! * wall-clock scaling of the fig6a and delay-budget sweeps across
-//!   worker-thread counts, each against the serial reference,
-//! * the routing-kernel microbench: bucket (radix) queue vs binary-heap
-//!   Dijkstra on a dyadic-priced substrate.
+//!   worker-thread counts, each against the serial reference.
 //!
-//! Sweep and kernel timings are best-of-rounds over interleaved runs —
-//! each round times both sides back to back in alternating order, so
-//! clock drift and cache warmth cancel instead of biasing one side.
+//! Sweep timings are best-of-rounds over interleaved runs — each round
+//! times both sides back to back in alternating order, so clock drift
+//! and cache warmth cancel instead of biasing one side.
 //!
 //! `--compare <file>` re-measures and fails (exit code 2) when any
-//! per-solver ns/solve — or the bucket kernel's ns/query — regressed by
-//! more than `--tolerance` (default 0.25) against the committed
-//! baseline; that is the CI `bench-smoke` gate. Comparisons are keyed
+//! per-solver ns/solve regressed by more than `--tolerance` (default
+//! 0.25) against the committed baseline; that is the CI `bench-smoke`
+//! gate. Comparisons are keyed
 //! by solver name; solvers present in only one file are reported but
 //! never fail the gate, so adding a solver does not require
 //! regenerating the baseline first.
@@ -26,10 +24,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use dagsfc_net::routing::{
-    bucket_kernel_available, ArcWeight, NoFilter, RoutingKernel, RoutingScratch, ShortestPathTree,
-};
-use dagsfc_net::{Network, NodeId};
 use dagsfc_sim::config::DEFAULT_LINK_DELAY_US;
 use dagsfc_sim::runner::{run_instance, Algo};
 use dagsfc_sim::sweep::{sweep_serial, sweep_with_threads, BBE_SFC_SIZE_LIMIT};
@@ -37,7 +31,7 @@ use dagsfc_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag: bump when the JSON layout changes incompatibly.
-/// v2 added the per-thread-count sweep axis and the kernel microbench.
+/// v2 added the per-thread-count sweep axis.
 const SCHEMA: &str = "dagsfc-bench/2";
 
 /// One solver's steady-state measurement.
@@ -90,28 +84,6 @@ struct SweepSample {
     speedup: f64,
 }
 
-/// Routing-kernel microbench: full shortest-path-tree builds with the
-/// monotone bucket (radix) queue vs the binary-heap reference on a
-/// dyadic-priced substrate (where the lossless quantizer accepts and
-/// `Auto` selects the bucket kernel).
-#[derive(Debug, Serialize, Deserialize)]
-struct KernelSample {
-    /// Substrate node count.
-    nodes: usize,
-    /// Substrate directed-link count.
-    links: usize,
-    /// Tree builds per kernel per round (one per source node).
-    queries: usize,
-    /// Interleaved measurement rounds behind the best-of figures.
-    rounds: usize,
-    /// Binary-heap kernel nanoseconds per tree build (best of rounds).
-    heap_ns_per_query: f64,
-    /// Bucket-queue kernel nanoseconds per tree build (best of rounds).
-    bucket_ns_per_query: f64,
-    /// heap_ns_per_query / bucket_ns_per_query.
-    speedup: f64,
-}
-
 /// A free-form `key=value` annotation recorded verbatim in the output
 /// (provenance: revision hashes, cross-revision timings, host notes).
 #[derive(Debug, Serialize, Deserialize)]
@@ -130,8 +102,6 @@ struct Baseline {
     threads: usize,
     solvers: Vec<SolverSample>,
     sweeps: Vec<SweepSample>,
-    /// `None` only in documents predating the kernel microbench.
-    kernel: Option<KernelSample>,
     annotations: Vec<Annotation>,
 }
 
@@ -192,7 +162,7 @@ fn measure_solvers(profile: Profile) -> Vec<SolverSample> {
         .collect()
 }
 
-/// Interleaved rounds behind every best-of sweep/kernel figure.
+/// Interleaved rounds behind every best-of sweep figure.
 fn rounds(profile: Profile) -> usize {
     match profile {
         Profile::Full => 3,
@@ -374,105 +344,6 @@ fn measure_sweeps(profile: Profile) -> Vec<SweepSample> {
     out
 }
 
-/// A deterministic ring-with-chords substrate whose prices sit on the
-/// dyadic 2⁻⁴ grid, so the lossless quantizer accepts and `Auto` runs
-/// the bucket kernel (the production generators draw continuous prices
-/// and always take the heap fallback — this net is the only way to put
-/// the bucket path on the clock).
-fn dyadic_net(n: u32) -> Network {
-    let mut g = Network::new();
-    g.add_nodes(n as usize);
-    for i in 0..n {
-        let price = 0.5 + ((i * 7) % 13) as f64 * 0.0625;
-        // lint:allow(unwrap) — endpoints are in range by construction
-        g.add_link(NodeId(i), NodeId((i + 1) % n), price, 100.0)
-            .unwrap();
-    }
-    for i in 0..n {
-        let price = 1.0 + ((i * 3) % 11) as f64 * 0.125;
-        // lint:allow(unwrap) — endpoints are in range by construction
-        g.add_link(NodeId(i), NodeId((i + 7) % n), price, 100.0)
-            .unwrap();
-    }
-    g
-}
-
-/// One timed pass: a full shortest-path tree from every node under the
-/// chosen kernel. Returns (ns/query, Σ dist checksum) — the checksum
-/// keeps the builds from being optimized away and pins both kernels to
-/// identical trees.
-fn kernel_pass(net: &Network, scratch: &mut RoutingScratch, kernel: RoutingKernel) -> (f64, f64) {
-    let n = net.node_count();
-    let mut checksum = 0.0;
-    let t = Instant::now();
-    for s in 0..n {
-        let tree = ShortestPathTree::build_weighted_kernel_in(
-            net,
-            NodeId(s as u32),
-            &NoFilter,
-            None,
-            scratch,
-            ArcWeight::Price,
-            kernel,
-        );
-        checksum += tree
-            .dist_to(NodeId(((s + n / 2) % n) as u32))
-            .unwrap_or(0.0);
-    }
-    (t.elapsed().as_nanos() as f64 / n as f64, checksum)
-}
-
-/// Bucket-vs-heap microbench: interleaved best-of-rounds ns per tree
-/// build on the dyadic substrate.
-fn measure_kernel(profile: Profile) -> KernelSample {
-    let n: u32 = match profile {
-        Profile::Full => 240,
-        Profile::Quick => 120,
-    };
-    let net = dyadic_net(n);
-    assert!(
-        bucket_kernel_available(&net, ArcWeight::Price),
-        "microbench substrate must quantize losslessly"
-    );
-    let mut scratch = RoutingScratch::new();
-
-    // Warm both kernels: snapshot build, scratch growth, page faults.
-    let (_, warm_heap) = kernel_pass(&net, &mut scratch, RoutingKernel::Heap);
-    let (_, warm_bucket) = kernel_pass(&net, &mut scratch, RoutingKernel::Auto);
-    assert_eq!(
-        warm_heap.to_bits(),
-        warm_bucket.to_bits(),
-        "kernels disagree — the differential suite should have caught this"
-    );
-
-    let rounds = rounds(profile).max(5);
-    let mut best_heap = f64::INFINITY;
-    let mut best_bucket = f64::INFINITY;
-    for round in 0..rounds {
-        let (heap_ns, bucket_ns) = if round % 2 == 0 {
-            let (h, _) = kernel_pass(&net, &mut scratch, RoutingKernel::Heap);
-            let (b, _) = kernel_pass(&net, &mut scratch, RoutingKernel::Auto);
-            (h, b)
-        } else {
-            let (b, _) = kernel_pass(&net, &mut scratch, RoutingKernel::Auto);
-            let (h, _) = kernel_pass(&net, &mut scratch, RoutingKernel::Heap);
-            (h, b)
-        };
-        best_heap = best_heap.min(heap_ns);
-        best_bucket = best_bucket.min(bucket_ns);
-    }
-
-    KernelSample {
-        nodes: n as usize,
-        links: net.link_count(),
-        queries: n as usize,
-        rounds,
-        heap_ns_per_query: best_heap,
-        bucket_ns_per_query: best_bucket,
-        speedup: best_heap / best_bucket.max(1e-9),
-    }
-}
-
 fn measure(profile: Profile, annotations: Vec<Annotation>) -> Baseline {
     Baseline {
         schema: SCHEMA.to_string(),
@@ -484,7 +355,6 @@ fn measure(profile: Profile, annotations: Vec<Annotation>) -> Baseline {
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         solvers: measure_solvers(profile),
         sweeps: measure_sweeps(profile),
-        kernel: Some(measure_kernel(profile)),
         annotations,
     }
 }
@@ -504,18 +374,6 @@ fn regressions(current: &Baseline, reference: &Baseline, tolerance: f64) -> Vec<
                 cur.name,
                 cur.ns_per_solve,
                 base.ns_per_solve,
-                (ratio - 1.0) * 100.0,
-                tolerance * 100.0,
-            ));
-        }
-    }
-    if let (Some(cur), Some(base)) = (&current.kernel, &reference.kernel) {
-        let ratio = cur.bucket_ns_per_query / base.bucket_ns_per_query.max(1.0);
-        if ratio > 1.0 + tolerance {
-            out.push(format!(
-                "bucket kernel: {:.0} ns/query vs baseline {:.0} ({:+.1}% > {:.0}% tolerance)",
-                cur.bucket_ns_per_query,
-                base.bucket_ns_per_query,
                 (ratio - 1.0) * 100.0,
                 tolerance * 100.0,
             ));
@@ -581,16 +439,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut current = measure(profile, annotations);
-    // Self-recorded provenance: the measured kernel speedup travels with
-    // the document even when later tooling strips the kernel section.
-    if let Some(k) = &current.kernel {
-        current.annotations.push(Annotation {
-            key: "kernel_speedup".to_string(),
-            value: format!("{:.2}x bucket vs heap ({} nodes)", k.speedup, k.nodes),
-        });
-    }
-    let current = current;
+    let current = measure(profile, annotations);
 
     for s in &current.solvers {
         eprintln!(
@@ -607,14 +456,6 @@ fn main() -> ExitCode {
             s.id, s.threads, s.parallel_ms, s.serial_ms, s.speedup
         );
     }
-    if let Some(k) = &current.kernel {
-        eprintln!(
-            "kernel       bucket {:.0} ns/query, heap {:.0} ns/query, speedup {:.2}x \
-             ({} nodes, {} queries/round)",
-            k.bucket_ns_per_query, k.heap_ns_per_query, k.speedup, k.nodes, k.queries
-        );
-    }
-
     let json =
         serde_json::to_string_pretty(&current).unwrap_or_else(|e| fail(&format!("serialize: {e}")));
     match &out {

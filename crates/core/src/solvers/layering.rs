@@ -38,7 +38,7 @@ pub(crate) fn layer(sfc: &DagSfc, l: usize) -> &Layer {
 pub(crate) fn position_layers(sfc: &DagSfc) -> Vec<usize> {
     let mut out = Vec::with_capacity(sfc.size());
     for (l, layer) in layers(sfc).iter().enumerate() {
-        out.extend(std::iter::repeat(l).take(layer.width()));
+        out.extend(std::iter::repeat_n(l, layer.width()));
     }
     out
 }

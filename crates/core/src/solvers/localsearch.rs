@@ -173,11 +173,11 @@ pub fn improve_in(
                 // rule-clean embedding into a violation.
                 let mut others: Vec<(VnfTypeId, NodeId)> = Vec::new();
                 if rule_filter.is_some() {
-                    for ol in 0..sfc.depth() {
+                    for (ol, row) in assignments.iter().enumerate().take(sfc.depth()) {
                         let olayer = layering::layer(sfc, ol);
-                        for os in 0..olayer.slot_count() {
+                        for (os, &node) in row.iter().enumerate().take(olayer.slot_count()) {
                             if (ol, os) != (l, slot) {
-                                others.push((olayer.slot_kind(os, &catalog), assignments[ol][os]));
+                                others.push((olayer.slot_kind(os, &catalog), node));
                             }
                         }
                     }

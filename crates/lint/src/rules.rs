@@ -106,12 +106,6 @@ pub fn check_token_rules(model: &FileModel, ctx: FileCtx, out: &mut Vec<Violatio
             emit(model, "std-hashmap", i, out);
         }
 
-        // raw-heap-routing — routing kernels run on the bucket queue;
-        // `BinaryHeap` is confined to the heap_fallback module.
-        if ctx.in_routing && !ctx.in_heap_fallback && t.is_ident("BinaryHeap") {
-            emit(model, "raw-heap-routing", i, out);
-        }
-
         // raw-commit — only outside crates/net.
         if !ctx.in_net && is_method_call(toks, i, "commit") {
             emit(model, "raw-commit", i + 1, out);

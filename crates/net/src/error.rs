@@ -48,7 +48,9 @@ pub enum NetError {
         /// Path target.
         to: NodeId,
     },
-    /// A price or capacity parameter was negative or non-finite.
+    /// A parameter was invalid: a negative or non-finite price,
+    /// capacity or delay, a VNF deployed twice on one node, or a stored
+    /// index that disagrees with the data it indexes.
     InvalidParameter(&'static str),
     /// A ledger lease id was never issued or has already been released.
     UnknownLease(u64),

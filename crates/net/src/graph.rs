@@ -436,6 +436,38 @@ impl Network {
         out
     }
 
+    /// Rebuilds this network through the validating constructors.
+    ///
+    /// A deserialized `Network` holds its fields exactly as written, so
+    /// none of the checks in [`add_link_with_delay`](Self::add_link_with_delay)
+    /// and [`deploy_vnf`](Self::deploy_vnf) have run on it. This replays
+    /// every link and VNF instance through them, and fails unless the
+    /// stored adjacency and host lists equal the ones they derive. A
+    /// network the constructors built comes back unchanged.
+    pub fn rebuilt(&self) -> NetResult<Network> {
+        let mut net = Network::new();
+        net.add_nodes(self.nodes.len());
+        for l in &self.links {
+            net.add_link_with_delay(l.a, l.b, l.price, l.capacity, l.delay_us)?;
+        }
+        for (v, node) in self.nodes.iter().enumerate() {
+            for i in &node.instances {
+                net.deploy_vnf(NodeId(v as u32), i.vnf, i.price, i.capacity)?;
+            }
+        }
+        if net.adj != self.adj {
+            return Err(NetError::InvalidParameter(
+                "adjacency lists disagree with links",
+            ));
+        }
+        if net.hosts != self.hosts {
+            return Err(NetError::InvalidParameter(
+                "host lists disagree with VNF instances",
+            ));
+        }
+        Ok(net)
+    }
+
     /// Summary statistics used by reports and sanity tests.
     pub fn stats(&self) -> NetworkStats {
         let mut vnf_instances = 0usize;
@@ -511,6 +543,23 @@ mod tests {
         assert_eq!(g.link_between(NodeId(1), NodeId(0)), Some(LinkId(0)));
         assert_eq!(g.link_between(NodeId(0), NodeId(2)), None);
         assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rebuilt_keeps_valid_networks_and_checks_host_lists() {
+        let mut g = tiny();
+        g.deploy_vnf(NodeId(2), VnfTypeId(1), 3.0, 5.0).unwrap();
+        let same = g.rebuilt().unwrap();
+        assert_eq!(
+            serde_json::to_string(&same).unwrap(),
+            serde_json::to_string(&g).unwrap()
+        );
+        let mut bad = g.clone();
+        bad.hosts[1].clear();
+        assert_eq!(
+            bad.rebuilt().unwrap_err(),
+            NetError::InvalidParameter("host lists disagree with VNF instances")
+        );
     }
 
     #[test]

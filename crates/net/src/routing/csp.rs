@@ -18,7 +18,7 @@
 //!   instances (differential tests, `--exact` audits).
 
 use super::dijkstra::ArcWeight;
-use super::heap_fallback::{ParetoEntry, ParetoQueue};
+use super::heap::{ParetoEntry, ParetoQueue};
 use super::scratch::{with_thread_scratch, RoutingScratch};
 use super::{LinkFilter, ShortestPathTree};
 use crate::graph::Network;

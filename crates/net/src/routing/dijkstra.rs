@@ -2,10 +2,12 @@
 //!
 //! Link prices are the edge weights; all prices are finite and
 //! non-negative by construction ([`crate::Network::add_link`] validates
-//! this), so Dijkstra's preconditions hold.
+//! this, and networks loaded from files are rebuilt through it), so
+//! Dijkstra's preconditions hold.
 //!
-//! The search runs over the network's cached CSR
-//! [`NetworkSnapshot`](crate::NetworkSnapshot) — a flat
+//! The search loop is the crate's one weighted-search kernel, kept in
+//! the private `routing::heap` module. It runs over the network's
+//! cached CSR [`NetworkSnapshot`](crate::NetworkSnapshot) — a flat
 //! struct-of-arrays adjacency whose arc order matches
 //! [`Network::neighbors`] exactly, so results are bit-identical to the
 //! historical adjacency-list implementation — and keeps its working
@@ -13,29 +15,13 @@
 //! searches allocation-free. Entry points without a scratch parameter
 //! borrow a per-thread scratch transparently.
 
+use super::heap::search_weighted_in;
 use super::scratch::{with_thread_scratch, RoutingScratch};
-use super::{bucket, heap_fallback, quant, LinkFilter};
+use super::LinkFilter;
 use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::snapshot::NetworkSnapshot;
-
-/// Which priority-queue kernel a weighted search runs on.
-///
-/// `Auto` — the default everywhere — takes the monotone bucket queue
-/// whenever the active weight axis quantizes losslessly (see
-/// [`super::quant`]) and the binary-heap fallback otherwise; the two
-/// produce bit-identical trees. `Heap` forces the fallback: it exists
-/// for the differential tests and the bench microbench that pin the
-/// bucket kernel against the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingKernel {
-    /// Bucket queue when lossless quantization is available, else heap.
-    #[default]
-    Auto,
-    /// Always the binary-heap reference kernel.
-    Heap,
-}
 
 /// Which per-arc scalar a weighted tree build minimizes.
 ///
@@ -85,116 +71,6 @@ pub(crate) fn search_in<F: LinkFilter>(
     scratch: &mut RoutingScratch,
 ) {
     search_weighted_in(snap, source, filter, target, scratch, ArcWeight::Price)
-}
-
-/// The weighted CSR Dijkstra search under the default [`RoutingKernel::Auto`]
-/// dispatch.
-pub(crate) fn search_weighted_in<F: LinkFilter>(
-    snap: &NetworkSnapshot,
-    source: NodeId,
-    filter: &F,
-    target: Option<NodeId>,
-    scratch: &mut RoutingScratch,
-    weight: ArcWeight,
-) {
-    search_weighted_kernel_in(
-        snap,
-        source,
-        filter,
-        target,
-        scratch,
-        weight,
-        RoutingKernel::Auto,
-    )
-}
-
-/// Kernel dispatch for the weighted CSR Dijkstra search.
-///
-/// Under `Auto`, `Price`/`Delay` weights ride the quantization plans
-/// precomputed at snapshot build time; `Lagrange(λ)` attempts a
-/// per-query quantization of the blended weights — gated on both base
-/// axes being quantizable so the common non-dyadic case rejects after
-/// inspecting a single arc — into a scratch-owned buffer. Whenever no
-/// lossless plan exists, the search falls back to the binary-heap
-/// reference loop; either way the resulting tree is bit-identical.
-pub(crate) fn search_weighted_kernel_in<F: LinkFilter>(
-    snap: &NetworkSnapshot,
-    source: NodeId,
-    filter: &F,
-    target: Option<NodeId>,
-    scratch: &mut RoutingScratch,
-    weight: ArcWeight,
-    kernel: RoutingKernel,
-) {
-    if kernel == RoutingKernel::Auto {
-        match weight {
-            ArcWeight::Price => {
-                if let Some(plan) = snap.price_quant() {
-                    return bucket::search_quantized_in(
-                        snap,
-                        source,
-                        filter,
-                        target,
-                        scratch,
-                        &plan.weights,
-                        plan.scale,
-                    );
-                }
-            }
-            ArcWeight::Delay => {
-                if let Some(plan) = snap.delay_quant() {
-                    return bucket::search_quantized_in(
-                        snap,
-                        source,
-                        filter,
-                        target,
-                        scratch,
-                        &plan.weights,
-                        plan.scale,
-                    );
-                }
-            }
-            ArcWeight::Lagrange(lambda) => {
-                if snap.price_quant().is_some() && snap.delay_quant().is_some() {
-                    let mut qw = std::mem::take(&mut scratch.lagrange_qw);
-                    let scale = quant::quantize_into(
-                        (0..snap.arc_count())
-                            .map(|i| snap.arc_price(i) + lambda * snap.arc_delay(i)),
-                        &mut qw,
-                    );
-                    if let Some(scale) = scale {
-                        bucket::search_quantized_in(
-                            snap, source, filter, target, scratch, &qw, scale,
-                        );
-                        scratch.lagrange_qw = qw;
-                        return;
-                    }
-                    scratch.lagrange_qw = qw;
-                }
-            }
-        }
-    }
-    heap_fallback::search_weighted_heap_in(snap, source, filter, target, scratch, weight)
-}
-
-/// Whether an [`RoutingKernel::Auto`] search over `net` under `weight`
-/// would run on the bucket kernel. Diagnostic for tests and the bench
-/// microbench; the `Lagrange` case performs a full trial quantization.
-pub fn bucket_kernel_available(net: &Network, weight: ArcWeight) -> bool {
-    let snap: &NetworkSnapshot = net.snapshot();
-    match weight {
-        ArcWeight::Price => snap.price_quant().is_some(),
-        ArcWeight::Delay => snap.delay_quant().is_some(),
-        ArcWeight::Lagrange(lambda) => {
-            snap.price_quant().is_some()
-                && snap.delay_quant().is_some()
-                && quant::quantize_into(
-                    (0..snap.arc_count()).map(|i| snap.arc_price(i) + lambda * snap.arc_delay(i)),
-                    &mut Vec::new(),
-                )
-                .is_some()
-        }
-    }
 }
 
 /// A single-source shortest-path tree, answering distance and path queries
@@ -248,32 +124,8 @@ impl ShortestPathTree {
         scratch: &mut RoutingScratch,
         weight: ArcWeight,
     ) -> Self {
-        Self::build_weighted_kernel_in(
-            net,
-            source,
-            filter,
-            target,
-            scratch,
-            weight,
-            RoutingKernel::Auto,
-        )
-    }
-
-    /// Like [`build_weighted_in`](Self::build_weighted_in) with an
-    /// explicit kernel choice. Production callers use `Auto`; `Heap`
-    /// pins the reference kernel for differential tests and the bench
-    /// microbench.
-    pub fn build_weighted_kernel_in<F: LinkFilter>(
-        net: &Network,
-        source: NodeId,
-        filter: &F,
-        target: Option<NodeId>,
-        scratch: &mut RoutingScratch,
-        weight: ArcWeight,
-        kernel: RoutingKernel,
-    ) -> Self {
         let snap: &NetworkSnapshot = net.snapshot();
-        search_weighted_kernel_in(snap, source, filter, target, scratch, weight, kernel);
+        search_weighted_in(snap, source, filter, target, scratch, weight);
         let n = snap.node_count();
         let mut dist = Vec::with_capacity(n);
         let mut prev = Vec::with_capacity(n);
@@ -432,6 +284,79 @@ mod tests {
             assert_eq!(p.source(), NodeId(3));
             assert_eq!(p.target(), n);
             assert!(!p.has_node_cycle());
+        }
+    }
+
+    /// The 30-node ring with chords `i → i+6`, every price 1.0 and
+    /// every delay 2.0: shortest-path trees on it are all tie-breaks.
+    fn uniform_ring() -> Network {
+        let n = 30u32;
+        let mut g = Network::new();
+        g.add_nodes(n as usize);
+        for i in 0..n {
+            g.add_link_with_delay(NodeId(i), NodeId((i + 1) % n), 1.0, 100.0, 2.0)
+                .unwrap();
+        }
+        for i in 0..n {
+            g.add_link_with_delay(NodeId(i), NodeId((i + 6) % n), 1.0, 100.0, 2.0)
+                .unwrap();
+        }
+        g
+    }
+
+    /// Predecessor link of every node in the tree, `-1` at the source.
+    fn prev_links<F: LinkFilter>(
+        g: &Network,
+        source: u32,
+        filter: &F,
+        weight: ArcWeight,
+    ) -> Vec<i64> {
+        let mut scratch = RoutingScratch::new();
+        let t = ShortestPathTree::build_weighted_in(
+            g,
+            NodeId(source),
+            filter,
+            None,
+            &mut scratch,
+            weight,
+        );
+        t.prev
+            .iter()
+            .map(|p| p.map_or(-1, |(_, l)| i64::from(l.0)))
+            .collect()
+    }
+
+    /// Frozen trees: on uniform prices the (distance, node id) pop order
+    /// alone picks every predecessor, so these literals pin the
+    /// tie-break. Ties going to the larger node id change them.
+    #[test]
+    fn uniform_prices_pin_tie_breaks() {
+        let g = uniform_ring();
+        #[rustfmt::skip]
+        let golden: [(u32, [i64; 30]); 3] = [
+            (0, [-1, 0, 1, 2, 4, 5, 30, 31, 32, 33, 34, 35, 36, 37, 38,
+                 39, 16, 17, 48, 18, 19, 21, 22, 23, 54, 55, 56, 27, 28, 29]),
+            (13, [0, 31, 1, 2, 4, 5, 6, 37, 7, 8, 10, 11, 12, -1, 13,
+                  14, 15, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 58, 29]),
+            (29, [29, 0, 1, 3, 4, 59, 30, 31, 32, 33, 34, 35, 36, 37, 38,
+                  15, 16, 47, 17, 18, 20, 21, 22, 53, 54, 55, 26, 27, 28, -1]),
+        ];
+        for (source, want) in golden {
+            for weight in [ArcWeight::Price, ArcWeight::Lagrange(0.5)] {
+                assert_eq!(
+                    prev_links(&g, source, &NoFilter, weight),
+                    want,
+                    "source {source}, {weight:?}"
+                );
+            }
+        }
+        // Without the chord 0–6 (link 30), nodes 5, 6 and 12 re-parent.
+        #[rustfmt::skip]
+        let want: [i64; 30] = [-1, 0, 1, 2, 4, 59, 5, 31, 32, 33, 34, 35, 42, 37, 38,
+                               39, 16, 17, 48, 18, 19, 21, 22, 23, 54, 55, 56, 27, 28, 29];
+        let no_chord = |l: LinkId| l.0 != 30;
+        for weight in [ArcWeight::Price, ArcWeight::Lagrange(0.5)] {
+            assert_eq!(prev_links(&g, 0, &no_chord, weight), want, "{weight:?}");
         }
     }
 

@@ -10,45 +10,33 @@
 //!   `MBBE-ST` extension solver's shared inter-layer routing.
 //! * [`disjoint`] — Bhandari link-disjoint path pairs, powering the
 //!   1+1 protection extension in `dagsfc-core`.
-//! * [`widest`] — maximum-bottleneck paths over residual capacities,
-//!   for admission-oriented routing under pressure.
 //! * [`csp`] — delay-constrained cheapest paths: the LARAC Lagrangian
 //!   relaxation plus an exact pareto-label reference, powering the
 //!   QoS-constrained oracle mode.
 //!
-//! The weighted kernels run on a monotone bucket queue ([`bucket`])
-//! whenever the active weight axis quantizes losslessly onto `u32`
-//! ([`quant`]), and on the binary-heap reference kept in
-//! [`heap_fallback`] — the one module here allowed to name
-//! `BinaryHeap` — otherwise. Both produce bit-identical trees.
+//! Every weighted search — price, delay or LARAC's `price + λ·delay` —
+//! runs one kernel: the binary-heap Dijkstra loop in [`heap`], which
+//! pops the cheapest distance first and the smaller node id on ties.
 
 pub mod bfs;
-pub(crate) mod bucket;
 pub mod csp;
 pub mod dijkstra;
 pub mod disjoint;
-pub(crate) mod heap_fallback;
+pub(crate) mod heap;
 pub mod ksp;
-pub mod quant;
 pub mod scratch;
 pub mod steiner;
-pub mod widest;
 
 pub use bfs::{hop_distances, RingSearch};
 pub use csp::{
     constrained_min_cost_path, constrained_min_cost_path_exact, constrained_path,
     constrained_path_in, ConstrainedPath,
 };
-pub use dijkstra::{
-    bucket_kernel_available, min_cost_path, min_cost_path_in, ArcWeight, RoutingKernel,
-    ShortestPathTree,
-};
+pub use dijkstra::{min_cost_path, min_cost_path_in, ArcWeight, ShortestPathTree};
 pub use disjoint::{disjoint_path_pair, DisjointPair};
 pub use ksp::k_shortest_paths;
-pub use quant::QuantPlan;
 pub use scratch::{with_thread_scratch, RoutingScratch};
 pub use steiner::{multicast_tree, MulticastTree};
-pub use widest::{widest_path, widest_path_in, widest_residual_path};
 
 use crate::ids::LinkId;
 use crate::state::NetworkState;

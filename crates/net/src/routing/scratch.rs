@@ -9,11 +9,9 @@
 //! single counter bump plus queue `clear()`s — no zeroing, no
 //! allocation once the buffers have grown to the network size.
 //!
-//! One scratch hosts the working state of *all* routing kernels: the
-//! bucket-queue kernel's quantized distances and radix buckets
-//! ([`super::bucket`]), the binary-heap fallback's queue
-//! ([`super::heap_fallback`]), the widest-path rank buckets
-//! ([`super::widest`]), and an independent BFS epoch so breadth-first
+//! One scratch hosts the working state of both search families: the
+//! weighted Dijkstra kernel's distances, predecessors and binary heap
+//! ([`super::heap`]), and an independent BFS epoch so breadth-first
 //! rings may interleave with weighted searches.
 //!
 //! Long-lived owners ([`crate::OracleSession`], the oracle's tree
@@ -24,9 +22,7 @@
 //! thread-local is already borrowed (e.g. a filter closure that
 //! recursively routes), so no code path can panic on a double borrow.
 
-use super::bucket::RadixQueue;
-use super::heap_fallback::MinHeap;
-use super::widest::WideBuckets;
+use super::heap::MinHeap;
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use std::cell::RefCell;
@@ -46,16 +42,9 @@ pub struct RoutingScratch {
     stamp: Vec<u32>,
     settled: Vec<u32>,
     dist: Vec<f64>,
-    /// Quantized distances mirroring `dist` on the bucket-kernel path;
-    /// valid under the same stamp.
-    qdist: Vec<u32>,
     /// `(prev_node, via_link)`; `prev_node == NO_PREV` marks the source.
     prev: Vec<(u32, u32)>,
     pub(crate) heap: MinHeap,
-    pub(crate) radix: RadixQueue,
-    pub(crate) wide: WideBuckets,
-    /// Per-query quantization buffer for LARAC `Lagrange(λ)` weights.
-    pub(crate) lagrange_qw: Vec<u32>,
     /// Independent epoch/stamp pair for breadth-first searches, so a
     /// BFS may interleave with Dijkstra runs on the same scratch.
     bfs_epoch: u32,
@@ -77,7 +66,6 @@ impl RoutingScratch {
             self.stamp.resize(n, 0);
             self.settled.resize(n, 0);
             self.dist.resize(n, f64::INFINITY);
-            self.qdist.resize(n, u32::MAX);
             self.prev.resize(n, (NO_PREV, NO_PREV));
         }
         if self.epoch == u32::MAX {
@@ -101,56 +89,12 @@ impl RoutingScratch {
         }
     }
 
-    /// Tentative *quantized* distance of `v` in the current search
-    /// (bucket-kernel path only).
-    #[inline]
-    pub(crate) fn qdist(&self, v: NodeId) -> u32 {
-        if self.stamp[v.index()] == self.epoch {
-            self.qdist[v.index()]
-        } else {
-            u32::MAX
-        }
-    }
-
-    /// Tentative bottleneck width of `v` in the current search
-    /// (widest-path kernel only; the width rides in the `dist` slot).
-    #[inline]
-    pub(crate) fn width(&self, v: NodeId) -> f64 {
-        if self.stamp[v.index()] == self.epoch {
-            self.dist[v.index()]
-        } else {
-            f64::NEG_INFINITY
-        }
-    }
-
     /// Records a relaxation: `v` reached at `d` via `prev`.
     #[inline]
     pub(crate) fn relax(&mut self, v: NodeId, d: f64, prev: Option<(NodeId, LinkId)>) {
         let i = v.index();
         self.stamp[i] = self.epoch;
         self.dist[i] = d;
-        self.prev[i] = match prev {
-            Some((p, l)) => (p.0, l.0),
-            None => (NO_PREV, NO_PREV),
-        };
-    }
-
-    /// Records a quantized relaxation: `v` reached at integer distance
-    /// `q` via `prev`. The `f64` distance is reconstructed exactly —
-    /// `scale` is a power of two and `q < 2³² < 2⁵³` — so downstream
-    /// consumers see bit-identical values to the heap kernel's sums.
-    #[inline]
-    pub(crate) fn relax_q(
-        &mut self,
-        v: NodeId,
-        q: u32,
-        scale: f64,
-        prev: Option<(NodeId, LinkId)>,
-    ) {
-        let i = v.index();
-        self.stamp[i] = self.epoch;
-        self.dist[i] = f64::from(q) * scale;
-        self.qdist[i] = q;
         self.prev[i] = match prev {
             Some((p, l)) => (p.0, l.0),
             None => (NO_PREV, NO_PREV),
@@ -281,28 +225,6 @@ mod tests {
         assert!(s.dist(NodeId(9)).is_infinite());
         s.relax(NodeId(9), 0.5, None);
         assert_eq!(s.dist(NodeId(9)), 0.5);
-    }
-
-    #[test]
-    fn quantized_relaxation_mirrors_float_view() {
-        let mut s = RoutingScratch::new();
-        s.begin(4);
-        assert_eq!(s.qdist(NodeId(3)), u32::MAX);
-        s.relax_q(NodeId(3), 12, 0.25, Some((NodeId(1), LinkId(2))));
-        assert_eq!(s.qdist(NodeId(3)), 12);
-        assert_eq!(s.dist(NodeId(3)), 3.0);
-        assert_eq!(s.prev_of(NodeId(3)), Some((NodeId(1), LinkId(2))));
-        s.begin(4);
-        assert_eq!(s.qdist(NodeId(3)), u32::MAX);
-    }
-
-    #[test]
-    fn width_view_defaults_to_negative_infinity() {
-        let mut s = RoutingScratch::new();
-        s.begin(3);
-        assert_eq!(s.width(NodeId(1)), f64::NEG_INFINITY);
-        s.relax(NodeId(1), 7.5, None);
-        assert_eq!(s.width(NodeId(1)), 7.5);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
-use crate::routing::quant::QuantPlan;
 use std::sync::{Arc, OnceLock};
 
 /// A single outgoing arc in a [`NetworkSnapshot`].
@@ -51,11 +50,6 @@ pub struct NetworkSnapshot {
     arc_price: Vec<f64>,
     arc_capacity: Vec<f64>,
     arc_delay: Vec<f64>,
-    /// Lossless `u32` quantization of `arc_price`, when one exists —
-    /// the bucket-queue kernel's fast path for `Price` searches.
-    price_q: Option<QuantPlan>,
-    /// Lossless `u32` quantization of `arc_delay`, when one exists.
-    delay_q: Option<QuantPlan>,
 }
 
 impl NetworkSnapshot {
@@ -82,11 +76,6 @@ impl NetworkSnapshot {
             }
             offsets.push(targets.len() as u32);
         }
-        // Quantization plans are detected once per snapshot build (i.e.
-        // per topology mutation), so every routing query amortizes the
-        // O(arcs) detection cost away.
-        let price_q = QuantPlan::build(&arc_price);
-        let delay_q = QuantPlan::build(&arc_delay);
         NetworkSnapshot {
             node_count: n,
             offsets,
@@ -95,21 +84,7 @@ impl NetworkSnapshot {
             arc_price,
             arc_capacity,
             arc_delay,
-            price_q,
-            delay_q,
         }
-    }
-
-    /// The lossless price quantization, when the price axis is dyadic.
-    #[inline]
-    pub fn price_quant(&self) -> Option<&QuantPlan> {
-        self.price_q.as_ref()
-    }
-
-    /// The lossless delay quantization, when the delay axis is dyadic.
-    #[inline]
-    pub fn delay_quant(&self) -> Option<&QuantPlan> {
-        self.delay_q.as_ref()
     }
 
     /// Number of nodes in the snapshotted network.

@@ -1,4 +1,4 @@
-//! Steady-state allocation audit for the scratch-backed routing kernels.
+//! Steady-state allocation audit for the scratch-backed routing kernel.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after
 //! warming the CSR snapshot and the reusable [`RoutingScratch`], repeated
@@ -14,10 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dagsfc_net::routing::{
-    bucket_kernel_available, min_cost_path_in, ArcWeight, NoFilter, RoutingScratch,
-    ShortestPathTree,
-};
+use dagsfc_net::routing::{min_cost_path_in, NoFilter, RoutingScratch, ShortestPathTree};
 use dagsfc_net::{Network, NodeId};
 
 /// Counts every allocation (and growth reallocation) made through the
@@ -62,25 +59,6 @@ fn build_net(n: u32) -> Network {
     for i in 0..n {
         let j = (i + 7) % n;
         let price = 1.0 + ((i * 3) % 11) as f64 * 0.2;
-        g.add_link(NodeId(i), NodeId(j), price, 100.0).unwrap();
-    }
-    g
-}
-
-/// Same shape, but prices on a dyadic 2⁻⁴ grid so the lossless
-/// quantizer accepts and queries run on the bucket kernel instead of
-/// the heap fallback.
-fn build_dyadic_net(n: u32) -> Network {
-    let mut g = Network::new();
-    g.add_nodes(n as usize);
-    for i in 0..n {
-        let j = (i + 1) % n;
-        let price = 0.5 + ((i * 7) % 13) as f64 * 0.0625;
-        g.add_link(NodeId(i), NodeId(j), price, 100.0).unwrap();
-    }
-    for i in 0..n {
-        let j = (i + 7) % n;
-        let price = 1.0 + ((i * 3) % 11) as f64 * 0.125;
         g.add_link(NodeId(i), NodeId(j), price, 100.0).unwrap();
     }
     g
@@ -138,34 +116,5 @@ fn steady_state_queries_allocate_only_the_result_path() {
         spent <= 50 * 6,
         "steady-state tree builds allocated {spent} times over 50 builds: \
          scratch reuse regressed"
-    );
-
-    // Bucket-kernel steady state: the dyadic-grid substrate routes
-    // through the radix queue (the continuous-priced net above pins the
-    // heap fallback — its 0.1-step prices never quantize). The bucket
-    // kernel shares the same scratch-reuse contract: after warm-up, its
-    // 33 bucket arrays and the qdist store persist across queries, so
-    // the same per-query budget must hold.
-    let dnet = build_dyadic_net(N);
-    assert!(!bucket_kernel_available(&net, ArcWeight::Price));
-    assert!(bucket_kernel_available(&dnet, ArcWeight::Price));
-    let warm = min_cost_path_in(&dnet, NodeId(0), NodeId(N / 2), &NoFilter, &mut scratch)
-        .expect("dyadic warm-up path");
-    assert!(warm.nodes().len() >= 2);
-    let before = allocs();
-    let mut total_hops = 0usize;
-    for q in 0..QUERIES {
-        let from = NodeId((q as u32 * 5) % N);
-        let to = NodeId((q as u32 * 5 + N / 2 + (q as u32 % 3)) % N);
-        let p = min_cost_path_in(&dnet, from, to, &NoFilter, &mut scratch).expect("reachable");
-        total_hops += p.links().len();
-    }
-    let spent = allocs() - before;
-    assert!(total_hops > 0);
-    assert!(
-        spent <= QUERIES * PER_QUERY_BUDGET,
-        "bucket-kernel routing allocated {spent} times over {QUERIES} queries \
-         (budget {} total): radix-queue scratch reuse regressed",
-        QUERIES * PER_QUERY_BUDGET
     );
 }

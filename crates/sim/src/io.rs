@@ -10,7 +10,7 @@
 use crate::config::SimConfig;
 use crate::sweep::SweepResult;
 use dagsfc_core::{CostBreakdown, DagSfc, Embedding, Flow};
-use dagsfc_net::Network;
+use dagsfc_net::{NetError, Network};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -43,6 +43,9 @@ pub enum IoError {
     Json(serde_json::Error),
     /// The file's format version is unsupported.
     UnsupportedVersion(u32),
+    /// The file's network breaks a rule `Network`'s constructors
+    /// enforce (see [`Network::rebuilt`]).
+    InvalidNetwork(NetError),
 }
 
 impl std::fmt::Display for IoError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for IoError {
             IoError::Io(e) => write!(f, "io error: {e}"),
             IoError::Json(e) => write!(f, "json error: {e}"),
             IoError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            IoError::InvalidNetwork(e) => write!(f, "invalid network: {e}"),
         }
     }
 }
@@ -76,13 +80,18 @@ pub fn save_instance(path: &Path, instance: &SavedInstance) -> Result<(), IoErro
     Ok(())
 }
 
-/// Loads an instance, checking the format version.
+/// Loads an instance, checking the format version and rebuilding its
+/// network through the validating constructors.
 pub fn load_instance(path: &Path) -> Result<SavedInstance, IoError> {
     let data = fs::read_to_string(path)?;
-    let instance: SavedInstance = serde_json::from_str(&data)?;
+    let mut instance: SavedInstance = serde_json::from_str(&data)?;
     if instance.format_version != FORMAT_VERSION {
         return Err(IoError::UnsupportedVersion(instance.format_version));
     }
+    instance.network = instance
+        .network
+        .rebuilt()
+        .map_err(IoError::InvalidNetwork)?;
     Ok(instance)
 }
 
@@ -92,9 +101,11 @@ pub fn save_network(path: &Path, net: &Network) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Loads a network saved by [`save_network`].
+/// Loads a network saved by [`save_network`], rebuilt through the
+/// validating constructors.
 pub fn load_network(path: &Path) -> Result<Network, IoError> {
-    Ok(serde_json::from_str(&fs::read_to_string(path)?)?)
+    let net: Network = serde_json::from_str(&fs::read_to_string(path)?)?;
+    net.rebuilt().map_err(IoError::InvalidNetwork)
 }
 
 /// Saves a sweep result as JSON (CSV/ASCII renderings live in
@@ -154,6 +165,7 @@ mod tests {
     use crate::runner::Algo;
     use crate::runner::{instance_network, instance_request};
     use crate::sweep;
+    use dagsfc_net::NodeId;
 
     fn tmpdir() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -240,6 +252,52 @@ mod tests {
         save_network(&path, &net).unwrap();
         let loaded = load_network(&path).unwrap();
         assert_eq!(net.stats(), loaded.stats());
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn tampered_networks_are_rejected() {
+        let dir = tmpdir();
+        let path = dir.join("tampered.json");
+        let mut net = Network::new();
+        net.add_nodes(3);
+        net.add_link(NodeId(0), NodeId(1), 1.0, 10.0).unwrap();
+        net.add_link(NodeId(1), NodeId(2), 1.0, 10.0).unwrap();
+        let json = serde_json::to_string(&net).unwrap();
+        assert!(json.contains("\"price\":1.0"), "{json}");
+
+        // A negative link price: Dijkstra would route through it.
+        fs::write(&path, json.replacen("\"price\":1.0", "\"price\":-10.0", 1)).unwrap();
+        assert!(matches!(
+            load_network(&path),
+            Err(IoError::InvalidNetwork(NetError::InvalidParameter(
+                "link price"
+            )))
+        ));
+
+        // An adjacency entry naming a node that does not exist.
+        let dangling = json.replacen("[[1,0]]", "[[999,0]]", 1);
+        assert_ne!(dangling, json);
+        fs::write(&path, dangling).unwrap();
+        assert!(matches!(
+            load_network(&path),
+            Err(IoError::InvalidNetwork(NetError::InvalidParameter(
+                "adjacency lists disagree with links"
+            )))
+        ));
+
+        // Instances carry the same check.
+        let mut inst = instance();
+        inst.network = net;
+        let mut text = serde_json::to_string(&inst).unwrap();
+        text = text.replacen("\"price\":1.0", "\"price\":-10.0", 1);
+        fs::write(&path, text).unwrap();
+        assert!(matches!(
+            load_instance(&path),
+            Err(IoError::InvalidNetwork(NetError::InvalidParameter(
+                "link price"
+            )))
+        ));
         fs::remove_dir_all(dir).ok();
     }
 

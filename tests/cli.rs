@@ -265,6 +265,78 @@ fn audit_exit_codes_distinguish_failure_modes() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(3), "parse failure exits 3");
+
+    // 0 — the trace's substrate, saved by `generate`, audits clean
+    // when passed explicitly…
+    let net = tmp("audit-net.json");
+    let out = bin()
+        .args([
+            "generate",
+            "--out",
+            net.to_str().unwrap(),
+            "--nodes",
+            "20",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let audit_with = |network: &PathBuf| {
+        bin()
+            .args([
+                "audit",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--network",
+                network.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs")
+    };
+    assert_eq!(audit_with(&net).status.code(), Some(0));
+
+    // 3 — …but a network file that breaks the constructors' rules is
+    // bad input: a negative link price, or an adjacency entry naming a
+    // node that does not exist.
+    let json = std::fs::read_to_string(&net).expect("read network");
+    for (name, bad) in [
+        (
+            "audit-negative-price.json",
+            replace_number_after(&json, &["\"links\"", "\"price\""], "-50.0"),
+        ),
+        (
+            "audit-dangling-adj.json",
+            replace_number_after(&json, &["\"adj\""], "999"),
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, bad).expect("write tampered network");
+        let out = audit_with(&path);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// `json` with the first number after `anchors` (found in turn)
+/// replaced by `value`.
+fn replace_number_after(json: &str, anchors: &[&str], value: &str) -> String {
+    let mut at = 0;
+    for anchor in anchors {
+        at += json[at..].find(anchor).expect("anchor present") + anchor.len();
+    }
+    let is_num = |c: char| c == '-' || c == '.' || c.is_ascii_digit();
+    let start = at + json[at..].find(is_num).expect("a number follows");
+    let end = start + json[start..].find(|c| !is_num(c)).expect("number ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn both_forms(seed: u64, len: usize, opts: TransformOptions) -> (DagSfc, DagSfc)
     ids.truncate(len);
 
     let catalog = VnfCatalog::new(nfs.len() as u16);
-    let legacy = DagSfc::from_hybrid(&to_hybrid_legacy(&ids, &deps, opts), catalog.clone())
+    let legacy = DagSfc::from_hybrid(&to_hybrid_legacy(&ids, &deps, opts), catalog)
         .expect("legacy form is valid");
     let po = PartialOrderChain::derive(&ids, &deps);
     let ordered = DagSfc::from_partial_order(&po, opts, catalog).expect("po form is valid");
