@@ -83,6 +83,8 @@ mod tests {
         let wide = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let bst = backward_search(&g, NodeId(1), &wide, &c, &fst);
         assert!(!bst.covered());
+        // Backward searches run unbounded: never capped.
+        assert!(!bst.capped());
     }
 
     #[test]

@@ -15,7 +15,9 @@ use dagsfc_net::{Network, NodeId};
 ///
 /// `x_max` is MBBE's strategy (1): a bound on the forward node set size.
 /// The returned FST reports `covered() == false` when the layer's kinds
-/// cannot all be found (within the bound).
+/// cannot all be found (within the bound), and `capped() == true` when
+/// the bound is what stopped it — the signal the adaptive `X_max` retry
+/// keys on.
 pub fn forward_search(
     net: &Network,
     start: NodeId,
@@ -74,5 +76,10 @@ mod tests {
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, Some(2));
         assert!(!fst.covered());
+        assert!(fst.capped());
+        // A bound the search never reaches leaves no trace.
+        let fst = forward_search(&g, NodeId(0), &layer, &c, Some(4));
+        assert!(fst.covered());
+        assert!(!fst.capped());
     }
 }

@@ -68,9 +68,12 @@ pub struct BbeConfig {
     /// maximizing the eq. (9) link sharing. Implies meta-path routing on
     /// the real-time network for inter-layer paths.
     pub use_steiner_multicast: bool,
-    /// Retry with doubled `x_max` (up to the network size) when a layer
-    /// cannot be covered — keeps MBBE's "always returns a solution"
-    /// robustness on sparse deployments.
+    /// Retry with doubled `x_max` (up to the network size) when a failed
+    /// attempt had a forward search cut by the bound — keeps MBBE's
+    /// "always returns a solution" robustness on sparse deployments.
+    /// Failures the bound played no part in are final: every forward
+    /// search would grow the same tree under a larger bound, so a retry
+    /// could only replay the failed attempt.
     pub adaptive_x_max: bool,
     /// Real-path alternatives kept per node pair in tree-traversal mode
     /// (the paper's `h`).
@@ -323,12 +326,17 @@ fn run(
                     stats,
                 });
             }
-            Err(e) => {
-                // Adaptive X_max: double and retry while the bound is the
-                // plausible culprit.
-                let retry = cfg.adaptive_x_max && cfg.x_max.is_some_and(|x| x < net.node_count());
+            Err(failed) => {
+                // Adaptive X_max: double and retry only when the bound cut
+                // a forward search. An uncut search grows the same tree
+                // under any larger bound and nothing else reads `x_max`,
+                // so any other retry would replay this attempt bit for
+                // bit and return this error.
+                let retry = failed.capped
+                    && cfg.adaptive_x_max
+                    && cfg.x_max.is_some_and(|x| x < net.node_count());
                 if !retry {
-                    return Err(e);
+                    return Err(failed.error);
                 }
                 cfg.x_max = cfg.x_max.map(|x| (x * 2).min(net.node_count()));
             }
@@ -440,6 +448,8 @@ struct StartMemo {
     fst_nodes: usize,
     /// Whether the FST covered the layer (uncovered ⇒ no subs).
     covered: bool,
+    /// Whether `X_max` cut the forward search (implies uncovered).
+    capped: bool,
     /// Summed BST sizes over all merger candidates.
     bst_nodes: usize,
     /// Candidates generated before any truncation.
@@ -466,6 +476,7 @@ fn expand_start(
         subs: Vec::new(),
         fst_nodes: fst.len(),
         covered: fst.covered(),
+        capped: fst.capped(),
         bst_nodes: 0,
         generated: 0,
         pruned: 0,
@@ -531,6 +542,14 @@ fn sub_delay_us(model: &DelayModel, layer: &Layer, catalog: &VnfCatalog, sub: &L
     slowest
 }
 
+/// A search attempt that found no embedding.
+struct Failed {
+    error: SolveError,
+    /// Whether `X_max` cut at least one of the attempt's forward
+    /// searches — the only way a retry under a larger bound can differ.
+    capped: bool,
+}
+
 /// One search attempt under a fixed configuration.
 fn attempt<I: Instrument>(
     ctx: &SolveCtx<'_>,
@@ -539,7 +558,7 @@ fn attempt<I: Instrument>(
     cfg: &BbeConfig,
     solver: &'static str,
     ins: &mut I,
-) -> Result<(Embedding, usize, usize), SolveError> {
+) -> Result<(Embedding, usize, usize), Failed> {
     let net = ctx.net;
     let catalog = *sfc.catalog();
     let ctx = EngineCtx::new(net, catalog, *flow, cfg, &ctx.oracle);
@@ -552,6 +571,7 @@ fn attempt<I: Instrument>(
     // the tree's arena (root = 0.0). Maintained only under a delay
     // constraint; drives early pruning and the LARAC final-path repair.
     let mut node_delay: Vec<f64> = vec![0.0];
+    let mut capped = false;
 
     for l in 0..sfc.depth() {
         // Per-layer wall clock only when a recording sink asks for it.
@@ -579,6 +599,7 @@ fn attempt<I: Instrument>(
             // lint:allow(expect) — invariant: filled just above
             let m = slot.as_ref().expect("memo slot filled");
             ins.fst_nodes(m.fst_nodes);
+            capped |= m.capped;
             if !m.covered {
                 continue;
             }
@@ -611,16 +632,12 @@ fn attempt<I: Instrument>(
             // A level emptied by delay pruning is a deadline failure:
             // capacity-feasible sub-solutions existed, every one blew
             // the budget.
-            if let (Some(dc), Some(best)) = (dc, layer_delay_pruned) {
-                return Err(SolveError::NoFeasibleEmbedding {
-                    solver,
-                    reason: deadline_infeasible_reason(best, dc.max_delay_us),
-                });
-            }
-            return Err(SolveError::NoFeasibleEmbedding {
-                solver,
-                reason: format!("layer {l} produced no feasible sub-solution"),
-            });
+            let reason = match (dc, layer_delay_pruned) {
+                (Some(dc), Some(best)) => deadline_infeasible_reason(best, dc.max_delay_us),
+                _ => format!("layer {l} produced no feasible sub-solution"),
+            };
+            let error = SolveError::NoFeasibleEmbedding { solver, reason };
+            return Err(Failed { error, capped });
         }
         // Global level cap: keep the cheapest prefixes.
         next_level.sort_by(|&a, &b| tree.node(a).cum_cost.total_cmp(&tree.node(b).cum_cost));
@@ -697,7 +714,8 @@ fn attempt<I: Instrument>(
                 }
             }
         };
-        let embedding = assemble(sfc, &tree, leaf, final_path)?;
+        let embedding =
+            assemble(sfc, &tree, leaf, final_path).map_err(|error| Failed { error, capped })?;
         if let Some(dc) = dc {
             let delay = dc.model.embedding_delay(sfc, &embedding, flow);
             if delay > dc.max_delay_us + 1e-9 {
@@ -741,7 +759,8 @@ fn attempt<I: Instrument>(
                 if repaired_delay > dc.max_delay_us + 1e-9 {
                     continue;
                 }
-                let embedding = assemble(sfc, &tree, leaf, p)?;
+                let embedding =
+                    assemble(sfc, &tree, leaf, p).map_err(|error| Failed { error, capped })?;
                 if crate::validate::validate(net, sfc, flow, &embedding).is_ok() {
                     return Ok((embedding, explored, kept));
                 }
@@ -752,17 +771,12 @@ fn attempt<I: Instrument>(
     // Candidates that reached the destination but blew the budget make
     // this a deadline failure; otherwise it is the capacity/coverage
     // fallthrough.
-    if let (Some(dc), Some(best)) = (dc, best_rejected) {
-        return Err(SolveError::NoFeasibleEmbedding {
-            solver,
-            reason: deadline_infeasible_reason(best, dc.max_delay_us),
-        });
-    }
-    Err(SolveError::NoFeasibleEmbedding {
-        solver,
-        reason: "no complete candidate reached the destination within capacity and delay bound"
-            .into(),
-    })
+    let reason = match (dc, best_rejected) {
+        (Some(dc), Some(best)) => deadline_infeasible_reason(best, dc.max_delay_us),
+        _ => "no complete candidate reached the destination within capacity and delay bound".into(),
+    };
+    let error = SolveError::NoFeasibleEmbedding { solver, reason };
+    Err(Failed { error, capped })
 }
 
 /// Reconstructs the [`Embedding`] from a sub-solution-tree leaf.

@@ -47,6 +47,7 @@ pub struct SearchTree {
     nodes: Vec<TreeNode>,
     index_of: Vec<u32>,
     covered: bool,
+    capped: bool,
 }
 
 impl SearchTree {
@@ -61,7 +62,8 @@ impl SearchTree {
     ///
     /// The returned tree reports [`SearchTree::covered`] = `false` when
     /// the search exhausted its reachable set (or hit `x_max`) without
-    /// covering every required kind.
+    /// covering every required kind, and [`SearchTree::capped`] = `true`
+    /// in the second case only.
     pub fn grow(
         net: &Network,
         start: NodeId,
@@ -107,9 +109,11 @@ impl SearchTree {
 
         let mut prev_ring: Vec<usize> = vec![0];
         let mut ring_no = 0usize;
+        let mut capped = false;
         while !remaining.is_empty() && !prev_ring.is_empty() {
             if let Some(cap) = x_max {
                 if nodes.len() >= cap {
+                    capped = true;
                     break;
                 }
             }
@@ -184,6 +188,7 @@ impl SearchTree {
             nodes,
             index_of,
             covered: remaining.is_empty(),
+            capped,
         }
     }
 
@@ -191,6 +196,17 @@ impl SearchTree {
     #[inline]
     pub fn covered(&self) -> bool {
         self.covered
+    }
+
+    /// Whether the `x_max` bound stopped the search with required kinds
+    /// still uncovered — the bound's only effect on the tree. A search
+    /// that was not capped grows the identical tree under any larger
+    /// bound (or none). Conservative at the edge: a search whose
+    /// reachable set runs out exactly as it reaches the bound also
+    /// counts as capped. Never set when `x_max` is `None`.
+    #[inline]
+    pub fn capped(&self) -> bool {
+        self.capped
     }
 
     /// Number of tree nodes (size of the search node set).
@@ -366,10 +382,50 @@ mod tests {
         // x_max = 1: no ring beyond the root may open.
         let t = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(8)], |_| true, Some(1));
         assert!(!t.covered());
+        assert!(t.capped());
         assert_eq!(t.len(), 1);
         // Generous x_max covers normally.
         let t2 = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(8)], |_| true, Some(10));
         assert!(t2.covered());
+        assert!(!t2.capped());
+    }
+
+    #[test]
+    fn capped_only_when_the_bound_stops_an_uncovered_search() {
+        let g = net();
+        let f8 = [VnfTypeId(8)];
+        // Rings from va hold 1, 3 and 5 nodes; f8 (on ve) arrives with
+        // ring 2. A bound of 3 is reached after ring 1, f8 still missing.
+        let cut = SearchTree::grow(&g, NodeId(0), &f8, |_| true, Some(3));
+        assert!(cut.capped());
+        assert!(!cut.covered());
+        assert_eq!(cut.len(), 3);
+        // Coverage lands on the ring that reaches the bound (5) or
+        // overshoots it (4): covered, not capped, and the tree is the
+        // unbounded one.
+        let free = SearchTree::grow(&g, NodeId(0), &f8, |_| true, None);
+        for cap in [4, 5] {
+            let t = SearchTree::grow(&g, NodeId(0), &f8, |_| true, Some(cap));
+            assert!(t.covered() && !t.capped(), "cap {cap}");
+            assert_eq!(t.len(), free.len());
+        }
+        // The reachable set runs out below the bound: uncovered, but the
+        // bound played no part.
+        let absent = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(7)], |_| true, Some(6));
+        assert!(!absent.covered() && !absent.capped());
+        assert_eq!(absent.len(), 5);
+        // Conservative edge: the set runs out exactly at the bound, so
+        // the bound's break fires first and reports a cap.
+        let edge = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(7)], |_| true, Some(5));
+        assert!(edge.capped());
+        assert_eq!(edge.len(), absent.len());
+        let fenced = SearchTree::grow(&g, NodeId(2), &f8, |n| n != NodeId(1), Some(4));
+        assert!(!fenced.covered() && !fenced.capped());
+        assert_eq!(fenced.len(), 1);
+        // No bound, no cap — uncovered or not.
+        let unbounded = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(7)], |_| true, None);
+        assert!(!unbounded.covered() && !unbounded.capped());
+        assert!(!free.capped());
     }
 
     #[test]

@@ -183,7 +183,8 @@ pub struct ShardedEngine<'n> {
     ledgers: Vec<CommitLedger<'n>>,
     auditor: ConstraintAuditor,
     /// View cache: `(home, dst)` → stitched view; `home == dst` is the
-    /// local view; [`UNPARTITIONED`] is the all-shards residual.
+    /// local view; [`UNPARTITIONED`] is the all-shards residual, and the
+    /// only entry a 1-shard engine uses.
     views: BTreeMap<(u32, u32), CachedView>,
     leases: BTreeMap<u64, Vec<(usize, LeaseId)>>,
     next_stitch: u64,
@@ -374,14 +375,17 @@ impl<'n> ShardedEngine<'n> {
         let exposure = self.exposure(home, dst);
         let mut attempt = 0u32;
         loop {
-            let view = self.view_for((home as u32, dst as u32), Some(&exposure));
             // The audit target must predate phase 1's reservations. With
-            // a single shard the stitched view *is* the unpartitioned
-            // residual — reuse it instead of building a second network.
-            let unpart = if self.plan.shards() == 1 {
-                Arc::clone(&view)
+            // a single shard the stitched view exposes every resource, so
+            // it *is* the unpartitioned residual: solve and audit on that
+            // one cache entry — the one the front end's per-batch refresh
+            // already built for this epoch — instead of a second network.
+            let (view, unpart) = if self.plan.shards() == 1 {
+                let unpart = self.unpartitioned_residual();
+                (Arc::clone(&unpart), unpart)
             } else {
-                self.unpartitioned_residual()
+                let view = self.view_for((home as u32, dst as u32), Some(&exposure));
+                (view, self.unpartitioned_residual())
             };
             let started = Instant::now();
             let result =
@@ -674,5 +678,48 @@ fn rollback(ledgers: &mut [CommitLedger<'_>], parts: &[(usize, LeaseId)]) {
     for &(shard, sub) in parts.iter().rev() {
         // lint:allow(expect) — invariant: a fresh phase-1 sub-lease is active
         ledgers[shard].release(sub).expect("sub-lease is active");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagsfc_sim::runner::{instance_network, instance_request};
+    use dagsfc_sim::{arrival_seed, SimConfig};
+
+    /// With one shard, solving and auditing share the unpartitioned
+    /// residual: the view cache never holds a second network, and a
+    /// rejected embed leaves the one entry the front end reuses.
+    #[test]
+    fn one_shard_solves_on_the_unpartitioned_view() {
+        let sim = SimConfig {
+            network_size: 30,
+            sfc_size: 4,
+            vnf_capacity: 2.0,
+            link_capacity: 2.0,
+            seed: 0xA7,
+            ..SimConfig::default()
+        };
+        let net = instance_network(&sim);
+        let plan = ShardPlan::partition(&net, 1).expect("partition");
+        let mut engine = ShardedEngine::new(&net, plan, ShardRouter::default());
+        let mut accepted = 0;
+        for i in 0..6usize {
+            let (sfc, flow) = instance_request(&sim, &net, i);
+            let seed = arrival_seed(sim.seed, i);
+            drop(engine.unpartitioned_residual());
+            accepted += usize::from(engine.embed(&sfc, &flow, Algo::Mbbe, seed).is_ok());
+            assert_eq!(engine.views.len(), 1, "arrival {i}");
+        }
+        assert!(accepted > 0, "the fresh substrate must accept something");
+
+        let (sfc, flow) = instance_request(&sim, &net, 6);
+        let thick = Flow { rate: 1e6, ..flow };
+        let refreshed = engine.unpartitioned_residual();
+        assert!(engine.embed(&sfc, &thick, Algo::Mbbe, 0).is_err());
+        assert_eq!(engine.views.len(), 1);
+        let solved = Arc::clone(&engine.views[&UNPARTITIONED].net);
+        assert!(Arc::ptr_eq(&solved, &refreshed));
+        assert!(Arc::ptr_eq(&solved, &engine.unpartitioned_residual()));
     }
 }
