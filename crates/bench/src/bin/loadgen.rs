@@ -14,10 +14,8 @@
 //!   sustained req/s, p50/p99 request latency, acceptance under
 //!   overload, and the high-water queue depth of every shard lane.
 //! * **admission** — precheck-rejectable requests (rate far above any
-//!   link) that exercise only the front end. The batched server's
-//!   one-lock-per-batch admission is compared against the legacy
-//!   thread-per-connection daemon on the same stream; the ratio is the
-//!   measured batching gain.
+//!   link) against a 1-shard daemon, exercising only the front end's
+//!   one-lock-per-batch admission.
 //!
 //! `--compare <file>` re-measures and fails (exit code 2) when
 //! sustained or admission throughput regressed by more than
@@ -30,9 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use dagsfc_core::{DagSfc, Flow};
-use dagsfc_serve::{
-    serve, spawn_batched, BatchConfig, Client, EmbedReply, ServeConfig, ServerHandle,
-};
+use dagsfc_serve::{spawn_batched, BatchConfig, Client, EmbedReply, ServerHandle};
 use dagsfc_sim::runner::{instance_network, instance_request};
 use dagsfc_sim::{arrival_seed, Algo, SimConfig};
 use serde::{Deserialize, Serialize};
@@ -60,7 +56,8 @@ struct Latency {
 struct PhaseSample {
     /// "saturation" or "admission".
     phase: String,
-    /// "batched" or "legacy".
+    /// Always "batched"; kept because committed profiles and the
+    /// `--compare` gate key phases by (phase, server).
     server: String,
     /// Region shards the daemon was partitioned into.
     shards: usize,
@@ -76,8 +73,7 @@ struct PhaseSample {
     /// phase; 0.0 by construction in the admission phase.
     acceptance_ratio: f64,
     latency: Latency,
-    /// High-water queue depth per shard lane, sampled during the run
-    /// (empty for the legacy server, which has one global queue).
+    /// High-water queue depth per shard lane, sampled during the run.
     peak_queue_depths: Vec<u64>,
 }
 
@@ -88,9 +84,6 @@ struct ServeBench {
     /// "full" or "quick".
     profile: String,
     threads: usize,
-    /// batched admission rps / legacy admission rps: the measured gain
-    /// of batch-grouped prechecks over per-request admission.
-    batching_gain: f64,
     phases: Vec<PhaseSample>,
 }
 
@@ -223,16 +216,11 @@ fn latency_of(mut samples: Vec<f64>) -> Latency {
     }
 }
 
-/// Runs one phase against one daemon, sampling per-shard queue depths
-/// from a side connection while the drivers run.
-fn run_phase(
-    phase: &str,
-    server: &str,
-    handle: ServerHandle,
-    shots: &[Shot],
-    connections: usize,
-    shards: usize,
-) -> PhaseSample {
+/// Runs one phase against a fresh `shards`-shard daemon, sampling
+/// per-shard queue depths from a side connection while the drivers run.
+fn run_phase(phase: &str, k: &Knobs, shots: &[Shot], shards: usize) -> PhaseSample {
+    let connections = k.connections;
+    let handle = spawn_daemon(k, shards);
     let addr = handle.addr();
     let done = AtomicBool::new(false);
     let mut peak: Vec<u64> = Vec::new();
@@ -260,13 +248,10 @@ fn run_phase(
     });
     let mut c = Client::connect(addr).expect("connect for shutdown"); // lint:allow(expect)
     c.shutdown().expect("shutdown"); // lint:allow(expect)
-    let stats = handle.join();
-    if stats.per_shard.is_empty() {
-        peak.clear(); // legacy daemon: no shard lanes to report
-    }
+    handle.join();
     PhaseSample {
         phase: phase.to_string(),
-        server: server.to_string(),
+        server: "batched".to_string(),
         shards,
         connections,
         requests: shots.len(),
@@ -278,7 +263,7 @@ fn run_phase(
     }
 }
 
-fn spawn_batched_daemon(k: &Knobs, shards: usize) -> ServerHandle {
+fn spawn_daemon(k: &Knobs, shards: usize) -> ServerHandle {
     let cfg = BatchConfig {
         shards,
         workers_per_shard: 2,
@@ -290,54 +275,15 @@ fn spawn_batched_daemon(k: &Knobs, shards: usize) -> ServerHandle {
     spawn_batched(instance_network(&k.sim), shards, cfg, "127.0.0.1:0").expect("spawn batched")
 }
 
-fn spawn_legacy_daemon(k: &Knobs) -> ServerHandle {
-    let cfg = ServeConfig {
-        workers: 2,
-        queue_capacity: 256,
-        algo: Algo::Mbbe,
-        reclaim_on_disconnect: false,
-    };
-    // lint:allow(expect) — bench harness: abort loudly on a broken driver
-    serve::spawn(instance_network(&k.sim), cfg, "127.0.0.1:0").expect("spawn legacy")
-}
-
 fn measure(profile: Profile, shards: usize) -> ServeBench {
     let k = knobs(profile, shards);
     let sat = saturation_schedule(&k);
     let adm = admission_schedule(&k);
 
     let phases = vec![
-        run_phase(
-            "saturation",
-            "batched",
-            spawn_batched_daemon(&k, k.shards),
-            &sat,
-            k.connections,
-            k.shards,
-        ),
-        run_phase(
-            "admission",
-            "batched",
-            spawn_batched_daemon(&k, 1),
-            &adm,
-            k.connections,
-            1,
-        ),
-        run_phase(
-            "admission",
-            "legacy",
-            spawn_legacy_daemon(&k),
-            &adm,
-            k.connections,
-            1,
-        ),
+        run_phase("saturation", &k, &sat, k.shards),
+        run_phase("admission", &k, &adm, 1),
     ];
-    let rps_of = |phase: &str, server: &str| {
-        phases
-            .iter()
-            .find(|p| p.phase == phase && p.server == server)
-            .map_or(0.0, |p| p.rps)
-    };
     ServeBench {
         schema: SCHEMA.to_string(),
         profile: match profile {
@@ -346,7 +292,6 @@ fn measure(profile: Profile, shards: usize) -> ServeBench {
         }
         .to_string(),
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        batching_gain: rps_of("admission", "batched") / rps_of("admission", "legacy").max(1e-9),
         phases,
     }
 }
@@ -446,7 +391,6 @@ fn main() -> ExitCode {
             p.peak_queue_depths
         );
     }
-    eprintln!("batching gain: {:.2}x", current.batching_gain);
 
     let json =
         serde_json::to_string_pretty(&current).unwrap_or_else(|e| fail(&format!("serialize: {e}")));

@@ -9,80 +9,20 @@
 //! dagsfc chaos run --scenario FILE [--workers 2] [--queue 64] [--verify]
 //! ```
 //!
-//! `run` spawns an in-process daemon, replays the scenario through a
-//! real socket, and prints a one-line JSON summary as its **last**
-//! stdout line. The summary contains only deterministic fields, so two
-//! runs of the same scenario — at any worker counts — must print
-//! byte-identical summaries; CI diffs them.
+//! `run` spawns an in-process 1-shard daemon, replays the scenario
+//! through a real socket, and prints a one-line JSON summary as its
+//! **last** stdout line. The summary contains only deterministic
+//! fields, so two runs of the same scenario — at any worker counts —
+//! must print byte-identical summaries; CI diffs them.
 
 use crate::plan::ChaosIntensity;
 use crate::replay::replay_chaos;
 use crate::runner::run_chaos;
 use crate::scenario::{load_scenario, save_scenario, ChaosScenario};
-use dagsfc_serve::{serve, Client, ServeConfig};
+use dagsfc_serve::cli::Flags;
+use dagsfc_serve::{spawn_batched, BatchConfig, Client};
 use dagsfc_sim::{Algo, LifecycleConfig, SimConfig};
-use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// Minimal `--key value` flag parser (mirrors the serve CLI's).
-struct Flags {
-    map: HashMap<String, String>,
-    positional: Vec<String>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut map = HashMap::new();
-        let mut positional = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match key {
-                    // boolean flags
-                    "verify" => {
-                        map.insert(key.to_string(), "true".to_string());
-                    }
-                    _ => {
-                        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                        map.insert(key.to_string(), value.clone());
-                    }
-                }
-            } else {
-                positional.push(a.clone());
-            }
-        }
-        Ok(Flags { map, positional })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
-    }
-
-    fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
-        }
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
-        }
-    }
-
-    fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number '{v}'")),
-        }
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-}
 
 /// The deterministic end-of-run summary `chaos run` prints as its last
 /// stdout line. Wall-clock metrics are deliberately excluded: two runs
@@ -108,7 +48,7 @@ struct ChaosSummary {
 
 /// Entry point for `dagsfc chaos` / the chaos harness.
 pub fn chaos_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["verify"])?;
     match flags.positional.first().map(String::as_str) {
         Some("gen") => gen_main(&flags),
         Some("run") => run_main(&flags),
@@ -122,12 +62,7 @@ fn gen_main(flags: &Flags) -> Result<(), String> {
     let out = flags
         .str("out")
         .ok_or("chaos gen requires --out FILE".to_string())?;
-    let algo = match flags.str("algo") {
-        None => Algo::Mbbe,
-        Some(v) => {
-            dagsfc_serve::parse_algo(v).ok_or_else(|| format!("--algo: unknown algorithm '{v}'"))?
-        }
-    };
+    let algo = flags.algo_or("algo", Algo::Mbbe)?;
     let cfg = LifecycleConfig {
         base: SimConfig {
             network_size: flags.usize_or("nodes", 30)?,
@@ -172,15 +107,16 @@ fn run_main(flags: &Flags) -> Result<(), String> {
         .str("scenario")
         .ok_or("chaos run requires --scenario FILE".to_string())?;
     let scenario = load_scenario(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-    let cfg = ServeConfig {
-        workers: flags.usize_or("workers", 2)?.max(1),
+    let cfg = BatchConfig {
+        shards: 1,
+        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
         queue_capacity: flags.usize_or("queue", 64)?,
         algo: scenario.trace.algo,
         reclaim_on_disconnect: false,
     };
     let net = scenario.network();
-    let handle =
-        serve::spawn(net.clone(), cfg, "127.0.0.1:0").map_err(|e| format!("spawn server: {e}"))?;
+    let handle = spawn_batched(net.clone(), 1, cfg, "127.0.0.1:0")
+        .map_err(|e| format!("spawn server: {e}"))?;
     let addr = handle.addr();
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
     let report = replay_chaos(&mut client, addr, &scenario).map_err(|e| e.to_string())?;

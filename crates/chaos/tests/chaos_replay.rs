@@ -4,8 +4,17 @@
 //! worker-pool size, and must never serve an uncertified embedding.
 
 use dagsfc_chaos::{replay_chaos, run_chaos, ChaosIntensity, ChaosScenario};
-use dagsfc_serve::{serve, Client, ServeConfig};
+use dagsfc_serve::{spawn_batched, BatchConfig, Client, ServerHandle};
 use dagsfc_sim::{Algo, LifecycleConfig, SimConfig};
+
+/// A 1-shard daemon over `net` with `workers` workers.
+fn spawn(net: &dagsfc_net::Network, workers: usize) -> ServerHandle {
+    let cfg = BatchConfig {
+        workers_per_shard: workers,
+        ..BatchConfig::default()
+    };
+    spawn_batched(net.clone(), 1, cfg, "127.0.0.1:0").expect("bind")
+}
 
 fn scenario() -> ChaosScenario {
     ChaosScenario::generate(
@@ -39,15 +48,7 @@ fn daemon_chaos_replay_matches_runner_for_any_worker_count() {
     assert_eq!(truth.audits_failed, 0);
 
     for workers in [1usize, 4] {
-        let handle = serve::spawn(
-            net.clone(),
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind");
+        let handle = spawn(&net, workers);
         let addr = handle.addr();
         let mut client = Client::connect(addr).expect("connect");
         let report = replay_chaos(&mut client, addr, &s).expect("chaos replay");
@@ -89,15 +90,7 @@ fn two_daemon_runs_print_identical_final_state() {
     let net = s.network();
     let mut finals = Vec::new();
     for workers in [1usize, 3] {
-        let handle = serve::spawn(
-            net.clone(),
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind");
+        let handle = spawn(&net, workers);
         let addr = handle.addr();
         let mut client = Client::connect(addr).expect("connect");
         let report = replay_chaos(&mut client, addr, &s).expect("chaos replay");

@@ -16,7 +16,7 @@
 //! 2. **Wrapper callers.** Every function that *calls* a sanctioned
 //!    wrapper must itself audit the outcome: its body must reference
 //!    the constraint auditor (`audit_outcome` / `auditor`). This is
-//!    what keeps the serve engine's audit-on-commit, the chaos
+//!    what keeps the shard engine's audit-on-commit, the chaos
 //!    runner's per-accept audit, and the lifecycle's sampled audit
 //!    from silently disappearing in a refactor.
 //!

@@ -1,17 +1,13 @@
-//! The event-driven batched server: one front-end poll thread, request
+//! The daemon: one event-driven front-end poll thread, request
 //! batching, and per-shard worker pools over a [`ShardedEngine`].
 //!
-//! ## Why not thread-per-connection?
-//!
-//! The original daemon ([`crate::server`]) spawns one handler thread
-//! per connection; every request takes the engine lock at least once
-//! for admission, and under hundreds of connections the daemon spends
-//! its time context-switching and lock-bouncing rather than serving.
-//! This server inverts the model:
+//! ## Threading model
 //!
 //! * a single **front-end thread** polls every connection with
 //!   non-blocking reads, tolerating partial lines (bytes accumulate in
-//!   a per-connection buffer until a `\n` completes a request);
+//!   a per-connection buffer until a `\n` completes a request) — no
+//!   thread per connection, so hundreds of clients cost neither context
+//!   switches nor lock bouncing;
 //! * all requests that arrived in one poll pass form a **batch**:
 //!   admission prechecks for the whole batch run under *one* engine
 //!   lock acquisition, and the residual-view refresh is warmed once and
@@ -21,19 +17,23 @@
 //!   shard's bounded queue, where that shard's **worker pool** serves
 //!   them;
 //! * replies flow back through per-connection ordered queues, so a
-//!   client that pipelines N requests gets N replies in request order —
-//!   the same wire contract as the thread-per-connection daemon.
+//!   client that pipelines N requests gets N replies in request order.
+//!
+//! Shutdown (flag or `shutdown` command) stops admission, drains every
+//! queued job to its reply, keeps all committed leases on the books,
+//! and returns the final [`StatsReport`].
 //!
 //! ## Determinism
 //!
 //! The global [`TicketGate`] is shared by *all* shard pools: solve +
-//! commit still happens in exactly admission order, one at a time, no
-//! matter how many shards or workers exist. Admission prechecks run
-//! against the **base** network (never the residual), so their outcome
-//! cannot depend on how requests happened to be grouped into batches.
-//! Together these make a replayed trace bit-for-bit independent of the
-//! worker count, the shard-pool layout, and the batch boundaries — the
-//! property the differential tests pin.
+//! commit happens in exactly admission order, one at a time, no matter
+//! how many shards or workers exist. Faults and reclaims ride the same
+//! tickets, which pins their interleaving with embeds. Admission
+//! prechecks run against the **base** network (never the residual), so
+//! their outcome cannot depend on how requests happened to be grouped
+//! into batches. Together these make a replayed trace bit-for-bit
+//! independent of the worker count, the shard-pool layout, and the
+//! batch boundaries — the property the differential tests pin.
 //!
 //! Deadlock-freedom of the shared gate: the front end hands out tickets
 //! in increasing order and each shard queue is FIFO, so the globally
@@ -60,8 +60,8 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Region shards to partition the substrate into (1 = unsharded;
-    /// the 1-shard configuration is bit-for-bit identical to the
-    /// thread-per-connection daemon).
+    /// a 1-shard daemon replays a trace bit-for-bit like the in-process
+    /// lifecycle).
     pub shards: usize,
     /// Worker threads per shard pool (≥ 1; results are identical for
     /// any value by construction).
@@ -71,8 +71,10 @@ pub struct BatchConfig {
     pub queue_capacity: usize,
     /// Default algorithm when a request names none.
     pub algo: Algo,
-    /// Reclaim a connection's leases when it disconnects (see
-    /// [`crate::ServeConfig::reclaim_on_disconnect`]).
+    /// When a connection drops (EOF or a read error), ticket a reclaim
+    /// of every lease that connection still owns. Off by default: the
+    /// one-shot CLI client opens a fresh connection per operation,
+    /// which would make every normal workflow self-destruct.
     pub reclaim_on_disconnect: bool,
 }
 
@@ -109,9 +111,8 @@ struct Ticketed {
     reply: mpsc::Sender<WireResponse>,
 }
 
-/// One shard's bounded FIFO queue. Unlike the legacy queue, tickets are
-/// assigned by the (single-threaded) front end, not at enqueue — the
-/// queue only carries them.
+/// One shard's bounded FIFO queue. Tickets are assigned by the
+/// (single-threaded) front end; the queue only carries them.
 struct ShardQueue {
     inner: Mutex<(VecDeque<Ticketed>, bool)>,
     ready: Condvar,
@@ -306,30 +307,23 @@ fn poll_loop(listener: &TcpListener, cfg: &BatchConfig, shared: &SharedBatch<'_>
         // Read every connection; collect the complete lines that
         // arrived this pass — they are the batch.
         let mut batch: Vec<(usize, String)> = Vec::new();
+        let mut hung_up: Vec<u64> = Vec::new();
         for (idx, conn) in conns.iter_mut().enumerate() {
             if conn.closed {
                 continue;
             }
             loop {
                 match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.closed = true;
-                        if cfg.reclaim_on_disconnect && !shared.shutdown.load(Ordering::SeqCst) {
-                            // Fire-and-forget, like the legacy server: the
-                            // reply channel is dropped unread.
-                            let (tx, _rx) = mpsc::channel();
-                            let owner = conn.owner;
-                            enqueue_reclaim(owner, &mut next_ticket, tx, shared);
-                        }
-                        break;
-                    }
-                    Ok(n) => {
+                    Ok(n) if n > 0 => {
                         conn.buf.extend_from_slice(&scratch[..n]);
                         progressed = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
+                    // EOF or a read error (a reset, say): the client is
+                    // gone either way.
+                    _ => {
                         conn.closed = true;
+                        hung_up.push(conn.owner);
                         break;
                     }
                 }
@@ -353,6 +347,20 @@ fn poll_loop(listener: &TcpListener, cfg: &BatchConfig, shared: &SharedBatch<'_>
                 let owner = conns[idx].owner;
                 let pending = admit(&line, owner, &mut engine, &mut next_ticket, shared);
                 conns[idx].pending.push_back(pending);
+            }
+        }
+
+        // A vanished client may leave committed leases behind. When the
+        // operator opted in, ticket a reclaim behind everything the
+        // client sent (fire-and-forget: nobody reads the reply).
+        if cfg.reclaim_on_disconnect && !shared.shutdown.load(Ordering::SeqCst) {
+            for owner in hung_up {
+                let _ = enqueue(
+                    RECLAIM_SHARD,
+                    BatchJob::Reclaim { owner },
+                    &mut next_ticket,
+                    shared,
+                );
             }
         }
 
@@ -535,17 +543,14 @@ fn admit(
                     engine.plan().shard_of(node)
                 }
             };
-            enqueue(shard, BatchJob::Fault(event), engine, next_ticket, shared)
+            queued(enqueue(shard, BatchJob::Fault(event), next_ticket, shared))
         }
         "reclaim" => {
+            // Default to the requesting connection's own leases; an
+            // explicit owner reclaims on behalf of a vanished client.
             let target = req.owner.unwrap_or(owner);
-            let (tx, rx) = mpsc::channel();
-            if enqueue_reclaim(target, next_ticket, tx, shared) {
-                Pending::Wait(rx)
-            } else {
-                engine.count_admission_rejection();
-                Pending::Ready(WireResponse::rejected("queue full"))
-            }
+            let job = BatchJob::Reclaim { owner: target };
+            queued(enqueue(RECLAIM_SHARD, job, next_ticket, shared))
         }
         "embed" => {
             let Some(sfc) = req.sfc.take() else {
@@ -591,11 +596,12 @@ fn admit(
     }
 }
 
-/// The embed admission path — the exact checks of the legacy server
-/// (`precheck` against the **base** network, oracle reachability,
-/// bounded-queue backpressure), then a ticket into the home shard's
-/// queue. Prechecking against the base network (never the residual) is
-/// what keeps admission outcomes independent of batch composition.
+/// The embed admission path — `precheck` against the **base** network,
+/// oracle reachability, bounded-queue backpressure — then a ticket into
+/// the home shard's queue. Prechecking against the base network (never
+/// the residual) is what keeps admission outcomes independent of batch
+/// composition. Only this path counts `rejected`: the stats count embed
+/// outcomes, so a fault or reclaim refused by backpressure is not one.
 #[allow(clippy::too_many_arguments)]
 fn admit_embed(
     sfc: DagSfc,
@@ -635,32 +641,35 @@ fn admit_embed(
         )));
     }
     let shard = engine.home_shard(&flow);
-    enqueue(
-        shard,
-        BatchJob::Embed {
-            sfc,
-            flow,
-            algo,
-            seed,
-            owner,
-        },
-        engine,
-        next_ticket,
-        shared,
-    )
+    let job = BatchJob::Embed {
+        sfc,
+        flow,
+        algo,
+        seed,
+        owner,
+    };
+    let reply = enqueue(shard, job, next_ticket, shared);
+    if reply.is_none() {
+        engine.count_admission_rejection();
+    }
+    queued(reply)
 }
 
-/// Tickets `job` into `shard`'s queue, honoring its bounded capacity.
+/// The queue reclaims ride. They span every shard's ledger, so shard
+/// 0's queue carries them by convention — the global ticket gate
+/// serializes them against everything else regardless.
+const RECLAIM_SHARD: usize = 0;
+
+/// Tickets `job` into `shard`'s queue and returns the channel its reply
+/// arrives on, or `None` when the queue is at capacity (backpressure).
 fn enqueue(
     shard: usize,
     job: BatchJob,
-    engine: &mut ShardedEngine<'_>,
     next_ticket: &mut u64,
     shared: &SharedBatch<'_>,
-) -> Pending {
+) -> Option<mpsc::Receiver<WireResponse>> {
     if shared.queues[shard].depth() >= shared.queue_capacity {
-        engine.count_admission_rejection();
-        return Pending::Ready(WireResponse::rejected("queue full"));
+        return None;
     }
     let (tx, rx) = mpsc::channel();
     let ticket = *next_ticket;
@@ -670,30 +679,16 @@ fn enqueue(
         job,
         reply: tx,
     });
-    Pending::Wait(rx)
+    Some(rx)
 }
 
-/// Tickets a reclaim. Reclaims span every shard's ledger, so they are
-/// routed through shard 0's queue by convention — the global ticket
-/// gate serializes them against everything else regardless. Returns
-/// `false` on backpressure.
-fn enqueue_reclaim(
-    owner: u64,
-    next_ticket: &mut u64,
-    reply: mpsc::Sender<WireResponse>,
-    shared: &SharedBatch<'_>,
-) -> bool {
-    if shared.queues[0].depth() >= shared.queue_capacity {
-        return false;
+/// The reply a ticketed job owes, or `queue full` when backpressure
+/// refused it.
+fn queued(reply: Option<mpsc::Receiver<WireResponse>>) -> Pending {
+    match reply {
+        Some(rx) => Pending::Wait(rx),
+        None => Pending::Ready(WireResponse::rejected("queue full")),
     }
-    let ticket = *next_ticket;
-    *next_ticket += 1;
-    shared.queues[0].push(Ticketed {
-        ticket,
-        job: BatchJob::Reclaim { owner },
-        reply,
-    });
-    true
 }
 
 /// One shard worker: pop FIFO from the shard's queue, wait for the
@@ -723,6 +718,9 @@ fn shard_worker_loop(queue: &ShardQueue, shared: &SharedBatch<'_>) {
                         cost: Some(a.cost),
                         ..WireResponse::default()
                     },
+                    // An audit failure is a server-side bug (a solver
+                    // emitted a constraint-violating embedding), not an
+                    // ordinary rejection — surface it as an error.
                     Err(e @ dagsfc_sim::EmbedRejection::Audit(_)) => {
                         WireResponse::error(e.to_string())
                     }
@@ -736,6 +734,9 @@ fn shard_worker_loop(queue: &ShardQueue, shared: &SharedBatch<'_>) {
                 };
                 match applied {
                     Ok(changed) => {
+                        // Mirror reachability changes into the admission
+                        // oracle, so a partitioned substrate rejects at
+                        // admission instead of queueing doomed solves.
                         shared.oracle.apply_fault(&event);
                         WireResponse {
                             status: "ok".into(),
@@ -759,13 +760,12 @@ fn shard_worker_loop(queue: &ShardQueue, shared: &SharedBatch<'_>) {
             }
         };
         shared.gate.advance();
+        // A vanished client (dropped receiver) is not a server error.
         let _ = job.reply.send(resp);
     }
 }
 
-/// Maps the sharded engine's counters into the wire-level report. Field
-/// semantics match [`crate::engine::Engine::stats`] exactly in the
-/// 1-shard case.
+/// Maps the sharded engine's counters into the wire-level report.
 fn stats_report(
     engine: &ShardedEngine<'_>,
     queues: &[ShardQueue],
@@ -806,7 +806,6 @@ fn stats_report(
         audits_failed: s.audits_failed,
         faults_applied: s.faults_applied,
         orphans_reclaimed: s.orphans_reclaimed,
-        solve_timeouts: 0,
         commit_retries: s.commit_retries,
         shards: engine.plan().shards() as u64,
         cross_shard_offered: s.cross_shard_offered,

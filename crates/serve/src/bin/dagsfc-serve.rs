@@ -6,6 +6,7 @@ fn main() {
         println!(
             "dagsfc-serve: long-lived DAG-SFC embedding daemon\n\n\
              usage: dagsfc-serve [--addr 127.0.0.1:4600] [--workers 2] [--queue 64]\n\
+             \x20                 [--shards 1] [--reclaim-on-disconnect]\n\
              \x20                 [--algo bbe|mbbe|mbbe-st|ranv|minv|grasp|exact]\n\
              \x20                 [--network FILE | --nodes N --seed S --capacity C\n\
              \x20                  --degree D --kinds K --sfc-size L]\n\n\

@@ -1,12 +1,12 @@
 //! Command-line entry points shared by the `dagsfc-serve` binary and
 //! the root `dagsfc` CLI's `serve`/`client`/`trace`/`replay`
-//! subcommands — one implementation, two front doors.
+//! subcommands — one implementation, two front doors. [`Flags`] parses
+//! the arguments of every `dagsfc` subcommand.
 
 use crate::batch::{self, BatchConfig};
 use crate::client::{Client, EmbedReply};
 use crate::protocol::parse_algo;
 use crate::replay::replay;
-use crate::server::{self, ServeConfig};
 use dagsfc_net::LeaseId;
 use dagsfc_sim::runner::instance_network;
 use dagsfc_sim::{
@@ -18,55 +18,72 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Minimal `--key value` flag parser (mirrors the root CLI's).
-struct Flags {
+/// The serving subcommands' boolean flags.
+const SWITCHES: &[&str] = &["verify", "reclaim-on-disconnect"];
+
+/// Minimal `--key value` / positional argument parser.
+pub struct Flags {
     map: HashMap<String, String>,
-    positional: Vec<String>,
+    /// Arguments that are not flags, in order (e.g. `client`'s
+    /// operation).
+    pub positional: Vec<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args`. The flags named in `switches` are boolean; every
+    /// other flag takes the next argument as its value, which must not
+    /// itself look like a flag — so a boolean flag the caller does not
+    /// list fails loudly instead of swallowing the flag after it.
+    pub fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match key {
-                    // boolean flags
-                    "verify" | "reclaim-on-disconnect" | "batch" | "legacy" => {
-                        map.insert(key.to_string(), "true".to_string());
-                    }
-                    _ => {
-                        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                        map.insert(key.to_string(), value.clone());
-                    }
-                }
-            } else {
+            let Some(key) = a.strip_prefix("--") else {
                 positional.push(a.clone());
+                continue;
+            };
+            if switches.contains(&key) {
+                map.insert(key.to_string(), "true".to_string());
+                continue;
             }
+            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            if value.starts_with("--") {
+                return Err(format!("--{key} needs a value, got flag '{value}'"));
+            }
+            map.insert(key.to_string(), value.clone());
         }
         Ok(Flags { map, positional })
     }
 
-    fn str(&self, key: &str) -> Option<&str> {
+    /// The raw value of `--key`, if given.
+    pub fn str(&self, key: &str) -> Option<&str> {
         self.map.get(key).map(String::as_str)
     }
 
-    fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
+    /// `--key` as a path, if given.
+    pub fn path(&self, key: &str) -> Option<PathBuf> {
+        self.str(key).map(PathBuf::from)
+    }
+
+    /// `--key` as an integer, or `default` when absent.
+    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
         match self.str(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
         }
     }
 
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
+    /// `--key` as a 64-bit integer, or `default` when absent.
+    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
         match self.str(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
         }
     }
 
-    fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
+    /// `--key` as a number, or `default` when absent.
+    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.str(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key}: bad number '{v}'")),
@@ -83,14 +100,16 @@ impl Flags {
         }
     }
 
-    fn algo_or(&self, key: &str, default: Algo) -> Result<Algo, String> {
+    /// `--key` as an algorithm wire name, or `default` when absent.
+    pub fn algo_or(&self, key: &str, default: Algo) -> Result<Algo, String> {
         match self.str(key) {
             None => Ok(default),
             Some(v) => parse_algo(v).ok_or_else(|| format!("--{key}: unknown algorithm '{v}'")),
         }
     }
 
-    fn has(&self, key: &str) -> bool {
+    /// Whether `--key` was given.
+    pub fn has(&self, key: &str) -> bool {
         self.map.contains_key(key)
     }
 }
@@ -112,9 +131,11 @@ fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
     })
 }
 
-fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
-    Ok(ServeConfig {
-        workers: flags.usize_or("workers", 2)?.max(1),
+/// The daemon configuration the serving flags describe.
+fn batch_config(flags: &Flags) -> Result<BatchConfig, String> {
+    Ok(BatchConfig {
+        shards: flags.usize_or("shards", 1)?.max(1),
+        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
         queue_capacity: flags.usize_or("queue", 64)?,
         algo: flags.algo_or("algo", Algo::Mbbe)?,
         reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
@@ -124,42 +145,28 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
 /// `dagsfc-serve` / `dagsfc serve`: run the daemon until a client sends
 /// `shutdown` (or the process is killed).
 ///
-/// Serves through the event-driven batched front end by default
-/// (`--shards N` partitions the substrate into N region shards;
-/// `--workers` sizes each shard's pool). `--legacy` selects the
-/// original thread-per-connection server.
+/// `--shards N` partitions the substrate into N region shards;
+/// `--workers` sizes each shard's pool.
 ///
 /// ```text
 /// dagsfc-serve [--addr 127.0.0.1:4600] [--workers 2] [--queue 64] [--algo mbbe]
-///              [--shards 1] [--legacy]
+///              [--shards 1] [--reclaim-on-disconnect]
 ///              [--network FILE | --nodes N --seed S --capacity C ...]
 /// ```
 pub fn daemon_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SWITCHES)?;
     let net = match flags.str("network") {
         Some(path) => sim_io::load_network(&PathBuf::from(path)).map_err(|e| e.to_string())?,
         None => instance_network(&sim_config(&flags)?),
     };
+    let cfg = batch_config(&flags)?;
+    let plan = dagsfc_shard::ShardPlan::partition(&net, cfg.shards).map_err(|e| e.to_string())?;
     let addr = flags.str("addr").unwrap_or("127.0.0.1:4600");
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     // Parsed by scripts (and the CI smoke job): keep this line stable.
     println!("dagsfc-serve listening on {local}");
-    let report = if flags.has("legacy") {
-        let cfg = serve_config(&flags)?;
-        server::run(&net, &cfg, listener, Arc::new(AtomicBool::new(false)))
-    } else {
-        let shards = flags.usize_or("shards", 1)?.max(1);
-        let plan = dagsfc_shard::ShardPlan::partition(&net, shards).map_err(|e| e.to_string())?;
-        let cfg = BatchConfig {
-            shards,
-            workers_per_shard: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: flags.algo_or("algo", Algo::Mbbe)?,
-            reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
-        };
-        batch::run_batched(&net, plan, &cfg, listener, Arc::new(AtomicBool::new(false)))
-    };
+    let report = batch::run_batched(&net, plan, &cfg, listener, Arc::new(AtomicBool::new(false)));
     println!(
         "{}",
         serde_json::to_string(&report).map_err(|e| e.to_string())?
@@ -175,7 +182,7 @@ pub fn daemon_main(args: &[String]) -> Result<(), String> {
 ///              [--algo mbbe] [--nodes N --seed S --capacity C ...]
 /// ```
 pub fn trace_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SWITCHES)?;
     let out = flags
         .str("out")
         .ok_or("trace requires --out FILE".to_string())?;
@@ -208,7 +215,7 @@ pub fn trace_main(args: &[String]) -> Result<(), String> {
 /// dagsfc client shutdown --addr HOST:PORT
 /// ```
 pub fn client_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SWITCHES)?;
     let op = flags
         .positional
         .first()
@@ -299,44 +306,28 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
 /// in-process daemon, replay the trace through a real socket, and
 /// verify the outcome against the in-process simulation.
 ///
-/// `--batch` routes the replay through the event-driven batched front
-/// end; `--shards N` (implies `--batch`) partitions the substrate into
-/// N region shards with gateway stitching. The final stats are checked
-/// in-process: `audits_failed` must be zero, and a multi-shard replay
-/// must actually exercise cross-shard stitching.
+/// `--shards N` partitions the substrate into N region shards with
+/// gateway stitching. The final stats are checked in-process:
+/// `audits_failed` must be zero, and a multi-shard replay must actually
+/// exercise cross-shard stitching.
 ///
 /// ```text
-/// dagsfc replay --trace FILE [--workers 2] [--queue 64] [--verify]
-///               [--batch] [--shards N]
+/// dagsfc replay --trace FILE [--workers 2] [--queue 64] [--shards 1] [--verify]
 /// ```
 pub fn replay_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SWITCHES)?;
     let path = flags
         .str("trace")
         .ok_or("replay requires --trace FILE".to_string())?;
     let trace = sim_io::load_trace(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-    let shards = flags.usize_or("shards", 1)?.max(1);
-    let batched = flags.has("batch") || flags.has("shards");
-    let net = instance_network(&trace.base);
-    let handle = if batched {
-        let cfg = BatchConfig {
-            shards,
-            workers_per_shard: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: trace.algo,
-            reclaim_on_disconnect: false,
-        };
-        batch::spawn_batched(net, shards, cfg, "127.0.0.1:0")
-            .map_err(|e| format!("spawn batched server: {e}"))?
-    } else {
-        let cfg = ServeConfig {
-            workers: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: trace.algo,
-            reclaim_on_disconnect: false,
-        };
-        server::spawn(net, cfg, "127.0.0.1:0").map_err(|e| format!("spawn server: {e}"))?
+    let cfg = BatchConfig {
+        algo: trace.algo,
+        reclaim_on_disconnect: false,
+        ..batch_config(&flags)?
     };
+    let shards = cfg.shards;
+    let handle = batch::spawn_batched(instance_network(&trace.base), shards, cfg, "127.0.0.1:0")
+        .map_err(|e| format!("spawn server: {e}"))?;
     let mut client = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
     let report = replay(&mut client, &trace).map_err(|e| e.to_string())?;
     drop(client);
@@ -357,25 +348,23 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
         final_stats.solver_cache_misses,
         final_stats.released
     );
-    if batched {
-        println!(
-            "shards: {} regions, cross-shard {}/{} accepted, audits_failed {}",
-            final_stats.shards,
-            final_stats.cross_shard_accepted,
-            final_stats.cross_shard_offered,
+    println!(
+        "shards: {} regions, cross-shard {}/{} accepted, audits_failed {}",
+        final_stats.shards,
+        final_stats.cross_shard_accepted,
+        final_stats.cross_shard_offered,
+        final_stats.audits_failed
+    );
+    if final_stats.audits_failed != 0 {
+        return Err(format!(
+            "constraint auditor rejected {} committed embeddings",
             final_stats.audits_failed
-        );
-        if final_stats.audits_failed != 0 {
-            return Err(format!(
-                "constraint auditor rejected {} committed embeddings",
-                final_stats.audits_failed
-            ));
-        }
-        if shards > 1 && final_stats.cross_shard_accepted == 0 {
-            return Err("multi-shard replay accepted zero cross-shard embeddings; \
-                 the gateway-stitching path was never exercised"
-                .into());
-        }
+        ));
+    }
+    if shards > 1 && final_stats.cross_shard_accepted == 0 {
+        return Err("multi-shard replay accepted zero cross-shard embeddings; \
+             the gateway-stitching path was never exercised"
+            .into());
     }
     if flags.has("verify") {
         let sim = run_lifecycle_detailed(&LifecycleConfig {

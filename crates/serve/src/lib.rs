@@ -2,27 +2,27 @@
 //!
 //! A long-lived, multi-threaded serving layer over the DAG-SFC solver
 //! stack: clients submit embedding requests over a JSON-lines TCP
-//! protocol, the daemon admits them against a bounded queue and a
-//! shared path-oracle feasibility screen, solves them through the exact
-//! kernel the `sim::lifecycle` research harness runs, commits accepted
-//! requests to a lease ledger, and releases the resources when the
+//! protocol, the daemon admits them against bounded per-shard queues
+//! and a shared path-oracle feasibility screen, solves and commits them
+//! through a [`ShardedEngine`](dagsfc_shard::ShardedEngine) (one shard
+//! unless configured otherwise), and releases the resources when the
 //! client says the flow departed.
 //!
 //! The headline guarantee is **replay equivalence**: feeding a
 //! `sim`-frozen [`ReplayTrace`](dagsfc_sim::ReplayTrace) through the
-//! socket yields the same accepted set, acceptance ratio, and total
-//! cost as the in-process simulation under the same seed — bit for bit,
-//! for any worker-pool size. See `docs/SERVICE.md` for the protocol
-//! spec and the design notes behind that guarantee.
+//! socket of a 1-shard daemon yields the same accepted set, acceptance
+//! ratio, and total cost as the in-process simulation under the same
+//! seed — bit for bit, for any worker-pool size. See `docs/SERVICE.md`
+//! for the protocol spec and the design notes behind that guarantee.
 //!
 //! ```no_run
-//! use dagsfc_serve::{serve, Client, ServeConfig};
+//! use dagsfc_serve::{spawn_batched, BatchConfig, Client};
 //! use dagsfc_sim::runner::{instance_network, instance_request};
 //! use dagsfc_sim::SimConfig;
 //!
 //! let cfg = SimConfig { network_size: 30, ..SimConfig::default() };
 //! let net = instance_network(&cfg);
-//! let handle = serve::spawn(net.clone(), ServeConfig::default(), "127.0.0.1:0").unwrap();
+//! let handle = spawn_batched(net.clone(), 1, BatchConfig::default(), "127.0.0.1:0").unwrap();
 //!
 //! let mut client = Client::connect(handle.addr()).unwrap();
 //! let (sfc, flow) = instance_request(&cfg, &net, 0);
@@ -37,21 +37,15 @@
 pub mod batch;
 pub mod cli;
 pub mod client;
-pub mod engine;
 pub mod protocol;
 pub mod replay;
 pub mod server;
 
 pub use batch::{run_batched, spawn_batched, BatchConfig};
 pub use client::{Client, ClientError, EmbedReply};
-pub use engine::{Engine, MAX_COMMIT_RETRIES};
 pub use protocol::{
     algo_wire_name, fault_event_from_wire, fault_event_to_wire, parse_algo, AlgoLatency,
     OracleCounters, ShardLane, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
 };
 pub use replay::{replay, ReplayReport};
-pub use server::{run, spawn, ServeConfig, ServerHandle};
-
-/// Re-export of the server module under its service name, so call
-/// sites read `serve::spawn(...)`.
-pub use server as serve;
+pub use server::ServerHandle;

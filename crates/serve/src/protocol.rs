@@ -23,8 +23,10 @@ use serde::{Deserialize, Serialize};
 /// cross-shard counters);
 /// 3 — placement rules: `embed` chains may carry `rules`
 /// (affinity / anti-affinity kind pairs) and `order` (precedence
-/// edges), and stats split out `rejected_rule`.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// edges), and stats split out `rejected_rule`;
+/// 4 — stats no longer carry a solve-timeout count (no daemon
+/// enforces a solve budget).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// A client → server command.
 ///
@@ -215,9 +217,6 @@ pub struct StatsReport {
     pub faults_applied: u64,
     /// Leases reclaimed from vanished or misbehaving owners.
     pub orphans_reclaimed: u64,
-    /// Solves rolled back for exceeding the per-request time budget
-    /// (0 unless a solve timeout is configured).
-    pub solve_timeouts: u64,
     /// Transient commit failures that were retried with a refreshed
     /// residual.
     pub commit_retries: u64,
@@ -229,7 +228,7 @@ pub struct StatsReport {
     pub cross_shard_offered: u64,
     /// Cross-shard requests that were stitched and committed.
     pub cross_shard_accepted: u64,
-    /// Per-shard load figures (empty on the unsharded daemon).
+    /// Per-shard load figures, one lane per shard.
     pub per_shard: Vec<ShardLane>,
 }
 

@@ -1,186 +1,25 @@
-//! The `dagsfc-serve` daemon: JSON-lines over TCP, bounded queue with
-//! backpressure, admission control, a deterministic worker pool, and
-//! graceful drain on shutdown.
-//!
-//! ## Threading model
-//!
-//! * the **accept loop** (the thread that called [`run`]) polls a
-//!   non-blocking listener and spawns one handler per connection;
-//! * **handlers** parse lines, run admission control (shared
-//!   static-capacity [`PathOracle`] + `dagsfc_core::solvers::precheck`),
-//!   and either answer immediately (`stats`, `release`, rejections) or
-//!   enqueue an embed job and wait for its reply;
-//! * **workers** pop jobs FIFO and serve them through a ticket gate, so
-//!   solve+commit happens in exactly the admission order no matter how
-//!   many workers run — the property behind the trace-replay
-//!   equivalence guarantee.
-//!
-//! Shutdown (flag or `shutdown` command) stops admission, drains every
-//! queued embed to its reply, keeps all committed leases on the books,
-//! and returns the final [`StatsReport`].
+//! Daemon plumbing the batched front end ([`crate::batch`]) builds on:
+//! the owned-thread [`ServerHandle`], the [`TicketGate`] that serializes
+//! solve+commit in admission order, poison-tolerant locking, and the
+//! replies to `hello` and `embed_preset` that need no engine.
 
-use crate::engine::Engine;
-use crate::protocol::{
-    fault_event_from_wire, parse_algo, OracleCounters, StatsReport, WireRequest, WireResponse,
-    PROTOCOL_VERSION,
-};
-use dagsfc_core::solvers::precheck;
-use dagsfc_core::{DagSfc, Flow, VnfCatalog};
-use dagsfc_net::{FaultEvent, LeaseId, Network, PathOracle};
+use crate::protocol::{StatsReport, WireResponse, PROTOCOL_VERSION};
+use dagsfc_core::{DagSfc, VnfCatalog};
 use dagsfc_nfp::transform::TransformOptions;
-use dagsfc_sim::Algo;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the data if a previous holder panicked — one
-/// crashed connection handler must not wedge the whole daemon.
+/// crashed worker must not wedge the whole daemon.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Daemon configuration.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads solving embeds (≥ 1; results are identical for
-    /// any value by construction).
-    pub workers: usize,
-    /// Bounded queue capacity; admission rejects with `queue full`
-    /// beyond it (backpressure).
-    pub queue_capacity: usize,
-    /// Default algorithm when a request names none.
-    pub algo: Algo,
-    /// When a connection drops (EOF or IO error), automatically enqueue
-    /// a reclaim of every lease that connection still owns. Off by
-    /// default: the one-shot CLI client opens a fresh connection per
-    /// operation, which would make every normal workflow self-destruct.
-    pub reclaim_on_disconnect: bool,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            algo: Algo::Mbbe,
-            reclaim_on_disconnect: false,
-        }
-    }
-}
-
-/// The payload of one queued job. Faults and reclaims flow through the
-/// same ticketed queue as embeds so the interleaving of "substrate
-/// changed" and "request solved" is fixed by admission order — the
-/// property chaos replay's determinism rests on.
-enum JobKind {
-    Embed {
-        sfc: DagSfc,
-        flow: Flow,
-        algo: Algo,
-        seed: u64,
-        /// The admitting connection's owner id (tags the lease).
-        owner: u64,
-    },
-    Fault(FaultEvent),
-    Reclaim {
-        owner: u64,
-    },
-}
-
-/// One queued job, ticketed at admission.
-struct Job {
-    ticket: u64,
-    kind: JobKind,
-    reply: mpsc::Sender<WireResponse>,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    next_ticket: u64,
-    closed: bool,
-}
-
-/// Bounded FIFO job queue (std `Mutex` + `Condvar`; the `parking_lot`
-/// shim has no condvar).
-struct JobQueue {
-    capacity: usize,
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-enum EnqueueError {
-    Full,
-    Closed,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        JobQueue {
-            capacity,
-            inner: Mutex::new(QueueInner::default()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Admits a job if there is room, assigning its serving ticket
-    /// under the same lock so FIFO order and ticket order coincide.
-    fn try_enqueue(&self, kind: JobKind) -> Result<mpsc::Receiver<WireResponse>, EnqueueError> {
-        let mut inner = lock_recover(&self.inner);
-        if inner.closed {
-            return Err(EnqueueError::Closed);
-        }
-        if inner.jobs.len() >= self.capacity {
-            return Err(EnqueueError::Full);
-        }
-        let (tx, rx) = mpsc::channel();
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.jobs.push_back(Job {
-            ticket,
-            kind,
-            reply: tx,
-        });
-        self.ready.notify_one();
-        Ok(rx)
-    }
-
-    /// Next job, blocking; `None` once the queue is closed **and**
-    /// empty — the drain guarantee.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(inner, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-        }
-    }
-
-    fn close(&self) {
-        lock_recover(&self.inner).closed = true;
-        self.ready.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        lock_recover(&self.inner).jobs.len()
-    }
-}
-
 /// Serializes job completion in ticket order: a worker may hold job
-/// *n+1* solved-ready, but commits only after *n* has been served.
-/// Shared with the batched server, where it additionally serializes
-/// *across* the per-shard worker pools.
+/// *n+1* solved-ready, but commits only after *n* has been served. One
+/// gate is shared by every shard's worker pool, so the order holds
+/// across pools too.
 pub(crate) struct TicketGate {
     next: Mutex<u64>,
     turn: Condvar,
@@ -207,99 +46,8 @@ impl TicketGate {
     }
 }
 
-/// Everything the handler and worker threads share.
-struct Shared<'n> {
-    engine: Mutex<Engine<'n>>,
-    /// Static-capacity path oracle over the base network, shared across
-    /// every handler thread for admission prechecks.
-    oracle: PathOracle<'n>,
-    queue: JobQueue,
-    gate: TicketGate,
-    shutdown: Arc<AtomicBool>,
-    default_algo: Algo,
-    /// Monotonic owner-id source: every connection gets one at accept
-    /// time, its commits are tagged with it, and `reclaim` (or
-    /// disconnect, when configured) frees everything it still holds.
-    next_owner: AtomicU64,
-    reclaim_on_disconnect: bool,
-}
-
-impl Shared<'_> {
-    fn oracle_counters(&self) -> OracleCounters {
-        let s = self.oracle.stats();
-        OracleCounters {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            invalidations: s.invalidations,
-            hit_rate: s.hit_rate(),
-        }
-    }
-}
-
-/// Runs the daemon over `net` until `shutdown` is raised (by a client's
-/// `shutdown` command or externally), then drains and returns the final
-/// stats. Blocking; bind the listener first so the caller knows the
-/// address — see [`spawn`] for the owned-thread variant.
-pub fn run(
-    net: &Network,
-    cfg: &ServeConfig,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-) -> StatsReport {
-    listener
-        .set_nonblocking(true)
-        // lint:allow(expect) — fatal at startup, before any request is admitted
-        .expect("nonblocking listener");
-    let shared = Shared {
-        engine: Mutex::new(Engine::new(net)),
-        oracle: PathOracle::new(net),
-        queue: JobQueue::new(cfg.queue_capacity),
-        gate: TicketGate::new(),
-        shutdown: Arc::clone(&shutdown),
-        default_algo: cfg.algo,
-        next_owner: AtomicU64::new(1),
-        reclaim_on_disconnect: cfg.reclaim_on_disconnect,
-    };
-    crossbeam::thread::scope(|s| {
-        for _ in 0..cfg.workers.max(1) {
-            s.spawn(|| worker_loop(&shared));
-        }
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    s.spawn(|| handle_connection(stream, &shared));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        }
-        // Stop admission; workers drain what is already queued.
-        shared.queue.close();
-    });
-    let engine = shared
-        .engine
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    engine.stats(0, cfg.queue_capacity, {
-        let s = shared.oracle.stats();
-        OracleCounters {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            invalidations: s.invalidations,
-            hit_rate: s.hit_rate(),
-        }
-    })
-}
-
-/// A running daemon with an owned network, for tests and the CLI (both
-/// the thread-per-connection and the batched server return one).
+/// A running daemon with an owned network, for tests and the CLI
+/// (returned by [`crate::spawn_batched`]).
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: Arc<AtomicBool>,
@@ -326,246 +74,9 @@ impl ServerHandle {
     }
 }
 
-/// Binds `bind` (e.g. `"127.0.0.1:0"`) and runs the daemon on a
-/// background thread that owns `net`.
-pub fn spawn(net: Network, cfg: ServeConfig, bind: &str) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(bind)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&shutdown);
-    let thread = std::thread::spawn(move || run(&net, &cfg, listener, flag));
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        thread,
-    })
-}
-
-fn worker_loop(shared: &Shared<'_>) {
-    while let Some(job) = shared.queue.pop() {
-        // Ticket gate: serve strictly in admission order, so results
-        // are independent of the worker-pool size. Faults and reclaims
-        // ride the same gate, pinning their interleaving with embeds.
-        shared.gate.wait_for(job.ticket);
-        let resp = match job.kind {
-            JobKind::Embed {
-                sfc,
-                flow,
-                algo,
-                seed,
-                owner,
-            } => {
-                let outcome = {
-                    let mut engine = lock_recover(&shared.engine);
-                    engine.set_request_owner(Some(owner));
-                    let outcome = engine.embed(&sfc, &flow, algo, seed);
-                    engine.set_request_owner(None);
-                    outcome
-                };
-                match outcome {
-                    Ok(a) => WireResponse {
-                        status: "accepted".into(),
-                        lease: Some(a.lease.0),
-                        cost: Some(a.cost),
-                        ..WireResponse::default()
-                    },
-                    // An audit failure is a server-side bug (a solver emitted a
-                    // constraint-violating embedding), not an ordinary capacity
-                    // rejection — surface it as a protocol error.
-                    Err(e @ dagsfc_sim::EmbedRejection::Audit(_)) => {
-                        WireResponse::error(e.to_string())
-                    }
-                    Err(e) => WireResponse::rejected(e.to_string()),
-                }
-            }
-            JobKind::Fault(event) => {
-                let applied = {
-                    let mut engine = lock_recover(&shared.engine);
-                    engine.apply_fault(&event)
-                };
-                match applied {
-                    Ok(changed) => {
-                        // Mirror reachability changes into the admission
-                        // oracle so a partitioned substrate rejects at
-                        // admission instead of queueing doomed solves.
-                        shared.oracle.apply_fault(&event);
-                        WireResponse {
-                            status: "ok".into(),
-                            changed: Some(changed),
-                            ..WireResponse::default()
-                        }
-                    }
-                    Err(e) => WireResponse::error(e.to_string()),
-                }
-            }
-            JobKind::Reclaim { owner } => {
-                let reclaimed = {
-                    let mut engine = lock_recover(&shared.engine);
-                    engine.reclaim_owner(owner)
-                };
-                WireResponse {
-                    status: "ok".into(),
-                    reclaimed: Some(reclaimed.len() as u64),
-                    ..WireResponse::default()
-                }
-            }
-        };
-        shared.gate.advance();
-        // A vanished client (dropped receiver) is not a server error.
-        let _ = job.reply.send(resp);
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let owner = shared.next_owner.fetch_add(1, Ordering::SeqCst);
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let resp = dispatch(&line, owner, shared);
-                let done = resp.status == "bye";
-                let mut payload = serde_json::to_string(&resp)
-                    .unwrap_or_else(|_| "{\"status\":\"error\"}".into());
-                payload.push('\n');
-                if writer.write_all(payload.as_bytes()).is_err() {
-                    break;
-                }
-                line.clear();
-                if done {
-                    break;
-                }
-            }
-            // Timeout mid-line: the bytes read so far stay in `line`;
-            // keep appending on the next pass.
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-    // A vanished client may leave committed leases behind. When the
-    // operator opted in, queue an orphan reclaim (fire-and-forget: the
-    // reply channel is dropped, and a closed queue at shutdown keeps the
-    // books as-is for the final report).
-    if shared.reclaim_on_disconnect && !shared.shutdown.load(Ordering::SeqCst) {
-        let _ = shared.queue.try_enqueue(JobKind::Reclaim { owner });
-    }
-}
-
-fn dispatch(line: &str, owner: u64, shared: &Shared<'_>) -> WireResponse {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return WireResponse::error("empty request line");
-    }
-    let mut req: WireRequest = match serde_json::from_str(trimmed) {
-        Ok(r) => r,
-        Err(e) => return WireResponse::error(format!("bad request: {e}")),
-    };
-    match req.cmd.as_str() {
-        "ping" => WireResponse {
-            status: "ok".into(),
-            owner: Some(owner),
-            ..WireResponse::default()
-        },
-        "hello" => hello_response(req.proto, owner),
-        "stats" => {
-            let engine = lock_recover(&shared.engine);
-            let stats = engine.stats(
-                shared.queue.depth(),
-                shared.queue.capacity,
-                shared.oracle_counters(),
-            );
-            WireResponse {
-                status: "ok".into(),
-                stats: Some(stats),
-                ..WireResponse::default()
-            }
-        }
-        "release" => {
-            let Some(lease) = req.lease else {
-                return WireResponse::error("release requires 'lease'");
-            };
-            let mut engine = lock_recover(&shared.engine);
-            match engine.release(LeaseId(lease)) {
-                Ok(()) => WireResponse::ok(),
-                Err(e) => WireResponse::error(e.to_string()),
-            }
-        }
-        "shutdown" => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.close();
-            WireResponse {
-                status: "bye".into(),
-                ..WireResponse::default()
-            }
-        }
-        "fault" => {
-            let event = match fault_event_from_wire(&req) {
-                Ok(e) => e,
-                Err(e) => return WireResponse::error(e),
-            };
-            // Through the ticketed queue: the fault lands between the
-            // embeds admitted before and after it, deterministically.
-            match shared.queue.try_enqueue(JobKind::Fault(event)) {
-                Ok(reply) => reply
-                    .recv()
-                    .unwrap_or_else(|_| WireResponse::error("server shutting down")),
-                Err(EnqueueError::Full) => WireResponse::rejected("queue full"),
-                Err(EnqueueError::Closed) => WireResponse::error("server shutting down"),
-            }
-        }
-        "reclaim" => {
-            // Default to the requesting connection's own leases; an
-            // explicit owner reclaims on behalf of a vanished client.
-            let target = req.owner.unwrap_or(owner);
-            match shared.queue.try_enqueue(JobKind::Reclaim { owner: target }) {
-                Ok(reply) => reply
-                    .recv()
-                    .unwrap_or_else(|_| WireResponse::error("server shutting down")),
-                Err(EnqueueError::Full) => WireResponse::rejected("queue full"),
-                Err(EnqueueError::Closed) => WireResponse::error("server shutting down"),
-            }
-        }
-        "embed" => {
-            let Some(sfc) = req.sfc.take() else {
-                return WireResponse::error("embed requires 'sfc'");
-            };
-            let Some(flow) = req.flow else {
-                return WireResponse::error("embed requires 'flow'");
-            };
-            embed_via_queue(sfc, flow, req.algo.take(), req.seed, owner, shared)
-        }
-        "embed_preset" => {
-            let Some(name) = req.preset.as_deref() else {
-                return WireResponse::error("embed_preset requires 'preset'");
-            };
-            let Some(flow) = req.flow else {
-                return WireResponse::error("embed_preset requires 'flow'");
-            };
-            let sfc = match preset_chain(name, req.max_width) {
-                Ok(s) => s,
-                Err(e) => return WireResponse::error(e),
-            };
-            embed_via_queue(sfc, flow, req.algo.take(), req.seed, owner, shared)
-        }
-        other => WireResponse::error(format!("unknown command '{other}'")),
-    }
-}
-
 /// Builds the chain for a named `nfp` preset. A bad preset name or a
 /// sparse catalog is a protocol-level error, never a panic
-/// (`nfp::PresetError` is ordinary). Shared by the thread-per-connection
-/// and batched servers.
+/// (`nfp::PresetError` is ordinary).
 pub(crate) fn preset_chain(name: &str, max_width: Option<usize>) -> Result<DagSfc, String> {
     let hybrid = dagsfc_nfp::hybrid_preset(name, TransformOptions { max_width })
         .map_err(|e| e.to_string())?;
@@ -576,7 +87,7 @@ pub(crate) fn preset_chain(name: &str, max_width: Option<usize>) -> Result<DagSf
 /// Answers a `hello` handshake: `ok` (echoing the daemon's version and
 /// the connection's owner id) on a version match, a `"protocol
 /// mismatch"` error naming both versions otherwise — the fail-fast path
-/// versioned clients rely on. Shared by both servers.
+/// versioned clients rely on.
 pub(crate) fn hello_response(client_proto: Option<u32>, owner: u64) -> WireResponse {
     match client_proto {
         Some(v) if v == PROTOCOL_VERSION => WireResponse {
@@ -597,69 +108,5 @@ pub(crate) fn hello_response(client_proto: Option<u32>, owner: u64) -> WireRespo
                 "protocol mismatch: hello carried no version (daemon speaks v{PROTOCOL_VERSION})"
             ))
         },
-    }
-}
-
-/// Admission control, then the bounded queue, then the worker's reply.
-fn embed_via_queue(
-    sfc: DagSfc,
-    flow: Flow,
-    algo: Option<String>,
-    seed: Option<u64>,
-    owner: u64,
-    shared: &Shared<'_>,
-) -> WireResponse {
-    let algo = match algo.as_deref() {
-        None => shared.default_algo,
-        Some(name) => match parse_algo(name) {
-            Some(a) => a,
-            None => return WireResponse::error(format!("unknown algorithm '{name}'")),
-        },
-    };
-    let seed = seed.unwrap_or(0);
-
-    // Admission 1: the solvers' own feasibility screen, against the
-    // base network (conservative: rejects only what every solver would
-    // reject too, so replay equivalence is preserved).
-    {
-        let mut engine = lock_recover(&shared.engine);
-        if let Err(e) = precheck(engine.network(), &sfc, &flow) {
-            engine.count_admission_rejection();
-            return WireResponse::rejected(format!("infeasible: {e}"));
-        }
-    }
-    // Admission 2: static-capacity reachability via the shared oracle.
-    // The oracle carries the fault overlay, so a substrate partitioned
-    // by link/node failures rejects here — fast, and without blocking a
-    // worker on a solve that cannot succeed.
-    if flow.src != flow.dst
-        && shared
-            .oracle
-            .tree(flow.src, flow.rate)
-            .path_to(flow.dst)
-            .is_none()
-    {
-        lock_recover(&shared.engine).count_admission_rejection();
-        return WireResponse::rejected(format!(
-            "infeasible: no path {} -> {} at rate {}",
-            flow.src, flow.dst, flow.rate
-        ));
-    }
-    // Admission 3: bounded queue (backpressure).
-    match shared.queue.try_enqueue(JobKind::Embed {
-        sfc,
-        flow,
-        algo,
-        seed,
-        owner,
-    }) {
-        Ok(reply) => reply
-            .recv()
-            .unwrap_or_else(|_| WireResponse::error("server shutting down")),
-        Err(EnqueueError::Full) => {
-            lock_recover(&shared.engine).count_admission_rejection();
-            WireResponse::rejected("queue full")
-        }
-        Err(EnqueueError::Closed) => WireResponse::error("server shutting down"),
     }
 }

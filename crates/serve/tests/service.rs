@@ -1,10 +1,17 @@
-//! End-to-end tests for the `dagsfc-serve` daemon: trace-replay
+//! End-to-end tests for a 1-shard `dagsfc-serve` daemon: trace-replay
 //! equivalence against the in-process lifecycle simulation, admission
 //! control, backpressure, lease bookkeeping, stats, and graceful
 //! shutdown — all over real sockets.
 
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
 use dagsfc_net::{FaultEvent, LeaseId, NodeId};
-use dagsfc_serve::{replay, serve, Client, ClientError, EmbedReply, ServeConfig, WireRequest};
+use dagsfc_serve::{
+    fault_event_to_wire, replay, spawn_batched, BatchConfig, Client, ClientError, EmbedReply,
+    ServerHandle, StatsReport, WireRequest,
+};
 use dagsfc_sim::runner::{instance_network, instance_request};
 use dagsfc_sim::{export_trace, run_lifecycle_detailed, Algo, LifecycleConfig, SimConfig};
 
@@ -21,8 +28,23 @@ fn base() -> SimConfig {
     }
 }
 
-fn spawn(cfg: ServeConfig, sim: &SimConfig) -> serve::ServerHandle {
-    serve::spawn(instance_network(sim), cfg, "127.0.0.1:0").expect("bind")
+/// A 1-shard daemon over the network `sim` generates.
+fn spawn(cfg: BatchConfig, sim: &SimConfig) -> ServerHandle {
+    spawn_batched(instance_network(sim), 1, cfg, "127.0.0.1:0").expect("bind")
+}
+
+/// Polls `client`'s stats until `done` holds, failing after 5 s —
+/// for effects that ride the job queue behind the caller's back.
+fn wait_for_stats(client: &mut Client, done: impl Fn(&StatsReport) -> bool) -> StatsReport {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = client.stats().expect("stats");
+        if done(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "condition never held: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// The headline acceptance criterion: replaying a frozen trace through
@@ -47,9 +69,9 @@ fn replay_matches_lifecycle_for_any_worker_count() {
 
     for workers in [1usize, 4] {
         let handle = spawn(
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
+            BatchConfig {
+                workers_per_shard: workers,
+                ..BatchConfig::default()
             },
             &cfg.base,
         );
@@ -80,9 +102,9 @@ fn replay_matches_lifecycle_for_any_worker_count() {
 fn zero_capacity_queue_rejects_with_backpressure() {
     let sim = base();
     let handle = spawn(
-        ServeConfig {
+        BatchConfig {
             queue_capacity: 0,
-            ..ServeConfig::default()
+            ..BatchConfig::default()
         },
         &sim,
     );
@@ -101,10 +123,40 @@ fn zero_capacity_queue_rejects_with_backpressure() {
     handle.join();
 }
 
+/// `accepted`/`rejected` count embed outcomes: a fault or reclaim that
+/// backpressure turns away is refused, but is not a rejected request.
+#[test]
+fn backpressured_faults_and_reclaims_are_not_rejected_requests() {
+    let sim = base();
+    let handle = spawn(
+        BatchConfig {
+            queue_capacity: 0,
+            ..BatchConfig::default()
+        },
+        &sim,
+    );
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let fault = fault_event_to_wire(&FaultEvent::NodeDown { node: NodeId(0) });
+    let reclaim = WireRequest {
+        cmd: "reclaim".into(),
+        ..WireRequest::default()
+    };
+    for req in [fault, reclaim] {
+        let resp = client.request(&req).expect("reply");
+        assert_eq!(resp.status, "rejected", "{} under backpressure", req.cmd);
+        assert_eq!(resp.reason.as_deref(), Some("queue full"));
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.accepted, stats.rejected), (0, 0));
+    assert_eq!(stats.faults_applied, 0);
+    drop(client);
+    handle.join();
+}
+
 #[test]
 fn infeasible_requests_are_turned_away_at_admission() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, mut flow) = instance_request(&sim, &net, 0);
@@ -124,7 +176,7 @@ fn infeasible_requests_are_turned_away_at_admission() {
 #[test]
 fn unknown_and_double_release_are_protocol_errors() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     match client.release(LeaseId(424242)) {
@@ -152,7 +204,7 @@ fn unknown_and_double_release_are_protocol_errors() {
 #[test]
 fn stats_report_covers_oracle_queue_and_latency() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let mut accepted = 0usize;
@@ -190,7 +242,7 @@ fn stats_report_covers_oracle_queue_and_latency() {
     }
     assert_eq!(
         stats.queue_capacity,
-        ServeConfig::default().queue_capacity as u64
+        BatchConfig::default().queue_capacity as u64
     );
     drop(client);
     handle.join();
@@ -199,7 +251,7 @@ fn stats_report_covers_oracle_queue_and_latency() {
 #[test]
 fn graceful_shutdown_preserves_committed_leases() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
@@ -218,7 +270,7 @@ fn graceful_shutdown_preserves_committed_leases() {
 #[test]
 fn unknown_preset_is_a_protocol_error_not_a_crash() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let flow = dagsfc_core::Flow::unit(NodeId(0), NodeId(5));
     match client.embed_preset("no-such-chain", &flow, None, None, 1) {
@@ -236,7 +288,7 @@ fn unknown_preset_is_a_protocol_error_not_a_crash() {
 #[test]
 fn faults_over_the_wire_block_and_recover() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
@@ -284,7 +336,7 @@ fn faults_over_the_wire_block_and_recover() {
 #[test]
 fn reclaim_command_releases_a_vanished_clients_leases() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let net = instance_network(&sim);
 
     // Client A commits a lease, then vanishes without releasing it.
@@ -323,9 +375,9 @@ fn reclaim_command_releases_a_vanished_clients_leases() {
 fn reclaim_on_disconnect_sweeps_orphans_automatically() {
     let sim = base();
     let handle = spawn(
-        ServeConfig {
+        BatchConfig {
             reclaim_on_disconnect: true,
-            ..ServeConfig::default()
+            ..BatchConfig::default()
         },
         &sim,
     );
@@ -340,20 +392,48 @@ fn reclaim_on_disconnect_sweeps_orphans_automatically() {
 
     let mut b = Client::connect(handle.addr()).expect("connect");
     // The disconnect sweep rides the same job queue; wait for it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let stats = b.stats().expect("stats");
-        if stats.orphans_reclaimed == 1 {
-            assert_eq!(stats.active_leases, 0);
-            assert!(stats.outstanding_load.abs() < 1e-9);
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "disconnect sweep never reclaimed the orphan"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    let stats = wait_for_stats(&mut b, |s| s.orphans_reclaimed == 1);
+    assert_eq!(stats.active_leases, 0);
+    assert!(stats.outstanding_load.abs() < 1e-9);
+    drop(b);
+    handle.join();
+}
+
+/// A client that vanishes with a reset instead of an orderly close is
+/// just as gone: the disconnect sweep must reclaim its leases too.
+#[test]
+fn reclaim_on_disconnect_sweeps_after_a_connection_reset() {
+    let sim = base();
+    let handle = spawn(
+        BatchConfig {
+            reclaim_on_disconnect: true,
+            ..BatchConfig::default()
+        },
+        &sim,
+    );
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let mut line = serde_json::to_string(&WireRequest {
+        cmd: "embed".into(),
+        sfc: Some(sfc),
+        flow: Some(flow),
+        seed: Some(1),
+        ..WireRequest::default()
+    })
+    .expect("encode");
+    line.push('\n');
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.write_all(line.as_bytes()).expect("send embed");
+    // Wait for the reply without consuming it: closing a socket with
+    // unread input makes the kernel send a reset, not a FIN.
+    raw.peek(&mut [0u8; 1]).expect("reply arrives");
+    drop(raw);
+
+    let mut b = Client::connect(handle.addr()).expect("connect");
+    let stats = wait_for_stats(&mut b, |s| s.orphans_reclaimed == 1);
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.active_leases, 0);
+    assert!(stats.outstanding_load.abs() < 1e-9);
     drop(b);
     handle.join();
 }
@@ -361,7 +441,7 @@ fn reclaim_on_disconnect_sweeps_orphans_automatically() {
 #[test]
 fn slow_and_abandoning_clients_do_not_wedge_the_daemon() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
 
@@ -399,7 +479,7 @@ fn preset_embeds_end_to_end() {
         vnf_deploy_ratio: 1.0,
         ..base()
     };
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let flow = dagsfc_core::Flow::unit(NodeId(0), NodeId(5));
     match client

@@ -1,23 +1,33 @@
-//! Integration tests for the batched, sharded serving front end: the
-//! 1-shard differential against the legacy daemon (bit-for-bit on the
-//! committed smoke trace), worker/shard-pool independence, the `hello`
-//! protocol handshake, and multi-shard stitching audits.
+//! Integration tests for the sharded serving daemon: every committed
+//! lifecycle trace replayed through a 1-shard daemon against the
+//! in-process `run_trace` (bit for bit), worker/shard-pool
+//! independence, the `hello` protocol handshake, and multi-shard
+//! stitching audits.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 
 use dagsfc_serve::{
-    replay, serve, spawn_batched, BatchConfig, Client, ClientError, ReplayReport, ServeConfig,
-    WireRequest, PROTOCOL_VERSION,
+    replay, spawn_batched, BatchConfig, Client, ClientError, ReplayReport, WireRequest,
+    PROTOCOL_VERSION,
 };
 use dagsfc_sim::io as sim_io;
 use dagsfc_sim::runner::instance_network;
-use dagsfc_sim::{run_trace, ReplayTrace};
+use dagsfc_sim::{run_trace, ArrivalOutcome, ReplayTrace};
+
+/// The committed lifecycle traces, by file stem.
+const COMMITTED_TRACES: [&str; 4] = ["smoke-50", "delay-smoke", "affinity-smoke", "shard-smoke"];
+
+fn committed_trace(name: &str) -> ReplayTrace {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../traces")
+        .join(format!("{name}.json"));
+    sim_io::load_trace(&path).expect("committed trace")
+}
 
 fn smoke_trace() -> ReplayTrace {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../traces/smoke-50.json");
-    sim_io::load_trace(&path).expect("committed smoke trace")
+    committed_trace("smoke-50")
 }
 
 fn replay_batched(
@@ -39,41 +49,35 @@ fn replay_batched(
     (report, handle.join())
 }
 
-/// The tentpole differential: a 1-shard batched pipeline is
-/// bit-for-bit identical to the legacy thread-per-connection daemon —
-/// and both match the in-process lifecycle — on the committed trace.
+/// A 1-shard daemon decides every committed lifecycle trace exactly as
+/// the in-process `run_trace` does: the same fates, cost bits and
+/// departure order, and final counters that agree.
 #[test]
-fn one_shard_batched_pipeline_matches_legacy_daemon_bit_for_bit() {
-    let trace = smoke_trace();
-    let truth = run_trace(&instance_network(&trace.base), &trace);
+fn one_shard_daemon_replays_every_committed_trace_like_run_trace() {
+    let fates = |v: &[ArrivalOutcome]| -> Vec<(bool, u64)> {
+        v.iter().map(|a| (a.accepted, a.cost.to_bits())).collect()
+    };
+    for name in COMMITTED_TRACES {
+        let trace = committed_trace(name);
+        let truth = run_trace(&instance_network(&trace.base), &trace);
+        let (report, stats) = replay_batched(&trace, 1, 2);
 
-    let handle = serve::spawn(
-        instance_network(&trace.base),
-        ServeConfig {
-            algo: trace.algo,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("spawn legacy");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let legacy = replay(&mut client, &trace).expect("legacy replay");
-    drop(client);
-    let legacy_stats = handle.join();
-
-    let (batched, batched_stats) = replay_batched(&trace, 1, 2);
-
-    assert_eq!(batched.per_arrival, legacy.per_arrival);
-    assert_eq!(batched.departure_order, legacy.departure_order);
-    assert_eq!(batched.total_cost(), legacy.total_cost());
-    assert_eq!(batched.per_arrival, truth.per_arrival);
-    assert_eq!(batched.departure_order, truth.departure_order);
-    assert_eq!(batched_stats.accepted, legacy_stats.accepted);
-    assert_eq!(batched_stats.rejected, legacy_stats.rejected);
-    assert_eq!(batched_stats.total_cost, legacy_stats.total_cost);
-    assert_eq!(batched_stats.audits_failed, 0);
-    assert_eq!(batched_stats.shards, 1);
-    assert_eq!(batched_stats.cross_shard_offered, 0);
+        assert_eq!(
+            fates(&report.per_arrival),
+            fates(&truth.per_arrival),
+            "{name}"
+        );
+        assert_eq!(report.departure_order, truth.departure_order, "{name}");
+        assert_eq!(stats.accepted, truth.metrics.accepted as u64, "{name}");
+        assert_eq!(stats.rejected, truth.metrics.rejected as u64, "{name}");
+        assert_eq!(
+            stats.total_cost.to_bits(),
+            truth.total_cost().to_bits(),
+            "{name}"
+        );
+        assert_eq!(stats.audits_failed, 0, "{name}");
+        assert_eq!((stats.shards, stats.cross_shard_offered), (1, 0), "{name}");
+    }
 }
 
 /// Replay outcomes are a function of admission order alone: any
@@ -118,55 +122,47 @@ fn multi_shard_replay_stitches_and_audits_clean() {
     );
 }
 
-/// `Client::connect` performs the hello handshake against both server
-/// generations; a wrong version is refused before any work is queued.
+/// `Client::connect` performs the hello handshake; a wrong version is
+/// refused before any work is queued.
 #[test]
-fn hello_handshake_succeeds_on_both_servers_and_rejects_bad_versions() {
+fn hello_handshake_succeeds_and_rejects_bad_versions() {
     let trace = smoke_trace();
     let net = instance_network(&trace.base);
+    let handle = spawn_batched(net, 1, BatchConfig::default(), "127.0.0.1:0").expect("spawn");
 
-    let legacy = serve::spawn(net.clone(), ServeConfig::default(), "127.0.0.1:0").expect("legacy");
-    let batched = spawn_batched(net, 1, BatchConfig::default(), "127.0.0.1:0").expect("batched");
-    for addr in [legacy.addr(), batched.addr()] {
-        // The versioned handshake succeeds...
-        let mut client = Client::connect(addr).expect("handshake");
-        client.ping().expect("ping after hello");
+    // The versioned handshake succeeds...
+    let mut client = Client::connect(handle.addr()).expect("handshake");
+    client.ping().expect("ping after hello");
 
-        // ...a stale version is refused with the daemon's version echoed...
-        let resp = client
-            .request(&WireRequest {
-                cmd: "hello".into(),
-                proto: Some(PROTOCOL_VERSION + 7),
-                ..WireRequest::default()
-            })
-            .expect("transport");
-        assert_eq!(resp.status, "error");
-        assert_eq!(resp.proto, Some(PROTOCOL_VERSION));
-        assert!(
-            resp.reason
-                .as_deref()
-                .unwrap_or("")
-                .contains("protocol mismatch"),
-            "reason should name the mismatch, got {:?}",
-            resp.reason
-        );
+    // ...a stale version is refused with the daemon's version echoed...
+    let resp = client
+        .request(&WireRequest {
+            cmd: "hello".into(),
+            proto: Some(PROTOCOL_VERSION + 7),
+            ..WireRequest::default()
+        })
+        .expect("transport");
+    assert_eq!(resp.status, "error");
+    assert_eq!(resp.proto, Some(PROTOCOL_VERSION));
+    assert!(
+        resp.reason
+            .as_deref()
+            .unwrap_or("")
+            .contains("protocol mismatch"),
+        "reason should name the mismatch, got {:?}",
+        resp.reason
+    );
 
-        // ...and an unversioned hello is refused too.
-        let resp = client
-            .request(&WireRequest {
-                cmd: "hello".into(),
-                ..WireRequest::default()
-            })
-            .expect("transport");
-        assert_eq!(resp.status, "error");
-        drop(client);
-    }
-    let mut c = Client::connect(legacy.addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    legacy.join();
-    let mut c = Client::connect(batched.addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    batched.join();
+    // ...and an unversioned hello is refused too.
+    let resp = client
+        .request(&WireRequest {
+            cmd: "hello".into(),
+            ..WireRequest::default()
+        })
+        .expect("transport");
+    assert_eq!(resp.status, "error");
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// A daemon speaking a different protocol version fails

@@ -24,9 +24,10 @@
 //!    rolls back every reservation already made.
 //!
 //! With one shard the view is the full residual, the corridor set is
-//! empty, and every step above degenerates to exactly what
-//! `dagsfc_serve::Engine` does — the 1-shard differential test pins
-//! that equivalence bit-for-bit.
+//! empty, and every step above degenerates to one ledger's solve →
+//! commit → audit, the kernel `dagsfc_sim::run_trace` runs per arrival.
+//! The crate's 1-shard tests and the serve crate's replays of every
+//! committed trace pin that equivalence bit for bit.
 
 use crate::plan::{GatewayTable, ShardPlan};
 use crate::router::ShardRouter;
@@ -40,10 +41,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Bounded retry budget for transient commit failures, mirroring the
-/// unsharded engine's (`dagsfc_serve::MAX_COMMIT_RETRIES`): the views
-/// are force-refreshed and the request re-solved at most this many
-/// extra times.
+/// Bounded retry budget for transient commit failures: the views are
+/// force-refreshed and the request re-solved at most this many extra
+/// times.
 pub const MAX_COMMIT_RETRIES: u32 = 2;
 
 /// Handle for one stitched lease (spans one ledger per involved shard).

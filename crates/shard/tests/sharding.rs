@@ -1,13 +1,14 @@
 //! Invariant and property tests for the region-sharded substrate:
-//! partition soundness, router determinism, gateway-table pricing, and
-//! the two-phase commit's no-leak guarantees.
+//! partition soundness, router determinism, gateway-table pricing, the
+//! two-phase commit's no-leak guarantees, and the serving engine's
+//! counters, fault handling, orphan reclaim and rejection split.
 
-use dagsfc_net::{LinkId, NodeId};
+use dagsfc_net::{CommitLedger, FaultEvent, LinkId, Network, NodeId};
 use dagsfc_shard::{
     GatewayTable, RoutePolicy, ShardPlan, ShardRouter, ShardedEngine, ShardedStats,
 };
 use dagsfc_sim::runner::{instance_network, instance_request};
-use dagsfc_sim::{arrival_seed, Algo, SimConfig};
+use dagsfc_sim::{arrival_seed, embed_and_commit, Algo, SimConfig};
 use proptest::prelude::*;
 
 fn cfg(nodes: usize, seed: u64) -> SimConfig {
@@ -19,6 +20,23 @@ fn cfg(nodes: usize, seed: u64) -> SimConfig {
         seed,
         ..SimConfig::default()
     }
+}
+
+/// A 24-node substrate with room for a few chains at a time.
+fn roomy() -> SimConfig {
+    SimConfig {
+        network_size: 24,
+        sfc_size: 3,
+        vnf_capacity: 8.0,
+        link_capacity: 8.0,
+        seed: 0xE46,
+        ..SimConfig::default()
+    }
+}
+
+fn engine(net: &Network, shards: usize) -> ShardedEngine<'_> {
+    let plan = ShardPlan::partition(net, shards).expect("partition");
+    ShardedEngine::new(net, plan, ShardRouter::default())
 }
 
 #[test]
@@ -189,6 +207,214 @@ fn rejections_leave_every_ledger_untouched() {
         .map(|l| (l.epoch, l.outstanding_load))
         .collect();
     assert_eq!(before, after, "rejections must not advance any ledger");
+}
+
+#[test]
+fn embed_release_cycle_updates_counters() {
+    let sim = roomy();
+    let net = instance_network(&sim);
+    let mut engine = engine(&net, 1);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let a = engine
+        .embed(&sfc, &flow, Algo::Minv, arrival_seed(sim.seed, 0))
+        .expect("fresh network admits");
+    assert!(engine.is_active(a.lease));
+    assert_eq!(engine.active_leases(), 1);
+
+    let stats = engine.stats();
+    assert_eq!((stats.accepted, stats.rejected), (1, 0));
+    assert_eq!(stats.audits_run, 1, "every commit is audited");
+    assert_eq!(stats.audits_failed, 0);
+    assert_eq!(stats.total_cost, a.cost.total());
+    assert!(stats.outstanding_load > 0.0);
+    assert_eq!(stats.per_algo.len(), 1);
+    assert_eq!((stats.per_algo[0].0, stats.per_algo[0].1), ("MINV", 1));
+
+    engine.release(a.lease).expect("release");
+    let stats = engine.stats();
+    assert_eq!(stats.active_leases, 0);
+    assert_eq!(stats.released, 1);
+    assert!(stats.outstanding_load.abs() < 1e-12);
+    assert!(engine.release(a.lease).is_err(), "double release must fail");
+}
+
+#[test]
+fn every_commit_is_audited_and_clean_under_saturation() {
+    let sim = SimConfig {
+        vnf_capacity: 3.0,
+        link_capacity: 3.0,
+        ..roomy()
+    };
+    let net = instance_network(&sim);
+    for shards in [1usize, 3] {
+        let mut engine = engine(&net, shards);
+        for i in 0..30 {
+            let (sfc, flow) = instance_request(&sim, &net, i);
+            let _ = engine.embed(&sfc, &flow, Algo::Mbbe, arrival_seed(sim.seed, i));
+        }
+        let stats = engine.stats();
+        assert!(stats.accepted > 0, "shards={shards}");
+        assert!(
+            stats.rejected > 0,
+            "shards={shards}: the load must saturate"
+        );
+        assert_eq!(stats.audits_run, stats.accepted, "shards={shards}");
+        assert_eq!(stats.audits_failed, 0, "shards={shards}");
+    }
+}
+
+#[test]
+fn node_faults_block_then_restore_and_are_counted() {
+    let sim = roomy();
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let seed = arrival_seed(sim.seed, 0);
+    let nodes = || (0..net.node_count()).map(|n| NodeId(n as u32));
+    let mut engine = engine(&net, 1);
+    for node in nodes() {
+        assert_eq!(engine.apply_fault(&FaultEvent::NodeDown { node }), Ok(true));
+    }
+    // An idempotent re-send changes nothing and is not counted.
+    let again = FaultEvent::NodeDown { node: NodeId(0) };
+    assert_eq!(engine.apply_fault(&again), Ok(false));
+    assert!(engine.embed(&sfc, &flow, Algo::Minv, seed).is_err());
+
+    for node in nodes() {
+        assert_eq!(engine.apply_fault(&FaultEvent::NodeUp { node }), Ok(true));
+    }
+    engine
+        .embed(&sfc, &flow, Algo::Minv, seed)
+        .expect("recovered substrate admits");
+    let stats = engine.stats();
+    assert_eq!(stats.faults_applied, 2 * net.node_count() as u64);
+    assert_eq!(stats.audits_failed, 0);
+    // A fault naming a missing node is an error, not a panic.
+    let missing = FaultEvent::NodeDown {
+        node: NodeId(10_000),
+    };
+    assert!(engine.apply_fault(&missing).is_err());
+}
+
+#[test]
+fn reclaim_owner_releases_only_that_owners_leases() {
+    let sim = roomy();
+    let net = instance_network(&sim);
+    let mut engine = engine(&net, 1);
+    let mut embed_as = |owner: u64, i: usize| {
+        engine.set_request_owner(Some(owner));
+        let (sfc, flow) = instance_request(&sim, &net, i);
+        let acc = engine.embed(&sfc, &flow, Algo::Minv, arrival_seed(sim.seed, i));
+        engine.set_request_owner(None);
+        acc.expect("fresh network admits")
+    };
+    let a = embed_as(7, 0);
+    let b = embed_as(8, 1);
+
+    assert_eq!(engine.reclaim_owner(7), vec![a.lease]);
+    assert!(!engine.is_active(a.lease));
+    assert!(engine.is_active(b.lease), "other owner untouched");
+    assert_eq!(engine.stats().orphans_reclaimed, 1);
+    // A second reclaim of the same owner finds nothing.
+    assert!(engine.reclaim_owner(7).is_empty());
+    assert!(engine.release(a.lease).is_err(), "reclaimed lease is gone");
+    engine.release(b.lease).expect("own lease still live");
+    assert!(engine.stats().outstanding_load.abs() < 1e-9);
+}
+
+#[test]
+fn rejection_stats_split_deadline_rule_and_capacity() {
+    let sim = roomy();
+    let net = instance_network(&sim);
+    let mut engine = engine(&net, 1);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let seed = arrival_seed(sim.seed, 0);
+
+    // An unmeetable delay budget: generated links carry ~10 µs each,
+    // so 0.001 µs end-to-end is provably deadline-infeasible.
+    let strict = dagsfc_core::Flow {
+        delay_budget_us: Some(0.001),
+        ..flow
+    };
+    let e = engine
+        .embed(&sfc, &strict, Algo::Mbbe, seed)
+        .expect_err("deadline-infeasible");
+    assert!(e.is_deadline_infeasible(), "{e}");
+
+    // An unmeetable rate with no budget: capacity-infeasible.
+    let heavy = dagsfc_core::Flow { rate: 1e9, ..flow };
+    let e = engine
+        .embed(&sfc, &heavy, Algo::Mbbe, seed)
+        .expect_err("capacity-infeasible");
+    assert!(
+        !e.is_deadline_infeasible() && !e.is_rule_infeasible(),
+        "{e}"
+    );
+
+    // A reflexive anti-affinity pair over an embedded kind can never
+    // hold, so the rejection must classify as rule-infeasible.
+    let kind = sfc.layers()[0].vnfs()[0];
+    let ruled = sfc.clone().with_rules(dagsfc_core::PlacementRules {
+        affinity: vec![],
+        anti_affinity: vec![(kind, kind)],
+    });
+    let e = engine
+        .embed(&ruled, &flow, Algo::Mbbe, seed)
+        .expect_err("rule-infeasible");
+    assert!(e.is_rule_infeasible() && !e.is_deadline_infeasible(), "{e}");
+
+    let stats = engine.stats();
+    assert_eq!(stats.rejected, 3);
+    assert_eq!(stats.rejected_deadline, 1);
+    assert_eq!(stats.rejected_rule, 1);
+    assert_eq!(stats.rejected_capacity, 1);
+    assert_eq!(stats.epoch, 0, "rejections leave the ledger untouched");
+
+    // The best-effort request still embeds.
+    engine
+        .embed(&sfc, &flow, Algo::Mbbe, seed)
+        .expect("best-effort request admits");
+}
+
+/// At one shard the engine is the lifecycle kernel: on a tiny
+/// substrate driven to saturation it accepts exactly when
+/// `embed_and_commit` over one ledger does, at the same cost bits.
+#[test]
+fn one_shard_engine_matches_the_lifecycle_kernel() {
+    let sim = SimConfig {
+        network_size: 12,
+        sfc_size: 3,
+        vnf_capacity: 2.0,
+        link_capacity: 2.0,
+        seed: 0xE47,
+        ..SimConfig::default()
+    };
+    let net = instance_network(&sim);
+    let mut engine = engine(&net, 1);
+    let mut ledger = CommitLedger::new(&net);
+    let mut rejected = 0;
+    for i in 0..20 {
+        let (sfc, flow) = instance_request(&sim, &net, i);
+        let seed = arrival_seed(sim.seed, i);
+        let direct = {
+            let residual = ledger.residual();
+            embed_and_commit(&mut ledger, &residual, &sfc, &flow, Algo::Minv, seed)
+        };
+        let served = engine.embed(&sfc, &flow, Algo::Minv, seed);
+        match (direct, served) {
+            (Ok(d), Ok(s)) => assert_eq!(
+                d.cost.total().to_bits(),
+                s.cost.total().to_bits(),
+                "arrival {i}"
+            ),
+            (Err(_), Err(_)) => rejected += 1,
+            (d, s) => panic!(
+                "arrival {i}: kernel {:?} vs engine {:?}",
+                d.is_ok(),
+                s.is_ok()
+            ),
+        }
+    }
+    assert!(rejected > 0, "the substrate must saturate");
 }
 
 proptest! {

@@ -178,13 +178,6 @@ pub enum EmbedRejection {
     /// and was rolled back (serve daemon's audit-on-commit gate). The
     /// payload is the audit summary.
     Audit(String),
-    /// The solve exceeded the server's per-request time budget and was
-    /// rolled back (graceful degradation under fault load; only raised
-    /// when a solve timeout is explicitly configured).
-    Timeout {
-        /// Wall time the solve actually took.
-        elapsed_millis: u64,
-    },
 }
 
 impl std::fmt::Display for EmbedRejection {
@@ -194,9 +187,6 @@ impl std::fmt::Display for EmbedRejection {
             EmbedRejection::Account(e) => write!(f, "accounting failed: {e}"),
             EmbedRejection::Commit(e) => write!(f, "commit failed: {e}"),
             EmbedRejection::Audit(summary) => write!(f, "audit failed: {summary}"),
-            EmbedRejection::Timeout { elapsed_millis } => {
-                write!(f, "solve timed out after {elapsed_millis}ms")
-            }
         }
     }
 }
@@ -204,7 +194,7 @@ impl std::fmt::Display for EmbedRejection {
 impl EmbedRejection {
     /// Whether this rejection is deadline-classified: the solver proved
     /// the flow's delay budget unmeetable (as opposed to capacity or
-    /// topology infeasibility, commit races, audit failures, timeouts).
+    /// topology infeasibility, commit races, audit failures).
     pub fn is_deadline_infeasible(&self) -> bool {
         matches!(self, EmbedRejection::Solve(e) if e.is_deadline_infeasible())
     }

@@ -22,10 +22,10 @@
 use dagsfc::core::solvers::{self, Solver};
 use dagsfc::core::{validate, IlpModel};
 use dagsfc::net::{to_dot, DotOptions};
+use dagsfc::serve::cli::Flags;
 use dagsfc::sim::online::{acceptance_sweep, acceptance_table};
 use dagsfc::sim::runner::{instance_network, instance_request};
 use dagsfc::sim::{io as sim_io, report, sweep, Algo, SimConfig, SweepResult};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match Opts::parse(&rest) {
+    let opts = match Flags::parse(&rest, &["full", "exact", "protect", "json"]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -120,83 +120,19 @@ USAGE:
   dagsfc topology  [--nodes N] [--runs R] [--sfc-size L]
   dagsfc quality   [--nodes N] [--runs R] [--exact]
   dagsfc ilp       [--nodes N] [--sfc-size L] [--seed S] [--k K] [--out FILE]
-  dagsfc serve     [--addr A] [--workers W] [--queue Q] [--algo NAME]
+  dagsfc serve     [--addr A] [--workers W] [--queue Q] [--algo NAME] [--shards N]
                    [--network FILE | --nodes N --seed S --capacity C]
   dagsfc client    ping|stats|embed|release|replay|shutdown --addr HOST:PORT [...]
   dagsfc trace     --out FILE [--arrivals R] [--mean-holding H] [--algo NAME]
                    [--link-delay US] [--delay-budget US]
                    [--affinity-rate P] [--anti-affinity-rate P]
-  dagsfc replay    --trace FILE [--workers W] [--queue Q] [--verify]
+  dagsfc replay    --trace FILE [--workers W] [--queue Q] [--shards N] [--verify]
   dagsfc audit     --trace FILE [--network FILE] [--json]
                    (exit codes: 0 clean, 1 violations, 2 usage, 3 bad input)
   dagsfc chaos     gen --out FILE [--arrivals R] [--chaos-seed C] [...]
   dagsfc chaos     run --scenario FILE [--workers W] [--verify]";
 
-/// Minimal `--key value` / positional argument parser.
-struct Opts {
-    flags: HashMap<String, String>,
-    positional: Vec<String>,
-}
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
-        let mut flags = HashMap::new();
-        let mut positional = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match key {
-                    // boolean flags
-                    "full" | "exact" | "protect" | "json" => {
-                        flags.insert(key.to_string(), "true".to_string());
-                    }
-                    _ => {
-                        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                        flags.insert(key.to_string(), value.clone());
-                    }
-                }
-            } else {
-                positional.push(a.clone());
-            }
-        }
-        Ok(Opts { flags, positional })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
-    }
-
-    fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
-        }
-    }
-
-    fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number '{v}'")),
-        }
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer '{v}'")),
-        }
-    }
-
-    fn path(&self, key: &str) -> Option<PathBuf> {
-        self.str(key).map(PathBuf::from)
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
-    }
-}
-
-fn sim_config(opts: &Opts) -> Result<SimConfig, String> {
+fn sim_config(opts: &Flags) -> Result<SimConfig, String> {
     Ok(SimConfig {
         network_size: opts.usize_or("nodes", 100)?,
         connectivity: opts.f64_or("degree", 6.0)?,
@@ -213,7 +149,7 @@ fn make_solver(name: &str, seed: u64) -> Result<Box<dyn Solver>, String> {
     solvers::by_name(name, seed).ok_or_else(|| format!("unknown algorithm '{name}'"))
 }
 
-fn cmd_generate(opts: &Opts) -> Result<(), String> {
+fn cmd_generate(opts: &Flags) -> Result<(), String> {
     let cfg = sim_config(opts)?;
     let out = opts
         .path("out")
@@ -235,7 +171,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_instance(opts: &Opts) -> Result<(), String> {
+fn cmd_instance(opts: &Flags) -> Result<(), String> {
     let cfg = sim_config(opts)?;
     let out = opts
         .path("out")
@@ -260,7 +196,7 @@ fn cmd_instance(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_embed(opts: &Opts) -> Result<(), String> {
+fn cmd_embed(opts: &Flags) -> Result<(), String> {
     let (network, sfc, flow) = if let Some(path) = opts.path("instance") {
         let inst = sim_io::load_instance(&path).map_err(|e| e.to_string())?;
         (inst.network, inst.sfc, inst.flow)
@@ -355,7 +291,7 @@ fn cmd_embed(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_online(opts: &Opts) -> Result<(), String> {
+fn cmd_online(opts: &Flags) -> Result<(), String> {
     let mut cfg = sim_config(opts)?;
     if !opts.has("capacity") {
         // Online runs need finite capacities to be interesting.
@@ -386,7 +322,7 @@ fn cmd_online(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_figures(opts: &Opts) -> Result<(), String> {
+fn cmd_figures(opts: &Flags) -> Result<(), String> {
     let which = opts.positional.first().map(String::as_str).unwrap_or("all");
     let base = if opts.has("full") {
         SimConfig::default()
@@ -435,7 +371,7 @@ fn cmd_figures(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_topology(opts: &Opts) -> Result<(), String> {
+fn cmd_topology(opts: &Flags) -> Result<(), String> {
     use dagsfc::sim::sweep::topology::{default_battery, topology_sweep, topology_table};
     let mut cfg = sim_config(opts)?;
     cfg.network_size = opts.usize_or("nodes", 36)?;
@@ -449,7 +385,7 @@ fn cmd_topology(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_quality(opts: &Opts) -> Result<(), String> {
+fn cmd_quality(opts: &Flags) -> Result<(), String> {
     use dagsfc::sim::sweep::quality::{quality_experiment, quality_table};
     let with_exact = opts.has("exact");
     let mut cfg = sim_config(opts)?;
@@ -471,7 +407,7 @@ fn cmd_quality(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ilp(opts: &Opts) -> Result<(), String> {
+fn cmd_ilp(opts: &Flags) -> Result<(), String> {
     let cfg = SimConfig {
         network_size: opts.usize_or("nodes", 8)?,
         sfc_size: opts.usize_or("sfc-size", 2)?,
@@ -506,7 +442,7 @@ enum AuditCmdError {
     Violations(String),
 }
 
-fn cmd_audit(opts: &Opts) -> Result<(), AuditCmdError> {
+fn cmd_audit(opts: &Flags) -> Result<(), AuditCmdError> {
     let trace_path = opts
         .path("trace")
         .ok_or_else(|| AuditCmdError::Usage("audit requires --trace FILE".to_string()))?;

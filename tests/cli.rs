@@ -396,6 +396,66 @@ fn chaos_gen_and_run_verify_end_to_end() {
     );
 }
 
+/// A committed fixture under `traces/`.
+fn committed(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("traces")
+        .join(name)
+}
+
+#[test]
+fn removed_flags_fail_loudly() {
+    // `--batch` is no longer a boolean flag; it must not swallow the
+    // `--verify` after it and exit 0 without verifying.
+    let trace = committed("smoke-50.json");
+    let out = bin()
+        .args([
+            "replay",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--batch",
+            "--verify",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--batch"), "stderr was: {err}");
+}
+
+#[test]
+fn chaos_smoke_summary_is_pinned() {
+    // The committed scenario's summary line, byte for byte: a served
+    // decision that drifts changes it.
+    const SUMMARY: &str = concat!(
+        r#"{"accepted":37,"rejected":3,"rejected_deadline":0,"rejected_capacity":2,"#,
+        r#""acceptance_ratio":0.925,"total_cost":215.18509259901327,"audits_run":37,"#,
+        r#""audits_failed":0,"faults_applied":24,"orphans_reclaimed":8,"#,
+        r#""dropped_releases":8,"released":37,"active_leases":0,"#,
+        r#""outstanding_load":0.0,"epoch":98}"#
+    );
+    let scenario = committed("chaos-smoke.json");
+    let out = bin()
+        .args([
+            "chaos",
+            "run",
+            "--scenario",
+            scenario.to_str().unwrap(),
+            "--workers",
+            "1",
+            "--verify",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.lines().last(), Some(SUMMARY));
+}
+
 #[test]
 fn quality_and_topology_subcommands() {
     let out = bin()
