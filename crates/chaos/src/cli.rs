@@ -122,17 +122,18 @@ fn run_main(flags: &Flags) -> Result<(), String> {
     let report = replay_chaos(&mut client, addr, &scenario).map_err(|e| e.to_string())?;
     drop(client);
     let stats = handle.join();
+    let replayed = &report.lifecycle;
 
     println!(
         "chaos replayed {} arrivals over TCP: {} accepted, {} rejected (ratio {:.3}); \
          {} faults applied, {} releases dropped, {} orphans reclaimed",
         scenario.trace.arrivals,
-        report.accepted,
-        report.rejected,
-        report.acceptance_ratio(),
+        replayed.metrics.accepted,
+        replayed.metrics.rejected,
+        replayed.metrics.acceptance_ratio(),
         stats.faults_applied,
-        report.dropped_releases,
-        report.reclaimed,
+        replayed.metrics.dropped_releases,
+        report.orphans_reclaimed,
     );
     if stats.audits_failed != 0 {
         return Err(format!(
@@ -143,27 +144,28 @@ fn run_main(flags: &Flags) -> Result<(), String> {
 
     if flags.has("verify") {
         let truth = run_chaos(&net, &scenario);
-        let diverged = truth.per_arrival != report.per_arrival
-            || truth.departure_order != report.departure_order
-            || truth.faults_applied != stats.faults_applied
-            || truth.orphans_reclaimed as u64 != report.reclaimed
-            || truth.dropped_releases != report.dropped_releases
-            || truth.audits_failed != 0;
+        let t = &truth.lifecycle;
+        let diverged = t.per_arrival != replayed.per_arrival
+            || t.departure_order != replayed.departure_order
+            || t.metrics.faults_applied != stats.faults_applied
+            || truth.orphans_reclaimed != report.orphans_reclaimed
+            || t.metrics.dropped_releases != replayed.metrics.dropped_releases
+            || t.metrics.checks.is_none_or(|c| c.audit_violations != 0);
         if diverged {
             return Err(format!(
                 "chaos replay DIVERGED from the in-process runner: \
                  in-process accepted {} (cost {:.6}), replay accepted {} (cost {:.6})",
-                truth.accepted,
-                truth.total_cost(),
-                report.accepted,
-                report.total_cost()
+                t.metrics.accepted,
+                t.total_cost(),
+                replayed.metrics.accepted,
+                replayed.total_cost()
             ));
         }
         println!(
             "verified: bit-for-bit equal to the in-process chaos runner \
              ({} accepted, total cost {:.6})",
-            truth.accepted,
-            truth.total_cost()
+            t.metrics.accepted,
+            t.total_cost()
         );
     }
 
@@ -172,13 +174,13 @@ fn run_main(flags: &Flags) -> Result<(), String> {
         rejected: stats.rejected,
         rejected_deadline: stats.rejected_deadline,
         rejected_capacity: stats.rejected_capacity,
-        acceptance_ratio: report.acceptance_ratio(),
-        total_cost: report.total_cost(),
+        acceptance_ratio: replayed.metrics.acceptance_ratio(),
+        total_cost: replayed.total_cost(),
         audits_run: stats.audits_run,
         audits_failed: stats.audits_failed,
         faults_applied: stats.faults_applied,
         orphans_reclaimed: stats.orphans_reclaimed,
-        dropped_releases: report.dropped_releases as u64,
+        dropped_releases: replayed.metrics.dropped_releases as u64,
         released: stats.released,
         active_leases: stats.active_leases,
         outstanding_load: stats.outstanding_load,

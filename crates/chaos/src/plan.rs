@@ -10,25 +10,10 @@
 use dagsfc_net::{FaultEvent, LinkId, Network, NodeId};
 use dagsfc_sim::lifecycle::to_fixed;
 use dagsfc_sim::ReplayTrace;
+pub use dagsfc_sim::ScheduledFault;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// One fault event pinned to the lifecycle's fixed-point clock.
-///
-/// At each arrival boundary, every scheduled fault with `at ≤ now` fires
-/// after due departures and before the arrival is offered; ties break on
-/// ascending `seq` (the generation order), so the event sequence is
-/// total-ordered and identical in every run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScheduledFault {
-    /// Absolute fire time in fixed-point µ-intervals (see `to_fixed`).
-    pub at: u64,
-    /// Tie-breaker: generation order.
-    pub seq: u32,
-    /// The substrate event itself.
-    pub event: FaultEvent,
-}
 
 /// Knobs for [`FaultPlan::generate`]. The defaults produce a lively but
 /// survivable scenario: every failure recovers before the trace ends.
@@ -76,7 +61,8 @@ impl Default for ChaosIntensity {
 pub struct FaultPlan {
     /// Seed the plan was drawn with (provenance).
     pub seed: u64,
-    /// Substrate events, sorted by `(at, seq)`.
+    /// Substrate events, sorted by `(at, seq)` (the lifecycle driver
+    /// fires them in that order regardless).
     pub faults: Vec<ScheduledFault>,
     /// Arrival indices whose departure release is deliberately dropped.
     pub drop_release: Vec<usize>,
@@ -173,11 +159,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether arrival `i`'s departure release is dropped.
-    pub fn drops_release(&self, arrival: usize) -> bool {
-        self.drop_release.contains(&arrival)
-    }
-
     /// Whether arrival `i` is submitted by the slow client.
     pub fn is_slow(&self, arrival: usize) -> bool {
         self.slow_request.contains(&arrival)
@@ -189,16 +170,6 @@ impl FaultPlan {
             .iter()
             .filter(|&&p| p == arrival)
             .count()
-    }
-
-    /// Events due at or before `now` starting from cursor position
-    /// `next` (the caller advances the cursor).
-    pub fn due(&self, next: usize, now: u64) -> &[ScheduledFault] {
-        let mut end = next;
-        while end < self.faults.len() && self.faults[end].at <= now {
-            end += 1;
-        }
-        &self.faults[next..end]
     }
 }
 
@@ -255,26 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_sorted_and_due_cursor_walks_it() {
+    fn schedule_is_sorted() {
         let (net, trace) = trace();
         let plan = FaultPlan::generate(&net, &trace, 3, &ChaosIntensity::default());
         assert!(plan
             .faults
             .windows(2)
             .all(|w| (w[0].at, w[0].seq) <= (w[1].at, w[1].seq)));
-        // Walking the cursor over arrival boundaries visits every event
-        // exactly once.
-        let mut cursor = 0usize;
-        let mut seen = 0usize;
-        for arrival in 0..trace.arrivals {
-            let due = plan.due(cursor, to_fixed(arrival as f64));
-            seen += due.len();
-            cursor += due.len();
-        }
-        // Everything fires strictly before `arrivals`, so the final
-        // boundary flushes the rest.
-        let rest = plan.due(cursor, u64::MAX);
-        assert_eq!(seen + rest.len(), plan.faults.len());
     }
 
     #[test]

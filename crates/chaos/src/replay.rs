@@ -1,13 +1,14 @@
 //! Daemon-driven chaos replay: the scenario's arrivals, departures,
 //! faults, and client misbehavior fired at a live `dagsfc-serve`
-//! daemon over real sockets, lock-step, so the outcome is comparable
-//! bit-for-bit with the in-process [`crate::runner::run_chaos`].
+//! daemon over real sockets, lock-step, through the same lifecycle
+//! driver ([`dagsfc_sim::drive`]) as the in-process
+//! [`crate::runner::run_chaos`] — so the outcomes compare bit-for-bit.
 //!
-//! Misbehavior is replayed deterministically:
+//! The driver already drops the plan's releases: flagged departures
+//! are never sent, and the leases stay live until the end-of-trace
+//! `reclaim` command sweeps them (the daemon-side orphan path). The
+//! client backend here adds the wire-level misbehavior:
 //!
-//! * **dropped releases** — flagged departures are simply never sent;
-//!   the leases stay live until the end-of-trace `reclaim` command
-//!   sweeps them (the daemon-side orphan path);
 //! * **slow client** — flagged arrivals are submitted in 7-byte chunks
 //!   with a flush after each, exercising the server's partial-line
 //!   reads without changing what is requested;
@@ -15,105 +16,40 @@
 //!   connection sends half a request and vanishes; the daemon must
 //!   shrug it off without wedging a worker or leaking a lease.
 
+use crate::plan::FaultPlan;
+use crate::runner::ChaosOutcome;
 use crate::scenario::ChaosScenario;
-use dagsfc_serve::{algo_wire_name, Client, ClientError, WireRequest};
-use dagsfc_sim::lifecycle::to_fixed;
-use dagsfc_sim::runner::{instance_network, instance_request};
-use dagsfc_sim::DepartureQueue;
-use dagsfc_sim::{arrival_seed, ArrivalOutcome};
+use dagsfc_core::{DagSfc, Flow};
+use dagsfc_net::{FaultEvent, LeaseId};
+use dagsfc_serve::{Client, ClientError, WireRequest};
+use dagsfc_sim::runner::instance_network;
+use dagsfc_sim::{drive, Algo, LifecycleBackend};
 use std::net::ToSocketAddrs;
 
 /// Wire chunk size of the "slow client" (small enough to split every
 /// request into many partial reads, deterministic by construction).
 pub const SLOW_CHUNK_BYTES: usize = 7;
 
-/// What a daemon-driven chaos replay observed.
-#[derive(Debug, Clone)]
-pub struct ChaosReplayReport {
-    /// Per-arrival fate, in arrival order.
-    pub per_arrival: Vec<ArrivalOutcome>,
-    /// Arrival indices in release order (dropped releases excluded).
-    pub departure_order: Vec<usize>,
-    /// Requests the daemon accepted.
-    pub accepted: usize,
-    /// Requests the daemon rejected.
-    pub rejected: usize,
-    /// Departures the plan dropped.
-    pub dropped_releases: usize,
-    /// Fault commands that changed daemon state.
-    pub faults_changed: u64,
-    /// Leases the end-of-trace reclaim swept.
-    pub reclaimed: u64,
+/// The daemon behind `client`, misbehaving where `plan` says.
+struct Misbehaving<'a, A> {
+    client: &'a mut Client,
+    addr: A,
+    plan: &'a FaultPlan,
 }
 
-impl ChaosReplayReport {
-    /// Sum of accepted costs, in arrival order.
-    pub fn total_cost(&self) -> f64 {
-        self.per_arrival.iter().map(|a| a.cost).sum()
-    }
+impl<A: ToSocketAddrs + Copy> LifecycleBackend for Misbehaving<'_, A> {
+    type Error = ClientError;
 
-    /// Accepted / offered.
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.accepted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / total as f64
-        }
-    }
-}
-
-/// Replays `scenario` through the daemon behind `client`.
-///
-/// `addr` is the daemon's address, used to open the throwaway
-/// disconnect-probe connections. The daemon must be serving
-/// `instance_network(&scenario.trace.base)`.
-pub fn replay_chaos(
-    client: &mut Client,
-    addr: impl ToSocketAddrs + Copy,
-    scenario: &ChaosScenario,
-) -> Result<ChaosReplayReport, ClientError> {
-    let trace = &scenario.trace;
-    let plan = &scenario.plan;
-    let net = instance_network(&trace.base);
-
-    let mut departures = DepartureQueue::new();
-    let mut leases: Vec<Option<dagsfc_net::LeaseId>> = vec![None; trace.arrivals];
-    let mut per_arrival = Vec::with_capacity(trace.arrivals);
-    let mut departure_order = Vec::new();
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut dropped_releases = 0usize;
-    let mut faults_changed = 0u64;
-    let mut fault_cursor = 0usize;
-
-    for arrival in 0..trace.arrivals {
-        let now = to_fixed(arrival as f64);
-
-        // 1. Departures (same boundary order as the in-process runner).
-        while let Some(id) = departures.pop_due(now) {
-            // lint:allow(expect) — invariant: departs once
-            let lease = leases[id].take().expect("departs once");
-            if plan.drops_release(id) {
-                dropped_releases += 1;
-            } else {
-                client.release(lease)?;
-                departure_order.push(id);
-            }
-        }
-
-        // 2. Faults, over the wire.
-        let due = plan.due(fault_cursor, now);
-        for f in due {
-            if client.fault(&f.event)? {
-                faults_changed += 1;
-            }
-        }
-        fault_cursor += due.len();
-
-        // 3. Client misbehavior probes: half a request, then gone.
-        for _ in 0..plan.probes_before(arrival) {
-            let probe = Client::connect(addr)?;
+    fn embed(
+        &mut self,
+        arrival: usize,
+        sfc: &DagSfc,
+        flow: &Flow,
+        algo: Algo,
+        seed: u64,
+    ) -> Result<Option<(LeaseId, f64)>, ClientError> {
+        for _ in 0..self.plan.probes_before(arrival) {
+            let probe = Client::connect(self.addr)?;
             probe.abandon_mid_request(
                 &WireRequest {
                     cmd: "embed".into(),
@@ -122,75 +58,49 @@ pub fn replay_chaos(
                 9,
             )?;
         }
-
-        // 4. The arrival itself — dribbled in chunks when flagged slow.
-        let (sfc, flow) = instance_request(&trace.base, &net, arrival);
-        let req = WireRequest {
-            cmd: "embed".into(),
-            sfc: Some(sfc),
-            flow: Some(flow),
-            seed: Some(arrival_seed(trace.base.seed, arrival)),
-            algo: Some(algo_wire_name(trace.algo).to_string()),
-            ..WireRequest::default()
-        };
-        let resp = if plan.is_slow(arrival) {
-            client.request_chunked(&req, SLOW_CHUNK_BYTES)?
+        let reply = if self.plan.is_slow(arrival) {
+            self.client
+                .embed_chunked(sfc, flow, Some(algo), seed, SLOW_CHUNK_BYTES)?
         } else {
-            client.request(&req)?
+            self.client.embed(sfc, flow, Some(algo), seed)?
         };
-        match resp.status.as_str() {
-            "accepted" => {
-                let lease = resp
-                    .lease
-                    .ok_or_else(|| ClientError::Server("accepted without lease".into()))?;
-                let cost = resp
-                    .cost
-                    .ok_or_else(|| ClientError::Server("accepted without cost".into()))?;
-                leases[arrival] = Some(dagsfc_net::LeaseId(lease));
-                departures.schedule(trace.depart_at[arrival], arrival);
-                accepted += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: true,
-                    cost: cost.total(),
-                });
-            }
-            "rejected" => {
-                rejected += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: false,
-                    cost: 0.0,
-                });
-            }
-            other => {
-                return Err(ClientError::Server(
-                    resp.reason.unwrap_or_else(|| other.to_string()),
-                ))
-            }
-        }
+        Ok(reply.fate())
     }
 
-    // Drain the remaining departures (dropped ones stay orphaned) …
-    while let Some((_, id)) = departures.pop() {
-        // lint:allow(expect) — invariant: departs once
-        let lease = leases[id].take().expect("departs once");
-        if plan.drops_release(id) {
-            dropped_releases += 1;
-        } else {
-            client.release(lease)?;
-            departure_order.push(id);
-        }
+    fn release(&mut self, lease: LeaseId) -> Result<(), ClientError> {
+        self.client.release(lease)
     }
 
-    // … then sweep the orphans exactly like a recovery job would.
-    let reclaimed = client.reclaim(None)?;
+    fn fault(&mut self, event: &FaultEvent) -> Result<bool, ClientError> {
+        self.client.fault(event)
+    }
+}
 
-    Ok(ChaosReplayReport {
-        per_arrival,
-        departure_order,
-        accepted,
-        rejected,
-        dropped_releases,
-        faults_changed,
-        reclaimed,
+/// Replays `scenario` through the daemon behind `client`, then sweeps
+/// the orphaned leases exactly like a recovery job would.
+///
+/// `addr` is the daemon's address, used to open the throwaway
+/// disconnect-probe connections. The daemon must be serving
+/// `instance_network(&scenario.trace.base)`. Only the fates, release
+/// order, counts and reclaim are observed: the outcome has no ledger
+/// `checks`, as the audits and the leak are in the daemon's stats.
+pub fn replay_chaos(
+    client: &mut Client,
+    addr: impl ToSocketAddrs + Copy,
+    scenario: &ChaosScenario,
+) -> Result<ChaosOutcome, ClientError> {
+    let plan = &scenario.plan;
+    let net = instance_network(&scenario.trace.base);
+    let mut backend = Misbehaving { client, addr, plan };
+    let lifecycle = drive(
+        &mut backend,
+        &net,
+        &scenario.trace,
+        &plan.faults,
+        &plan.drop_release,
+    )?;
+    Ok(ChaosOutcome {
+        lifecycle,
+        orphans_reclaimed: backend.client.reclaim(None)?,
     })
 }

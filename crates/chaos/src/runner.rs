@@ -1,202 +1,40 @@
-//! The in-process chaos lifecycle: the `sim::lifecycle` event loop with
-//! the scenario's fault plan interleaved — the ground truth a
-//! daemon-driven chaos replay is verified against.
+//! The in-process chaos run: the scenario's trace and fault plan
+//! through the lifecycle driver ([`dagsfc_sim::drive`]) over a
+//! [`LedgerBackend`] — the ground truth a daemon-driven chaos replay is
+//! verified against.
 //!
-//! Event order at each arrival boundary `i` (time `now = to_fixed(i)`):
-//!
-//! 1. every due departure (`t ≤ now`, ascending `(t, id)`) releases —
-//!    unless the plan drops it, in which case the lease is orphaned;
-//! 2. every due fault (`at ≤ now`, ascending `(at, seq)`) is applied to
-//!    the ledger;
-//! 3. arrival `i` is offered over the faulted residual, and every
-//!    accepted embedding is immediately re-checked by the
-//!    solver-independent constraint auditor — a violation rolls the
-//!    commit back (mirroring the daemon's audit-on-commit gate).
-//!
-//! After the last arrival the remaining departures drain, then an
-//! orphan reclaim sweeps the dropped leases. The run must end with zero
+//! The driver fires due departures (dropping the plan's releases), then
+//! due faults, then offers each arrival over the faulted residual; the
+//! backend audits every commit and rolls a violating one back
+//! (mirroring the daemon's audit-on-commit gate), then reclaims the
+//! orphaned leases after the final drain. The run must end with zero
 //! outstanding load and zero audit failures, no matter what the plan
 //! threw at it.
 
 use crate::scenario::ChaosScenario;
-use dagsfc_audit::ConstraintAuditor;
-use dagsfc_net::{CommitLedger, LeaseId, Network};
-use dagsfc_sim::lifecycle::to_fixed;
-use dagsfc_sim::runner::instance_request;
-use dagsfc_sim::DepartureQueue;
-use dagsfc_sim::{arrival_seed, embed_and_commit, ArrivalOutcome};
+use dagsfc_net::Network;
+use dagsfc_sim::{LedgerBackend, LifecycleOutcome};
 use serde::Serialize;
 
-/// Owner tag the in-process runner stamps on every commit — mirrors a
-/// daemon serving one connection, whose first client gets owner 1.
-pub const CHAOS_OWNER: u64 = 1;
-
-/// Everything a chaos run observed. `per_arrival` and
-/// `departure_order` are comparable bit-for-bit with a daemon-driven
-/// replay of the same scenario.
+/// What a chaos run observed, in process ([`run_chaos`]) or through a
+/// daemon ([`crate::replay_chaos`]); the two compare bit-for-bit.
 #[derive(Debug, Clone, Serialize)]
 pub struct ChaosOutcome {
-    /// Per-arrival fate, in arrival order.
-    pub per_arrival: Vec<ArrivalOutcome>,
-    /// Arrival indices in release order (dropped releases excluded).
-    pub departure_order: Vec<usize>,
-    /// Requests embedded (and certified) successfully.
-    pub accepted: usize,
-    /// Requests rejected (solver, fault, or audit rollback).
-    pub rejected: usize,
-    /// Accepted embeddings re-derived by the constraint auditor (all of
-    /// them — chaos audits every commit, not a sample).
-    pub audits_run: usize,
-    /// Audits that found a violation. Must be 0: an uncertified
-    /// embedding is never served, fault storm or not.
-    pub audits_failed: usize,
-    /// State-changing fault events applied.
-    pub faults_applied: u64,
-    /// Departures the plan dropped (orphaned leases).
-    pub dropped_releases: usize,
-    /// Orphans swept by the end-of-run reclaim.
-    pub orphans_reclaimed: usize,
-    /// Outstanding load after drain + reclaim — the leak detector;
-    /// must be ~0.
-    pub final_leak: f64,
-}
-
-impl ChaosOutcome {
-    /// Sum of accepted costs, in arrival order.
-    pub fn total_cost(&self) -> f64 {
-        self.per_arrival.iter().map(|a| a.cost).sum()
-    }
-
-    /// Accepted / offered.
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.accepted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / total as f64
-        }
-    }
+    /// Fates, release order and counts. In process, its metrics also
+    /// carry the ledger's checks: the audits and the leak.
+    pub lifecycle: LifecycleOutcome,
+    /// Orphaned leases the end-of-run reclaim swept.
+    pub orphans_reclaimed: u64,
 }
 
 /// Runs `scenario` in-process against `net`.
 pub fn run_chaos(net: &Network, scenario: &ChaosScenario) -> ChaosOutcome {
-    let trace = &scenario.trace;
     let plan = &scenario.plan;
-    let mut ledger = CommitLedger::new(net);
-    ledger.set_default_owner(Some(CHAOS_OWNER));
-    let auditor = ConstraintAuditor::new();
-
-    let mut departures = DepartureQueue::new();
-    let mut leases: Vec<Option<LeaseId>> = vec![None; trace.arrivals];
-    let mut per_arrival = Vec::with_capacity(trace.arrivals);
-    let mut departure_order = Vec::new();
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut audits_run = 0usize;
-    let mut audits_failed = 0usize;
-    let mut dropped_releases = 0usize;
-    let mut fault_cursor = 0usize;
-
-    for arrival in 0..trace.arrivals {
-        let now = to_fixed(arrival as f64);
-
-        // 1. Departures first — a flow that ended frees its resources
-        // before anything else happens at this boundary.
-        while let Some(id) = departures.pop_due(now) {
-            // lint:allow(expect) — invariant: departs once
-            let lease = leases[id].take().expect("departs once");
-            if plan.drops_release(id) {
-                // The misbehaving client forgot: the lease stays live
-                // until the end-of-run reclaim.
-                dropped_releases += 1;
-            } else {
-                // lint:allow(expect) — invariant: lease is active
-                ledger.release(lease).expect("lease is active");
-                departure_order.push(id);
-            }
-        }
-
-        // 2. Faults next: the arrival is offered the post-fault world.
-        let due = plan.due(fault_cursor, now);
-        for f in due {
-            // lint:allow(expect) — plan targets are drawn from this net
-            ledger.apply_fault(&f.event).expect("plan event is valid");
-        }
-        fault_cursor += due.len();
-
-        // 3. The arrival itself, over the faulted residual.
-        let (sfc, flow) = instance_request(&trace.base, net, arrival);
-        let residual = ledger.residual();
-        match embed_and_commit(
-            &mut ledger,
-            &residual,
-            &sfc,
-            &flow,
-            trace.algo,
-            arrival_seed(trace.base.seed, arrival),
-        ) {
-            Ok(s) => {
-                // Audit-on-commit, same gate as the daemon: every
-                // accepted embedding is certified or rolled back.
-                audits_run += 1;
-                let report = auditor.audit_outcome(&residual, &sfc, &flow, &s.outcome);
-                if !report.is_clean() {
-                    audits_failed += 1;
-                    // lint:allow(expect) — invariant: fresh lease is active
-                    ledger.release(s.lease).expect("fresh lease is active");
-                    rejected += 1;
-                    per_arrival.push(ArrivalOutcome {
-                        accepted: false,
-                        cost: 0.0,
-                    });
-                    continue;
-                }
-                leases[arrival] = Some(s.lease);
-                departures.schedule(trace.depart_at[arrival], arrival);
-                accepted += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: true,
-                    cost: s.cost.total(),
-                });
-            }
-            Err(_) => {
-                rejected += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: false,
-                    cost: 0.0,
-                });
-            }
-        }
-    }
-
-    // Drain the remaining departures (dropped ones stay orphaned).
-    while let Some((_, id)) = departures.pop() {
-        // lint:allow(expect) — invariant: departs once
-        let lease = leases[id].take().expect("departs once");
-        if plan.drops_release(id) {
-            dropped_releases += 1;
-        } else {
-            // lint:allow(expect) — invariant: lease is active
-            ledger.release(lease).expect("lease is active");
-            departure_order.push(id);
-        }
-    }
-
-    // Orphan sweep: exactly what the daemon's `reclaim` does for a
-    // vanished client.
-    let orphans_reclaimed = ledger.reclaim_owner(CHAOS_OWNER).len();
-
+    let mut backend = LedgerBackend::new(net);
+    let lifecycle = backend.run(&scenario.trace, &plan.faults, &plan.drop_release);
     ChaosOutcome {
-        per_arrival,
-        departure_order,
-        accepted,
-        rejected,
-        audits_run,
-        audits_failed,
-        faults_applied: ledger.faults_applied(),
-        dropped_releases,
-        orphans_reclaimed,
-        final_leak: ledger.outstanding_load(),
+        lifecycle,
+        orphans_reclaimed: backend.ledger.orphans_reclaimed(),
     }
 }
 
@@ -232,35 +70,52 @@ mod tests {
         let net = s.network();
         let a = run_chaos(&net, &s);
         let b = run_chaos(&net, &s);
+        assert_eq!(
+            a.orphans_reclaimed,
+            a.lifecycle.metrics.dropped_releases as u64
+        );
         // Bit-for-bit: exact f64 equality, not tolerance.
-        assert_eq!(a.per_arrival, b.per_arrival);
-        assert_eq!(a.departure_order, b.departure_order);
-        assert_eq!(a.total_cost(), b.total_cost());
-        assert_eq!(a.faults_applied, b.faults_applied);
+        assert_eq!(a.lifecycle.per_arrival, b.lifecycle.per_arrival);
+        assert_eq!(a.lifecycle.departure_order, b.lifecycle.departure_order);
+        assert_eq!(a.lifecycle.total_cost(), b.lifecycle.total_cost());
 
+        let (a, b) = (&a.lifecycle.metrics, &b.lifecycle.metrics);
+        let checks = a.checks.unwrap();
+        assert_eq!(a.faults_applied, b.faults_applied);
         assert_eq!(a.accepted + a.rejected, s.trace.arrivals);
         assert!(a.accepted > 0, "chaos must not kill every request");
         assert!(a.faults_applied > 0, "the plan must actually fire");
-        assert_eq!(a.audits_run, a.accepted + a.audits_failed);
-        assert_eq!(a.audits_failed, 0, "never certify a violating embed");
+        assert_eq!(checks.audited, a.accepted + checks.audit_violations);
+        assert_eq!(
+            checks.audit_violations, 0,
+            "never certify a violating embed"
+        );
         assert!(a.dropped_releases > 0, "misbehavior must occur");
-        assert_eq!(a.orphans_reclaimed, a.dropped_releases);
-        assert!(a.final_leak.abs() < 1e-6, "leaked {}", a.final_leak);
+        assert!(
+            checks.final_leak.abs() < 1e-6,
+            "leaked {}",
+            checks.final_leak
+        );
     }
 
     #[test]
     fn faults_change_outcomes_but_never_correctness() {
         let s = scenario(0xFA11);
         let net = s.network();
-        let chaotic = run_chaos(&net, &s);
-        // The same offered load without faults (empty plan).
+        let chaotic = run_chaos(&net, &s).lifecycle;
+        // The same offered load without faults (empty plan) is a plain
+        // lifecycle.
         let mut calm = s.clone();
         calm.plan.faults.clear();
         calm.plan.drop_release.clear();
-        let base = run_chaos(&net, &calm);
-        assert_eq!(base.faults_applied, 0);
-        assert_eq!(base.audits_failed, 0);
-        assert!(base.final_leak.abs() < 1e-6);
+        let base = run_chaos(&net, &calm).lifecycle;
+        assert_eq!(base.metrics.faults_applied, 0);
+        let checks = base.metrics.checks.unwrap();
+        assert_eq!(checks.audit_violations, 0);
+        assert!(checks.final_leak.abs() < 1e-6);
+        let plain = dagsfc_sim::run_trace(&net, &s.trace);
+        assert_eq!(base.per_arrival, plain.per_arrival);
+        assert_eq!(base.departure_order, plain.departure_order);
         // Chaos must actually perturb the run (else the plan is inert).
         // Note upward churn can make a faulted run accept MORE, so the
         // only safe claim is "different", not "worse".
@@ -282,7 +137,7 @@ mod tests {
         s.trace.base.link_delay_us = Some(10.0);
         s.trace.base.delay_budget_us = Some(150.0);
         let net = s.network();
-        let out = run_chaos(&net, &s);
+        let out = run_chaos(&net, &s).lifecycle;
         assert!(
             s.plan
                 .faults
@@ -290,14 +145,18 @@ mod tests {
                 .any(|f| matches!(f.event, dagsfc_net::FaultEvent::LinkDown { .. })),
             "plan must actually take links down"
         );
-        assert!(out.faults_applied > 0);
-        assert!(out.accepted > 0, "budget 150 us must admit some requests");
+        assert!(out.metrics.faults_applied > 0);
+        assert!(
+            out.metrics.accepted > 0,
+            "budget 150 us must admit some requests"
+        );
         assert_eq!(
-            out.audits_failed, 0,
+            out.metrics.checks.unwrap().audit_violations,
+            0,
             "an accepted embedding crossed a down link or blew its delay budget"
         );
         // Determinism holds for the delay-constrained run too.
-        let again = run_chaos(&net, &s);
+        let again = run_chaos(&net, &s).lifecycle;
         assert_eq!(out.per_arrival, again.per_arrival);
 
         // Tightening the budget to the impossible rejects everything —
@@ -305,10 +164,11 @@ mod tests {
         // flow through the deadline path rather than panicking mid-run.
         let mut strict = s.clone();
         strict.trace.base.delay_budget_us = Some(0.001);
-        let out = run_chaos(&net, &strict);
+        let out = run_chaos(&net, &strict).lifecycle.metrics;
+        let checks = out.checks.unwrap();
         assert_eq!(out.accepted, 0);
-        assert_eq!(out.audits_failed, 0);
-        assert!(out.final_leak.abs() < 1e-6);
+        assert_eq!(checks.audit_violations, 0);
+        assert!(checks.final_leak.abs() < 1e-6);
     }
 
     #[test]
@@ -318,9 +178,10 @@ mod tests {
         s.plan.drop_release = (0..s.trace.arrivals).collect();
         let net = s.network();
         let out = run_chaos(&net, &s);
-        assert_eq!(out.departure_order, Vec::<usize>::new());
-        assert_eq!(out.dropped_releases, out.accepted);
-        assert_eq!(out.orphans_reclaimed, out.accepted);
-        assert!(out.final_leak.abs() < 1e-6);
+        let m = &out.lifecycle.metrics;
+        assert_eq!(out.lifecycle.departure_order, Vec::<usize>::new());
+        assert_eq!(m.dropped_releases, m.accepted);
+        assert_eq!(out.orphans_reclaimed, m.accepted as u64);
+        assert!(m.checks.unwrap().final_leak.abs() < 1e-6);
     }
 }

@@ -4,6 +4,7 @@
 
 use crate::plan::{ChaosIntensity, FaultPlan};
 use dagsfc_net::Network;
+use dagsfc_sim::io::{check_trace, IoError};
 use dagsfc_sim::runner::instance_network;
 use dagsfc_sim::{export_trace, LifecycleConfig, ReplayTrace};
 use serde::{Deserialize, Serialize};
@@ -54,6 +55,8 @@ pub enum ScenarioError {
     Json(serde_json::Error),
     /// The file is from a newer format.
     UnsupportedVersion(u32),
+    /// The file's trace is malformed (see [`check_trace`]).
+    Trace(IoError),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -64,6 +67,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::UnsupportedVersion(v) => {
                 write!(f, "unsupported scenario format version {v}")
             }
+            ScenarioError::Trace(e) => write!(f, "scenario trace: {e}"),
         }
     }
 }
@@ -76,13 +80,15 @@ pub fn save_scenario(path: &Path, scenario: &ChaosScenario) -> Result<(), Scenar
     std::fs::write(path, json + "\n").map_err(ScenarioError::Io)
 }
 
-/// Loads and version-checks a scenario file.
+/// Loads a scenario file, checking its version and its trace's
+/// schedule.
 pub fn load_scenario(path: &Path) -> Result<ChaosScenario, ScenarioError> {
     let raw = std::fs::read_to_string(path).map_err(ScenarioError::Io)?;
     let scenario: ChaosScenario = serde_json::from_str(&raw).map_err(ScenarioError::Json)?;
     if scenario.format_version > SCENARIO_FORMAT_VERSION {
         return Err(ScenarioError::UnsupportedVersion(scenario.format_version));
     }
+    check_trace(&scenario.trace).map_err(ScenarioError::Trace)?;
     Ok(scenario)
 }
 

@@ -41,11 +41,12 @@ fn daemon_chaos_replay_matches_runner_for_any_worker_count() {
     let s = scenario();
     let net = s.network();
     let truth = run_chaos(&net, &s);
-    assert!(truth.accepted > 0, "scenario must accept something");
-    assert!(truth.rejected > 0, "scenario must reject something");
-    assert!(truth.faults_applied > 0, "the plan must fire");
-    assert!(truth.dropped_releases > 0, "misbehavior must occur");
-    assert_eq!(truth.audits_failed, 0);
+    let m = &truth.lifecycle.metrics;
+    assert!(m.accepted > 0, "scenario must accept something");
+    assert!(m.rejected > 0, "scenario must reject something");
+    assert!(m.faults_applied > 0, "the plan must fire");
+    assert!(m.dropped_releases > 0, "misbehavior must occur");
+    assert_eq!(m.checks.unwrap().audit_violations, 0);
 
     for workers in [1usize, 4] {
         let handle = spawn(&net, workers);
@@ -55,19 +56,25 @@ fn daemon_chaos_replay_matches_runner_for_any_worker_count() {
         drop(client);
         let stats = handle.join();
 
+        let (got, want) = (&report.lifecycle, &truth.lifecycle);
         assert_eq!(
-            report.per_arrival, truth.per_arrival,
+            got.per_arrival, want.per_arrival,
             "per-arrival fates diverged at workers={workers}"
         );
         assert_eq!(
-            report.departure_order, truth.departure_order,
+            got.departure_order, want.departure_order,
             "departure order diverged at workers={workers}"
         );
-        assert_eq!(report.total_cost(), truth.total_cost());
-        assert_eq!(report.dropped_releases, truth.dropped_releases);
-        assert_eq!(report.reclaimed as usize, truth.orphans_reclaimed);
-        assert_eq!(stats.faults_applied, truth.faults_applied);
-        assert_eq!(stats.orphans_reclaimed, truth.orphans_reclaimed as u64);
+        assert_eq!(got.total_cost(), want.total_cost());
+        assert_eq!(got.metrics.dropped_releases, m.dropped_releases);
+        assert_eq!(got.metrics.faults_applied, m.faults_applied);
+        assert!(
+            got.metrics.checks.is_none(),
+            "a daemon replay runs no ledger checks"
+        );
+        assert_eq!(report.orphans_reclaimed, truth.orphans_reclaimed);
+        assert_eq!(stats.faults_applied, m.faults_applied);
+        assert_eq!(stats.orphans_reclaimed, truth.orphans_reclaimed);
         // Every accepted embedding was audited; none failed.
         assert_eq!(stats.audits_run, stats.accepted + stats.audits_failed);
         assert_eq!(stats.audits_failed, 0, "uncertified embedding served");
@@ -104,7 +111,7 @@ fn two_daemon_runs_print_identical_final_state() {
             stats.faults_applied,
             stats.orphans_reclaimed,
             stats.outstanding_load.to_bits(),
-            report.total_cost().to_bits(),
+            report.lifecycle.total_cost().to_bits(),
         ));
     }
     assert_eq!(finals[0], finals[1], "final state depends on worker count");

@@ -16,9 +16,10 @@
 //! 2. **Wrapper callers.** Every function that *calls* a sanctioned
 //!    wrapper must itself audit the outcome: its body must reference
 //!    the constraint auditor (`audit_outcome` / `auditor`). This is
-//!    what keeps the shard engine's audit-on-commit, the chaos
-//!    runner's per-accept audit, and the lifecycle's sampled audit
-//!    from silently disappearing in a refactor.
+//!    what keeps audit-on-commit — in the shard engine and in the
+//!    lifecycle driver's `LedgerBackend`, which audits every accepted
+//!    commit and rolls it back on a violation — from silently
+//!    disappearing in a refactor.
 //!
 //! `crates/net/src/ledger.rs` (the `CommitLedger` definition itself)
 //! and test regions are exempt; everything else in the workspace is in

@@ -63,7 +63,7 @@ pub struct CommitLedger<'a> {
     total_committed: u64,
     total_released: u64,
     /// Owner tag stamped onto subsequent commits (serving-path sessions
-    /// set this around each request; simulation paths leave it `None`).
+    /// set this around each request; simulation paths to the arrival).
     default_owner: Option<u64>,
     faults_applied: u64,
     orphans_reclaimed: u64,
@@ -222,7 +222,9 @@ impl<'a> CommitLedger<'a> {
     /// Sets the owner tag stamped onto every subsequent commit (`None`
     /// clears it). The serving path wraps each request's commit with the
     /// client session's id so the leases of a vanished client can be
-    /// found and reclaimed; simulation paths never set an owner.
+    /// found and reclaimed; the in-process lifecycle tags each commit
+    /// with its arrival index, so it reclaims exactly the leases whose
+    /// release was dropped.
     pub fn set_default_owner(&mut self, owner: Option<u64>) {
         self.default_owner = owner;
     }

@@ -9,9 +9,7 @@ use crate::protocol::parse_algo;
 use crate::replay::replay;
 use dagsfc_net::LeaseId;
 use dagsfc_sim::runner::instance_network;
-use dagsfc_sim::{
-    export_trace, io as sim_io, run_lifecycle_detailed, Algo, LifecycleConfig, SimConfig,
-};
+use dagsfc_sim::{export_trace, io as sim_io, run_trace, Algo, LifecycleConfig, SimConfig};
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -281,15 +279,16 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
                 .ok_or("client replay requires --trace FILE".to_string())?;
             let trace = sim_io::load_trace(&PathBuf::from(path)).map_err(|e| e.to_string())?;
             let report = replay(&mut client, &trace).map_err(|e| e.to_string())?;
+            let m = &report.metrics;
             println!(
                 "replayed {} arrivals: {} accepted, {} rejected (ratio {:.3}), total cost {:.6}",
                 trace.arrivals,
-                report.accepted,
-                report.rejected,
-                report.acceptance_ratio(),
+                m.accepted,
+                m.rejected,
+                m.acceptance_ratio(),
                 report.total_cost()
             );
-            if report.accepted == 0 {
+            if m.accepted == 0 {
                 return Err("replay accepted zero requests".into());
             }
         }
@@ -332,12 +331,13 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
     let report = replay(&mut client, &trace).map_err(|e| e.to_string())?;
     drop(client);
     let final_stats = handle.join();
+    let m = &report.metrics;
     println!(
         "replayed {} arrivals over TCP: {} accepted, {} rejected (ratio {:.3}), total cost {:.6}",
         trace.arrivals,
-        report.accepted,
-        report.rejected,
-        report.acceptance_ratio(),
+        m.accepted,
+        m.rejected,
+        m.acceptance_ratio(),
         report.total_cost()
     );
     println!(
@@ -367,21 +367,16 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
             .into());
     }
     if flags.has("verify") {
-        let sim = run_lifecycle_detailed(&LifecycleConfig {
-            base: trace.base.clone(),
-            arrivals: trace.arrivals,
-            mean_holding: trace.mean_holding,
-            algo: trace.algo,
-        });
-        let sim_per: &[_] = &sim.per_arrival;
-        if sim_per != report.per_arrival.as_slice() || sim.departure_order != report.departure_order
-        {
+        // The reference runs the schedule the file holds, not a fresh
+        // draw from its seed.
+        let sim = run_trace(&instance_network(&trace.base), &trace);
+        if sim.per_arrival != report.per_arrival || sim.departure_order != report.departure_order {
             return Err(format!(
                 "replay DIVERGED from simulation: sim accepted {} (cost {:.6}), \
                  replay accepted {} (cost {:.6})",
                 sim.metrics.accepted,
                 sim.total_cost(),
-                report.accepted,
+                report.metrics.accepted,
                 report.total_cost()
             ));
         }

@@ -76,6 +76,17 @@ pub enum EmbedReply {
     Rejected(String),
 }
 
+impl EmbedReply {
+    /// The lease and total cost when accepted, `None` when rejected —
+    /// the fate a lifecycle backend reports.
+    pub fn fate(self) -> Option<(LeaseId, f64)> {
+        match self {
+            EmbedReply::Accepted { lease, cost } => Some((lease, cost.total())),
+            EmbedReply::Rejected(_) => None,
+        }
+    }
+}
+
 /// A connected protocol client. One request/response at a time, in
 /// order — exactly the lock-step discipline the trace replayer needs.
 pub struct Client {
@@ -186,14 +197,21 @@ impl Client {
         algo: Option<Algo>,
         seed: u64,
     ) -> Result<EmbedReply, ClientError> {
-        let resp = self.request(&WireRequest {
-            cmd: "embed".into(),
-            sfc: Some(sfc.clone()),
-            flow: Some(*flow),
-            seed: Some(seed),
-            algo: algo.map(|a| algo_wire_name(a).to_string()),
-            ..WireRequest::default()
-        })?;
+        let resp = self.request(&embed_request(sfc, flow, algo, seed))?;
+        Self::embed_reply(resp)
+    }
+
+    /// [`Client::embed`], written in `chunk`-byte slices with a flush
+    /// after each (see [`Client::request_chunked`]).
+    pub fn embed_chunked(
+        &mut self,
+        sfc: &DagSfc,
+        flow: &Flow,
+        algo: Option<Algo>,
+        seed: u64,
+        chunk: usize,
+    ) -> Result<EmbedReply, ClientError> {
+        let resp = self.request_chunked(&embed_request(sfc, flow, algo, seed), chunk)?;
         Self::embed_reply(resp)
     }
 
@@ -322,5 +340,17 @@ impl Client {
             "bye" => Ok(()),
             other => Err(ClientError::Server(other.to_string())),
         }
+    }
+}
+
+/// The wire form of an `embed` request.
+fn embed_request(sfc: &DagSfc, flow: &Flow, algo: Option<Algo>, seed: u64) -> WireRequest {
+    WireRequest {
+        cmd: "embed".into(),
+        sfc: Some(sfc.clone()),
+        flow: Some(*flow),
+        seed: Some(seed),
+        algo: algo.map(|a| algo_wire_name(a).to_string()),
+        ..WireRequest::default()
     }
 }

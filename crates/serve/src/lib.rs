@@ -47,5 +47,5 @@ pub use protocol::{
     algo_wire_name, fault_event_from_wire, fault_event_to_wire, parse_algo, AlgoLatency,
     OracleCounters, ShardLane, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
 };
-pub use replay::{replay, ReplayReport};
+pub use replay::replay;
 pub use server::ServerHandle;

@@ -1,114 +1,52 @@
-//! Trace replay: feeds a `sim`-frozen arrival/departure schedule
-//! through a live daemon and records exactly what the in-process
-//! lifecycle simulation records, so the two can be compared
-//! bit-for-bit.
+//! Trace replay: a [`Client`] is a lifecycle backend, so the lifecycle
+//! driver ([`drive`]) feeds a `sim`-frozen arrival/departure schedule
+//! through a live daemon in exactly the in-process event order and
+//! records the same [`LifecycleOutcome`] — comparable bit-for-bit.
 //!
 //! The replayer regenerates the network and every per-arrival request
 //! locally from the trace's `SimConfig` (both are pure functions of the
-//! seed), drives the daemon lock-step — one request, one reply — and
-//! schedules departures from the trace's precomputed holding times.
+//! seed) and drives the daemon lock-step — one request, one reply.
 //! Lock-step means the daemon's queue never exceeds depth one and jobs
 //! are ticketed in arrival order, which together with the server's
 //! ticket gate makes the outcome independent of the worker-pool size.
 
-use crate::client::{Client, ClientError, EmbedReply};
-use dagsfc_net::LeaseId;
-use dagsfc_sim::runner::{instance_network, instance_request};
-use dagsfc_sim::DepartureQueue;
-use dagsfc_sim::{arrival_seed, ArrivalOutcome, ReplayTrace};
+use crate::client::{Client, ClientError};
+use dagsfc_core::{DagSfc, Flow};
+use dagsfc_net::{FaultEvent, LeaseId};
+use dagsfc_sim::runner::instance_network;
+use dagsfc_sim::{drive, Algo, LifecycleBackend, LifecycleOutcome, ReplayTrace};
 
-/// What a replay run observed — field-for-field comparable with
-/// `dagsfc_sim::LifecycleOutcome`.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Requests the daemon accepted.
-    pub accepted: usize,
-    /// Requests the daemon rejected.
-    pub rejected: usize,
-    /// Per-arrival fate, in arrival order.
-    pub per_arrival: Vec<ArrivalOutcome>,
-    /// Arrival indices in release order (including the final drain).
-    pub departure_order: Vec<usize>,
-}
+/// The daemon's wire commands as lifecycle events. Each method calls
+/// the [`Client`] method of the same name.
+impl LifecycleBackend for Client {
+    type Error = ClientError;
 
-impl ReplayReport {
-    /// Sum of accepted costs, in arrival order (bit-identical to the
-    /// simulation's).
-    pub fn total_cost(&self) -> f64 {
-        self.per_arrival.iter().map(|a| a.cost).sum()
+    fn embed(
+        &mut self,
+        _arrival: usize,
+        sfc: &DagSfc,
+        flow: &Flow,
+        algo: Algo,
+        seed: u64,
+    ) -> Result<Option<(LeaseId, f64)>, ClientError> {
+        Ok(Client::embed(self, sfc, flow, Some(algo), seed)?.fate())
     }
 
-    /// Accepted / offered.
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.accepted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / total as f64
-        }
+    fn release(&mut self, lease: LeaseId) -> Result<(), ClientError> {
+        Client::release(self, lease)
+    }
+
+    fn fault(&mut self, event: &FaultEvent) -> Result<bool, ClientError> {
+        Client::fault(self, event)
     }
 }
 
-/// Replays `trace` through the daemon behind `client`.
+/// Replays `trace` through the daemon behind `client`. Only what the
+/// wire shows is recorded: the outcome has no ledger `checks`, as the
+/// audits and the leak are in the daemon's stats.
 ///
 /// The daemon must be serving the network `instance_network(&trace.base)`
 /// generates — the CLI and tests launch it that way.
-pub fn replay(client: &mut Client, trace: &ReplayTrace) -> Result<ReplayReport, ClientError> {
-    let net = instance_network(&trace.base);
-    let mut departures = DepartureQueue::new();
-    let mut leases: Vec<Option<LeaseId>> = vec![None; trace.arrivals];
-    let mut per_arrival = Vec::with_capacity(trace.arrivals);
-    let mut departure_order = Vec::new();
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-
-    for arrival in 0..trace.arrivals {
-        let now = dagsfc_sim::lifecycle::to_fixed(arrival as f64);
-        while let Some(id) = departures.pop_due(now) {
-            // lint:allow(expect) — invariant: departs once
-            let lease = leases[id].take().expect("departs once");
-            client.release(lease)?;
-            departure_order.push(id);
-        }
-
-        let (sfc, flow) = instance_request(&trace.base, &net, arrival);
-        let reply = client.embed(
-            &sfc,
-            &flow,
-            Some(trace.algo),
-            arrival_seed(trace.base.seed, arrival),
-        )?;
-        match reply {
-            EmbedReply::Accepted { lease, cost } => {
-                leases[arrival] = Some(lease);
-                departures.schedule(trace.depart_at[arrival], arrival);
-                accepted += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: true,
-                    cost: cost.total(),
-                });
-            }
-            EmbedReply::Rejected(_) => {
-                rejected += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: false,
-                    cost: 0.0,
-                });
-            }
-        }
-    }
-
-    while let Some((_, id)) = departures.pop() {
-        // lint:allow(expect) — invariant: departs once
-        let lease = leases[id].take().expect("departs once");
-        client.release(lease)?;
-        departure_order.push(id);
-    }
-
-    Ok(ReplayReport {
-        accepted,
-        rejected,
-        per_arrival,
-        departure_order,
-    })
+pub fn replay(client: &mut Client, trace: &ReplayTrace) -> Result<LifecycleOutcome, ClientError> {
+    drive(client, &instance_network(&trace.base), trace, &[], &[])
 }

@@ -9,12 +9,11 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 
 use dagsfc_serve::{
-    replay, spawn_batched, BatchConfig, Client, ClientError, ReplayReport, WireRequest,
-    PROTOCOL_VERSION,
+    replay, spawn_batched, BatchConfig, Client, ClientError, WireRequest, PROTOCOL_VERSION,
 };
 use dagsfc_sim::io as sim_io;
 use dagsfc_sim::runner::instance_network;
-use dagsfc_sim::{run_trace, ArrivalOutcome, ReplayTrace};
+use dagsfc_sim::{run_trace, ArrivalOutcome, LifecycleOutcome, ReplayTrace};
 
 /// The committed lifecycle traces, by file stem.
 const COMMITTED_TRACES: [&str; 4] = ["smoke-50", "delay-smoke", "affinity-smoke", "shard-smoke"];
@@ -34,7 +33,7 @@ fn replay_batched(
     trace: &ReplayTrace,
     shards: usize,
     workers: usize,
-) -> (ReplayReport, dagsfc_serve::StatsReport) {
+) -> (LifecycleOutcome, dagsfc_serve::StatsReport) {
     let cfg = BatchConfig {
         shards,
         workers_per_shard: workers,
@@ -107,7 +106,10 @@ fn batched_outcomes_are_independent_of_worker_count() {
 fn multi_shard_replay_stitches_and_audits_clean() {
     let trace = smoke_trace();
     let (report, stats) = replay_batched(&trace, 4, 2);
-    assert!(report.accepted > 0, "4-shard replay must accept something");
+    assert!(
+        report.metrics.accepted > 0,
+        "4-shard replay must accept something"
+    );
     assert_eq!(stats.shards, 4);
     assert!(
         stats.cross_shard_accepted > 0,

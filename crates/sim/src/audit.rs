@@ -1,23 +1,18 @@
-//! Exhaustive trace auditing: replay a frozen [`ReplayTrace`] and run
-//! the solver-independent constraint auditor over **every** accepted
-//! embedding (the lifecycle itself only samples — see
-//! [`crate::lifecycle::AUDIT_SAMPLE_INTERVAL`]).
+//! Exhaustive trace auditing: the report of a [`run_trace`]-identical
+//! replay whose every commit the [`LedgerBackend`] audits against the
+//! residual the solver saw — the network state it actually faced — so
+//! capacity findings reflect the online constraints, not the empty
+//! network. A commit that fails its audit is rolled back and its
+//! arrival rejected, exactly as the daemon's audit-on-commit gate does.
 //!
-//! The replay follows the exact event order of [`run_trace`]: before
-//! arrival `i`, every departure with time `≤ i` fires (ties by
-//! ascending arrival index), then arrival `i` is offered over the
-//! ledger's residual. Each accepted embedding is audited against that
-//! residual — the network state the solver actually saw — so capacity
-//! findings reflect the online constraints, not the empty network.
+//! [`run_trace`]: crate::lifecycle::run_trace
 
-use crate::departures::DepartureQueue;
-use crate::lifecycle::{arrival_seed, embed_and_commit, run_trace, ReplayTrace};
-use crate::runner::instance_request;
-use dagsfc_audit::{ConstraintAuditor, Violation};
-use dagsfc_net::{CommitLedger, LeaseId, Network};
+use crate::lifecycle::{LedgerBackend, ReplayTrace};
+use dagsfc_audit::Violation;
+use dagsfc_net::Network;
 use serde::Serialize;
 
-/// The auditor's findings for one accepted arrival.
+/// The auditor's findings for one committed arrival.
 #[derive(Debug, Clone, Serialize)]
 pub struct ArrivalAudit {
     /// Arrival index within the trace.
@@ -35,9 +30,9 @@ pub struct TraceAuditOutcome {
     pub algo: &'static str,
     /// Arrivals offered.
     pub arrivals: usize,
-    /// Requests embedded (each one audited).
+    /// Requests the solver embedded and committed (each one audited).
     pub accepted: usize,
-    /// Requests rejected (nothing to audit).
+    /// Requests the solver rejected (nothing to audit).
     pub rejected: usize,
     /// Audited embeddings with zero violations.
     pub clean: usize,
@@ -55,91 +50,31 @@ impl TraceAuditOutcome {
     }
 }
 
-/// Replays `trace` against `net` auditing every accepted embedding.
+/// Replays `trace` against `net` as [`run_trace`] does and reports the
+/// audit of every commit — a clean audit certifies the very embeddings
+/// a lifecycle run (or the serve daemon replaying the same trace)
+/// commits.
 ///
-/// The event order, solver seeds, and residual-network states match
-/// [`run_trace`] exactly, so a clean audit here certifies the very
-/// embeddings a lifecycle run (or the serve daemon replaying the same
-/// trace) commits.
+/// [`run_trace`]: crate::lifecycle::run_trace
 pub fn audit_trace(net: &Network, trace: &ReplayTrace) -> TraceAuditOutcome {
-    let auditor = ConstraintAuditor::new();
-    let mut ledger = CommitLedger::new(net);
-    let mut departures = DepartureQueue::new();
-    let mut leases: Vec<Option<LeaseId>> = vec![None; trace.arrivals];
-
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut clean = 0usize;
-    let mut max_cost_drift = 0.0f64;
-    let mut findings = Vec::new();
-
-    for arrival in 0..trace.arrivals {
-        let now = crate::lifecycle::to_fixed(arrival as f64);
-        while let Some(id) = departures.pop_due(now) {
-            // lint:allow(expect) — invariant: departs once
-            let lease = leases[id].take().expect("departs once");
-            // lint:allow(expect) — invariant: lease is active
-            ledger.release(lease).expect("lease is active");
-        }
-
-        let (sfc, flow) = instance_request(&trace.base, net, arrival);
-        let residual = ledger.residual();
-        match embed_and_commit(
-            &mut ledger,
-            &residual,
-            &sfc,
-            &flow,
-            trace.algo,
-            arrival_seed(trace.base.seed, arrival),
-        ) {
-            Ok(s) => {
-                let report = auditor.audit_outcome(&residual, &sfc, &flow, &s.outcome);
-                if report.is_clean() {
-                    clean += 1;
-                    max_cost_drift =
-                        max_cost_drift.max((report.recomputed.total() - s.cost.total()).abs());
-                } else {
-                    findings.push(ArrivalAudit {
-                        arrival,
-                        reported_cost: s.cost.total(),
-                        violations: report.violations,
-                    });
-                }
-                leases[arrival] = Some(s.lease);
-                departures.schedule(trace.depart_at[arrival], arrival);
-                accepted += 1;
-            }
-            Err(_) => rejected += 1,
-        }
-    }
-
+    let mut backend = LedgerBackend::new(net);
+    backend.run(trace, &[], &[]);
     TraceAuditOutcome {
         algo: trace.algo.name(),
         arrivals: trace.arrivals,
-        accepted,
-        rejected,
-        clean,
-        max_cost_drift,
-        findings,
+        accepted: backend.audited,
+        rejected: trace.arrivals - backend.audited,
+        clean: backend.audited - backend.findings.len(),
+        max_cost_drift: backend.max_cost_drift,
+        findings: backend.findings,
     }
-}
-
-/// Convenience: audit a trace and cross-check its acceptance counts
-/// against an ordinary [`run_trace`] replay (they share every seed, so
-/// any divergence is a determinism bug).
-pub fn audit_trace_checked(net: &Network, trace: &ReplayTrace) -> TraceAuditOutcome {
-    let out = audit_trace(net, trace);
-    let lifecycle = run_trace(net, trace);
-    debug_assert_eq!(out.accepted, lifecycle.metrics.accepted);
-    debug_assert_eq!(out.rejected, lifecycle.metrics.rejected);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::lifecycle::{export_trace, LifecycleConfig};
+    use crate::lifecycle::{export_trace, run_trace, LifecycleConfig};
     use crate::runner::{instance_network, Algo};
 
     fn cfg() -> LifecycleConfig {

@@ -1,14 +1,12 @@
-//! The shared flow-departure queue.
+//! The flow-departure queue of the lifecycle driver.
 //!
-//! Every trace-driven executor in the workspace — the lifecycle runner,
-//! the trace auditor, the serve-layer replayer, and both chaos runners —
-//! walks arrivals in order and, at each time boundary, releases the
-//! leases of flows whose holding time expired. They all used to carry a
-//! private `BinaryHeap<Reverse<(u64, usize)>>` with the same
-//! peek/pop-while-due loop; this module is that queue, written once:
-//! min departure time first, ascending arrival index on ties, so the
-//! release order every consumer observes (and some of them assert
-//! against each other) is identical by construction.
+//! [`crate::lifecycle::drive`] — the one event loop behind the
+//! lifecycle runner, the trace auditor, the serve-layer replayer and
+//! both chaos runs — walks arrivals in order and, at each time
+//! boundary, releases the leases of flows whose holding time expired.
+//! This queue orders those releases: min departure time first,
+//! ascending arrival index on ties, so every run of one trace observes
+//! the same release order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,16 +49,6 @@ impl DepartureQueue {
     pub fn pop(&mut self) -> Option<(u64, usize)> {
         self.heap.pop().map(|Reverse(e)| e)
     }
-
-    /// Number of scheduled departures.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no departures are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -74,14 +62,12 @@ mod tests {
         q.schedule(10, 7);
         q.schedule(20, 1);
         q.schedule(10, 3);
-        assert_eq!(q.len(), 4);
         let mut order = Vec::new();
         while let Some(e) = q.pop() {
             order.push(e);
         }
         // Time ascending; equal times break ties on ascending id.
         assert_eq!(order, vec![(10, 3), (10, 7), (20, 1), (30, 2)]);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -94,7 +80,6 @@ mod tests {
         assert_eq!(q.pop_due(10), Some(0));
         assert_eq!(q.pop_due(10), Some(1));
         assert_eq!(q.pop_due(10), None, "15 is beyond the boundary");
-        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((15, 2)));
         assert_eq!(q.pop_due(u64::MAX), None, "empty queue yields nothing");
     }
@@ -111,6 +96,6 @@ mod tests {
         assert_eq!(q.pop_due(3), Some(2));
         assert_eq!(q.pop_due(3), None);
         assert_eq!(q.pop_due(4), Some(1));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 }

@@ -46,6 +46,14 @@ pub enum IoError {
     /// The file's network breaks a rule `Network`'s constructors
     /// enforce (see [`Network::rebuilt`]).
     InvalidNetwork(NetError),
+    /// A trace's departure schedule does not give each arrival exactly
+    /// one departure time.
+    ScheduleLength {
+        /// Arrivals the trace declares.
+        arrivals: usize,
+        /// Departure times it lists.
+        departures: usize,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -54,6 +62,13 @@ impl std::fmt::Display for IoError {
             IoError::Io(e) => write!(f, "io error: {e}"),
             IoError::Json(e) => write!(f, "json error: {e}"),
             IoError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            IoError::ScheduleLength {
+                arrivals,
+                departures,
+            } => write!(
+                f,
+                "trace lists {departures} departure times for {arrivals} arrivals"
+            ),
             IoError::InvalidNetwork(e) => write!(f, "invalid network: {e}"),
         }
     }
@@ -122,13 +137,29 @@ pub fn save_trace(path: &Path, trace: &crate::lifecycle::ReplayTrace) -> Result<
     Ok(())
 }
 
-/// Loads a replay trace saved by [`save_trace`], checking the version.
+/// Loads a replay trace saved by [`save_trace`], checking the version
+/// and the schedule ([`check_trace`]).
 pub fn load_trace(path: &Path) -> Result<crate::lifecycle::ReplayTrace, IoError> {
     let trace: crate::lifecycle::ReplayTrace = serde_json::from_str(&fs::read_to_string(path)?)?;
     if trace.format_version != crate::lifecycle::TRACE_FORMAT_VERSION {
         return Err(IoError::UnsupportedVersion(trace.format_version));
     }
+    check_trace(&trace)?;
     Ok(trace)
+}
+
+/// Checks that `trace` gives every arrival exactly one departure time,
+/// as the lifecycle driver assumes. Its per-arrival tables are then
+/// bounded by the file's size.
+pub fn check_trace(trace: &crate::lifecycle::ReplayTrace) -> Result<(), IoError> {
+    if trace.depart_at.len() == trace.arrivals {
+        Ok(())
+    } else {
+        Err(IoError::ScheduleLength {
+            arrivals: trace.arrivals,
+            departures: trace.depart_at.len(),
+        })
+    }
 }
 
 /// A solved instance: the embedding a solver produced, with provenance.
@@ -376,6 +407,18 @@ mod tests {
         assert_eq!(loaded.depart_at, trace.depart_at);
         assert_eq!(loaded.arrivals, trace.arrivals);
         assert_eq!(loaded.algo, trace.algo);
+
+        // A schedule that misses arrivals is refused at load time.
+        let mut cut = trace;
+        cut.depart_at.truncate(10);
+        save_trace(&path, &cut).unwrap();
+        assert!(matches!(
+            load_trace(&path),
+            Err(IoError::ScheduleLength {
+                arrivals: 25,
+                departures: 10
+            })
+        ));
         fs::remove_dir_all(dir).ok();
     }
 

@@ -32,13 +32,14 @@ pub mod sweep;
 pub mod trace;
 pub mod workload;
 
-pub use audit::{audit_trace, audit_trace_checked, ArrivalAudit, TraceAuditOutcome};
+pub use audit::{audit_trace, ArrivalAudit, TraceAuditOutcome};
 pub use config::SimConfig;
 pub use departures::DepartureQueue;
 pub use lifecycle::{
-    arrival_seed, embed_and_commit, export_trace, run_lifecycle, run_lifecycle_detailed, run_trace,
-    ArrivalOutcome, EmbedRejection, EmbedSuccess, LifecycleConfig, LifecycleMetrics,
-    LifecycleOutcome, ReplayTrace,
+    arrival_seed, drive, embed_and_commit, export_trace, run_lifecycle, run_lifecycle_detailed,
+    run_trace, ArrivalOutcome, EmbedRejection, EmbedSuccess, LedgerBackend, LedgerChecks,
+    LifecycleBackend, LifecycleConfig, LifecycleMetrics, LifecycleOutcome, ReplayTrace,
+    ScheduledFault,
 };
 pub use online::{acceptance_sweep, run_online, OnlineConfig, OnlineMetrics};
 pub use runner::{run_instance, run_instances_with_threads, Algo, AlgoResult, InstanceResult};

@@ -9,9 +9,9 @@
 //! much traffic an embedding algorithm can *sustain*, not just admit
 //! once — the metric cloud operators actually tune for.
 //!
-//! The module is built around two serving-grade primitives that
-//! `dagsfc-serve` shares verbatim, so the research path and the
-//! daemon's serving path cannot drift apart:
+//! The module is built around three serving-grade primitives that
+//! `dagsfc-serve` and `dagsfc-chaos` share verbatim, so the research
+//! path and the daemon's serving path cannot drift apart:
 //!
 //! * [`embed_and_commit`] — the per-request kernel: solve over the
 //!   residual network, account the loads, and commit them atomically to
@@ -20,15 +20,21 @@
 //!   Holding times are drawn for **every** arrival up front (accepted
 //!   or not), so the schedule depends only on the seed: an external
 //!   replayer that learns acceptance per-request still produces the
-//!   exact event order of the in-process simulation.
+//!   exact event order of the in-process simulation;
+//! * [`drive`] — the one event loop. It replays a trace, with any
+//!   scheduled faults and dropped releases, against a
+//!   [`LifecycleBackend`] — the in-process [`LedgerBackend`] or a
+//!   daemon behind a client — and records the same
+//!   [`LifecycleOutcome`] for either.
 
+use crate::audit::ArrivalAudit;
 use crate::config::SimConfig;
 use crate::departures::DepartureQueue;
 use crate::runner::{instance_network, instance_request, Algo};
 use dagsfc_audit::ConstraintAuditor;
 use dagsfc_core::solvers::{SolveOutcome, SolverStats};
 use dagsfc_core::{CostBreakdown, DagSfc, Flow, ModelError, SolveError};
-use dagsfc_net::{CommitLedger, LeaseId, LinkId, NetError, Network};
+use dagsfc_net::{CommitLedger, FaultEvent, LeaseId, LinkId, NetError, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -47,8 +53,8 @@ pub struct LifecycleConfig {
     pub algo: Algo,
 }
 
-/// Aggregate outcome of a lifecycle simulation.
-#[derive(Debug, Clone, Serialize)]
+/// Aggregate outcome of a lifecycle run.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LifecycleMetrics {
     /// Algorithm name.
     pub algo: &'static str,
@@ -58,18 +64,32 @@ pub struct LifecycleMetrics {
     pub rejected: usize,
     /// Mean embedding cost over accepted requests.
     pub mean_cost: f64,
-    /// Largest number of concurrently embedded requests.
+    /// Largest number of concurrently live leases.
     pub peak_concurrent: usize,
-    /// Time-averaged number of concurrently embedded requests.
+    /// Time-averaged number of concurrently live leases.
     pub mean_concurrent: f64,
-    /// Residual committed load after every request departed — a leak
-    /// detector; must be ~0.
+    /// Departures whose release was dropped: their leases stayed live
+    /// until the end-of-run reclaim.
+    pub dropped_releases: usize,
+    /// Scheduled faults that changed the substrate.
+    pub faults_applied: u64,
+    /// What only the in-process [`LedgerBackend`] measures; `None` for
+    /// a replay through a daemon, whose own stats carry it.
+    pub checks: Option<LedgerChecks>,
+}
+
+/// The in-process ledger's checks of a run ([`LedgerBackend::run`]).
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct LedgerChecks {
+    /// Load still committed after the final drain and the reclaim of
+    /// the dropped releases' leases — a leak detector; must be ~0.
     pub final_leak: f64,
-    /// Accepted embeddings re-checked by the solver-independent
-    /// constraint auditor (every [`AUDIT_SAMPLE_INTERVAL`]-th arrival).
+    /// Commits re-checked by the solver-independent constraint
+    /// auditor: every one.
     pub audited: usize,
-    /// Sampled audits that reported at least one constraint violation —
-    /// must be 0; anything else is a solver or accounting bug.
+    /// Audits that reported at least one constraint violation; each
+    /// such commit was rolled back and its arrival rejected. Must be 0;
+    /// anything else is a solver or accounting bug.
     pub audit_violations: usize,
 }
 
@@ -103,7 +123,7 @@ pub struct LifecycleOutcome {
     /// Per-arrival acceptance and cost, in arrival order.
     pub per_arrival: Vec<ArrivalOutcome>,
     /// Arrival indices in the order their leases were released
-    /// (including the final drain).
+    /// (including the final drain; dropped releases excluded).
     pub departure_order: Vec<usize>,
 }
 
@@ -118,13 +138,6 @@ impl LifecycleOutcome {
 /// Current trace format version (see [`ReplayTrace::format_version`]).
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
-/// Sampling stride of the lifecycle's constraint audits: every n-th
-/// arrival's accepted embedding is re-checked against the paper's
-/// integer program by `dagsfc-audit` (auditing every arrival would
-/// roughly double the per-request cost for a check that should never
-/// fire; use [`crate::audit_trace`] for exhaustive audits).
-pub const AUDIT_SAMPLE_INTERVAL: usize = 8;
-
 /// A solver-independent arrival/departure schedule: the offered load of
 /// a lifecycle run, frozen so it can be replayed through an external
 /// serving process.
@@ -132,7 +145,8 @@ pub const AUDIT_SAMPLE_INTERVAL: usize = 8;
 /// `depart_at[i]` is the **absolute** departure time of arrival `i` in
 /// fixed-point µ-intervals (see [`to_fixed`]), valid whether or not the
 /// request ends up accepted — the replayer simply never schedules the
-/// departure of a rejected request.
+/// departure of a rejected request. The loaders require exactly one
+/// time per arrival ([`crate::io::check_trace`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplayTrace {
     /// Version tag for forward compatibility.
@@ -148,6 +162,22 @@ pub struct ReplayTrace {
     pub mean_holding: f64,
     /// Fixed-point absolute departure time per arrival.
     pub depart_at: Vec<u64>,
+}
+
+/// One fault event pinned to the lifecycle's fixed-point clock.
+///
+/// At each arrival boundary, every scheduled fault with `at ≤ now` fires
+/// after due departures and before the arrival is offered; ties break on
+/// ascending `seq` (the generation order), so the event sequence is
+/// total-ordered and identical in every run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScheduledFault {
+    /// Absolute fire time in fixed-point µ-intervals (see [`to_fixed`]).
+    pub at: u64,
+    /// Tie-breaker: generation order.
+    pub seq: u32,
+    /// The substrate event itself.
+    pub event: FaultEvent,
 }
 
 /// Time in fixed-point µ-intervals: the lifecycle's event clock.
@@ -230,9 +260,10 @@ pub struct EmbedSuccess {
 /// `residual` must reflect `ledger`'s current state (callers either
 /// pass `ledger.residual()` or an epoch-tagged cache of it); the commit
 /// then cannot fail, but if it ever does the ledger is left untouched
-/// and the request is merely rejected. Both `run_lifecycle` and the
-/// `dagsfc-serve` daemon route every request through this function —
-/// that shared path is what makes trace replay bit-for-bit equivalent.
+/// and the request is merely rejected. The [`LedgerBackend`] and the
+/// shard engine behind the daemon route every request through this
+/// function — that shared path is what makes trace replay bit-for-bit
+/// equivalent.
 pub fn embed_and_commit(
     ledger: &mut CommitLedger<'_>,
     residual: &Network,
@@ -270,6 +301,230 @@ pub fn embed_and_commit(
     })
 }
 
+/// Whatever serves a lifecycle run: the in-process [`LedgerBackend`],
+/// or a daemon behind a client. [`drive`] owns the event order; a
+/// backend carries out one event at a time.
+pub trait LifecycleBackend {
+    /// Why an event could not be carried out (a broken connection, an
+    /// unknown lease). It aborts the run.
+    type Error;
+
+    /// Offers arrival `arrival`'s request, solved by `algo` under
+    /// `seed`: the lease and total cost when committed, `None` when
+    /// rejected.
+    fn embed(
+        &mut self,
+        arrival: usize,
+        sfc: &DagSfc,
+        flow: &Flow,
+        algo: Algo,
+        seed: u64,
+    ) -> Result<Option<(LeaseId, f64)>, Self::Error>;
+
+    /// Releases a lease `embed` returned.
+    fn release(&mut self, lease: LeaseId) -> Result<(), Self::Error>;
+
+    /// Applies a substrate fault; whether it changed any state.
+    fn fault(&mut self, event: &FaultEvent) -> Result<bool, Self::Error>;
+}
+
+/// The lifecycle event loop: every in-process run and every daemon
+/// replay goes through this one copy.
+///
+/// Event order at arrival boundary `i` (time `now = to_fixed(i)`):
+///
+/// 1. every departure due by `now` fires, ascending `(time, arrival)`;
+///    one whose arrival is listed in `dropped` is counted but never
+///    released — its lease stays live (the client forgot);
+/// 2. every fault due by `now` is applied, ascending `(at, seq)`;
+/// 3. arrival `i`'s request, regenerated from `trace.base` over `net`,
+///    is offered with its [`arrival_seed`].
+///
+/// After the last arrival the remaining departures fire in the same
+/// order; faults due later never fire. With no faults and no drops
+/// this is a plain lifecycle.
+pub fn drive<B: LifecycleBackend>(
+    backend: &mut B,
+    net: &Network,
+    trace: &ReplayTrace,
+    faults: &[ScheduledFault],
+    dropped: &[usize],
+) -> Result<LifecycleOutcome, B::Error> {
+    let mut faults: Vec<&ScheduledFault> = faults.iter().collect();
+    faults.sort_by_key(|f| (f.at, f.seq));
+    let mut faults = faults.into_iter().peekable();
+    let mut departures = DepartureQueue::new();
+    let mut leases: Vec<Option<LeaseId>> = vec![None; trace.arrivals];
+    let mut metrics = LifecycleMetrics {
+        algo: trace.algo.name(),
+        ..LifecycleMetrics::default()
+    };
+    let mut per_arrival = Vec::with_capacity(trace.arrivals);
+    let mut departure_order = Vec::new();
+    let (mut live, mut live_sum) = (0usize, 0usize);
+
+    // One pass per boundary; the extra last one is the final drain.
+    for arrival in 0..=trace.arrivals {
+        let drain = arrival == trace.arrivals;
+        let now = to_fixed(arrival as f64);
+        loop {
+            let due = if drain {
+                departures.pop().map(|(_, id)| id)
+            } else {
+                departures.pop_due(now)
+            };
+            let Some(id) = due else { break };
+            // lint:allow(expect) — invariant: departs once
+            let lease = leases[id].take().expect("departs once");
+            if dropped.contains(&id) {
+                metrics.dropped_releases += 1;
+            } else {
+                backend.release(lease)?;
+                departure_order.push(id);
+                live -= 1;
+            }
+        }
+        if drain {
+            break;
+        }
+        live_sum += live;
+
+        while let Some(f) = faults.next_if(|f| f.at <= now) {
+            metrics.faults_applied += u64::from(backend.fault(&f.event)?);
+        }
+
+        let (sfc, flow) = instance_request(&trace.base, net, arrival);
+        let seed = arrival_seed(trace.base.seed, arrival);
+        let fate = backend.embed(arrival, &sfc, &flow, trace.algo, seed)?;
+        if let Some((lease, _)) = fate {
+            leases[arrival] = Some(lease);
+            departures.schedule(trace.depart_at[arrival], arrival);
+            live += 1;
+            metrics.peak_concurrent = metrics.peak_concurrent.max(live);
+        }
+        per_arrival.push(ArrivalOutcome {
+            accepted: fate.is_some(),
+            cost: fate.map_or(0.0, |(_, cost)| cost),
+        });
+    }
+
+    metrics.accepted = per_arrival.iter().filter(|a| a.accepted).count();
+    metrics.rejected = trace.arrivals - metrics.accepted;
+    let mut out = LifecycleOutcome {
+        metrics,
+        per_arrival,
+        departure_order,
+    };
+    if out.metrics.accepted > 0 {
+        out.metrics.mean_cost = out.total_cost() / out.metrics.accepted as f64;
+    }
+    if trace.arrivals > 0 {
+        out.metrics.mean_concurrent = live_sum as f64 / trace.arrivals as f64;
+    }
+    Ok(out)
+}
+
+/// The in-process backend: one [`CommitLedger`] behind the daemon's
+/// audit-on-commit gate. Each arrival is solved over the ledger's
+/// residual and committed by [`embed_and_commit`], owned by its arrival
+/// index; the commit is then audited against that residual — the state
+/// the solver saw, so capacity findings reflect the online constraints
+/// — and rolled back, its arrival rejected, on any violation.
+pub struct LedgerBackend<'a> {
+    /// The ledger every arrival commits to.
+    pub ledger: CommitLedger<'a>,
+    auditor: ConstraintAuditor,
+    /// Commits audited (every one).
+    pub(crate) audited: usize,
+    /// Largest |recomputed − reported| objective gap over clean audits —
+    /// must stay within the auditor's cost tolerance.
+    pub(crate) max_cost_drift: f64,
+    /// Every audit that found a violation, in arrival order.
+    pub(crate) findings: Vec<ArrivalAudit>,
+}
+
+impl<'a> LedgerBackend<'a> {
+    /// A backend over a fresh ledger on `net`.
+    pub fn new(net: &'a Network) -> Self {
+        LedgerBackend {
+            ledger: CommitLedger::new(net),
+            auditor: ConstraintAuditor::new(),
+            audited: 0,
+            max_cost_drift: 0.0,
+            findings: Vec::new(),
+        }
+    }
+
+    /// [`drive`]s `trace` through this backend over the ledger's
+    /// network, then reclaims by owner the leases of the arrivals in
+    /// `dropped` — as the daemon's `reclaim` does — and records the
+    /// [`LedgerChecks`]. Any other lease still live, one the run failed
+    /// to release, shows in the leak.
+    pub fn run(
+        &mut self,
+        trace: &ReplayTrace,
+        faults: &[ScheduledFault],
+        dropped: &[usize],
+    ) -> LifecycleOutcome {
+        let net = self.ledger.network();
+        // The driver releases only live leases, and plan faults name
+        // this network's links and nodes.
+        // lint:allow(expect) — invariant: ledger events are valid
+        let mut out = drive(self, net, trace, faults, dropped).expect("ledger events are valid");
+        for &arrival in dropped {
+            self.ledger.reclaim_owner(arrival as u64);
+        }
+        out.metrics.checks = Some(LedgerChecks {
+            final_leak: self.ledger.outstanding_load(),
+            audited: self.audited,
+            audit_violations: self.findings.len(),
+        });
+        out
+    }
+}
+
+impl LifecycleBackend for LedgerBackend<'_> {
+    type Error = NetError;
+
+    fn embed(
+        &mut self,
+        arrival: usize,
+        sfc: &DagSfc,
+        flow: &Flow,
+        algo: Algo,
+        seed: u64,
+    ) -> Result<Option<(LeaseId, f64)>, NetError> {
+        let residual = self.ledger.residual();
+        self.ledger.set_default_owner(Some(arrival as u64));
+        let Ok(s) = embed_and_commit(&mut self.ledger, &residual, sfc, flow, algo, seed) else {
+            return Ok(None);
+        };
+        let report = self.auditor.audit_outcome(&residual, sfc, flow, &s.outcome);
+        self.audited += 1;
+        let cost = s.cost.total();
+        if report.is_clean() {
+            let drift = (report.recomputed.total() - cost).abs();
+            self.max_cost_drift = self.max_cost_drift.max(drift);
+            return Ok(Some((s.lease, cost)));
+        }
+        self.findings.push(ArrivalAudit {
+            arrival,
+            reported_cost: cost,
+            violations: report.violations,
+        });
+        self.ledger.release(s.lease)?;
+        Ok(None)
+    }
+
+    fn release(&mut self, lease: LeaseId) -> Result<(), NetError> {
+        self.ledger.release(lease)
+    }
+
+    fn fault(&mut self, event: &FaultEvent) -> Result<bool, NetError> {
+        self.ledger.apply_fault(event)
+    }
+}
+
 /// Freezes the offered load of `cfg` into a replayable schedule.
 ///
 /// Exponential holding: `-mean · ln(U)` with a floor of one interval so
@@ -295,116 +550,12 @@ pub fn export_trace(cfg: &LifecycleConfig) -> ReplayTrace {
     }
 }
 
-/// Runs a frozen schedule in-process against `net`.
-///
-/// Event order: before arrival `i`, every scheduled departure with time
-/// `≤ i` fires, ties broken by ascending arrival index; then arrival
-/// `i` is offered. This is exactly the order an external replayer
-/// produces over the wire, which is what makes the daemon's results
-/// comparable bit-for-bit.
+/// Runs a frozen schedule in-process against `net`, every commit
+/// audited ([`LedgerBackend`] through [`drive`]). The daemon replaying
+/// the same trace sees exactly this event order, which is what makes
+/// its results comparable bit-for-bit.
 pub fn run_trace(net: &Network, trace: &ReplayTrace) -> LifecycleOutcome {
-    let mut ledger = CommitLedger::new(net);
-    let mut departures = DepartureQueue::new();
-    let mut leases: Vec<Option<LeaseId>> = vec![None; trace.arrivals];
-
-    let mut per_arrival = Vec::with_capacity(trace.arrivals);
-    let mut departure_order = Vec::new();
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut total_cost = 0.0;
-    let mut concurrent = 0usize;
-    let mut peak = 0usize;
-    let mut concurrent_integral = 0.0;
-    let auditor = ConstraintAuditor::new();
-    let mut audited = 0usize;
-    let mut audit_violations = 0usize;
-
-    for arrival in 0..trace.arrivals {
-        let now = to_fixed(arrival as f64);
-        while let Some(id) = departures.pop_due(now) {
-            // lint:allow(expect) — invariant: departs once
-            let lease = leases[id].take().expect("departs once");
-            // lint:allow(expect) — invariant: lease is active
-            ledger.release(lease).expect("lease is active");
-            departure_order.push(id);
-            concurrent -= 1;
-        }
-        concurrent_integral += concurrent as f64;
-
-        let (sfc, flow) = instance_request(&trace.base, net, arrival);
-        let residual = ledger.residual();
-        match embed_and_commit(
-            &mut ledger,
-            &residual,
-            &sfc,
-            &flow,
-            trace.algo,
-            arrival_seed(trace.base.seed, arrival),
-        ) {
-            Ok(s) => {
-                if arrival % AUDIT_SAMPLE_INTERVAL == 0 {
-                    // Audit against the residual the solver saw, not the
-                    // base network — capacity constraints are per-state.
-                    let report = auditor.audit_outcome(&residual, &sfc, &flow, &s.outcome);
-                    audited += 1;
-                    if !report.is_clean() {
-                        audit_violations += 1;
-                    }
-                }
-                leases[arrival] = Some(s.lease);
-                departures.schedule(trace.depart_at[arrival], arrival);
-                concurrent += 1;
-                peak = peak.max(concurrent);
-                accepted += 1;
-                let cost = s.cost.total();
-                total_cost += cost;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: true,
-                    cost,
-                });
-            }
-            Err(_) => {
-                rejected += 1;
-                per_arrival.push(ArrivalOutcome {
-                    accepted: false,
-                    cost: 0.0,
-                });
-            }
-        }
-    }
-
-    // Drain all remaining departures to measure leakage.
-    while let Some((_, id)) = departures.pop() {
-        // lint:allow(expect) — invariant: departs once
-        let lease = leases[id].take().expect("departs once");
-        // lint:allow(expect) — invariant: lease is active
-        ledger.release(lease).expect("lease is active");
-        departure_order.push(id);
-    }
-
-    LifecycleOutcome {
-        metrics: LifecycleMetrics {
-            algo: trace.algo.name(),
-            accepted,
-            rejected,
-            mean_cost: if accepted == 0 {
-                0.0
-            } else {
-                total_cost / accepted as f64
-            },
-            peak_concurrent: peak,
-            mean_concurrent: if trace.arrivals == 0 {
-                0.0
-            } else {
-                concurrent_integral / trace.arrivals as f64
-            },
-            final_leak: ledger.outstanding_load(),
-            audited,
-            audit_violations,
-        },
-        per_arrival,
-        departure_order,
-    }
+    LedgerBackend::new(net).run(trace, &[], &[])
 }
 
 /// Runs the lifecycle simulation with full per-event detail.
@@ -441,13 +592,43 @@ mod tests {
             mean_holding: 8.0,
             algo: Algo::Mbbe,
         });
-        assert!(m.final_leak.abs() < 1e-6, "leaked {}", m.final_leak);
+        let checks = m.checks.unwrap();
+        assert!(
+            checks.final_leak.abs() < 1e-6,
+            "leaked {}",
+            checks.final_leak
+        );
         assert_eq!(m.accepted + m.rejected, 60);
         assert!(m.peak_concurrent >= 1);
         assert!(m.mean_concurrent > 0.0);
         assert!(m.peak_concurrent as f64 >= m.mean_concurrent);
-        assert!(m.audited > 0, "sampled audits must run");
-        assert_eq!(m.audit_violations, 0, "sampled audits must be clean");
+        assert_eq!(checks.audited, m.accepted, "every commit is audited");
+        assert_eq!(checks.audit_violations, 0, "audits must be clean");
+    }
+
+    #[test]
+    fn a_lease_the_run_never_releases_shows_as_a_leak() {
+        // A lease committed outside the schedule stands in for a
+        // release the run missed: the reclaim of the dropped releases'
+        // leases must not sweep it.
+        let cfg = LifecycleConfig {
+            base: base(),
+            arrivals: 30,
+            mean_holding: 4.0,
+            algo: Algo::Minv,
+        };
+        let net = instance_network(&cfg.base);
+        let (sfc, flow) = instance_request(&cfg.base, &net, 0);
+        for dropped in [vec![], vec![0, 1, 2]] {
+            let mut backend = LedgerBackend::new(&net);
+            let residual = backend.ledger.residual();
+            embed_and_commit(&mut backend.ledger, &residual, &sfc, &flow, cfg.algo, 1).unwrap();
+            let stray = backend.ledger.outstanding_load();
+            let out = backend.run(&export_trace(&cfg), &[], &dropped);
+            assert!(out.metrics.dropped_releases > 0 || dropped.is_empty());
+            let leak = out.metrics.checks.unwrap().final_leak;
+            assert!((leak - stray).abs() < 1e-6, "leak {leak}, stray {stray}");
+        }
     }
 
     #[test]

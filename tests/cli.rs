@@ -324,6 +324,43 @@ fn audit_exit_codes_distinguish_failure_modes() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+
+    // 3 — a schedule shorter than its arrivals is bad input too.
+    let cut = edited_fixture("smoke-50.json", "audit-cut.json", cut_to_10);
+    let out = bin()
+        .args(["audit", "--trace", cut.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Committed fixture `name` (a trace or scenario file) with its
+/// `depart_at` schedule rewritten by `edit`, written to temp file `out`.
+fn edited_fixture(name: &str, out: &str, edit: impl FnOnce(Vec<u64>) -> Vec<u64>) -> PathBuf {
+    let json = std::fs::read_to_string(committed(name)).expect("committed fixture");
+    let key = json.find("\"depart_at\"").expect("a schedule");
+    let start = key + json[key..].find('[').expect("an array") + 1;
+    let end = start + json[start..].find(']').expect("array ends");
+    let times = json[start..end]
+        .split(',')
+        .map(|t| t.trim().parse().expect("a departure time"))
+        .collect();
+    let edited: Vec<String> = edit(times).iter().map(u64::to_string).collect();
+    let path = tmp(out);
+    let json = format!("{}{}{}", &json[..start], edited.join(","), &json[end..]);
+    std::fs::write(&path, json).expect("write edited fixture");
+    path
+}
+
+/// Keeps the first 10 departure times.
+fn cut_to_10(mut times: Vec<u64>) -> Vec<u64> {
+    times.truncate(10);
+    times
 }
 
 /// `json` with the first number after `anchors` (found in turn)
@@ -401,6 +438,42 @@ fn committed(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("traces")
         .join(name)
+}
+
+#[test]
+fn cut_schedules_fail_cleanly_in_replay_and_chaos() {
+    // A schedule with fewer departure times than arrivals is refused at
+    // load time with an error, never a panic (exit 101).
+    let trace = edited_fixture("smoke-50.json", "replay-cut.json", cut_to_10);
+    let scenario = edited_fixture("chaos-smoke.json", "chaos-cut.json", cut_to_10);
+    for args in [
+        vec!["replay", "--trace", trace.to_str().unwrap()],
+        vec!["chaos", "run", "--scenario", scenario.to_str().unwrap()],
+    ] {
+        let out = bin().args(&args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("10 departure times for"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn replay_verify_checks_the_schedule_in_the_file() {
+    // Every flow held for exactly one interval: a valid schedule, but
+    // not the one the trace's seed draws. `--verify` must compare the
+    // daemon against this schedule, not a fresh draw.
+    let held_one = |times: Vec<u64>| (1..=times.len() as u64).map(|t| t * 1_000_000).collect();
+    let trace = edited_fixture("smoke-50.json", "replay-held-one.json", held_one);
+    let out = bin()
+        .args(["replay", "--trace", trace.to_str().unwrap(), "--verify"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("verified: bit-for-bit"));
 }
 
 #[test]

@@ -187,7 +187,7 @@ fn admission_stack_consistency() {
     });
     assert_eq!(online.accepted, lifecycle.accepted);
     assert_eq!(online.rejected, lifecycle.rejected);
-    assert!(lifecycle.final_leak.abs() < 1e-6);
+    assert!(lifecycle.checks.unwrap().final_leak.abs() < 1e-6);
 }
 
 /// The LS-wrapped RANV beats plain RANV on the same instance sequence —

@@ -1,8 +1,9 @@
-//! Golden decisions on congested lifecycle traces.
+//! Golden decisions on lifecycle traces.
 //!
-//! Two traces from fixed seeds, both on substrates large enough
-//! (200 nodes) that MBBE's forward-search cap `X_max = 40` binds and
-//! rejected requests reach the solver's adaptive-`X_max` retry rule:
+//! Two congested traces from fixed seeds, both on substrates large
+//! enough (200 nodes) that MBBE's forward-search cap `X_max = 40` binds
+//! and rejected requests reach the solver's adaptive-`X_max` retry
+//! rule:
 //!
 //! * a best-effort, capacity-2 trace through `dagsfc_sim::run_trace`;
 //! * a delay-budgeted trace through a 4-shard
@@ -13,12 +14,23 @@
 //! accepted/rejected/deadline counts. The constants were recorded
 //! before the retry rule was gated on the cap having cut a forward
 //! search, so they pin that every decision survived it bit for bit.
-//! A deliberate behaviour change re-derives them from the printed
-//! actual values and says why in its commit message.
+//!
+//! The same digest pins `run_trace` over the four committed lifecycle
+//! traces and `run_chaos` over the committed chaos scenario. Those
+//! values were recorded before the five copies of the lifecycle event
+//! loop became one driver. The daemon replays and their in-process
+//! references now share that driver, so these pins are what catches a
+//! change in its event order.
+//!
+//! A deliberate behaviour change re-derives the constants from the
+//! printed actual values and says why in its commit message.
 
+use dagsfc::chaos::{load_scenario, run_chaos};
+use dagsfc::sim::io::load_trace;
 use dagsfc::sim::runner::{instance_network, instance_request};
 use dagsfc::sim::{
-    arrival_seed, export_trace, run_trace, Algo, DepartureQueue, LifecycleConfig, SimConfig,
+    arrival_seed, export_trace, run_trace, Algo, ArrivalOutcome, DepartureQueue, LifecycleConfig,
+    SimConfig,
 };
 use dagsfc_shard::{RoutePolicy, ShardPlan, ShardRouter, ShardedEngine, StitchId};
 
@@ -91,19 +103,14 @@ fn capacity_trace_decisions_are_pinned() {
     let cfg = lifecycle(capacity_cfg(), ARRIVALS);
     let net = instance_network(&cfg.base);
     let out = run_trace(&net, &export_trace(&cfg));
-    let per_arrival: Vec<(bool, u64)> = out
-        .per_arrival
-        .iter()
-        .map(|a| (a.accepted, a.cost.to_bits()))
-        .collect();
     let got = Golden {
-        digest: digest(&per_arrival, &out.departure_order),
+        digest: fates_digest(&out.per_arrival, &out.departure_order),
         accepted: out.metrics.accepted,
         rejected: out.metrics.rejected,
         // Best-effort flows carry no budget, so none is deadline-bound.
         rejected_deadline: 0,
     };
-    assert_eq!(out.metrics.audit_violations, 0);
+    assert_eq!(out.metrics.checks.unwrap().audit_violations, 0);
     assert_eq!(
         got,
         Golden {
@@ -170,4 +177,55 @@ fn sharded_sla_trace_decisions_are_pinned() {
             rejected_deadline: 51,
         }
     );
+}
+
+/// A committed fixture under `traces/`.
+fn committed(name: &str) -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("traces")
+        .join(name)
+}
+
+/// [`digest`] of a run's fates and departure order.
+fn fates_digest(per_arrival: &[ArrivalOutcome], departures: &[usize]) -> u64 {
+    let fates: Vec<(bool, u64)> = per_arrival
+        .iter()
+        .map(|a| (a.accepted, a.cost.to_bits()))
+        .collect();
+    digest(&fates, departures)
+}
+
+#[test]
+fn committed_lifecycle_traces_are_pinned() {
+    // (trace, digest, accepted, rejected)
+    const PINS: [(&str, u64, usize, usize); 4] = [
+        ("smoke-50.json", 0x95f8_3d4b_e78f_2f6d, 50, 0),
+        ("delay-smoke.json", 0xfc3f_eb87_cfb0_f26f, 38, 2),
+        ("affinity-smoke.json", 0x747d_9d65_1adb_e894, 39, 21),
+        ("shard-smoke.json", 0x9d9a_12d5_0d42_368a, 60, 0),
+    ];
+    for (name, pinned, accepted, rejected) in PINS {
+        let trace = load_trace(&committed(name)).expect("committed trace");
+        let out = run_trace(&instance_network(&trace.base), &trace);
+        let got = (
+            fates_digest(&out.per_arrival, &out.departure_order),
+            out.metrics.accepted,
+            out.metrics.rejected,
+        );
+        assert_eq!(got, (pinned, accepted, rejected), "{name}");
+    }
+}
+
+#[test]
+fn chaos_smoke_decisions_are_pinned() {
+    let scenario = load_scenario(&committed("chaos-smoke.json")).expect("committed scenario");
+    let out = run_chaos(&scenario.network(), &scenario).lifecycle;
+    let got = (
+        fates_digest(&out.per_arrival, &out.departure_order),
+        out.metrics.accepted,
+        out.metrics.rejected,
+        out.metrics.dropped_releases,
+    );
+    // (digest, accepted, rejected, dropped releases)
+    assert_eq!(got, (0x70cf_4ef3_9254_8023, 37, 3, 8));
 }
