@@ -98,6 +98,25 @@ impl Flow {
         self.delay_budget_us = Some(budget_us);
         self
     }
+
+    /// Checks the flow's numbers: the rate must be finite and positive,
+    /// the size finite and non-negative (a zero-size flow is legal and
+    /// costs nothing). The error names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.rate.is_finite() && self.rate > 0.0) {
+            return Err(format!(
+                "flow rate must be finite and > 0 (got {})",
+                self.rate
+            ));
+        }
+        if !(self.size.is_finite() && self.size >= 0.0) {
+            return Err(format!(
+                "flow size must be finite and >= 0 (got {})",
+                self.size
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A complete embedding request: the chain plus the flow to carry.

@@ -478,14 +478,16 @@ pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn Solver>> {
     })
 }
 
-/// Fast infeasibility screen shared by all solvers: every required VNF
-/// kind (mergers included) must be hosted somewhere, and the flow
-/// endpoints must exist.
+/// Fast infeasibility screen shared by all solvers: the flow's numbers
+/// must pass [`Flow::validate`], every required VNF kind (mergers
+/// included) must be hosted somewhere, and the flow endpoints must
+/// exist.
 ///
 /// Public so serving-layer admission control can turn requests away
 /// before they ever occupy a queue slot, with the exact same
 /// feasibility judgement the solvers apply.
 pub fn precheck(net: &Network, sfc: &DagSfc, flow: &Flow) -> Result<(), SolveError> {
+    flow.validate().map_err(SolveError::Infeasible)?;
     if flow.src.index() >= net.node_count() || flow.dst.index() >= net.node_count() {
         return Err(SolveError::Infeasible(
             "flow endpoints outside the network".into(),
@@ -523,6 +525,35 @@ mod tests {
         let g = net();
         let sfc = DagSfc::sequential(&[VnfTypeId(0)], VnfCatalog::new(1)).unwrap();
         assert!(precheck(&g, &sfc, &Flow::unit(NodeId(0), NodeId(1))).is_ok());
+    }
+
+    #[test]
+    fn precheck_rejects_bad_flow_numbers_and_keeps_zero_size() {
+        let g = net();
+        let sfc = DagSfc::sequential(&[VnfTypeId(0)], VnfCatalog::new(1)).unwrap();
+        let unit = Flow::unit(NodeId(0), NodeId(1));
+        for (rate, size, field) in [
+            (0.0, 1.0, "rate"),
+            (-1.0, 1.0, "rate"),
+            (f64::NAN, 1.0, "rate"),
+            (f64::INFINITY, 1.0, "rate"),
+            (1.0, -5.0, "size"),
+            (1.0, f64::NAN, "size"),
+            (1.0, f64::NEG_INFINITY, "size"),
+        ] {
+            let flow = Flow { rate, size, ..unit };
+            match precheck(&g, &sfc, &flow) {
+                Err(SolveError::Infeasible(why)) => {
+                    assert!(why.contains(field), "rate {rate} size {size}: '{why}'")
+                }
+                other => panic!("rate {rate} size {size}: expected a rejection, got {other:?}"),
+            }
+        }
+        let free = Flow { size: 0.0, ..unit };
+        assert!(
+            precheck(&g, &sfc, &free).is_ok(),
+            "a zero-size flow is legal"
+        );
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! *rental price* per unit of traffic rate and a *traffic processing
 //! capability*.
 //!
-//! The structure is immutable once built (embedding algorithms never change
-//! topology); the mutable residual-capacity view lives in
-//! [`crate::state::NetworkState`].
+//! Topology and prices are fixed once built (embedding algorithms never
+//! change them); the mutable residual-capacity view lives in
+//! [`crate::state::NetworkState`]. Capacities alone can be rewritten in
+//! place ([`Network::set_link_capacity`], [`Network::set_vnf_capacity`]),
+//! which is how a long-lived residual view follows its ledger without
+//! cloning the network.
 
 use crate::error::{NetError, NetResult};
 use crate::ids::{LinkId, NodeId, VnfTypeId};
@@ -97,7 +100,7 @@ impl Link {
     }
 }
 
-/// The immutable target network `G = (V, E)` with prices and capacities.
+/// The target network `G = (V, E)` with prices and capacities.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Network {
     nodes: Vec<Node>,
@@ -107,8 +110,9 @@ pub struct Network {
     /// `hosts[i]` lists the nodes hosting VNF type `i` (the paper's `V_i`),
     /// sorted by node id. Indexed by `VnfTypeId`.
     hosts: Vec<Vec<NodeId>>,
-    /// Lazily built CSR snapshot, dropped on every topology mutation.
-    /// Serializes as null (rebuilt on demand) and resets on `Clone`.
+    /// Lazily built CSR snapshot, dropped on every topology mutation and
+    /// patched in place by [`Network::set_link_capacity`]. Serializes as
+    /// null (rebuilt on demand) and resets on `Clone`.
     csr: SnapshotCell,
 }
 
@@ -290,6 +294,53 @@ impl Network {
         Ok(())
     }
 
+    /// Sets the bandwidth capacity of an existing link.
+    ///
+    /// Validates like [`add_link`](Self::add_link): fails on unknown
+    /// links or non-finite/negative capacities. A built CSR snapshot
+    /// takes the new capacity on the link's two arcs in place; one that
+    /// is shared with another owner is dropped instead and rebuilt on
+    /// next use.
+    pub fn set_link_capacity(&mut self, link: LinkId, capacity: f64) -> NetResult<()> {
+        if !(capacity.is_finite() && capacity >= 0.0) {
+            return Err(NetError::InvalidParameter("link capacity"));
+        }
+        let l = self
+            .links
+            .get_mut(link.index())
+            .ok_or(NetError::UnknownLink(link))?;
+        l.capacity = capacity;
+        let (a, b) = (l.a, l.b);
+        self.csr.patch_link_capacity(link, a, b, capacity);
+        Ok(())
+    }
+
+    /// Sets the processing capability of the `vnf` instance on `node`.
+    ///
+    /// Validates like [`deploy_vnf`](Self::deploy_vnf): fails on unknown
+    /// nodes, undeployed instances or non-finite/negative capacities.
+    /// The CSR snapshot holds no VNF data, so it stays as built.
+    pub fn set_vnf_capacity(
+        &mut self,
+        node: NodeId,
+        vnf: VnfTypeId,
+        capacity: f64,
+    ) -> NetResult<()> {
+        if !(capacity.is_finite() && capacity >= 0.0) {
+            return Err(NetError::InvalidParameter("VNF capacity"));
+        }
+        let instances = &mut self
+            .nodes
+            .get_mut(node.index())
+            .ok_or(NetError::UnknownNode(node))?
+            .instances;
+        let idx = instances
+            .binary_search_by_key(&vnf, |i| i.vnf)
+            .map_err(|_| NetError::VnfNotDeployed { node, vnf })?;
+        instances[idx].capacity = capacity;
+        Ok(())
+    }
+
     /// Per-link delays in microseconds, indexed by [`LinkId`] — the
     /// lookup table the core delay model consumes.
     pub fn link_delays_us(&self) -> Vec<f64> {
@@ -300,8 +351,10 @@ impl Network {
     ///
     /// The snapshot is invalidated by every topology mutation
     /// ([`add_node`](Self::add_node), [`add_link`](Self::add_link),
-    /// [`deploy_vnf`](Self::deploy_vnf)) and rebuilt lazily, so hot
-    /// routing loops always see arc data consistent with the graph.
+    /// [`deploy_vnf`](Self::deploy_vnf)) and rebuilt lazily, and
+    /// [`set_link_capacity`](Self::set_link_capacity) patches it in
+    /// place, so hot routing loops always see arc data consistent with
+    /// the graph.
     #[inline]
     pub fn snapshot(&self) -> &Arc<NetworkSnapshot> {
         self.csr.get_or_build(self)
@@ -416,8 +469,12 @@ impl Network {
     /// decide the new values. Prices and topology are preserved.
     ///
     /// This is the bridge from a mutable [`crate::NetworkState`] back to
-    /// an immutable `Network` — online/multi-request simulations embed
-    /// each arrival against the *residual* network produced this way.
+    /// a `Network` — online/multi-request simulations embed each arrival
+    /// against the *residual* network produced this way. A residual view
+    /// kept across many commits can instead follow its state with
+    /// [`set_link_capacity`](Self::set_link_capacity) and
+    /// [`set_vnf_capacity`](Self::set_vnf_capacity), which rewrite
+    /// capacities in place and keep the CSR snapshot.
     pub fn map_capacities(
         &self,
         mut vnf_cap: impl FnMut(NodeId, VnfTypeId, f64) -> f64,
@@ -690,6 +747,28 @@ mod tests {
         assert!(g.set_link_delay(l, f64::INFINITY).is_err());
         assert!(g.set_link_delay(LinkId(9), 1.0).is_err());
         assert_eq!(g.link(l).delay_us, 2.0);
+    }
+
+    #[test]
+    fn capacity_setters_validate_like_the_constructors() {
+        let mut g = tiny();
+        g.deploy_vnf(NodeId(2), VnfTypeId(1), 1.0, 4.0).unwrap();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(g.set_link_capacity(LinkId(0), bad).is_err());
+            assert!(g.set_vnf_capacity(NodeId(2), VnfTypeId(1), bad).is_err());
+        }
+        assert!(g.set_link_capacity(LinkId(9), 1.0).is_err());
+        assert!(g.set_vnf_capacity(NodeId(9), VnfTypeId(1), 1.0).is_err());
+        assert_eq!(
+            g.set_vnf_capacity(NodeId(0), VnfTypeId(1), 1.0),
+            Err(NetError::VnfNotDeployed {
+                node: NodeId(0),
+                vnf: VnfTypeId(1)
+            })
+        );
+        g.set_vnf_capacity(NodeId(2), VnfTypeId(1), 0.0).unwrap();
+        assert_eq!(g.link(LinkId(0)).capacity, 10.0);
+        assert_eq!(g.instance(NodeId(2), VnfTypeId(1)).unwrap().capacity, 0.0);
     }
 
     #[test]

@@ -38,6 +38,10 @@ impl std::fmt::Display for LeaseId {
     }
 }
 
+/// A lease's VNF and link loads, as [`CommitLedger::lease_loads`]
+/// reports them.
+pub type LeaseLoads<'l> = (&'l [(NodeId, VnfTypeId, f64)], &'l [(LinkId, f64)]);
+
 /// The loads one lease committed (kept verbatim so release restores
 /// exactly what was reserved).
 #[derive(Debug, Clone)]
@@ -209,6 +213,15 @@ impl<'a> CommitLedger<'a> {
     /// Whether `lease` is currently outstanding.
     pub fn is_active(&self, lease: LeaseId) -> bool {
         self.active.contains_key(&lease.0)
+    }
+
+    /// The loads an outstanding `lease` holds: its `(node, kind, rate)`
+    /// VNF reservations and `(link, rate)` bandwidth reservations, in
+    /// commit order. `None` when the lease is not outstanding.
+    pub fn lease_loads(&self, lease: LeaseId) -> Option<LeaseLoads<'_>> {
+        self.active
+            .get(&lease.0)
+            .map(|r| (r.vnf.as_slice(), r.links.as_slice()))
     }
 
     /// The ids of all outstanding leases, in commit order (ids are

@@ -9,7 +9,8 @@
 //!   price `c_{v,f(i)}` per rate unit and a processing capability
 //!   `r_{v,f(i)}`.
 //!
-//! On top of the immutable [`Network`] the crate provides:
+//! On top of the [`Network`] (fixed topology and prices; capacities can
+//! be rewritten in place) the crate provides:
 //!
 //! * [`NetworkState`] — residual capacities with O(1) checkpoint/rollback,
 //!   the workhorse of backtracking embedders;
@@ -65,7 +66,7 @@ pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use generator::NetGenConfig;
 pub use graph::{Link, Network, NetworkStats, Node, VnfInstance};
 pub use ids::{LinkId, NodeId, VnfTypeId};
-pub use ledger::{CommitLedger, LeaseId};
+pub use ledger::{CommitLedger, LeaseId, LeaseLoads};
 pub use oracle::{OracleSession, OracleStats, PathOracle};
 pub use path::Path;
 pub use snapshot::{Arc32, NetworkSnapshot};

@@ -6,10 +6,12 @@
 //! (`capacity + CAP_EPS >= rate`). For a fixed network the admitted link
 //! set depends only on which side of each distinct capacity value the
 //! rate falls, so rates collapse into a small number of **capacity
-//! classes** and one [`ShortestPathTree`] per `(source, class)` serves
-//! every query of that class. The [`PathOracle`] caches exactly those
-//! trees behind a `parking_lot` mutex, so one oracle instance can be
-//! shared by all runs (and threads) of a simulation instance.
+//! classes**, each named by its **threshold** — the smallest link
+//! capacity that admits the rate — and one [`ShortestPathTree`] per
+//! `(source, threshold)` serves every query of that class. The
+//! [`PathOracle`] caches exactly those trees behind a `parking_lot`
+//! mutex, so one oracle instance can be shared by all runs (and
+//! threads) of a simulation instance.
 //!
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
 //! reserve bandwidth as they go) cannot share trees across concurrent
@@ -35,6 +37,11 @@ use std::sync::Arc;
 
 /// Default bound on cached trees (LRU-evicted beyond this).
 const DEFAULT_CAPACITY: usize = 1024;
+
+/// Bound on memoized rate → threshold entries; the memo starts over
+/// once it is full, so an oracle that sees many distinct rates stays
+/// small.
+const THRESHOLD_MEMO_CAPACITY: usize = 256;
 
 /// Counter snapshot of a [`PathOracle`] (see [`PathOracle::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,11 +74,15 @@ impl OracleStats {
 /// the mutex is held: every cache fill on every thread reuses one set
 /// of search buffers, allocation-free in the steady state.
 struct TreeCache {
-    map: FxHashMap<(NodeId, usize), (Arc<ShortestPathTree>, u64)>,
+    /// Price trees keyed by `(source, threshold bits)`.
+    map: FxHashMap<(NodeId, u64), (Arc<ShortestPathTree>, u64)>,
     /// Weighted (delay / Lagrangian) trees for the LARAC bounded mode,
-    /// keyed by `(source, capacity class, ArcWeight::cache_key())`.
+    /// keyed by `(source, threshold bits, ArcWeight::cache_key())`.
     /// Flushed together with `map` on every invalidation.
-    wmap: FxHashMap<(NodeId, usize, u64), (Arc<ShortestPathTree>, u64)>,
+    wmap: FxHashMap<(NodeId, u64, u64), (Arc<ShortestPathTree>, u64)>,
+    /// Memoized [`PathOracle::rate_threshold`] per rate (keyed by the
+    /// rate's bits).
+    thresholds: FxHashMap<u64, f64>,
     tick: u64,
     scratch: RoutingScratch,
     /// Fault overlay: links taken out of service. Trees built while a
@@ -92,8 +103,6 @@ struct TreeCache {
 /// atomics, so one oracle serves every run of a sim instance.
 pub struct PathOracle<'n> {
     net: &'n Network,
-    /// Sorted distinct link capacities: the class boundaries.
-    classes: Vec<f64>,
     capacity: usize,
     cache: Mutex<TreeCache>,
     hits: AtomicU64,
@@ -110,16 +119,13 @@ impl<'n> PathOracle<'n> {
 
     /// An oracle over `net` keeping at most `capacity` trees.
     pub fn with_capacity(net: &'n Network, capacity: usize) -> Self {
-        let mut classes: Vec<f64> = net.link_ids().map(|l| net.link(l).capacity).collect();
-        classes.sort_by(|a, b| a.total_cmp(b));
-        classes.dedup();
         PathOracle {
             net,
-            classes,
             capacity: capacity.max(1),
             cache: Mutex::new(TreeCache {
                 map: FxHashMap::default(),
                 wmap: FxHashMap::default(),
+                thresholds: FxHashMap::default(),
                 tick: 0,
                 scratch: RoutingScratch::new(),
                 down_links: vec![false; net.link_count()],
@@ -138,11 +144,12 @@ impl<'n> PathOracle<'n> {
         self.net
     }
 
-    /// The capacity class of `rate`: the index of the smallest distinct
-    /// link capacity that admits a flow of `rate`. All rates of one class
-    /// admit the identical link set, so their trees are interchangeable.
-    pub fn rate_class(&self, rate: f64) -> usize {
-        self.classes.partition_point(|&c| c + CAP_EPS < rate)
+    /// The capacity class of `rate`, named by its threshold: the
+    /// smallest link capacity that admits a flow of `rate` (`+∞` when
+    /// no link does). All rates of one class admit the identical link
+    /// set, so their trees are interchangeable.
+    pub fn rate_threshold(&self, rate: f64) -> f64 {
+        threshold_in(self.net, &mut self.cache.lock().thresholds, rate)
     }
 
     /// The shortest-path tree rooted at `source` over links admitting
@@ -154,11 +161,12 @@ impl<'n> PathOracle<'n> {
     /// Like [`Self::tree`], also reporting whether the query was a cache
     /// hit — callers use this for per-solve hit/miss accounting.
     pub fn tree_tracked(&self, source: NodeId, rate: f64) -> (Arc<ShortestPathTree>, bool) {
-        let class = self.rate_class(rate);
         let mut cache = self.cache.lock();
+        let threshold = threshold_in(self.net, &mut cache.thresholds, rate);
+        let key = (source, threshold.to_bits());
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some((tree, last_used)) = cache.map.get_mut(&(source, class)) {
+        if let Some((tree, last_used)) = cache.map.get_mut(&key) {
             *last_used = tick;
             let tree = Arc::clone(tree);
             drop(cache);
@@ -169,7 +177,6 @@ impl<'n> PathOracle<'n> {
         // class produces the bit-identical tree. Destructured so the
         // filter can read the down flags while the scratch is borrowed
         // mutably for the build.
-        let threshold = self.classes.get(class).copied().unwrap_or(f64::INFINITY);
         let net = self.net;
         let TreeCache {
             map,
@@ -205,7 +212,7 @@ impl<'n> PathOracle<'n> {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        map.insert((source, class), (Arc::clone(&tree), tick));
+        map.insert(key, (Arc::clone(&tree), tick));
         drop(cache);
         self.misses.fetch_add(1, Ordering::Relaxed);
         (tree, false)
@@ -237,9 +244,9 @@ impl<'n> PathOracle<'n> {
         if weight == ArcWeight::Price {
             return self.tree(source, rate);
         }
-        let class = self.rate_class(rate);
-        let key = (source, class, weight.cache_key());
         let mut cache = self.cache.lock();
+        let threshold = threshold_in(self.net, &mut cache.thresholds, rate);
+        let key = (source, threshold.to_bits(), weight.cache_key());
         cache.tick += 1;
         let tick = cache.tick;
         if let Some((tree, last_used)) = cache.wmap.get_mut(&key) {
@@ -249,7 +256,6 @@ impl<'n> PathOracle<'n> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return tree;
         }
-        let threshold = self.classes.get(class).copied().unwrap_or(f64::INFINITY);
         let net = self.net;
         let TreeCache {
             wmap,
@@ -416,6 +422,30 @@ impl<'n> PathOracle<'n> {
     }
 }
 
+/// The threshold of `rate` on `net` (see [`PathOracle::rate_threshold`]),
+/// from `memo` or by one scan over the link capacities. The scan keeps
+/// the smallest capacity `c` that is not below `rate` by `CAP_EPS` —
+/// `!(c + CAP_EPS < rate)`, so a NaN rate still maps to the smallest
+/// capacity — taking the first in `total_cmp` order among equal values.
+fn threshold_in(net: &Network, memo: &mut FxHashMap<u64, f64>, rate: f64) -> f64 {
+    if let Some(&t) = memo.get(&rate.to_bits()) {
+        return t;
+    }
+    let mut threshold = f64::INFINITY;
+    for l in net.link_ids() {
+        let c = net.link(l).capacity;
+        let admits = (c + CAP_EPS).partial_cmp(&rate) != Some(std::cmp::Ordering::Less);
+        if admits && c.total_cmp(&threshold).is_lt() {
+            threshold = c;
+        }
+    }
+    if memo.len() >= THRESHOLD_MEMO_CAPACITY {
+        memo.clear();
+    }
+    memo.insert(rate.to_bits(), threshold);
+    threshold
+}
+
 /// A private, residual-capacity-aware tree cache for one solve.
 ///
 /// Residual-filtered trees depend on the solve's own [`NetworkState`]
@@ -544,10 +574,13 @@ mod tests {
     fn rates_of_one_capacity_class_share_a_tree() {
         let g = diamond();
         let oracle = PathOracle::new(&g);
-        assert_eq!(oracle.rate_class(0.3), oracle.rate_class(0.9));
-        assert_ne!(oracle.rate_class(0.9), oracle.rate_class(2.0));
-        // Rate above every capacity maps to the all-blocked class.
-        assert_eq!(oracle.rate_class(99.0), 2);
+        assert_eq!(oracle.rate_threshold(0.3), 1.0);
+        assert_eq!(oracle.rate_threshold(0.9), 1.0);
+        assert_eq!(oracle.rate_threshold(2.0), 10.0);
+        // Rate above every capacity maps to the all-blocked class, and a
+        // NaN rate to the smallest capacity (it fails every `<` test).
+        assert_eq!(oracle.rate_threshold(99.0), f64::INFINITY);
+        assert_eq!(oracle.rate_threshold(f64::NAN), 1.0);
         assert!(oracle.min_cost_path(NodeId(0), NodeId(3), 99.0).is_none());
 
         oracle.min_cost_path(NodeId(0), NodeId(3), 0.3);
@@ -818,5 +851,103 @@ mod tests {
         let s = oracle.stats();
         assert_eq!(s.hits + s.misses, 4);
         assert!(s.misses >= 1);
+    }
+
+    /// Six distinct capacities (one of them zero, two a hair apart
+    /// within `CAP_EPS`), so the scripted rates below cross every
+    /// class boundary, both sides of the epsilon, NaN and ±∞.
+    fn graded() -> Network {
+        let mut g = Network::new();
+        g.add_nodes(6);
+        let caps = [0.5, 1.0, 1.0 + 0.4e-9, 2.0, 0.0, 3.5, 1.0, 2.0];
+        let ends = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (0, 5),
+            (1, 4),
+            (2, 5),
+        ];
+        for (k, (&(a, b), &cap)) in ends.iter().zip(&caps).enumerate() {
+            g.add_link_with_delay(
+                NodeId(a),
+                NodeId(b),
+                1.0 + k as f64 * 0.3,
+                cap,
+                5.0 + k as f64,
+            )
+            .unwrap();
+        }
+        g
+    }
+
+    /// Runs a fixed query script against a 6-tree oracle and spells out
+    /// each query's outcome: `h` a hit, `m` a miss, `M` a miss that
+    /// evicted a tree.
+    fn scripted_outcomes() -> String {
+        let g = graded();
+        let oracle = PathOracle::with_capacity(&g, 6);
+        let rates = [
+            0.3,
+            0.5,
+            0.5 + 0.5e-9,
+            0.5 + 2e-9,
+            1.0,
+            1.0 + 0.9e-9,
+            1.0 + 1.2e-9,
+            2.0,
+            2.5,
+            3.5,
+            4.0,
+            f64::NAN,
+            -1.0,
+            0.0,
+            f64::INFINITY,
+            1e-12,
+        ];
+        let mut seq = String::new();
+        let mut last = OracleStats::default();
+        let mut record = |o: &PathOracle<'_>| {
+            let s = o.stats();
+            seq.push(match (s.hits > last.hits, s.evictions > last.evictions) {
+                (true, _) => 'h',
+                (false, false) => 'm',
+                (false, true) => 'M',
+            });
+            last = s;
+        };
+        for round in 0..3u32 {
+            for (k, &rate) in rates.iter().enumerate() {
+                let src = NodeId(round % 2 + (k % 2) as u32);
+                oracle.tree_tracked(src, rate);
+                record(&oracle);
+                oracle.weighted_tree(src, rate, ArcWeight::Delay);
+                record(&oracle);
+                if k % 4 == 0 {
+                    oracle.weighted_tree(src, rate, ArcWeight::Lagrange(0.5));
+                    record(&oracle);
+                }
+            }
+            if round == 1 {
+                oracle.invalidate();
+            }
+        }
+        seq
+    }
+
+    /// The per-query outcomes of a fixed query script (one line per
+    /// round), as the oracle keyed by sorted-class index produced them:
+    /// keying trees by threshold bits must group rates exactly as class
+    /// indices did.
+    #[test]
+    fn threshold_keys_repeat_the_class_keyed_counters() {
+        let expected = concat!(
+            "mmmmmhhmmmmmhhmMmMMMMMMMMMMMMMhhhhhh",
+            "MMMMMhhMMMMMhhMMMMMMMMMMMMMMMMhhhhhh",
+            "mmmmmhhmmmmmhhmMmMMMMMMMMMMMMMhhhhhh",
+        );
+        assert_eq!(scripted_outcomes(), expected);
     }
 }

@@ -1,4 +1,4 @@
-//! Immutable CSR (compressed sparse row) view of a [`Network`].
+//! CSR (compressed sparse row) view of a [`Network`].
 //!
 //! Routing kernels are the hottest code in the workspace: every solve
 //! runs many Dijkstra/BFS searches, and each search visits every arc of
@@ -15,7 +15,9 @@
 //! the adjacency-list searches did and produce bit-identical trees.
 //!
 //! Snapshots are built lazily by [`Network::snapshot`] and cached until
-//! the next topology mutation; they are cheap to share (`Arc`).
+//! the next topology mutation; a capacity write
+//! ([`Network::set_link_capacity`]) patches the cached snapshot in place.
+//! They are cheap to share (`Arc`).
 
 use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
@@ -41,7 +43,7 @@ pub struct Arc32 {
 /// `offsets` has `node_count + 1` entries; the arcs leaving node `v`
 /// occupy indices `offsets[v] .. offsets[v + 1]` of the parallel
 /// `targets` / `arc_link` / `arc_price` / `arc_capacity` arrays.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSnapshot {
     node_count: usize,
     offsets: Vec<u32>,
@@ -137,6 +139,19 @@ impl NetworkSnapshot {
         self.arc_delay[i]
     }
 
+    /// Writes `capacity` onto both arcs of `link`, whose endpoints are
+    /// `a` and `b`.
+    fn set_link_capacity(&mut self, link: LinkId, a: NodeId, b: NodeId, capacity: f64) {
+        for (from, to) in [(a, b), (b, a)] {
+            let arcs = self.arc_range(from);
+            // A node's arcs are sorted by head, like `Network::neighbors`.
+            if let Ok(k) = self.targets[arcs.clone()].binary_search(&to.0) {
+                debug_assert_eq!(self.arc_link[arcs.start + k], link.0);
+                self.arc_capacity[arcs.start + k] = capacity;
+            }
+        }
+    }
+
     /// Iterator over the arcs leaving `v`, in neighbor-id order.
     #[inline]
     pub fn arcs(&self, v: NodeId) -> impl Iterator<Item = Arc32> + '_ {
@@ -153,9 +168,11 @@ impl NetworkSnapshot {
 /// Lazily initialized, mutation-invalidated cache slot for a network's
 /// CSR snapshot.
 ///
-/// `Clone` intentionally produces an *empty* cell: a cloned network is
-/// usually about to be mutated (`map_capacities`), and the snapshot is
-/// cheap to rebuild on first use.
+/// `Clone` intentionally produces an *empty* cell: a clone made by
+/// `map_capacities` rewrites every capacity at once, so it rebuilds its
+/// snapshot on first use. A network whose capacities change a few at a
+/// time keeps its snapshot instead: `set_link_capacity` patches it in
+/// place.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotCell(OnceLock<Arc<NetworkSnapshot>>);
 
@@ -191,6 +208,17 @@ impl SnapshotCell {
     #[inline]
     pub(crate) fn invalidate(&mut self) {
         self.0.take();
+    }
+
+    /// Writes a link's new capacity into the cached snapshot in place.
+    /// A snapshot that another owner still shares cannot be written, so
+    /// it is dropped instead and rebuilt on next use.
+    pub(crate) fn patch_link_capacity(&mut self, link: LinkId, a: NodeId, b: NodeId, cap: f64) {
+        if let Some(snap) = self.0.get_mut().and_then(Arc::get_mut) {
+            snap.set_link_capacity(link, a, b, cap);
+            return;
+        }
+        self.invalidate();
     }
 }
 
@@ -249,6 +277,31 @@ mod tests {
         h2.add_link(NodeId(1), NodeId(3), 1.0, 1.0).unwrap();
         assert_eq!(h2.snapshot().arc_count(), 10);
         assert_eq!(g.snapshot().arc_count(), 8);
+    }
+
+    #[test]
+    fn capacity_writes_patch_the_built_snapshot_in_place() {
+        let mut g = sample();
+        let built = Arc::as_ptr(g.snapshot());
+        g.set_link_capacity(LinkId(3), 0.25).unwrap();
+        assert_eq!(Arc::as_ptr(g.snapshot()), built, "patched, not rebuilt");
+        assert_eq!(**g.snapshot(), NetworkSnapshot::build(&g));
+        let arcs: Vec<f64> = g.snapshot().arcs(NodeId(0)).map(|a| a.capacity).collect();
+        assert_eq!(arcs, vec![10.0, 0.25]);
+    }
+
+    #[test]
+    fn capacity_writes_drop_a_shared_snapshot() {
+        let mut g = sample();
+        let held = Arc::clone(g.snapshot());
+        g.set_link_capacity(LinkId(0), 5.0).unwrap();
+        assert_eq!(
+            held.arc_capacity(0),
+            10.0,
+            "a shared snapshot is never written"
+        );
+        assert!(!Arc::ptr_eq(&held, g.snapshot()));
+        assert_eq!(**g.snapshot(), NetworkSnapshot::build(&g));
     }
 
     #[test]

@@ -623,6 +623,11 @@ fn admit_embed(
         },
     };
     let seed = seed.unwrap_or(0);
+    // A malformed flow is a bad request, not a rejection: it never
+    // reaches the ledger and leaves every counter as it was.
+    if let Err(e) = flow.validate() {
+        return Pending::Ready(WireResponse::error(format!("invalid flow: {e}")));
+    }
     if let Err(e) = precheck(engine.network(), &sfc, &flow) {
         engine.count_admission_rejection();
         return Pending::Ready(WireResponse::rejected(format!("infeasible: {e}")));

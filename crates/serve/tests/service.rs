@@ -174,6 +174,49 @@ fn infeasible_requests_are_turned_away_at_admission() {
 }
 
 #[test]
+fn flows_with_bad_rate_or_size_get_an_error_and_no_lease() {
+    // The enterprise catalog defines 13 NF kinds; serve presets resolve
+    // against it, so the network must deploy at least that many.
+    let sim = SimConfig {
+        vnf_kinds: dagsfc_nfp::enterprise_catalog().len(),
+        vnf_deploy_ratio: 1.0,
+        ..base()
+    };
+    let handle = spawn(BatchConfig::default(), &sim);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let unit = dagsfc_core::Flow::unit(NodeId(0), NodeId(5));
+    let before = client.stats().expect("stats");
+    for (rate, size, field) in [(0.0, 1.0, "rate"), (-1.0, 1.0, "rate"), (1.0, -5.0, "size")] {
+        let flow = dagsfc_core::Flow { rate, size, ..unit };
+        match client.embed_preset("security-stack", &flow, None, None, 1) {
+            Err(ClientError::Server(reason)) => {
+                assert!(
+                    reason.contains(field),
+                    "rate {rate} size {size}: '{reason}'"
+                )
+            }
+            other => panic!("rate {rate} size {size}: expected an error reply, got {other:?}"),
+        }
+    }
+    let after = client.stats().expect("stats");
+    assert_eq!(after.accepted, before.accepted);
+    assert_eq!(after.active_leases, 0);
+    assert_eq!(after.epoch, before.epoch);
+    assert_eq!(after.total_cost.to_bits(), before.total_cost.to_bits());
+    // A zero-size flow is still legal.
+    let free = dagsfc_core::Flow { size: 0.0, ..unit };
+    match client
+        .embed_preset("security-stack", &free, None, None, 1)
+        .expect("reply")
+    {
+        EmbedReply::Accepted { cost, .. } => assert_eq!(cost.total(), 0.0),
+        EmbedReply::Rejected(reason) => panic!("zero-size flow rejected: {reason}"),
+    }
+    drop(client);
+    handle.join();
+}
+
+#[test]
 fn unknown_and_double_release_are_protocol_errors() {
     let sim = base();
     let handle = spawn(BatchConfig::default(), &sim);

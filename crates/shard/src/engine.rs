@@ -6,13 +6,16 @@
 //!
 //! 1. The [`ShardRouter`] assigns a **home shard** (pure function of
 //!    the flow — see `router.rs`).
-//! 2. The engine builds the **stitched view**: a residual network in
+//! 2. The engine refreshes the **stitched view**: a residual network in
 //!    which only the home shard's resources, the destination shard's
 //!    resources, the direct home↔destination boundary links, and the
 //!    precomputed gateway **corridor** between the two shards carry
 //!    capacity; everything else is zeroed. For an intra-shard request
 //!    the view exposes the home shard alone. Residual capacities are
 //!    read from each resource's *owner* ledger, so the view is exact.
+//!    Each view is one long-lived `Network`: a refresh rewrites only the
+//!    capacities that ledger mutations touched since the view was last
+//!    current (see [`ShardedEngine`]).
 //! 3. A standard solver runs over the view — the chain segments land in
 //!    the exposed shards, and the tail path can only reach the
 //!    destination through the corridor the inter-gateway table priced.
@@ -37,7 +40,7 @@ use dagsfc_net::{
     CommitLedger, FaultEvent, LeaseId, LinkId, NetError, NetResult, Network, NodeId, VnfTypeId,
 };
 use dagsfc_sim::{Algo, EmbedRejection};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,8 +96,145 @@ impl Exposure {
     }
 }
 
+/// One resource whose residual capacity a view exposes.
+#[derive(Debug, Clone, Copy)]
+enum Resource {
+    Vnf(NodeId, VnfTypeId),
+    Link(LinkId),
+}
+
+/// The capacity a view with `exposure` (`None` exposes every shard)
+/// shows for `res`: zero outside the exposure or while the resource is
+/// out of service, else the owner ledger's remaining capacity floored at
+/// zero. A view rebuild and an in-place patch both call this, so a
+/// patched view is bit-identical to a rebuilt one.
+fn view_capacity(
+    net: &Network,
+    plan: &ShardPlan,
+    ledgers: &[CommitLedger<'_>],
+    exposure: Option<&Exposure>,
+    res: Resource,
+) -> f64 {
+    match res {
+        Resource::Vnf(node, kind) => {
+            if exposure.is_some_and(|e| !e.node_in_scope(plan, node)) {
+                return 0.0;
+            }
+            let state = ledgers[plan.shard_of(node)].state();
+            if !state.node_available(node) {
+                return 0.0;
+            }
+            state
+                .vnf_remaining(node, kind)
+                // lint:allow(expect) — invariant: instance exists in source network
+                .expect("instance exists in source network")
+                .max(0.0)
+        }
+        Resource::Link(link) => {
+            if exposure.is_some_and(|e| !e.link_in_scope(plan, net, link)) {
+                return 0.0;
+            }
+            let state = ledgers[plan.owner_of(link)].state();
+            if !state.link_available(link) {
+                return 0.0;
+            }
+            state
+                .link_remaining(link)
+                // lint:allow(expect) — invariant: link exists in source network
+                .expect("link exists in source network")
+                .max(0.0)
+        }
+    }
+}
+
+/// The fallback refresh: a fresh copy of `net` with every capacity
+/// mapped through [`view_capacity`].
+fn rebuild_view(
+    net: &Network,
+    plan: &ShardPlan,
+    ledgers: &[CommitLedger<'_>],
+    exposure: Option<&Exposure>,
+) -> Network {
+    net.map_capacities(
+        |node, kind, _| view_capacity(net, plan, ledgers, exposure, Resource::Vnf(node, kind)),
+        |link, _| view_capacity(net, plan, ledgers, exposure, Resource::Link(link)),
+    )
+}
+
+/// Whether two views of one network carry bit-identical capacities, in
+/// the links, the VNF instances and `patched`'s CSR snapshot (built
+/// first if it has none), whose arcs are checked against the rebuilt
+/// links.
+fn same_capacities(patched: &Network, rebuilt: &Network) -> bool {
+    let links = patched
+        .link_ids()
+        .all(|l| patched.link(l).capacity.to_bits() == rebuilt.link(l).capacity.to_bits());
+    let vnfs = patched.node_ids().all(|v| {
+        let (a, b) = (patched.node(v).instances(), rebuilt.node(v).instances());
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.capacity.to_bits() == y.capacity.to_bits())
+    });
+    let snap = patched.snapshot();
+    let arcs = (0..snap.arc_count()).all(|i| {
+        snap.arc_capacity(i).to_bits() == rebuilt.link(snap.arc_link(i)).capacity.to_bits()
+    });
+    links && vnfs && arcs
+}
+
+/// Most ledger changes a cached view may lag behind and still be
+/// patched in place; a view further behind is rebuilt. It also bounds
+/// the [`ChangeLog`]'s memory.
+const MAX_PENDING_CHANGES: usize = 1024;
+
+/// The resources ledger mutations touched, oldest first: a ring of the
+/// last [`MAX_PENDING_CHANGES`] entries. Entry `k` has sequence number
+/// `first + k`; a view remembers the sequence number it is current
+/// through and replays the entries after it.
+#[derive(Default)]
+struct ChangeLog {
+    entries: VecDeque<Resource>,
+    first: u64,
+}
+
+impl ChangeLog {
+    /// The sequence number the next entry will take.
+    fn end(&self) -> u64 {
+        self.first + self.entries.len() as u64
+    }
+
+    fn push(&mut self, res: Resource) {
+        if self.entries.len() == MAX_PENDING_CHANGES {
+            self.entries.pop_front();
+            self.first += 1;
+        }
+        self.entries.push_back(res);
+    }
+
+    /// Marks every resource of a load set.
+    fn mark(&mut self, vnf: &[(NodeId, VnfTypeId, f64)], links: &[(LinkId, f64)]) {
+        for &(node, kind, _) in vnf {
+            self.push(Resource::Vnf(node, kind));
+        }
+        for &(link, _) in links {
+            self.push(Resource::Link(link));
+        }
+    }
+
+    /// The changes after sequence number `synced`, or `None` once the
+    /// ring has dropped some of them.
+    fn since(&self, synced: u64) -> Option<impl Iterator<Item = Resource> + '_> {
+        let skip = synced.checked_sub(self.first)? as usize;
+        Some(self.entries.range(skip..).copied())
+    }
+}
+
 struct CachedView {
+    /// The shard ledgers' epochs when the view was last refreshed.
     epochs: Vec<u64>,
+    /// The [`ChangeLog`] sequence number this view is current through.
+    synced: u64,
     net: Arc<Network>,
 }
 
@@ -175,6 +315,15 @@ pub struct ShardedStats {
 /// (see the module docs). This type is the **only** sanctioned path to
 /// a shard's `CommitLedger` — the `shard-ledger` lint rule turns direct
 /// access from outside `crates/shard` into a CI failure.
+///
+/// Residual views are long-lived. Every ledger mutation the engine makes
+/// — a phase-1 reservation (successful or not), a rollback, a release —
+/// first logs the resources it touches. A view refresh rewrites just
+/// those capacities in place ([`Network::set_link_capacity`] and
+/// [`Network::set_vnf_capacity`]), so neither the network nor its CSR
+/// snapshot is rebuilt. A fault or an owner reclaim drops every view
+/// instead. A view that a caller still holds, or that lags more than
+/// [`MAX_PENDING_CHANGES`] changes behind, is rebuilt in full.
 pub struct ShardedEngine<'n> {
     net: &'n Network,
     plan: ShardPlan,
@@ -186,6 +335,8 @@ pub struct ShardedEngine<'n> {
     /// local view; [`UNPARTITIONED`] is the all-shards residual, and the
     /// only entry a 1-shard engine uses.
     views: BTreeMap<(u32, u32), CachedView>,
+    /// What the ledgers changed, for the views to catch up on.
+    changes: ChangeLog,
     leases: BTreeMap<u64, Vec<(usize, LeaseId)>>,
     next_stitch: u64,
     accepted: u64,
@@ -222,6 +373,7 @@ impl<'n> ShardedEngine<'n> {
             ledgers,
             auditor: ConstraintAuditor::new(),
             views: BTreeMap::new(),
+            changes: ChangeLog::default(),
             leases: BTreeMap::new(),
             next_stitch: 1,
             accepted: 0,
@@ -270,66 +422,61 @@ impl<'n> ShardedEngine<'n> {
         &self.ledgers[shard]
     }
 
-    fn epochs(&self) -> Vec<u64> {
-        self.ledgers.iter().map(|l| l.epoch()).collect()
-    }
-
-    /// Builds (or reuses) the residual view for `exposure`; `None`
+    /// Refreshes (or builds) the residual view for `exposure`; `None`
     /// exposes every shard — the unpartitioned residual the auditor
-    /// checks against.
+    /// checks against. A cached view the caller no longer shares is
+    /// patched in place with the changes logged since it was current.
     fn view_for(&mut self, key: (u32, u32), exposure: Option<&Exposure>) -> Arc<Network> {
-        let epochs = self.epochs();
-        if let Some(cached) = self.views.get(&key) {
-            if cached.epochs == epochs {
+        let ShardedEngine {
+            net,
+            plan,
+            ledgers,
+            views,
+            changes,
+            ..
+        } = self;
+        let (net, end) = (*net, changes.end());
+        let epochs = || ledgers.iter().map(CommitLedger::epoch);
+        if let Some(cached) = views.get_mut(&key) {
+            // A refused commit logs changes without moving an epoch; an
+            // epoch that moved with nothing logged is a missed mark,
+            // which the cross-check below reports in debug builds.
+            if cached.synced == end && cached.epochs.iter().copied().eq(epochs()) {
+                return Arc::clone(&cached.net);
+            }
+            if let (Some(pending), Some(view)) =
+                (changes.since(cached.synced), Arc::get_mut(&mut cached.net))
+            {
+                for res in pending {
+                    let cap = view_capacity(net, plan, ledgers, exposure, res);
+                    let written = match res {
+                        Resource::Vnf(node, kind) => view.set_vnf_capacity(node, kind, cap),
+                        Resource::Link(link) => view.set_link_capacity(link, cap),
+                    };
+                    // lint:allow(expect) — invariant: a logged resource exists and view_capacity is finite and >= 0
+                    written.expect("logged resource takes its view capacity");
+                }
+                cached.synced = end;
+                for (seen, now) in cached.epochs.iter_mut().zip(epochs()) {
+                    *seen = now;
+                }
+                debug_assert!(
+                    same_capacities(view, &rebuild_view(net, plan, ledgers, exposure)),
+                    "patched view {key:?} differs from its rebuild"
+                );
                 return Arc::clone(&cached.net);
             }
         }
-        let plan = &self.plan;
-        let ledgers = &self.ledgers;
-        let net = self.net;
-        let built = net.map_capacities(
-            |node, vnf, _| {
-                if let Some(e) = exposure {
-                    if !e.node_in_scope(plan, node) {
-                        return 0.0;
-                    }
-                }
-                let state = ledgers[plan.shard_of(node)].state();
-                if !state.node_available(node) {
-                    return 0.0;
-                }
-                state
-                    .vnf_remaining(node, vnf)
-                    // lint:allow(expect) — invariant: instance exists in source network
-                    .expect("instance exists in source network")
-                    .max(0.0)
-            },
-            |link, _| {
-                if let Some(e) = exposure {
-                    if !e.link_in_scope(plan, net, link) {
-                        return 0.0;
-                    }
-                }
-                let state = ledgers[plan.owner_of(link)].state();
-                if !state.link_available(link) {
-                    return 0.0;
-                }
-                state
-                    .link_remaining(link)
-                    // lint:allow(expect) — invariant: link exists in source network
-                    .expect("link exists in source network")
-                    .max(0.0)
-            },
-        );
-        let arc = Arc::new(built);
-        self.views.insert(
+        let built = Arc::new(rebuild_view(net, plan, ledgers, exposure));
+        views.insert(
             key,
             CachedView {
-                epochs,
-                net: Arc::clone(&arc),
+                epochs: epochs().collect(),
+                synced: end,
+                net: Arc::clone(&built),
             },
         );
-        arc
+        built
     }
 
     fn exposure(&self, home: usize, dst: usize) -> Exposure {
@@ -388,8 +535,16 @@ impl<'n> ShardedEngine<'n> {
                 (view, self.unpartitioned_residual())
             };
             let started = Instant::now();
-            let result =
-                two_phase_reserve(&mut self.ledgers, &self.plan, &view, sfc, flow, algo, seed);
+            let result = two_phase_reserve(
+                &mut self.ledgers,
+                &mut self.changes,
+                &self.plan,
+                &view,
+                sfc,
+                flow,
+                algo,
+                seed,
+            );
             let elapsed = started.elapsed();
             let acc = self.per_algo.entry(algo.name()).or_default();
             acc.solves += 1;
@@ -413,7 +568,7 @@ impl<'n> ShardedEngine<'n> {
                     );
                     if !report.is_clean() || !scope.is_empty() {
                         self.audits_failed += 1;
-                        rollback(&mut self.ledgers, &pending.parts);
+                        rollback(&mut self.ledgers, &mut self.changes, &pending.parts);
                         self.rejected += 1;
                         let mut summary = report.summary();
                         if !scope.is_empty() {
@@ -476,7 +631,7 @@ impl<'n> ShardedEngine<'n> {
             .remove(&lease.0)
             .ok_or(NetError::UnknownLease(lease.0))?;
         for (shard, sub) in parts.into_iter().rev() {
-            self.ledgers[shard].release(sub)?;
+            release_part(&mut self.ledgers[shard], &mut self.changes, sub)?;
         }
         Ok(())
     }
@@ -509,7 +664,11 @@ impl<'n> ShardedEngine<'n> {
                 self.plan.shard_of(node)
             }
         };
-        self.ledgers[shard].apply_fault(event)
+        let changed = self.ledgers[shard].apply_fault(event)?;
+        if changed {
+            self.views.clear();
+        }
+        Ok(changed)
     }
 
     /// Sets the owner tag for subsequent commits on every shard ledger
@@ -533,6 +692,7 @@ impl<'n> ShardedEngine<'n> {
         if dead.is_empty() {
             return Vec::new();
         }
+        self.views.clear();
         let mut reclaimed = Vec::new();
         self.leases.retain(|&id, parts| {
             let hit = parts.iter().any(|p| dead.contains(p));
@@ -606,9 +766,14 @@ struct PendingCommit {
 /// Phase 1: solve over the stitched view, group the embedding's loads
 /// by owner shard, and reserve them ledger by ledger in ascending shard
 /// order. Any ledger refusal rolls back the reservations already made
-/// and surfaces as an ordinary [`EmbedRejection::Commit`].
+/// and surfaces as an ordinary [`EmbedRejection::Commit`]. Every load
+/// is logged in `changes` before its ledger sees it: a refused commit
+/// rolls its partial reservation back inside the ledger, which may
+/// leave a capacity a rounding step away from where it was.
+#[allow(clippy::too_many_arguments)]
 fn two_phase_reserve(
     ledgers: &mut [CommitLedger<'_>],
+    changes: &mut ChangeLog,
     plan: &ShardPlan,
     view: &Network,
     sfc: &DagSfc,
@@ -650,13 +815,14 @@ fn two_phase_reserve(
     // shard) order below; the lock-order pass checks every push.
     let mut parts: Vec<(usize, LeaseId)> = Vec::with_capacity(by_shard.len());
     for (shard, (vnf_loads, link_loads)) in by_shard {
+        changes.mark(&vnf_loads, &link_loads);
         // Phase 1 of the shard gateway's 2PC: this module is the
         // sanctioned multi-ledger commit site, and phase 2 audits the
         // result before the lease is honored. lint:allow(raw-commit)
         match ledgers[shard].commit(vnf_loads, link_loads) {
             Ok(sub) => parts.push((shard, sub)),
             Err(e) => {
-                rollback(ledgers, &parts);
+                rollback(ledgers, changes, &parts);
                 return Err(EmbedRejection::Commit(e));
             }
         }
@@ -672,13 +838,26 @@ fn two_phase_reserve(
 /// Releases every phase-1 reservation of a failed two-phase commit, in
 /// reverse acquisition order (descending shard), mirroring
 /// [`ShardedEngine::release`].
-fn rollback(ledgers: &mut [CommitLedger<'_>], parts: &[(usize, LeaseId)]) {
+fn rollback(ledgers: &mut [CommitLedger<'_>], changes: &mut ChangeLog, parts: &[(usize, LeaseId)]) {
     // lint:ascending(parts) — phase 1 reserves under the by_shard
     // BTreeMap, so `parts` is ascending by construction.
     for &(shard, sub) in parts.iter().rev() {
-        // lint:allow(expect) — invariant: a fresh phase-1 sub-lease is active
-        ledgers[shard].release(sub).expect("sub-lease is active");
+        release_part(&mut ledgers[shard], changes, sub)
+            // lint:allow(expect) — invariant: a fresh phase-1 sub-lease is active
+            .expect("sub-lease is active");
     }
+}
+
+/// Logs the resources a sub-lease holds, then releases it.
+fn release_part(
+    ledger: &mut CommitLedger<'_>,
+    changes: &mut ChangeLog,
+    sub: LeaseId,
+) -> NetResult<()> {
+    if let Some((vnf, links)) = ledger.lease_loads(sub) {
+        changes.mark(vnf, links);
+    }
+    ledger.release(sub)
 }
 
 #[cfg(test)]
@@ -721,5 +900,65 @@ mod tests {
         let solved = Arc::clone(&engine.views[&UNPARTITIONED].net);
         assert!(Arc::ptr_eq(&solved, &refreshed));
         assert!(Arc::ptr_eq(&solved, &engine.unpartitioned_residual()));
+        drop((solved, refreshed));
+
+        // An accepted embed and a release each move the epoch; the next
+        // refresh patches the one cached network in place (same
+        // allocation) to exactly the ledger's residual.
+        let held = Arc::as_ptr(&engine.unpartitioned_residual());
+        let mut lease = None;
+        for i in 7..40usize {
+            let (sfc, flow) = instance_request(&sim, &net, i);
+            if let Ok(acc) = engine.embed(&sfc, &flow, Algo::Mbbe, arrival_seed(sim.seed, i)) {
+                lease = Some(acc.lease);
+                break;
+            }
+        }
+        let lease = lease.expect("some arrival fits");
+        let committed = engine.unpartitioned_residual();
+        assert!(std::ptr::eq(Arc::as_ptr(&committed), held));
+        assert!(same_capacities(
+            &committed,
+            &engine.raw_ledger(0).residual()
+        ));
+        let before_release = committed.link_ids().map(|l| committed.link(l).capacity);
+        let before_release: Vec<f64> = before_release.collect();
+        drop(committed);
+        engine.release(lease).expect("release");
+        let released = engine.unpartitioned_residual();
+        assert!(std::ptr::eq(Arc::as_ptr(&released), held));
+        assert!(Arc::ptr_eq(&released, &engine.views[&UNPARTITIONED].net));
+        assert!(same_capacities(&released, &engine.raw_ledger(0).residual()));
+        let after_release: Vec<f64> = released
+            .link_ids()
+            .map(|l| released.link(l).capacity)
+            .collect();
+        assert_ne!(before_release, after_release, "the release was patched in");
+    }
+
+    #[test]
+    fn change_log_keeps_only_the_last_bound_entries() {
+        let mut log = ChangeLog::default();
+        for i in 0..(MAX_PENDING_CHANGES as u32 + 5) {
+            log.push(Resource::Link(LinkId(i)));
+        }
+        assert_eq!(log.end(), MAX_PENDING_CHANGES as u64 + 5);
+        assert!(log.since(4).is_none(), "entry 4 was dropped");
+        let tail: Vec<u32> = log
+            .since(log.end() - 2)
+            .expect("recent entries are kept")
+            .map(|r| match r {
+                Resource::Link(l) => l.0,
+                Resource::Vnf(..) => unreachable!(),
+            })
+            .collect();
+        assert_eq!(
+            tail,
+            vec![
+                MAX_PENDING_CHANGES as u32 + 3,
+                MAX_PENDING_CHANGES as u32 + 4
+            ]
+        );
+        assert_eq!(log.since(log.end()).map(Iterator::count), Some(0));
     }
 }
