@@ -128,10 +128,9 @@ fn assign_then_route(
     precheck(net, sfc, flow)?;
     let catalog = sfc.catalog();
     let mut state = NetworkState::new(net);
-    // Residual-filtered trees must stay private to this solve (each
+    // Residual-filtered paths must stay private to this solve (each
     // solve owns its NetworkState), so routing goes through an oracle
-    // *session*, invalidated after every reservation that changed the
-    // residual capacities.
+    // *session*: one target-bounded search per meta-path.
     let mut session = ctx.oracle.session();
     let mut explored = 0usize;
 
@@ -208,18 +207,15 @@ fn assign_then_route(
         let path = match mp.kind {
             MetaPathKind::InterLayer => {
                 let shared = group_links.entry(mp.group).or_default().clone();
+                // The filter admits the group's already reserved links.
                 let filter = |l: LinkId| shared.contains(&l) || state.link_fits(l, flow.rate);
-                // Context 1+group: the filter admits the group's already
-                // reserved links, so trees are reusable only within the
-                // same multicast group.
                 let path = session
-                    .min_cost_path_with(from, to, 1 + mp.group as u64, &filter)
+                    .min_cost_path_with(from, to, &filter)
                     .ok_or_else(|| SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: format!("no bandwidth-feasible path {from} → {to}"),
                     })?;
                 let group = group_links.entry(mp.group).or_default();
-                let mut reserved = false;
                 for &l in path.links() {
                     if group.insert(l) {
                         state.reserve_link(l, flow.rate).map_err(|_| {
@@ -228,18 +224,14 @@ fn assign_then_route(
                                 reason: format!("link {l} saturated while reserving"),
                             }
                         })?;
-                        reserved = true;
                     }
-                }
-                if reserved {
-                    session.invalidate();
                 }
                 path
             }
             MetaPathKind::InnerLayer => {
                 let filter = |l: LinkId| state.link_fits(l, flow.rate);
                 let path = session
-                    .min_cost_path_with(from, to, 0, &filter)
+                    .min_cost_path_with(from, to, &filter)
                     .ok_or_else(|| SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: format!("no bandwidth-feasible path {from} → {to}"),
@@ -250,9 +242,6 @@ fn assign_then_route(
                         reason: "inner-layer path saturated while reserving".into(),
                     }
                 })?;
-                if !path.is_empty() {
-                    session.invalidate();
-                }
                 path
             }
         };
@@ -268,8 +257,7 @@ fn assign_then_route(
             explored,
             kept: 1,
             elapsed: start.elapsed(),
-            cache_hits: session.hits(),
-            cache_misses: session.misses(),
+            cache_misses: session.searches(),
             candidates_rule_rejected: rule_rejected,
             ..SolverStats::default()
         },

@@ -35,7 +35,7 @@ pub use tree::{SearchTree, TreeNode};
 use self::backward::backward_search;
 use self::candidates::{parallel_layer_subs, singleton_layer_subs, EngineCtx, LayerSub};
 use self::forward::forward_search;
-use self::subtree::SubTree;
+use self::subtree::{SubHandle, SubTree};
 use self::tree::SearchTree as Fst;
 use super::instrument::{Counters, Instrument};
 use super::{precheck, SolveCtx, SolveOutcome, Solver};
@@ -331,14 +331,16 @@ fn run(
                 // a forward search. An uncut search grows the same tree
                 // under any larger bound and nothing else reads `x_max`,
                 // so any other retry would replay this attempt bit for
-                // bit and return this error.
+                // bit and return this error. Doubling starts from at
+                // least 1: a bound of 0 grows the same one-node tree as 1
+                // and would otherwise retry at 0 forever.
                 let retry = failed.capped
                     && cfg.adaptive_x_max
                     && cfg.x_max.is_some_and(|x| x < net.node_count());
                 if !retry {
                     return Err(failed.error);
                 }
-                cfg.x_max = cfg.x_max.map(|x| (x * 2).min(net.node_count()));
+                cfg.x_max = cfg.x_max.map(|x| (x.max(1) * 2).min(net.node_count()));
             }
         }
     }
@@ -542,6 +544,44 @@ fn sub_delay_us(model: &DelayModel, layer: &Layer, catalog: &VnfCatalog, sub: &L
     slowest
 }
 
+/// One layer's end-node memo: the expansion from each substrate node,
+/// filled on first use.
+type Memo = Vec<Option<StartMemo>>;
+
+/// A candidate child for the next sub-solution-tree level. A level is
+/// ranked and cut on these small records; only the survivors enter the
+/// tree.
+struct Candidate {
+    /// Tree index of the parent.
+    parent: usize,
+    /// Where the layer sub-solution lives.
+    sub: SubHandle,
+    /// The sub-solution's end node.
+    end_node: NodeId,
+    /// The parent's accumulated cost plus the sub-solution's.
+    cum_cost: f64,
+    /// Accumulated layer delay (0 without a delay constraint).
+    delay: f64,
+    /// Generation order within the level; breaks `cum_cost` ties.
+    seq: usize,
+}
+
+/// Keeps the `width` cheapest candidates by (`cum_cost`, generation
+/// order), sorted in that order — what a stable sort of the whole level
+/// by `cum_cost` followed by a truncation leaves — and returns how many
+/// it dropped.
+fn cut_level(cands: &mut Vec<Candidate>, width: usize) -> usize {
+    let rank =
+        |a: &Candidate, b: &Candidate| a.cum_cost.total_cmp(&b.cum_cost).then(a.seq.cmp(&b.seq));
+    let dropped = cands.len().saturating_sub(width);
+    if dropped > 0 {
+        cands.select_nth_unstable_by(width, rank);
+        cands.truncate(width);
+    }
+    cands.sort_unstable_by(rank);
+    dropped
+}
+
 /// A search attempt that found no embedding.
 struct Failed {
     error: SolveError,
@@ -565,6 +605,9 @@ fn attempt<I: Instrument>(
     let mut tree = SubTree::new(flow.src);
     let mut level: Vec<usize> = vec![0];
     let mut explored = 0usize;
+    // The root plus every candidate that reached a level before its
+    // width cap.
+    let mut kept = 1usize;
     let substrate_n = net.node_count();
     let dc = cfg.delay_constraint.as_ref();
     // Accumulated layer delays per sub-solution-tree node, indexed like
@@ -572,6 +615,9 @@ fn attempt<I: Instrument>(
     // constraint; drives early pruning and the LARAC final-path repair.
     let mut node_delay: Vec<f64> = vec![0.0];
     let mut capped = false;
+    // Every layer's end-node memo, kept until the attempt returns: tree
+    // nodes hold handles into them (see `SubHandle`).
+    let mut memos: Vec<Memo> = Vec::with_capacity(sfc.depth());
 
     for l in 0..sfc.depth() {
         // Per-layer wall clock only when a recording sink asks for it.
@@ -581,20 +627,20 @@ fn attempt<I: Instrument>(
             None
         };
         let layer = super::layering::layer(sfc, l);
-        let mut next_level: Vec<usize> = Vec::new();
+        let mut cands: Vec<Candidate> = Vec::new();
         // Cheapest accumulated delay among this layer's delay-pruned
         // nodes — evidence for classifying an empty level as a deadline
         // (not capacity) failure.
         let mut layer_delay_pruned: Option<f64> = None;
         // End-node memo, fresh per layer (expansions depend on the layer).
-        let mut memo: Vec<Option<StartMemo>> =
-            std::iter::repeat_with(|| None).take(substrate_n).collect();
+        let mut memo: Memo = std::iter::repeat_with(|| None).take(substrate_n).collect();
         for &parent in &level {
             ins.nodes_expanded(1);
-            let start_node = tree.node(parent).end_node;
-            let slot = &mut memo[start_node.index()];
+            let node = tree.node(parent);
+            let start = node.end_node;
+            let slot = &mut memo[start.index()];
             if slot.is_none() {
-                *slot = Some(expand_start(&ctx, layer, start_node, cfg, &catalog));
+                *slot = Some(expand_start(&ctx, layer, start, cfg, &catalog));
             }
             // lint:allow(expect) — invariant: filled just above
             let m = slot.as_ref().expect("memo slot filled");
@@ -607,26 +653,35 @@ fn attempt<I: Instrument>(
             ins.candidates_generated(m.generated);
             ins.candidates_pruned(m.pruned);
             explored += m.explored;
-            for sub in &m.subs {
-                let Some(dc) = dc else {
-                    next_level.push(tree.insert(parent, sub.clone()));
-                    continue;
-                };
-                let d = node_delay[parent] + sub_delay_us(&dc.model, layer, &catalog, sub);
-                if cfg.early_delay_pruning && d > dc.max_delay_us + 1e-9 {
-                    // Already over budget with layers still to embed and
-                    // the final path unpaid: no completion can recover.
-                    ins.candidates_delay_rejected(1);
-                    layer_delay_pruned = Some(layer_delay_pruned.map_or(d, |b: f64| b.min(d)));
-                    continue;
+            for (index, sub) in m.subs.iter().enumerate() {
+                let mut delay = 0.0;
+                if let Some(dc) = dc {
+                    delay = node_delay[parent] + sub_delay_us(&dc.model, layer, &catalog, sub);
+                    if cfg.early_delay_pruning && delay > dc.max_delay_us + 1e-9 {
+                        // Already over budget with layers still to embed
+                        // and the final path unpaid: no completion can
+                        // recover.
+                        ins.candidates_delay_rejected(1);
+                        layer_delay_pruned =
+                            Some(layer_delay_pruned.map_or(delay, |b: f64| b.min(delay)));
+                        continue;
+                    }
                 }
-                let idx = tree.insert(parent, sub.clone());
-                debug_assert_eq!(idx, node_delay.len());
-                node_delay.push(d);
-                next_level.push(idx);
+                cands.push(Candidate {
+                    parent,
+                    sub: SubHandle {
+                        layer: l as u32,
+                        start,
+                        index: index as u32,
+                    },
+                    end_node: sub.end_node,
+                    cum_cost: node.cum_cost + sub.cost.total(),
+                    delay,
+                    seq: cands.len(),
+                });
             }
         }
-        if next_level.is_empty() {
+        if cands.is_empty() {
             let (h, m) = ctx.cache_counts();
             ins.cache(h, m);
             // A level emptied by delay pruning is a deadline failure:
@@ -639,13 +694,22 @@ fn attempt<I: Instrument>(
             let error = SolveError::NoFeasibleEmbedding { solver, reason };
             return Err(Failed { error, capped });
         }
-        // Global level cap: keep the cheapest prefixes.
-        next_level.sort_by(|&a, &b| tree.node(a).cum_cost.total_cmp(&tree.node(b).cum_cost));
-        if next_level.len() > cfg.max_level_width {
-            ins.candidates_pruned(next_level.len() - cfg.max_level_width);
-            next_level.truncate(cfg.max_level_width);
+        kept += cands.len();
+        // Global level cap: only the cheapest prefixes enter the tree.
+        let dropped = cut_level(&mut cands, cfg.max_level_width);
+        if dropped > 0 {
+            ins.candidates_pruned(dropped);
         }
-        level = next_level;
+        level.clear();
+        for c in &cands {
+            let idx = tree.insert(c.parent, c.sub, c.cum_cost, c.end_node);
+            if dc.is_some() {
+                debug_assert_eq!(idx, node_delay.len());
+                node_delay.push(c.delay);
+            }
+            level.push(idx);
+        }
+        memos.push(memo);
         if let Some(t) = layer_start {
             ins.layer_wall(t.elapsed());
         }
@@ -692,7 +756,6 @@ fn attempt<I: Instrument>(
         }
     }
     finals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let kept = tree.len();
     let (h, m) = ctx.cache_counts();
     ins.cache(h, m);
     // Cheapest end-to-end delay among deadline-rejected candidates, and
@@ -714,8 +777,8 @@ fn attempt<I: Instrument>(
                 }
             }
         };
-        let embedding =
-            assemble(sfc, &tree, leaf, final_path).map_err(|error| Failed { error, capped })?;
+        let embedding = assemble(sfc, &tree, &memos, leaf, final_path)
+            .map_err(|error| Failed { error, capped })?;
         if let Some(dc) = dc {
             let delay = dc.model.embedding_delay(sfc, &embedding, flow);
             if delay > dc.max_delay_us + 1e-9 {
@@ -759,8 +822,8 @@ fn attempt<I: Instrument>(
                 if repaired_delay > dc.max_delay_us + 1e-9 {
                     continue;
                 }
-                let embedding =
-                    assemble(sfc, &tree, leaf, p).map_err(|error| Failed { error, capped })?;
+                let embedding = assemble(sfc, &tree, &memos, leaf, p)
+                    .map_err(|error| Failed { error, capped })?;
                 if crate::validate::validate(net, sfc, flow, &embedding).is_ok() {
                     return Ok((embedding, explored, kept));
                 }
@@ -779,10 +842,12 @@ fn attempt<I: Instrument>(
     Err(Failed { error, capped })
 }
 
-/// Reconstructs the [`Embedding`] from a sub-solution-tree leaf.
+/// Reconstructs the [`Embedding`] from a sub-solution-tree leaf: the only
+/// place layer sub-solutions are copied out of the memos.
 fn assemble(
     sfc: &DagSfc,
     tree: &SubTree,
+    memos: &[Memo],
     leaf: usize,
     final_path: Path,
 ) -> Result<Embedding, SolveError> {
@@ -790,7 +855,10 @@ fn assemble(
     debug_assert_eq!(lineage.len(), sfc.depth());
     let mut assignments = Vec::with_capacity(sfc.depth());
     let mut paths = Vec::new();
-    for sub in &lineage {
+    for handle in lineage {
+        let memo = memos[handle.layer as usize][handle.start.index()].as_ref();
+        // lint:allow(expect) — invariant: handles are made from filled memos
+        let sub = &memo.expect("handle names a filled memo").subs[handle.index as usize];
         assignments.push(sub.assignment.clone());
         paths.extend(sub.inter_paths.iter().cloned());
         paths.extend(sub.inner_paths.iter().cloned());
@@ -803,6 +871,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::chain::Layer;
+    use crate::solvers::SolverStats;
     use crate::validate::validate;
     use crate::vnf::VnfCatalog;
     use dagsfc_net::Network;
@@ -1099,6 +1168,183 @@ mod tests {
         );
         assert_eq!(out.embedding, again.embedding);
         assert!(again.stats.cache_hit_rate() > 0.0);
+    }
+
+    /// The level cut (selection, then a sort of the survivors) leaves
+    /// exactly what a stable sort of the whole level by `cum_cost` and a
+    /// truncation leave, at every width, on levels full of ties.
+    #[test]
+    fn cut_level_matches_stable_sort_and_truncate() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in 0..40usize {
+            let costs: Vec<f64> = (0..len).map(|_| f64::from(rng.gen_range(0..4u8))).collect();
+            for width in 0..=len + 1 {
+                let mut cands: Vec<Candidate> = costs
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &cum_cost)| Candidate {
+                        parent: 0,
+                        sub: SubHandle {
+                            layer: 0,
+                            start: NodeId(0),
+                            index: seq as u32,
+                        },
+                        end_node: NodeId(0),
+                        cum_cost,
+                        delay: 0.0,
+                        seq,
+                    })
+                    .collect();
+                let dropped = cut_level(&mut cands, width);
+                let mut reference: Vec<usize> = (0..len).collect();
+                reference.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
+                reference.truncate(width);
+                assert_eq!(
+                    dropped,
+                    len.saturating_sub(width),
+                    "len {len} width {width}"
+                );
+                let kept: Vec<usize> = cands.iter().map(|c| c.seq).collect();
+                assert_eq!(kept, reference, "len {len} width {width}");
+            }
+        }
+    }
+
+    /// Three f0 hosts one link (price 1) from the source, all renting at
+    /// 1: their layer sub-solutions tie at 2. Only the final paths
+    /// differ — v1 → v4 costs 3, v2 → v4 costs 2, v3 → v4 costs 1.
+    fn tied_net() -> Network {
+        let mut g = Network::new();
+        g.add_nodes(5);
+        for (host, final_price) in [(1, 3.0), (2, 2.0), (3, 1.0)] {
+            g.add_link(NodeId(0), NodeId(host), 1.0, 10.0).unwrap();
+            g.add_link(NodeId(host), NodeId(4), final_price, 10.0)
+                .unwrap();
+            g.deploy_vnf(NodeId(host), VnfTypeId(0), 1.0, 10.0).unwrap();
+        }
+        g
+    }
+
+    /// Tied candidates leave the level cut in generation order (host id
+    /// order here): a width-`w` level keeps v1..=vw, and the cheapest
+    /// completion among those wins.
+    #[test]
+    fn level_cut_keeps_tied_candidates_in_generation_order() {
+        let g = tied_net();
+        let sfc = DagSfc::sequential(&[VnfTypeId(0)], catalog()).unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(4));
+        for (width, host, total) in [(1, 1, 5.0), (2, 2, 4.0), (3, 3, 3.0), (2048, 3, 3.0)] {
+            let solver = BbeSolver {
+                config: BbeConfig {
+                    max_level_width: width,
+                    ..BbeConfig::default()
+                },
+            };
+            let out = solver.solve(&g, &sfc, &flow).unwrap();
+            assert_eq!(out.embedding.node_of(0, 0), NodeId(host), "width {width}");
+            assert!((out.cost.total() - total).abs() < 1e-9, "width {width}");
+            // The root plus all three candidates count as kept; the cut
+            // prunes the rest.
+            assert_eq!(out.stats.kept, 4, "width {width}");
+            assert_eq!(out.stats.candidates_pruned, 3 - width.min(3));
+        }
+    }
+
+    /// The two-layer chain used by the width tests: a parallel layer
+    /// (f0 ‖ f1, merged) then f2.
+    fn two_layer_chain() -> DagSfc {
+        DagSfc::new(
+            vec![
+                Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]),
+                Layer::new(vec![VnfTypeId(2)]),
+            ],
+            catalog(),
+        )
+        .unwrap()
+    }
+
+    /// Width 0 empties the first level: the second layer has no parent to
+    /// expand, and the solve fails instead of panicking.
+    #[test]
+    fn zero_level_width_fails_at_the_next_layer() {
+        let g = net();
+        let flow = Flow::unit(NodeId(0), NodeId(5));
+        for config in [BbeConfig::default(), BbeConfig::mbbe()] {
+            let solver = BbeSolver {
+                config: BbeConfig {
+                    max_level_width: 0,
+                    ..config
+                },
+            };
+            let err = solver.solve(&g, &two_layer_chain(), &flow).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "BBE: no feasible embedding found (layer 1 produced no feasible sub-solution)"
+            );
+        }
+    }
+
+    /// Width 1 keeps one lineage: the cheapest first-layer candidate, then
+    /// the cheapest extension of it (values as recorded before the level
+    /// was ranked ahead of tree insertion).
+    #[test]
+    fn unit_level_width_keeps_one_lineage() {
+        let g = net();
+        let flow = Flow::unit(NodeId(0), NodeId(5));
+        for (config, counters) in [
+            (BbeConfig::default(), (7, 4, 6)),
+            (BbeConfig::mbbe(), (6, 3, 5)),
+        ] {
+            let solver = BbeSolver {
+                config: BbeConfig {
+                    max_level_width: 1,
+                    ..config
+                },
+            };
+            let out = solver.solve(&g, &two_layer_chain(), &flow).unwrap();
+            validate(&g, &two_layer_chain(), &flow, &out.embedding).unwrap();
+            let slots = |nodes: &[u32]| nodes.iter().map(|&n| NodeId(n)).collect::<Vec<_>>();
+            assert_eq!(
+                out.embedding.assignments(),
+                &[slots(&[1, 2, 2]), slots(&[3])]
+            );
+            assert!((out.cost.total() - 11.5).abs() < 1e-9, "{}", out.cost);
+            let s = &out.stats;
+            assert_eq!((s.kept, s.candidates_pruned, s.explored), counters);
+        }
+    }
+
+    /// `X_max = 0` grows the same capped one-node first tree as
+    /// `X_max = 1`, so the adaptive retry must climb from it exactly as
+    /// from 1 — and return. Solved on a thread so a retry loop that never
+    /// ends fails the test instead of hanging it.
+    #[test]
+    fn zero_x_max_retries_like_one() {
+        let g = net();
+        let sfc = DagSfc::sequential(&[VnfTypeId(2)], catalog()).unwrap(); // f2 only on v3
+        let flow = Flow::unit(NodeId(5), NodeId(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (g0, sfc0) = (g.clone(), sfc.clone());
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(MbbeSolver::with_limits(0, 4).solve(&g0, &sfc0, &flow));
+        });
+        let zero = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("MBBE with X_max = 0 did not return")
+            .unwrap();
+        worker.join().expect("solver thread panicked");
+        let one = MbbeSolver::with_limits(1, 4)
+            .solve(&g, &sfc, &flow)
+            .unwrap();
+        assert_eq!(zero.embedding, one.embedding);
+        assert_eq!(zero.cost.total().to_bits(), one.cost.total().to_bits());
+        let timeless = |s: &SolverStats| SolverStats {
+            elapsed: std::time::Duration::ZERO,
+            layer_wall: Vec::new(),
+            ..s.clone()
+        };
+        assert_eq!(timeless(&zero.stats), timeless(&one.stats));
     }
 }
 

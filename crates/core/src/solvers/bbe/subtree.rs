@@ -1,24 +1,39 @@
 //! The sub-solution tree (paper §4.4.2).
 //!
 //! Sub-solutions of layer `l` are stored as children of the layer-`(l-1)`
-//! sub-solution their FST was grown from. Every link is bi-directed: the
-//! down links drive generation and traversal, the up (parent) links let a
-//! complete solution be reconstructed from a leaf without re-walking the
-//! tree from the root — exactly the paper's rationale.
+//! sub-solution their FST was grown from. Each node keeps an up (parent)
+//! link, so a complete solution is reconstructed from a leaf without
+//! re-walking the tree from the root — exactly the paper's rationale.
+//! Generation walks the previous level, not the tree, so no down links
+//! are stored.
+//!
+//! A node does not own its layer sub-solution: it holds a [`SubHandle`]
+//! into the memoized layer expansion that produced it, which outlives
+//! the tree for the whole search attempt. Only the winning lineage is
+//! ever materialized.
 
-use super::candidates::LayerSub;
 use dagsfc_net::NodeId;
+
+/// Where a tree node's layer sub-solution lives: entry `index` of the
+/// sub-solutions that layer `layer` expanded from `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SubHandle {
+    /// The SFC layer the sub-solution embeds.
+    pub layer: u32,
+    /// The layer's start node (the parent's end node).
+    pub start: NodeId,
+    /// Position in that expansion's cheapest-first sub-solution list.
+    pub index: u32,
+}
 
 /// A node of the sub-solution tree.
 #[derive(Debug, Clone)]
 pub(crate) struct SubNode {
     /// Up link to the previous layer's sub-solution.
     pub parent: Option<usize>,
-    /// Down links to the next layer's sub-solutions.
-    pub children: Vec<usize>,
     /// The embedded layer; `None` only for the root (the 0th layer of the
     /// paper's tree, storing the source node "without any cost").
-    pub sub: Option<LayerSub>,
+    pub sub: Option<SubHandle>,
     /// Cost accumulated from the root through this node.
     pub cum_cost: f64,
     /// This sub-solution's end node (the next layer's start).
@@ -37,7 +52,6 @@ impl SubTree {
         SubTree {
             nodes: vec![SubNode {
                 parent: None,
-                children: Vec::new(),
                 sub: None,
                 cum_cost: 0.0,
                 end_node: source,
@@ -46,18 +60,22 @@ impl SubTree {
     }
 
     /// Inserts a sub-solution as a child of `parent`, returning its index.
-    pub fn insert(&mut self, parent: usize, sub: LayerSub) -> usize {
+    /// `cum_cost` is the parent's accumulated cost plus the
+    /// sub-solution's own (the caller ranks on it before inserting).
+    pub fn insert(
+        &mut self,
+        parent: usize,
+        sub: SubHandle,
+        cum_cost: f64,
+        end_node: NodeId,
+    ) -> usize {
         let idx = self.nodes.len();
-        let cum_cost = self.nodes[parent].cum_cost + sub.cost.total();
-        let end_node = sub.end_node;
         self.nodes.push(SubNode {
             parent: Some(parent),
-            children: Vec::new(),
             sub: Some(sub),
             cum_cost,
             end_node,
         });
-        self.nodes[parent].children.push(idx);
         idx
     }
 
@@ -67,19 +85,13 @@ impl SubTree {
         &self.nodes[idx]
     }
 
-    /// Number of stored nodes (root included).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Walks the up links from `leaf` to the root, returning the layer
-    /// sub-solutions in layer order (root's child first).
-    pub fn lineage(&self, leaf: usize) -> Vec<&LayerSub> {
+    /// sub-solution handles in layer order (root's child first).
+    pub fn lineage(&self, leaf: usize) -> Vec<SubHandle> {
         let mut out = Vec::new();
         let mut cur = Some(leaf);
         while let Some(i) = cur {
-            if let Some(sub) = &self.nodes[i].sub {
+            if let Some(sub) = self.nodes[i].sub {
                 out.push(sub);
             }
             cur = self.nodes[i].parent;
@@ -92,26 +104,18 @@ impl SubTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostBreakdown;
-    use dagsfc_net::Path;
 
-    fn sub(end: u32, cost: f64) -> LayerSub {
-        LayerSub {
-            assignment: vec![NodeId(end)],
-            inter_paths: vec![Path::trivial(NodeId(end))],
-            inner_paths: Vec::new(),
-            cost: CostBreakdown {
-                vnf: cost,
-                link: 0.0,
-            },
-            end_node: NodeId(end),
+    fn handle(layer: u32, index: u32) -> SubHandle {
+        SubHandle {
+            layer,
+            start: NodeId(layer),
+            index,
         }
     }
 
     #[test]
     fn root_is_free_source() {
         let t = SubTree::new(NodeId(7));
-        assert_eq!(t.len(), 1);
         assert_eq!(t.node(0).end_node, NodeId(7));
         assert_eq!(t.node(0).cum_cost, 0.0);
         assert!(t.node(0).sub.is_none());
@@ -119,27 +123,23 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_costs_accumulate_down_the_tree() {
+    fn inserted_nodes_link_up_to_their_parent() {
         let mut t = SubTree::new(NodeId(0));
-        let a = t.insert(0, sub(1, 2.0));
-        let b = t.insert(a, sub(2, 3.0));
-        let c = t.insert(a, sub(3, 1.0));
-        assert_eq!(t.node(a).cum_cost, 2.0);
-        assert_eq!(t.node(b).cum_cost, 5.0);
-        assert_eq!(t.node(c).cum_cost, 3.0);
-        assert_eq!(t.node(0).children, vec![a]);
-        assert_eq!(t.node(a).children, vec![b, c]);
+        let a = t.insert(0, handle(0, 0), 2.0, NodeId(1));
+        let b = t.insert(a, handle(1, 0), 5.0, NodeId(2));
+        let c = t.insert(a, handle(1, 1), 3.0, NodeId(3));
+        assert_eq!((a, b, c), (1, 2, 3));
         assert_eq!(t.node(b).parent, Some(a));
+        assert_eq!(t.node(c).parent, Some(a));
+        assert_eq!(t.node(c).cum_cost, 3.0);
+        assert_eq!(t.node(c).end_node, NodeId(3));
     }
 
     #[test]
     fn lineage_orders_root_first() {
         let mut t = SubTree::new(NodeId(0));
-        let a = t.insert(0, sub(1, 2.0));
-        let b = t.insert(a, sub(2, 3.0));
-        let line = t.lineage(b);
-        assert_eq!(line.len(), 2);
-        assert_eq!(line[0].end_node, NodeId(1));
-        assert_eq!(line[1].end_node, NodeId(2));
+        let a = t.insert(0, handle(0, 4), 2.0, NodeId(1));
+        let b = t.insert(a, handle(1, 2), 5.0, NodeId(2));
+        assert_eq!(t.lineage(b), vec![handle(0, 4), handle(1, 2)]);
     }
 }

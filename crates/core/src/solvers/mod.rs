@@ -30,7 +30,7 @@ use crate::delay::DelayModel;
 use crate::embedding::Embedding;
 use crate::error::{deadline_infeasible_reason, rule_infeasible_reason, SolveError};
 use crate::flow::{Flow, PlacementRules};
-use dagsfc_net::{Network, CAP_EPS};
+use dagsfc_net::Network;
 use dagsfc_net::{NodeId, Path, PathOracle};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -392,12 +392,6 @@ pub(crate) fn oracle_min_cost_path(
         *misses += 1;
     }
     tree.path_to(to)
-}
-
-/// Static-capacity admission used by every oracle-backed solver.
-#[allow(dead_code)]
-pub(crate) fn link_admits(net: &Network, link: dagsfc_net::LinkId, rate: f64) -> bool {
-    net.link(link).capacity + CAP_EPS >= rate
 }
 
 /// A successful embedding with its cost and statistics.

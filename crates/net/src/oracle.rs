@@ -16,10 +16,11 @@
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
 //! reserve bandwidth as they go) cannot share trees across concurrent
 //! solves: each solve owns a private [`NetworkState`]. For those, an
-//! [`OracleSession`] provides a per-solve cache with explicit
-//! residual-capacity-aware invalidation — the caller invalidates after
-//! every reservation that changed the residuals, and hit/miss traffic
-//! still rolls up into the shared oracle's counters.
+//! [`OracleSession`] runs one target-bounded Dijkstra per query in
+//! session-owned search buffers. Nothing is cached: nearly every query
+//! follows a reservation that changed the residuals, so a tree would
+//! almost never be asked twice. Each search still counts as a miss in
+//! the shared oracle's counters.
 //!
 //! [`NetworkState`]: crate::state::NetworkState
 
@@ -29,7 +30,7 @@ use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::routing::csp::{larac_core, ConstrainedPath};
-use crate::routing::{ArcWeight, LinkFilter, RoutingScratch, ShortestPathTree};
+use crate::routing::{min_cost_path_in, ArcWeight, LinkFilter, RoutingScratch, ShortestPathTree};
 use crate::state::CAP_EPS;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +53,7 @@ pub struct OracleStats {
     pub misses: u64,
     /// Trees dropped by the LRU bound.
     pub evictions: u64,
-    /// Explicit invalidations (global flushes and session flushes).
+    /// Explicit whole-cache flushes (invalidations and fault toggles).
     pub invalidations: u64,
 }
 
@@ -406,18 +407,8 @@ impl<'n> PathOracle<'n> {
     pub fn session(&self) -> OracleSession<'_, 'n> {
         OracleSession {
             oracle: self,
-            cache: FxHashMap::default(),
             scratch: RoutingScratch::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn record_session(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            searches: 0,
         }
     }
 }
@@ -446,82 +437,46 @@ fn threshold_in(net: &Network, memo: &mut FxHashMap<u64, f64>, rate: f64) -> f64
     threshold
 }
 
-/// A private, residual-capacity-aware tree cache for one solve.
+/// Residual-capacity routing for one solve.
 ///
-/// Residual-filtered trees depend on the solve's own [`NetworkState`]
+/// Residual-filtered paths depend on the solve's own [`NetworkState`]
 /// and on caller context (e.g. which links a multicast group already
-/// owns), so they must never be shared across solves. A session caches
-/// them keyed by `(source, context)`; the caller **must** call
-/// [`OracleSession::invalidate`] after any reservation that changed the
-/// residual capacities — every cached tree may be stale after that.
-/// Hits and misses also accumulate in the parent oracle's counters.
+/// owns), so they are never shared across solves. Each query runs a
+/// Dijkstra that stops once its target is settled, in buffers the
+/// session reuses for the whole solve. The path is the one a full tree
+/// from `from` would give: a settled node's predecessor never changes.
+/// Every non-trivial query counts once in the parent oracle's misses.
 ///
 /// [`NetworkState`]: crate::state::NetworkState
 pub struct OracleSession<'o, 'n> {
     oracle: &'o PathOracle<'n>,
-    cache: FxHashMap<(NodeId, u64), Arc<ShortestPathTree>>,
-    /// Session-owned search buffers, reused by every tree build of the
+    /// Session-owned search buffers, reused by every search of the
     /// solve (see [`RoutingScratch`]).
     scratch: RoutingScratch,
-    hits: u64,
-    misses: u64,
+    searches: u64,
 }
 
 impl OracleSession<'_, '_> {
     /// Cheapest path `from → to` under a caller-supplied filter
     /// (typically residual capacity plus shared multicast links).
-    /// `context` must distinguish filters with different semantics
-    /// (e.g. the multicast group index); trees cached under one context
-    /// are reused only for that context.
     pub fn min_cost_path_with<F: LinkFilter>(
         &mut self,
         from: NodeId,
         to: NodeId,
-        context: u64,
         filter: &F,
     ) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
         }
-        let key = (from, context);
-        if let Some(tree) = self.cache.get(&key) {
-            self.hits += 1;
-            self.oracle.record_session(true);
-            return tree.path_to(to);
-        }
-        let tree = Arc::new(ShortestPathTree::build_in(
-            self.oracle.net,
-            from,
-            filter,
-            None,
-            &mut self.scratch,
-        ));
-        let path = tree.path_to(to);
-        self.cache.insert(key, tree);
-        self.misses += 1;
-        self.oracle.record_session(false);
-        path
+        self.searches += 1;
+        self.oracle.misses.fetch_add(1, Ordering::Relaxed);
+        min_cost_path_in(self.oracle.net, from, to, filter, &mut self.scratch)
     }
 
-    /// Drops every cached tree — call after reserving capacity, which
-    /// makes residual-filtered trees stale.
-    pub fn invalidate(&mut self) {
-        if !self.cache.is_empty() {
-            self.cache.clear();
-        }
-        self.oracle.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Session-local cache hits.
+    /// Searches this session ran (trivial queries excluded).
     #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Session-local cache misses.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.misses
+    pub fn searches(&self) -> u64 {
+        self.searches
     }
 }
 
@@ -637,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn session_invalidation_tracks_residual_updates() {
+    fn session_paths_track_residual_updates() {
         let g = diamond();
         let oracle = PathOracle::new(&g);
         let mut state = NetworkState::new(&g);
@@ -645,43 +600,77 @@ mod tests {
 
         let filter = |l: LinkId| state.link_fits(l, 0.8);
         let p1 = session
-            .min_cost_path_with(NodeId(0), NodeId(3), 0, &filter)
+            .min_cost_path_with(NodeId(0), NodeId(3), &filter)
             .unwrap();
         assert_eq!(p1.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
-        // Cached: the same query hits.
-        let _ = session.min_cost_path_with(NodeId(0), NodeId(3), 0, &filter);
-        assert_eq!(session.hits(), 1);
 
-        // Reserve the cheap 2-3 link to saturation, then invalidate: the
-        // refreshed tree must route around it.
+        // Reserve the cheap 2-3 link to saturation: the next search sees
+        // the new residuals and routes around it.
         state.reserve_link(LinkId(3), 1.0).unwrap();
-        session.invalidate();
         let filter = |l: LinkId| state.link_fits(l, 0.8);
         let p2 = session
-            .min_cost_path_with(NodeId(0), NodeId(3), 0, &filter)
+            .min_cost_path_with(NodeId(0), NodeId(3), &filter)
             .unwrap();
         assert_eq!(p2.nodes(), &[NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
-        assert_eq!(session.misses(), 2);
-        // Session traffic rolls up into the shared counters.
+        // Trivial queries run no search.
+        let p3 = session.min_cost_path_with(NodeId(1), NodeId(1), &filter);
+        assert!(p3.unwrap().is_empty());
+        assert_eq!(session.searches(), 2);
+        // Every search rolls up into the shared counters as a miss.
         let s = oracle.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
+        assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 0));
     }
 
     #[test]
-    fn session_contexts_are_isolated() {
+    fn session_filters_are_independent() {
         let g = diamond();
         let oracle = PathOracle::new(&g);
         let mut session = oracle.session();
         let all = |_l: LinkId| true;
         let none = |_l: LinkId| false;
         assert!(session
-            .min_cost_path_with(NodeId(0), NodeId(3), 1, &all)
+            .min_cost_path_with(NodeId(0), NodeId(3), &all)
             .is_some());
-        // Different context: the permissive tree must not be reused.
+        // Another filter from the same source runs its own search.
         assert!(session
-            .min_cost_path_with(NodeId(0), NodeId(3), 2, &none)
+            .min_cost_path_with(NodeId(0), NodeId(3), &none)
             .is_none());
-        assert_eq!(session.misses(), 2);
+        assert_eq!(session.searches(), 2);
+    }
+
+    /// The target-bounded session search returns exactly the path the
+    /// full tree from the same source gives, for every node pair, under
+    /// a residual filter that blocks part of the network.
+    #[test]
+    fn session_paths_equal_full_tree_paths() {
+        let g = graded();
+        let oracle = PathOracle::new(&g);
+        let mut state = NetworkState::new(&g);
+        // Links 0-1 and 4-5 are too thin for the rate; reserving 2-5
+        // leaves it too thin as well. That splits {0, 5} from the
+        // 1-2-3-4 cycle.
+        state.reserve_link(LinkId(7), 1.5).unwrap();
+        let filter = |l: LinkId| state.link_fits(l, 0.9);
+        let mut session = oracle.session();
+        let mut unreachable = 0;
+        for from in 0..g.node_count() as u32 {
+            let tree = ShortestPathTree::build(&g, NodeId(from), &filter, None);
+            for to in 0..g.node_count() as u32 {
+                let bounded = session.min_cost_path_with(NodeId(from), NodeId(to), &filter);
+                let full = if from == to {
+                    Some(Path::trivial(NodeId(from)))
+                } else {
+                    tree.path_to(NodeId(to))
+                };
+                unreachable += usize::from(full.is_none());
+                assert_eq!(
+                    bounded.as_ref().map(|p| (p.nodes(), p.links())),
+                    full.as_ref().map(|p| (p.nodes(), p.links())),
+                    "{from} -> {to}"
+                );
+            }
+        }
+        assert!(unreachable > 0, "the filter cut no pair apart");
     }
 
     /// Diamond with delays: 0-1 and 1-3 are fast (5 µs) but pricey,
