@@ -4,7 +4,7 @@
 //! objective matching the solver-reported cost to within 1e-9.
 
 use dagsfc_audit::ConstraintAuditor;
-use dagsfc_core::solvers::{by_name, SolveCtx};
+use dagsfc_core::solvers::{Algo, SolveCtx};
 use dagsfc_core::{DagSfc, Flow, Layer, VnfCatalog};
 use dagsfc_net::{generator, NetGenConfig, Network, NodeId, VnfTypeId};
 use rand::rngs::StdRng;
@@ -72,7 +72,7 @@ fn every_solver_survives_the_auditor_on_standard_topologies() {
         };
         for sfc in chains() {
             for name in solvers {
-                let solver = by_name(name, seed).expect("known solver name");
+                let solver = Algo::parse(name).expect("known solver name").build(seed);
                 let out = match solver.solve_in(&ctx, &sfc, &flow) {
                     Ok(out) => out,
                     // A saturated/unlucky instance may genuinely be
@@ -121,7 +121,7 @@ fn exact_solver_survives_the_auditor_on_small_instances() {
         c,
     )
     .unwrap();
-    let solver = by_name("exact", 0).expect("known solver name");
+    let solver = Algo::Exact.build(0);
     if let Ok(out) = solver.solve_in(&ctx, &sfc, &flow) {
         let report = auditor.audit_outcome(&net, &sfc, &flow, &out);
         assert!(report.is_clean(), "{}", report.summary());

@@ -12,10 +12,10 @@
 //! * **saturation** — embed requests on an undersized substrate with no
 //!   releases, so the ledger fills and the acceptance ratio decays:
 //!   sustained req/s, p50/p99 request latency, acceptance under
-//!   overload, and the high-water queue depth of every shard lane.
+//!   overload, and the high-water depth of the daemon's job queue.
 //! * **admission** — precheck-rejectable requests (rate far above any
 //!   link) against a 1-shard daemon, exercising only the front end's
-//!   one-lock-per-batch admission.
+//!   admission, which never touches the engine.
 //!
 //! `--compare <file>` re-measures and fails (exit code 2) when
 //! sustained or admission throughput regressed by more than
@@ -73,7 +73,9 @@ struct PhaseSample {
     /// phase; 0.0 by construction in the admission phase.
     acceptance_ratio: f64,
     latency: Latency,
-    /// High-water queue depth per shard lane, sampled during the run.
+    /// High-water depth of the daemon's job queue, sampled during the
+    /// run: one entry. (Profiles recorded while the daemon kept one
+    /// queue per shard hold one entry per shard.)
     peak_queue_depths: Vec<u64>,
 }
 
@@ -216,30 +218,25 @@ fn latency_of(mut samples: Vec<f64>) -> Latency {
     }
 }
 
-/// Runs one phase against a fresh `shards`-shard daemon, sampling
-/// per-shard queue depths from a side connection while the drivers run.
+/// Runs one phase against a fresh `shards`-shard daemon, sampling the
+/// job queue's depth from a side connection while the drivers run.
 fn run_phase(phase: &str, k: &Knobs, shots: &[Shot], shards: usize) -> PhaseSample {
     let connections = k.connections;
     let handle = spawn_daemon(k, shards);
     let addr = handle.addr();
     let done = AtomicBool::new(false);
-    let mut peak: Vec<u64> = Vec::new();
+    let mut peak = 0u64;
     let (wall_ms, accepted, latencies) = std::thread::scope(|scope| {
         let sampler = scope.spawn(|| {
             let mut probe = Client::connect(addr).expect("sampler connect"); // lint:allow(expect)
-            let mut peaks = vec![0u64; shards];
+            let mut peak = 0u64;
             while !done.load(Ordering::Relaxed) {
                 if let Ok(stats) = probe.stats() {
-                    for lane in &stats.per_shard {
-                        let s = lane.shard as usize;
-                        if s < peaks.len() {
-                            peaks[s] = peaks[s].max(lane.queue_depth);
-                        }
-                    }
+                    peak = peak.max(stats.queue_depth);
                 }
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
-            peaks
+            peak
         });
         let result = drive(addr, shots, connections);
         done.store(true, Ordering::Relaxed);
@@ -259,17 +256,16 @@ fn run_phase(phase: &str, k: &Knobs, shots: &[Shot], shards: usize) -> PhaseSamp
         rps: shots.len() as f64 / (wall_ms / 1e3).max(1e-9),
         acceptance_ratio: accepted as f64 / shots.len().max(1) as f64,
         latency: latency_of(latencies),
-        peak_queue_depths: peak,
+        peak_queue_depths: vec![peak],
     }
 }
 
 fn spawn_daemon(k: &Knobs, shards: usize) -> ServerHandle {
     let cfg = BatchConfig {
         shards,
-        workers_per_shard: 2,
         queue_capacity: 256,
         algo: Algo::Mbbe,
-        reclaim_on_disconnect: false,
+        ..BatchConfig::default()
     };
     // lint:allow(expect) — bench harness: abort loudly on a broken driver
     spawn_batched(instance_network(&k.sim), shards, cfg, "127.0.0.1:0").expect("spawn batched")

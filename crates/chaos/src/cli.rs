@@ -6,14 +6,14 @@
 //!                  [--seed S] [--chaos-seed C] [--nodes N --capacity C ...]
 //!                  [--link-failures 4] [--node-failures 2] [--churn 6]
 //!                  [--drop-every 5] [--slow-every 7] [--probes 2]
-//! dagsfc chaos run --scenario FILE [--workers 2] [--queue 64] [--verify]
+//! dagsfc chaos run --scenario FILE [--queue 64] [--verify]
 //! ```
 //!
 //! `run` spawns an in-process 1-shard daemon, replays the scenario
 //! through a real socket, and prints a one-line JSON summary as its
 //! **last** stdout line. The summary contains only deterministic
-//! fields, so two runs of the same scenario — at any worker counts —
-//! must print byte-identical summaries; CI diffs them.
+//! fields, so two runs of the same scenario must print byte-identical
+//! summaries; CI diffs them.
 
 use crate::plan::ChaosIntensity;
 use crate::replay::replay_chaos;
@@ -48,15 +48,39 @@ struct ChaosSummary {
 
 /// Entry point for `dagsfc chaos` / the chaos harness.
 pub fn chaos_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["verify"])?;
-    match flags.positional.first().map(String::as_str) {
-        Some("gen") => gen_main(&flags),
-        Some("run") => run_main(&flags),
+    match args.split_first() {
+        Some((op, rest)) if op == "gen" => gen_main(&Flags::parse(rest, &[], GEN_FLAGS)?),
+        Some((op, rest)) if op == "run" => {
+            run_main(&Flags::parse(rest, &["verify"], &["scenario", "queue"])?)
+        }
         other => Err(format!(
-            "chaos requires an operation (gen|run), got {other:?}"
+            "chaos requires an operation (gen|run), got {:?}",
+            other.map(|(op, _)| op)
         )),
     }
 }
+
+/// The valued flags `chaos gen` reads.
+const GEN_FLAGS: &[&str] = &[
+    "out",
+    "algo",
+    "nodes",
+    "kinds",
+    "sfc-size",
+    "seed",
+    "capacity",
+    "arrivals",
+    "mean-holding",
+    "link-failures",
+    "node-failures",
+    "churn",
+    "churn-min",
+    "churn-max",
+    "drop-every",
+    "slow-every",
+    "probes",
+    "chaos-seed",
+];
 
 fn gen_main(flags: &Flags) -> Result<(), String> {
     let out = flags
@@ -108,11 +132,9 @@ fn run_main(flags: &Flags) -> Result<(), String> {
         .ok_or("chaos run requires --scenario FILE".to_string())?;
     let scenario = load_scenario(&PathBuf::from(path)).map_err(|e| e.to_string())?;
     let cfg = BatchConfig {
-        shards: 1,
-        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
         queue_capacity: flags.usize_or("queue", 64)?,
         algo: scenario.trace.algo,
-        reclaim_on_disconnect: false,
+        ..BatchConfig::default()
     };
     let net = scenario.network();
     let handle = spawn_batched(net.clone(), 1, cfg, "127.0.0.1:0")

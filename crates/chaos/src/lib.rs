@@ -9,9 +9,9 @@
 //! via [`replay_chaos`] — go through the one lifecycle driver,
 //! [`dagsfc_sim::drive`], which fires the plan's faults and drops its
 //! releases; the daemon replay adds only the wire misbehavior. No
-//! further randomness is involved, so any two runs of one scenario, at
-//! any worker count, observe the same per-arrival fates, the same
-//! costs, and the same final ledger state.
+//! further randomness is involved, so any two runs of one scenario
+//! observe the same per-arrival fates, the same costs, and the same
+//! final ledger state.
 //!
 //! The harness's invariant mirrors the daemon's: **no uncertified
 //! embedding is ever served.** Every accepted commit is re-derived by

@@ -32,6 +32,7 @@ use crate::error::{deadline_infeasible_reason, rule_infeasible_reason, SolveErro
 use crate::flow::{Flow, PlacementRules};
 use dagsfc_net::Network;
 use dagsfc_net::{NodeId, Path, PathOracle};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -453,23 +454,84 @@ pub trait Solver {
     }
 }
 
-/// Builds a solver from its lowercase CLI/config name. RANV and GRASP
-/// take `seed`; deterministic solvers ignore it. Returns `None` for an
-/// unknown name.
-///
-/// Known names: `bbe`, `mbbe`, `mbbe-st`, `minv`, `ranv`, `exact`,
-/// `grasp`.
-pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn Solver>> {
-    Some(match name {
-        "bbe" => Box::new(BbeSolver::new()),
-        "mbbe" => Box::new(MbbeSolver::new()),
-        "mbbe-st" => Box::new(MbbeStSolver::new()),
-        "minv" => Box::new(MinvSolver::new()),
-        "ranv" => Box::new(RanvSolver::new(seed)),
-        "exact" => Box::new(ExactSolver::new()),
-        "grasp" => Box::new(grasp::GraspSolver::new(seed)),
-        _ => return None,
-    })
+/// The named solvers: the one table that maps a name to a solver, for
+/// the CLI, the wire protocol, traces and the simulator alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Algo {
+    /// Breadth-first Backtracking Embedding (paper §4.1–4.4).
+    Bbe,
+    /// Mini-path BBE (paper §4.5).
+    Mbbe,
+    /// MBBE with Steiner-tree inter-layer multicast (extension).
+    MbbeSt,
+    /// Random-assignment baseline (paper §5.1).
+    Ranv,
+    /// Cheapest-VNF greedy baseline (paper §5.1).
+    Minv,
+    /// GRASP metaheuristic (extension: randomized greedy + local search).
+    Grasp,
+    /// Exact branch and bound (small instances only).
+    Exact,
+}
+
+impl Algo {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [Algo; 7] = [
+        Algo::Bbe,
+        Algo::Mbbe,
+        Algo::MbbeSt,
+        Algo::Ranv,
+        Algo::Minv,
+        Algo::Grasp,
+        Algo::Exact,
+    ];
+
+    /// Display name matching the paper (and [`Solver::name`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            Algo::Bbe => "BBE",
+            Algo::Mbbe => "MBBE",
+            Algo::MbbeSt => "MBBE-ST",
+            Algo::Ranv => "RANV",
+            Algo::Minv => "MINV",
+            Algo::Grasp => "GRASP",
+            Algo::Exact => "EXACT",
+        }
+    }
+
+    /// Lowercase name used on the command line and the wire.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Algo::Bbe => "bbe",
+            Algo::Mbbe => "mbbe",
+            Algo::MbbeSt => "mbbe-st",
+            Algo::Ranv => "ranv",
+            Algo::Minv => "minv",
+            Algo::Grasp => "grasp",
+            Algo::Exact => "exact",
+        }
+    }
+
+    /// Parses a [`wire_name`](Algo::wire_name); `None` for an unknown
+    /// name.
+    pub fn parse(name: &str) -> Option<Algo> {
+        Algo::ALL.into_iter().find(|a| a.wire_name() == name)
+    }
+
+    /// Builds a solver instance for one run (`run_seed` feeds RANV's
+    /// and GRASP's random choices so runs stay reproducible;
+    /// deterministic solvers ignore it).
+    pub fn build(self, run_seed: u64) -> Box<dyn Solver> {
+        match self {
+            Algo::Bbe => Box::new(BbeSolver::new()),
+            Algo::Mbbe => Box::new(MbbeSolver::new()),
+            Algo::MbbeSt => Box::new(MbbeStSolver::new()),
+            Algo::Ranv => Box::new(RanvSolver::new(run_seed)),
+            Algo::Minv => Box::new(MinvSolver::new()),
+            Algo::Grasp => Box::new(GraspSolver::new(run_seed)),
+            Algo::Exact => Box::new(ExactSolver::new()),
+        }
+    }
 }
 
 /// Fast infeasibility screen shared by all solvers: the flow's numbers
@@ -580,10 +642,13 @@ mod tests {
             ("exact", "EXACT"),
             ("grasp", "GRASP"),
         ] {
-            let s = by_name(name, 7).unwrap_or_else(|| panic!("{name} missing"));
-            assert_eq!(s.name(), display);
+            let algo = Algo::parse(name).unwrap_or_else(|| panic!("{name} missing"));
+            assert_eq!(algo.wire_name(), name);
+            assert_eq!(algo.name(), display);
+            assert_eq!(algo.build(7).name(), display);
         }
-        assert!(by_name("quantum", 0).is_none());
+        assert_eq!(Algo::parse("quantum"), None);
+        assert_eq!(Algo::parse("MBBE"), None, "wire names are lowercase");
     }
 
     #[test]

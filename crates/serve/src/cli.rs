@@ -5,7 +5,6 @@
 
 use crate::batch::{self, BatchConfig};
 use crate::client::{Client, EmbedReply};
-use crate::protocol::parse_algo;
 use crate::replay::replay;
 use dagsfc_net::LeaseId;
 use dagsfc_sim::runner::instance_network;
@@ -16,23 +15,35 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// The serving subcommands' boolean flags.
-const SWITCHES: &[&str] = &["verify", "reclaim-on-disconnect"];
+/// The flags [`sim_config`] reads.
+const SIM_FLAGS: &[&str] = &[
+    "nodes",
+    "degree",
+    "kinds",
+    "sfc-size",
+    "seed",
+    "capacity",
+    "link-delay",
+    "delay-budget",
+    "affinity-rate",
+    "anti-affinity-rate",
+];
 
 /// Minimal `--key value` / positional argument parser.
 pub struct Flags {
     map: HashMap<String, String>,
-    /// Arguments that are not flags, in order (e.g. `client`'s
-    /// operation).
+    /// Arguments that are not flags, in order (e.g. `figures`' figure
+    /// id).
     pub positional: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `args`. The flags named in `switches` are boolean; every
-    /// other flag takes the next argument as its value, which must not
-    /// itself look like a flag — so a boolean flag the caller does not
-    /// list fails loudly instead of swallowing the flag after it.
-    pub fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
+    /// Parses `args` for a command that reads the boolean flags in
+    /// `switches` and the valued flags in `valued`. Any other flag is an
+    /// error naming it, so a typo or a retired flag fails loudly
+    /// instead of being ignored. A valued flag takes the next argument,
+    /// which must not itself look like a flag.
+    pub fn parse(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut it = args.iter();
@@ -44,6 +55,9 @@ impl Flags {
             if switches.contains(&key) {
                 map.insert(key.to_string(), "true".to_string());
                 continue;
+            }
+            if !valued.contains(&key) {
+                return Err(format!("unknown flag '--{key}'"));
             }
             let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             if value.starts_with("--") {
@@ -102,7 +116,7 @@ impl Flags {
     pub fn algo_or(&self, key: &str, default: Algo) -> Result<Algo, String> {
         match self.str(key) {
             None => Ok(default),
-            Some(v) => parse_algo(v).ok_or_else(|| format!("--{key}: unknown algorithm '{v}'")),
+            Some(v) => Algo::parse(v).ok_or_else(|| format!("--{key}: unknown algorithm '{v}'")),
         }
     }
 
@@ -129,35 +143,37 @@ fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
     })
 }
 
-/// The daemon configuration the serving flags describe.
-fn batch_config(flags: &Flags) -> Result<BatchConfig, String> {
+/// The daemon configuration the serving flags describe, with `algo` as
+/// the default algorithm.
+fn batch_config(flags: &Flags, algo: Algo) -> Result<BatchConfig, String> {
     Ok(BatchConfig {
         shards: flags.usize_or("shards", 1)?.max(1),
-        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
         queue_capacity: flags.usize_or("queue", 64)?,
-        algo: flags.algo_or("algo", Algo::Mbbe)?,
+        algo,
         reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
+        ..BatchConfig::default()
     })
 }
 
 /// `dagsfc-serve` / `dagsfc serve`: run the daemon until a client sends
 /// `shutdown` (or the process is killed).
 ///
-/// `--shards N` partitions the substrate into N region shards;
-/// `--workers` sizes each shard's pool.
+/// `--shards N` partitions the substrate into N region shards; `--queue`
+/// bounds the job queue.
 ///
 /// ```text
-/// dagsfc-serve [--addr 127.0.0.1:4600] [--workers 2] [--queue 64] [--algo mbbe]
+/// dagsfc-serve [--addr 127.0.0.1:4600] [--queue 64] [--algo mbbe]
 ///              [--shards 1] [--reclaim-on-disconnect]
 ///              [--network FILE | --nodes N --seed S --capacity C ...]
 /// ```
 pub fn daemon_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, SWITCHES)?;
+    let valued = [SIM_FLAGS, &["network", "addr", "shards", "queue", "algo"]].concat();
+    let flags = Flags::parse(args, &["reclaim-on-disconnect"], &valued)?;
     let net = match flags.str("network") {
         Some(path) => sim_io::load_network(&PathBuf::from(path)).map_err(|e| e.to_string())?,
         None => instance_network(&sim_config(&flags)?),
     };
-    let cfg = batch_config(&flags)?;
+    let cfg = batch_config(&flags, flags.algo_or("algo", Algo::Mbbe)?)?;
     let plan = dagsfc_shard::ShardPlan::partition(&net, cfg.shards).map_err(|e| e.to_string())?;
     let addr = flags.str("addr").unwrap_or("127.0.0.1:4600");
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -180,7 +196,8 @@ pub fn daemon_main(args: &[String]) -> Result<(), String> {
 ///              [--algo mbbe] [--nodes N --seed S --capacity C ...]
 /// ```
 pub fn trace_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, SWITCHES)?;
+    let valued = [SIM_FLAGS, &["out", "arrivals", "mean-holding", "algo"]].concat();
+    let flags = Flags::parse(args, &[], &valued)?;
     let out = flags
         .str("out")
         .ok_or("trace requires --out FILE".to_string())?;
@@ -213,17 +230,21 @@ pub fn trace_main(args: &[String]) -> Result<(), String> {
 /// dagsfc client shutdown --addr HOST:PORT
 /// ```
 pub fn client_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, SWITCHES)?;
-    let op = flags
-        .positional
-        .first()
-        .map(String::as_str)
+    let (op, rest) = args
+        .split_first()
         .ok_or("client requires an operation (ping|stats|embed|release|replay|shutdown)")?;
+    let valued: &[&str] = match op.as_str() {
+        "embed" => &["addr", "preset", "src", "dst", "algo", "seed", "max-width"],
+        "release" => &["addr", "lease"],
+        "replay" => &["addr", "trace"],
+        _ => &["addr"],
+    };
+    let flags = Flags::parse(rest, &[], valued)?;
     let addr = flags
         .str("addr")
         .ok_or("client requires --addr HOST:PORT".to_string())?;
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    match op {
+    match op.as_str() {
         "ping" => {
             client.ping().map_err(|e| e.to_string())?;
             println!("ok");
@@ -245,7 +266,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             );
             let algo = flags
                 .str("algo")
-                .map(|a| parse_algo(a).ok_or_else(|| format!("unknown algorithm '{a}'")));
+                .map(|a| Algo::parse(a).ok_or_else(|| format!("unknown algorithm '{a}'")));
             let algo = match algo {
                 Some(r) => Some(r?),
                 None => None,
@@ -311,19 +332,15 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
 /// exercise cross-shard stitching.
 ///
 /// ```text
-/// dagsfc replay --trace FILE [--workers 2] [--queue 64] [--shards 1] [--verify]
+/// dagsfc replay --trace FILE [--queue 64] [--shards 1] [--verify]
 /// ```
 pub fn replay_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, SWITCHES)?;
+    let flags = Flags::parse(args, &["verify"], &["trace", "queue", "shards"])?;
     let path = flags
         .str("trace")
         .ok_or("replay requires --trace FILE".to_string())?;
     let trace = sim_io::load_trace(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-    let cfg = BatchConfig {
-        algo: trace.algo,
-        reclaim_on_disconnect: false,
-        ..batch_config(&flags)?
-    };
+    let cfg = batch_config(&flags, trace.algo)?;
     let shards = cfg.shards;
     let handle = batch::spawn_batched(instance_network(&trace.base), shards, cfg, "127.0.0.1:0")
         .map_err(|e| format!("spawn server: {e}"))?;

@@ -3,7 +3,7 @@
 //! integration tests.
 
 use crate::protocol::{
-    algo_wire_name, fault_event_to_wire, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
+    fault_event_to_wire, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
 };
 use dagsfc_core::{DagSfc, Flow};
 use dagsfc_net::{FaultEvent, LeaseId};
@@ -230,7 +230,7 @@ impl Client {
             flow: Some(*flow),
             seed: Some(seed),
             max_width,
-            algo: algo.map(|a| algo_wire_name(a).to_string()),
+            algo: algo.map(|a| a.wire_name().to_string()),
             ..WireRequest::default()
         })?;
         Self::embed_reply(resp)
@@ -350,7 +350,7 @@ fn embed_request(sfc: &DagSfc, flow: &Flow, algo: Option<Algo>, seed: u64) -> Wi
         sfc: Some(sfc.clone()),
         flow: Some(*flow),
         seed: Some(seed),
-        algo: algo.map(|a| algo_wire_name(a).to_string()),
+        algo: algo.map(|a| a.wire_name().to_string()),
         ..WireRequest::default()
     }
 }

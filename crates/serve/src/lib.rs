@@ -1,19 +1,20 @@
 //! # dagsfc-serve — the embedding service daemon
 //!
-//! A long-lived, multi-threaded serving layer over the DAG-SFC solver
-//! stack: clients submit embedding requests over a JSON-lines TCP
-//! protocol, the daemon admits them against bounded per-shard queues
-//! and a shared path-oracle feasibility screen, solves and commits them
-//! through a [`ShardedEngine`](dagsfc_shard::ShardedEngine) (one shard
-//! unless configured otherwise), and releases the resources when the
-//! client says the flow departed.
+//! A long-lived serving layer over the DAG-SFC solver stack: clients
+//! submit embedding requests over a JSON-lines TCP protocol; one
+//! front-end thread admits them against a path-oracle feasibility
+//! screen and one bounded job queue; one engine thread solves and
+//! commits them, in request order, through a
+//! [`ShardedEngine`](dagsfc_shard::ShardedEngine) (one shard unless
+//! configured otherwise), and releases the resources when the client
+//! says the flow departed.
 //!
 //! The headline guarantee is **replay equivalence**: feeding a
 //! `sim`-frozen [`ReplayTrace`](dagsfc_sim::ReplayTrace) through the
 //! socket of a 1-shard daemon yields the same accepted set, acceptance
 //! ratio, and total cost as the in-process simulation under the same
-//! seed — bit for bit, for any worker-pool size. See `docs/SERVICE.md`
-//! for the protocol spec and the design notes behind that guarantee.
+//! seed — bit for bit. See `docs/SERVICE.md` for the protocol spec and
+//! the design notes behind that guarantee.
 //!
 //! ```no_run
 //! use dagsfc_serve::{spawn_batched, BatchConfig, Client};
@@ -44,8 +45,8 @@ pub mod server;
 pub use batch::{run_batched, spawn_batched, BatchConfig};
 pub use client::{Client, ClientError, EmbedReply};
 pub use protocol::{
-    algo_wire_name, fault_event_from_wire, fault_event_to_wire, parse_algo, AlgoLatency,
-    OracleCounters, ShardLane, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
+    algo_wire_name, fault_event_from_wire, fault_event_to_wire, AlgoLatency, OracleCounters,
+    ShardLane, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
 };
 pub use replay::replay;
 pub use server::ServerHandle;

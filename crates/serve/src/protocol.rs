@@ -25,8 +25,11 @@ use serde::{Deserialize, Serialize};
 /// (affinity / anti-affinity kind pairs) and `order` (precedence
 /// edges), and stats split out `rejected_rule`;
 /// 4 — stats no longer carry a solve-timeout count (no daemon
-/// enforces a solve budget).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// enforces a solve budget);
+/// 5 — one job queue: `per_shard` lanes no longer carry a
+/// `queue_depth`, `queue_depth` counts the daemon's single queue, and
+/// `stats` is answered in request order.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// A client → server command.
 ///
@@ -138,7 +141,7 @@ impl WireResponse {
 }
 
 /// Path-oracle counters, wire-shaped (mirrors
-/// `dagsfc_net::OracleStats`, which the daemon reads from its shared
+/// `dagsfc_net::OracleStats`, which the daemon reads from its
 /// admission oracle).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct OracleCounters {
@@ -194,15 +197,17 @@ pub struct StatsReport {
     pub active_leases: u64,
     /// Leases released over the daemon's lifetime.
     pub released: u64,
-    /// Embed jobs waiting in the bounded queue right now.
+    /// Jobs waiting in the job queue when this `stats` request was
+    /// admitted.
     pub queue_depth: u64,
-    /// The queue's capacity (admission rejects beyond it).
+    /// The queue's capacity (embeds, faults and reclaims are refused
+    /// beyond it; releases never are).
     pub queue_capacity: u64,
     /// The ledger's change epoch (commits + releases).
     pub epoch: u64,
     /// Committed-but-unreleased load across all resources.
     pub outstanding_load: f64,
-    /// Counters of the shared admission path-oracle.
+    /// Counters of the admission path-oracle.
     pub oracle: OracleCounters,
     /// Path-cache hits summed over every solver run.
     pub solver_cache_hits: u64,
@@ -237,8 +242,6 @@ pub struct StatsReport {
 pub struct ShardLane {
     /// Shard index.
     pub shard: u64,
-    /// Embed jobs waiting in this shard's queue right now.
-    pub queue_depth: u64,
     /// Sub-leases outstanding in this shard's ledger.
     pub active_leases: u64,
     /// Sub-leases released over the shard's lifetime.
@@ -329,31 +332,9 @@ pub fn fault_event_to_wire(event: &FaultEvent) -> WireRequest {
     req
 }
 
-/// Parses a lowercase algorithm name as used on the wire and the CLI.
-pub fn parse_algo(name: &str) -> Option<Algo> {
-    Some(match name {
-        "bbe" => Algo::Bbe,
-        "mbbe" => Algo::Mbbe,
-        "mbbe-st" => Algo::MbbeSt,
-        "ranv" => Algo::Ranv,
-        "minv" => Algo::Minv,
-        "grasp" => Algo::Grasp,
-        "exact" => Algo::Exact,
-        _ => return None,
-    })
-}
-
-/// The wire name of an algorithm (inverse of [`parse_algo`]).
+/// The wire name of an algorithm ([`Algo::wire_name`]).
 pub fn algo_wire_name(algo: Algo) -> &'static str {
-    match algo {
-        Algo::Bbe => "bbe",
-        Algo::Mbbe => "mbbe",
-        Algo::MbbeSt => "mbbe-st",
-        Algo::Ranv => "ranv",
-        Algo::Minv => "minv",
-        Algo::Grasp => "grasp",
-        Algo::Exact => "exact",
-    }
+    algo.wire_name()
 }
 
 #[cfg(test)]
@@ -437,21 +418,5 @@ mod tests {
             ..WireRequest::default()
         };
         assert!(fault_event_from_wire(&req).is_err());
-    }
-
-    #[test]
-    fn algo_names_roundtrip() {
-        for algo in [
-            Algo::Bbe,
-            Algo::Mbbe,
-            Algo::MbbeSt,
-            Algo::Ranv,
-            Algo::Minv,
-            Algo::Grasp,
-            Algo::Exact,
-        ] {
-            assert_eq!(parse_algo(algo_wire_name(algo)), Some(algo));
-        }
-        assert_eq!(parse_algo("simulated-annealing"), None);
     }
 }

@@ -6,9 +6,6 @@
 //! The replayer regenerates the network and every per-arrival request
 //! locally from the trace's `SimConfig` (both are pure functions of the
 //! seed) and drives the daemon lock-step — one request, one reply.
-//! Lock-step means the daemon's queue never exceeds depth one and jobs
-//! are ticketed in arrival order, which together with the server's
-//! ticket gate makes the outcome independent of the worker-pool size.
 
 use crate::client::{Client, ClientError};
 use dagsfc_core::{DagSfc, Flow};

@@ -1,6 +1,5 @@
 //! Daemon plumbing the batched front end ([`crate::batch`]) builds on:
-//! the owned-thread [`ServerHandle`], the [`TicketGate`] that serializes
-//! solve+commit in admission order, poison-tolerant locking, and the
+//! the owned-thread [`ServerHandle`], poison-tolerant locking, and the
 //! replies to `hello` and `embed_preset` that need no engine.
 
 use crate::protocol::{StatsReport, WireResponse, PROTOCOL_VERSION};
@@ -8,42 +7,13 @@ use dagsfc_core::{DagSfc, VnfCatalog};
 use dagsfc_nfp::transform::TransformOptions;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Locks `m`, recovering the data if a previous holder panicked — one
-/// crashed worker must not wedge the whole daemon.
+/// Locks `m`, recovering the data if a previous holder panicked — each
+/// update under the job queue's lock is a single step, so the data stay
+/// valid, and one crashed thread must not wedge the whole daemon.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Serializes job completion in ticket order: a worker may hold job
-/// *n+1* solved-ready, but commits only after *n* has been served. One
-/// gate is shared by every shard's worker pool, so the order holds
-/// across pools too.
-pub(crate) struct TicketGate {
-    next: Mutex<u64>,
-    turn: Condvar,
-}
-
-impl TicketGate {
-    pub(crate) fn new() -> Self {
-        TicketGate {
-            next: Mutex::new(0),
-            turn: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn wait_for(&self, ticket: u64) {
-        let mut next = lock_recover(&self.next);
-        while *next != ticket {
-            next = self.turn.wait(next).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    pub(crate) fn advance(&self) {
-        *lock_recover(&self.next) += 1;
-        self.turn.notify_all();
-    }
 }
 
 /// A running daemon with an owned network, for tests and the CLI

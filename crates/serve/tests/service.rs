@@ -1,16 +1,17 @@
 //! End-to-end tests for a 1-shard `dagsfc-serve` daemon: trace-replay
-//! equivalence against the in-process lifecycle simulation, admission
-//! control, backpressure, lease bookkeeping, stats, and graceful
-//! shutdown — all over real sockets.
+//! equivalence against the in-process lifecycle simulation, request
+//! ordering, admission control, backpressure, lease bookkeeping, stats,
+//! and graceful shutdown — all over real sockets.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use dagsfc_net::{FaultEvent, LeaseId, NodeId};
+use dagsfc_core::{DagSfc, Flow, VnfCatalog};
+use dagsfc_net::{FaultEvent, LeaseId, Network, NodeId, VnfTypeId};
 use dagsfc_serve::{
     fault_event_to_wire, replay, spawn_batched, BatchConfig, Client, ClientError, EmbedReply,
-    ServerHandle, StatsReport, WireRequest,
+    ServerHandle, StatsReport, WireRequest, WireResponse,
 };
 use dagsfc_sim::runner::{instance_network, instance_request};
 use dagsfc_sim::{export_trace, run_lifecycle_detailed, Algo, LifecycleConfig, SimConfig};
@@ -49,9 +50,9 @@ fn wait_for_stats(client: &mut Client, done: impl Fn(&StatsReport) -> bool) -> S
 
 /// The headline acceptance criterion: replaying a frozen trace through
 /// the daemon matches the in-process simulation bit for bit — per-flow
-/// fates, exact f64 costs, departure order — for any worker-pool size.
+/// fates, exact f64 costs, departure order.
 #[test]
-fn replay_matches_lifecycle_for_any_worker_count() {
+fn replay_matches_lifecycle() {
     let cfg = LifecycleConfig {
         base: SimConfig {
             vnf_capacity: 3.0,
@@ -67,35 +68,236 @@ fn replay_matches_lifecycle_for_any_worker_count() {
     assert!(truth.metrics.rejected > 0, "trace must reject something");
     let trace = export_trace(&cfg);
 
-    for workers in [1usize, 4] {
-        let handle = spawn(
-            BatchConfig {
-                workers_per_shard: workers,
-                ..BatchConfig::default()
-            },
-            &cfg.base,
-        );
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let report = replay(&mut client, &trace).expect("replay");
-        drop(client);
-        let stats = handle.join();
+    let handle = spawn(BatchConfig::default(), &cfg.base);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let report = replay(&mut client, &trace).expect("replay");
+    drop(client);
+    let stats = handle.join();
 
-        assert_eq!(
-            report.per_arrival, truth.per_arrival,
-            "per-arrival fates diverged at workers={workers}"
-        );
-        assert_eq!(
-            report.departure_order, truth.departure_order,
-            "departure order diverged at workers={workers}"
-        );
-        assert_eq!(report.total_cost(), truth.total_cost());
-        assert_eq!(stats.accepted, truth.metrics.accepted as u64);
-        assert_eq!(stats.rejected, truth.metrics.rejected as u64);
-        // The replayer releases every lease it committed.
-        assert_eq!(stats.released, truth.metrics.accepted as u64);
-        assert_eq!(stats.active_leases, 0);
-        assert!(stats.outstanding_load.abs() < 1e-9);
+    assert_eq!(report.per_arrival, truth.per_arrival, "per-arrival fates");
+    assert_eq!(report.departure_order, truth.departure_order);
+    assert_eq!(report.total_cost(), truth.total_cost());
+    assert_eq!(stats.accepted, truth.metrics.accepted as u64);
+    assert_eq!(stats.rejected, truth.metrics.rejected as u64);
+    // The replayer releases every lease it committed.
+    assert_eq!(stats.released, truth.metrics.accepted as u64);
+    assert_eq!(stats.active_leases, 0);
+    assert!(stats.outstanding_load.abs() < 1e-9);
+}
+
+/// A 2-node substrate whose one link and one VNF instance each carry
+/// exactly one unit flow: a second copy of a request fits only once the
+/// first lease is released.
+fn single_slot_network() -> Network {
+    let mut net = Network::new();
+    net.add_nodes(2);
+    net.add_link(NodeId(0), NodeId(1), 1.0, 1.0).expect("link");
+    net.deploy_vnf(NodeId(0), VnfTypeId(0), 1.0, 1.0)
+        .expect("vnf");
+    net
+}
+
+fn embed_line(sfc: DagSfc, flow: Flow) -> String {
+    serde_json::to_string(&WireRequest {
+        cmd: "embed".into(),
+        sfc: Some(sfc),
+        flow: Some(flow),
+        seed: Some(1),
+        ..WireRequest::default()
+    })
+    .expect("encode")
+}
+
+/// One raw connection to a fresh 1-shard daemon.
+struct Session {
+    handle: ServerHandle,
+    stream: TcpStream,
+    replies: BufReader<TcpStream>,
+}
+
+impl Session {
+    fn open(net: Network) -> Session {
+        let handle = spawn_batched(net, 1, BatchConfig::default(), "127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let replies = BufReader::new(stream.try_clone().expect("clone"));
+        Session {
+            handle,
+            stream,
+            replies,
+        }
     }
+
+    /// Sends `lines` — in one `write_all` when `pipelined`, else one at
+    /// a time, each after the previous reply — and returns the replies.
+    fn exchange(&mut self, lines: &[String], pipelined: bool) -> Vec<String> {
+        let groups: Vec<&[String]> = if pipelined {
+            vec![lines]
+        } else {
+            lines.chunks(1).collect()
+        };
+        let mut got = Vec::new();
+        for group in groups {
+            let batch: String = group.iter().map(|l| format!("{l}\n")).collect();
+            self.stream.write_all(batch.as_bytes()).expect("send");
+            for _ in group {
+                let mut reply = String::new();
+                self.replies.read_line(&mut reply).expect("reply");
+                got.push(reply);
+            }
+        }
+        got
+    }
+
+    fn close(self) {
+        drop((self.stream, self.replies));
+        self.handle.join();
+    }
+}
+
+/// State changes apply in request order: a `release` pipelined behind an
+/// `embed` in one write lands after that embed, so the replies equal
+/// those of a client that waits for each reply.
+#[test]
+fn pipelined_release_lands_after_the_embed_before_it() {
+    let sfc = DagSfc::sequential(&[VnfTypeId(0)], VnfCatalog::new(1)).expect("chain");
+    let embed = embed_line(sfc, Flow::unit(NodeId(0), NodeId(1)));
+    // On a fresh daemon: embed and hold a lease, then send a second copy
+    // of the embed and the release of the held lease.
+    let run = |pipelined: bool| -> Vec<String> {
+        let mut session = Session::open(single_slot_network());
+        let mut got = session.exchange(std::slice::from_ref(&embed), false);
+        let held: WireResponse = serde_json::from_str(&got[0]).expect("decode");
+        assert_eq!(held.status, "accepted", "{got:?}");
+        let release = serde_json::to_string(&WireRequest {
+            cmd: "release".into(),
+            lease: held.lease,
+            ..WireRequest::default()
+        })
+        .expect("encode");
+        got.extend(session.exchange(&[embed.clone(), release], pipelined));
+        session.close();
+        got
+    };
+    let one_at_a_time = run(false);
+    assert!(
+        one_at_a_time[1].contains("\"rejected\""),
+        "the second copy must not fit while the first is held: {one_at_a_time:?}"
+    );
+    assert_eq!(run(true), one_at_a_time);
+}
+
+/// A fault pipelined ahead of an embed screens that embed at admission
+/// exactly as when the client waits for the fault's reply.
+#[test]
+fn pipelined_fault_screens_the_embed_behind_it() {
+    let sim = base();
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let fault = fault_event_to_wire(&FaultEvent::NodeDown { node: flow.src });
+    let lines = [
+        serde_json::to_string(&fault).expect("encode"),
+        embed_line(sfc, flow),
+    ];
+    let run = |pipelined: bool| -> Vec<String> {
+        let mut session = Session::open(net.clone());
+        let got = session.exchange(&lines, pipelined);
+        session.close();
+        got
+    };
+    let one_at_a_time = run(false);
+    assert!(
+        one_at_a_time[1].contains("infeasible: no path"),
+        "a down source fails admission: {one_at_a_time:?}"
+    );
+    assert_eq!(run(true), one_at_a_time);
+}
+
+/// An EXACT embed over three kinds on the `base()` network: it takes
+/// far longer than a round trip (about 0.75 s in a debug build).
+fn slow_embed_line(sim: &SimConfig, flow: Flow) -> String {
+    let kinds = [VnfTypeId(0), VnfTypeId(1), VnfTypeId(2)];
+    let sfc = DagSfc::sequential(&kinds, VnfCatalog::new(sim.vnf_kinds as u16)).expect("chain");
+    serde_json::to_string(&WireRequest {
+        cmd: "embed".into(),
+        sfc: Some(sfc),
+        flow: Some(flow),
+        algo: Some("exact".into()),
+        ..WireRequest::default()
+    })
+    .expect("encode")
+}
+
+/// Long enough for the front end to queue a job sent just before and
+/// for the engine thread to start it.
+const SETTLE: Duration = Duration::from_millis(20);
+
+/// The front end never waits for a solve: while an EXACT solve runs on
+/// the engine thread, another connection's `hello`, `ping` and embed
+/// admission are answered.
+#[test]
+fn front_end_answers_while_a_long_solve_runs() {
+    let sim = base();
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let handle = spawn(BatchConfig::default(), &sim);
+    let mut solving = TcpStream::connect(handle.addr()).expect("connect");
+    let exact = format!("{}\n", slow_embed_line(&sim, flow));
+    solving.write_all(exact.as_bytes()).expect("send");
+    std::thread::sleep(SETTLE);
+
+    let mut client = Client::connect(handle.addr()).expect("hello during the solve");
+    client.ping().expect("ping during the solve");
+    // No link carries this rate: admission turns it away on its own.
+    let thick = Flow { rate: 1e9, ..flow };
+    match client.embed(&sfc, &thick, None, 1).expect("reply") {
+        EmbedReply::Rejected(reason) => assert!(reason.contains("infeasible"), "{reason}"),
+        other => panic!("expected an admission rejection, got {other:?}"),
+    }
+    // The EXACT reply is still owed.
+    solving.set_nonblocking(true).expect("nonblocking");
+    let owed = matches!(
+        solving.peek(&mut [0u8; 1]),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    );
+    assert!(owed, "the front end answered only after the solve");
+    drop((solving, client));
+    handle.join();
+}
+
+/// The reclaim a disconnect triggers gives resources back like a
+/// release, so a full queue does not refuse it.
+#[test]
+fn reclaim_on_disconnect_is_not_refused_by_a_full_queue() {
+    let sim = base();
+    let handle = spawn(
+        BatchConfig {
+            queue_capacity: 1,
+            reclaim_on_disconnect: true,
+            ..BatchConfig::default()
+        },
+        &sim,
+    );
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let mut vanishing = Client::connect(handle.addr()).expect("connect");
+    assert!(matches!(
+        vanishing.embed(&sfc, &flow, None, 1).expect("reply"),
+        EmbedReply::Accepted { .. }
+    ));
+    // Fill the queue: one embed waits while the EXACT solve runs.
+    let mut busy = TcpStream::connect(handle.addr()).expect("connect");
+    for line in [slow_embed_line(&sim, flow), embed_line(sfc, flow)] {
+        busy.write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        std::thread::sleep(SETTLE);
+    }
+    drop(vanishing);
+    let mut watcher = Client::connect(handle.addr()).expect("connect");
+    let stats = wait_for_stats(&mut watcher, |s| s.orphans_reclaimed == 1);
+    assert_eq!(stats.accepted, 3, "the sweep ran after both queued embeds");
+    assert_eq!(stats.active_leases, 2);
+    drop((busy, watcher));
+    handle.join();
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the sharded serving daemon: every committed
 //! lifecycle trace replayed through a 1-shard daemon against the
-//! in-process `run_trace` (bit for bit), worker/shard-pool
-//! independence, the `hello` protocol handshake, and multi-shard
-//! stitching audits.
+//! in-process `run_trace` (bit for bit), run-to-run repeatability, the
+//! `hello` protocol handshake, and multi-shard stitching audits.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -32,11 +31,9 @@ fn smoke_trace() -> ReplayTrace {
 fn replay_batched(
     trace: &ReplayTrace,
     shards: usize,
-    workers: usize,
 ) -> (LifecycleOutcome, dagsfc_serve::StatsReport) {
     let cfg = BatchConfig {
         shards,
-        workers_per_shard: workers,
         algo: trace.algo,
         ..BatchConfig::default()
     };
@@ -59,7 +56,7 @@ fn one_shard_daemon_replays_every_committed_trace_like_run_trace() {
     for name in COMMITTED_TRACES {
         let trace = committed_trace(name);
         let truth = run_trace(&instance_network(&trace.base), &trace);
-        let (report, stats) = replay_batched(&trace, 1, 2);
+        let (report, stats) = replay_batched(&trace, 1);
 
         assert_eq!(
             fates(&report.per_arrival),
@@ -79,24 +76,22 @@ fn one_shard_daemon_replays_every_committed_trace_like_run_trace() {
     }
 }
 
-/// Replay outcomes are a function of admission order alone: any
-/// worker-pool size, any batching of the socket stream, same fates.
+/// Replay outcomes are a function of the request stream alone: two
+/// runs of one trace decide the same, at one shard and at three.
 #[test]
-fn batched_outcomes_are_independent_of_worker_count() {
+fn batched_outcomes_are_identical_across_runs() {
     let trace = smoke_trace();
     for shards in [1usize, 3] {
-        let (baseline, base_stats) = replay_batched(&trace, shards, 1);
-        for workers in [2usize, 5] {
-            let (report, stats) = replay_batched(&trace, shards, workers);
-            assert_eq!(
-                report.per_arrival, baseline.per_arrival,
-                "per-arrival fates diverged at shards={shards} workers={workers}"
-            );
-            assert_eq!(report.departure_order, baseline.departure_order);
-            assert_eq!(report.total_cost(), baseline.total_cost());
-            assert_eq!(stats.cross_shard_accepted, base_stats.cross_shard_accepted);
-            assert_eq!(stats.audits_failed, 0);
-        }
+        let (first, first_stats) = replay_batched(&trace, shards);
+        let (second, stats) = replay_batched(&trace, shards);
+        assert_eq!(
+            second.per_arrival, first.per_arrival,
+            "per-arrival fates diverged at shards={shards}"
+        );
+        assert_eq!(second.departure_order, first.departure_order);
+        assert_eq!(second.total_cost(), first.total_cost());
+        assert_eq!(stats.cross_shard_accepted, first_stats.cross_shard_accepted);
+        assert_eq!(stats.audits_failed, 0);
     }
 }
 
@@ -105,7 +100,7 @@ fn batched_outcomes_are_independent_of_worker_count() {
 #[test]
 fn multi_shard_replay_stitches_and_audits_clean() {
     let trace = smoke_trace();
-    let (report, stats) = replay_batched(&trace, 4, 2);
+    let (report, stats) = replay_batched(&trace, 4);
     assert!(
         report.metrics.accepted > 0,
         "4-shard replay must accept something"

@@ -269,7 +269,8 @@ pub struct ShardLoad {
 pub struct ShardedStats {
     /// Requests embedded and committed.
     pub accepted: u64,
-    /// Requests turned away.
+    /// Requests the engine turned away (a daemon adds the ones its
+    /// front end refused before they reached the engine).
     pub rejected: u64,
     /// Of `rejected`: proven deadline-infeasible.
     pub rejected_deadline: u64,
@@ -408,11 +409,6 @@ impl<'n> ShardedEngine<'n> {
         &self.table
     }
 
-    /// The home shard the router would assign to `flow`.
-    pub fn home_shard(&self, flow: &Flow) -> usize {
-        self.router.assign(&self.plan, flow)
-    }
-
     /// Read-only escape hatch to one shard's ledger, for tests and
     /// diagnostics only — production code must go through the gateway
     /// API above, and the `shard-ledger` lint rule enforces exactly
@@ -525,8 +521,7 @@ impl<'n> ShardedEngine<'n> {
             // The audit target must predate phase 1's reservations. With
             // a single shard the stitched view exposes every resource, so
             // it *is* the unpartitioned residual: solve and audit on that
-            // one cache entry — the one the front end's per-batch refresh
-            // already built for this epoch — instead of a second network.
+            // one cache entry instead of a second network.
             let (view, unpart) = if self.plan.shards() == 1 {
                 let unpart = self.unpartitioned_residual();
                 (Arc::clone(&unpart), unpart)
@@ -704,11 +699,6 @@ impl<'n> ShardedEngine<'n> {
         reclaimed
     }
 
-    /// Counts a request turned away before it reached a solver.
-    pub fn count_admission_rejection(&mut self) {
-        self.rejected += 1;
-    }
-
     /// The engine's aggregate counters.
     pub fn stats(&self) -> ShardedStats {
         ShardedStats {
@@ -868,7 +858,7 @@ mod tests {
 
     /// With one shard, solving and auditing share the unpartitioned
     /// residual: the view cache never holds a second network, and a
-    /// rejected embed leaves the one entry the front end reuses.
+    /// rejected embed leaves the one entry the next embed reuses.
     #[test]
     fn one_shard_solves_on_the_unpartitioned_view() {
         let sim = SimConfig {

@@ -3,7 +3,7 @@
 //! The router is a *pure function* of the plan and the request: no
 //! load feedback, no randomness, no clock. That is a deliberate
 //! serving-layer invariant — the home shard of a request must be the
-//! same on every replica, in every replay, at any worker count, or the
+//! same on every replica and in every replay, or the
 //! two-phase commit order (and with it the bit-for-bit replay
 //! guarantee) falls apart.
 

@@ -19,65 +19,18 @@
 use crate::config::SimConfig;
 use crate::sfcgen::{random_flow, random_rules, random_sfc_of_size};
 use crate::stats::Summary;
-use dagsfc_core::solvers::{
-    BbeSolver, ExactSolver, GraspSolver, MbbeSolver, MbbeStSolver, MinvSolver, RanvSolver,
-    SolveCtx, Solver,
-};
+use dagsfc_core::solvers::SolveCtx;
 use dagsfc_core::{validate, DagSfc, Flow};
 use dagsfc_net::{generator, Network};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
-/// The algorithms under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Algo {
-    /// Breadth-first Backtracking Embedding (paper §4.1–4.4).
-    Bbe,
-    /// Mini-path BBE (paper §4.5).
-    Mbbe,
-    /// MBBE with Steiner-tree inter-layer multicast (extension).
-    MbbeSt,
-    /// Random-assignment baseline (paper §5.1).
-    Ranv,
-    /// Cheapest-VNF greedy baseline (paper §5.1).
-    Minv,
-    /// GRASP metaheuristic (extension: randomized greedy + local search).
-    Grasp,
-    /// Exact branch and bound (small instances only).
-    Exact,
-}
-
-impl Algo {
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Bbe => "BBE",
-            Algo::Mbbe => "MBBE",
-            Algo::MbbeSt => "MBBE-ST",
-            Algo::Ranv => "RANV",
-            Algo::Minv => "MINV",
-            Algo::Grasp => "GRASP",
-            Algo::Exact => "EXACT",
-        }
-    }
-
-    /// Builds a solver instance for one run (`run_seed` feeds RANV's
-    /// random choices so runs stay reproducible).
-    pub fn build(self, run_seed: u64) -> Box<dyn Solver> {
-        match self {
-            Algo::Bbe => Box::new(BbeSolver::new()),
-            Algo::Mbbe => Box::new(MbbeSolver::new()),
-            Algo::MbbeSt => Box::new(MbbeStSolver::new()),
-            Algo::Ranv => Box::new(RanvSolver::new(run_seed)),
-            Algo::Minv => Box::new(MinvSolver::new()),
-            Algo::Grasp => Box::new(GraspSolver::new(run_seed)),
-            Algo::Exact => Box::new(ExactSolver::new()),
-        }
-    }
-}
+/// The algorithms under evaluation (the one name→solver table lives
+/// in `dagsfc_core::solvers`).
+pub use dagsfc_core::solvers::Algo;
 
 /// Aggregated per-algorithm outcome of one instance.
 #[derive(Debug, Clone, Serialize)]

@@ -8,18 +8,19 @@
 //! dagsfc online    --nodes 60 --requests 100 --capacity 8 --algo mbbe,ranv
 //! dagsfc figures   [fig6a|...|runtime|all] [--full]
 //! dagsfc ilp       --nodes 8 --sfc-size 2 --seed 1 [--out model.lp]
-//! dagsfc serve     --addr 127.0.0.1:4600 --workers 2 --queue 64 --algo mbbe
+//! dagsfc serve     --addr 127.0.0.1:4600 --queue 64 --algo mbbe
 //! dagsfc client    ping|stats|embed|release|replay|shutdown --addr HOST:PORT
 //! dagsfc trace     --out trace.json --arrivals 50 --mean-holding 8
-//! dagsfc replay    --trace trace.json --workers 4 --verify
+//! dagsfc replay    --trace trace.json --verify
 //! dagsfc audit     --trace trace.json [--network net.json] [--json]
 //! dagsfc chaos     gen --out chaos.json --arrivals 50 --chaos-seed 7
-//! dagsfc chaos     run --scenario chaos.json --workers 4 --verify
+//! dagsfc chaos     run --scenario chaos.json --verify
 //! ```
 //!
-//! Everything is deterministic in `--seed`.
+//! Everything is deterministic in `--seed`. A flag the command does not
+//! read is an error naming it.
 
-use dagsfc::core::solvers::{self, Solver};
+use dagsfc::core::solvers::Solver;
 use dagsfc::core::{validate, IlpModel};
 use dagsfc::net::{to_dot, DotOptions};
 use dagsfc::serve::cli::Flags;
@@ -55,7 +56,11 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match Flags::parse(&rest, &["full", "exact", "protect", "json"]) {
+    let Some((switches, valued)) = command_flags(&command) else {
+        eprintln!("error: unknown command '{command}'");
+        return ExitCode::FAILURE;
+    };
+    let opts = match Flags::parse(&rest, switches, &valued) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -92,11 +97,10 @@ fn main() -> ExitCode {
         "topology" => cmd_topology(&opts),
         "quality" => cmd_quality(&opts),
         "ilp" => cmd_ilp(&opts),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -120,17 +124,42 @@ USAGE:
   dagsfc topology  [--nodes N] [--runs R] [--sfc-size L]
   dagsfc quality   [--nodes N] [--runs R] [--exact]
   dagsfc ilp       [--nodes N] [--sfc-size L] [--seed S] [--k K] [--out FILE]
-  dagsfc serve     [--addr A] [--workers W] [--queue Q] [--algo NAME] [--shards N]
+  dagsfc serve     [--addr A] [--queue Q] [--algo NAME] [--shards N]
+                   [--reclaim-on-disconnect]
                    [--network FILE | --nodes N --seed S --capacity C]
   dagsfc client    ping|stats|embed|release|replay|shutdown --addr HOST:PORT [...]
   dagsfc trace     --out FILE [--arrivals R] [--mean-holding H] [--algo NAME]
                    [--link-delay US] [--delay-budget US]
                    [--affinity-rate P] [--anti-affinity-rate P]
-  dagsfc replay    --trace FILE [--workers W] [--queue Q] [--shards N] [--verify]
+  dagsfc replay    --trace FILE [--queue Q] [--shards N] [--verify]
   dagsfc audit     --trace FILE [--network FILE] [--json]
                    (exit codes: 0 clean, 1 violations, 2 usage, 3 bad input)
   dagsfc chaos     gen --out FILE [--arrivals R] [--chaos-seed C] [...]
-  dagsfc chaos     run --scenario FILE [--workers W] [--verify]";
+  dagsfc chaos     run --scenario FILE [--queue Q] [--verify]
+
+A flag the command does not read is an error naming it.";
+
+/// The flags [`sim_config`] reads.
+const NET_FLAGS: &[&str] = &["nodes", "degree", "kinds", "sfc-size", "seed", "capacity"];
+
+/// The boolean and valued flags each offline command reads; `None` for
+/// an unknown command.
+fn command_flags(command: &str) -> Option<(&'static [&'static str], Vec<&'static str>)> {
+    let net = |extra: &[&'static str]| [NET_FLAGS, extra].concat();
+    Some(match command {
+        "generate" => (&[], net(&["out", "dot"])),
+        "instance" => (&[], net(&["out"])),
+        "embed" => (&["protect"], net(&["instance", "algo", "dot", "save"])),
+        "online" => (&[], net(&["requests", "algo"])),
+        "figures" => (&["full"], vec!["out-dir"]),
+        "topology" => (&[], net(&["runs"])),
+        "quality" => (&["exact"], net(&["runs"])),
+        "ilp" => (&[], vec!["nodes", "sfc-size", "kinds", "seed", "k", "out"]),
+        "audit" => (&["json"], vec!["trace", "network"]),
+        "help" | "--help" | "-h" => (&[], Vec::new()),
+        _ => return None,
+    })
+}
 
 fn sim_config(opts: &Flags) -> Result<SimConfig, String> {
     Ok(SimConfig {
@@ -146,7 +175,9 @@ fn sim_config(opts: &Flags) -> Result<SimConfig, String> {
 }
 
 fn make_solver(name: &str, seed: u64) -> Result<Box<dyn Solver>, String> {
-    solvers::by_name(name, seed).ok_or_else(|| format!("unknown algorithm '{name}'"))
+    Algo::parse(name)
+        .map(|a| a.build(seed))
+        .ok_or_else(|| format!("unknown algorithm '{name}'"))
 }
 
 fn cmd_generate(opts: &Flags) -> Result<(), String> {
@@ -302,13 +333,10 @@ fn cmd_online(opts: &Flags) -> Result<(), String> {
     let algo_list = opts.str("algo").unwrap_or("mbbe,minv,ranv");
     let algos: Vec<Algo> = algo_list
         .split(',')
-        .map(|a| match a.trim() {
-            "mbbe" => Ok(Algo::Mbbe),
-            "mbbe-st" => Ok(Algo::MbbeSt),
-            "bbe" => Ok(Algo::Bbe),
-            "minv" => Ok(Algo::Minv),
-            "ranv" => Ok(Algo::Ranv),
-            other => Err(format!("unknown algorithm '{other}'")),
+        .map(|a| match Algo::parse(a.trim()) {
+            // Online runs the BBE family and the baselines only.
+            Some(algo) if !matches!(algo, Algo::Grasp | Algo::Exact) => Ok(algo),
+            _ => Err(format!("unknown algorithm '{}'", a.trim())),
         })
         .collect::<Result<_, _>>()?;
     let quarter = (requests / 4).max(1);

@@ -409,8 +409,6 @@ fn chaos_gen_and_run_verify_end_to_end() {
             "run",
             "--scenario",
             scenario.to_str().unwrap(),
-            "--workers",
-            "2",
             "--verify",
         ])
         .output()
@@ -478,22 +476,32 @@ fn replay_verify_checks_the_schedule_in_the_file() {
 
 #[test]
 fn removed_flags_fail_loudly() {
-    // `--batch` is no longer a boolean flag; it must not swallow the
-    // `--verify` after it and exit 0 without verifying.
     let trace = committed("smoke-50.json");
+    let trace = trace.to_str().unwrap();
+    // `--batch` is no longer a boolean flag; it must not swallow the
+    // `--verify` after it and exit 0 without verifying. `--shard` is a
+    // typo for `--shards`, and `--workers` is gone: a flag the command
+    // does not read is an error naming it.
+    for (flag, extra) in [
+        ("--batch", "--verify"),
+        ("--shard", "4"),
+        ("--workers", "4"),
+    ] {
+        let out = bin()
+            .args(["replay", "--trace", trace, flag, extra])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("'{flag}'")), "stderr was: {err}");
+    }
+    // `audit` reports an unknown flag as a usage error.
     let out = bin()
-        .args([
-            "replay",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--batch",
-            "--verify",
-        ])
+        .args(["audit", "--trace", trace, "--shard", "4"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--batch"), "stderr was: {err}");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("'--shard'"));
 }
 
 #[test]
@@ -514,8 +522,6 @@ fn chaos_smoke_summary_is_pinned() {
             "run",
             "--scenario",
             scenario.to_str().unwrap(),
-            "--workers",
-            "1",
             "--verify",
         ])
         .output()
