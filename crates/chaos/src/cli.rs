@@ -101,6 +101,7 @@ fn gen_main(flags: &Flags) -> Result<(), String> {
         mean_holding: flags.f64_or("mean-holding", 8.0)?,
         algo,
     };
+    cfg.base.validate().map_err(|e| e.to_string())?;
     let intensity = ChaosIntensity {
         link_failures: flags.usize_or("link-failures", 4)?,
         node_failures: flags.usize_or("node-failures", 2)?,

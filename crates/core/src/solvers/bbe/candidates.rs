@@ -20,8 +20,7 @@ use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
 use dagsfc_net::routing::ShortestPathTree;
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// One embedded layer: the paper's per-layer sub-solution.
@@ -42,8 +41,7 @@ pub(crate) struct LayerSub {
 }
 
 /// Shared per-solve context: network, flow, config, and the shared
-/// [`PathOracle`] serving MBBE's min-cost path instantiation. `Sync`, so
-/// merger-candidate scoring can fan out across scoped threads.
+/// [`PathOracle`] serving MBBE's min-cost path instantiation.
 pub(crate) struct EngineCtx<'a> {
     pub net: &'a Network,
     pub catalog: VnfCatalog,
@@ -57,8 +55,8 @@ pub(crate) struct EngineCtx<'a> {
     /// Flat per-link static rate-feasibility under this flow's rate,
     /// precomputed once per solve for the same reason.
     link_rate_ok: Vec<bool>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    cache_hits: Cell<u64>,
+    cache_misses: Cell<u64>,
 }
 
 impl<'a> EngineCtx<'a> {
@@ -84,8 +82,8 @@ impl<'a> EngineCtx<'a> {
             oracle,
             link_price,
             link_rate_ok,
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            cache_hits: Cell::new(0),
+            cache_misses: Cell::new(0),
         }
     }
 
@@ -106,13 +104,7 @@ impl<'a> EngineCtx<'a> {
         if from == to {
             return Some(Path::trivial(from));
         }
-        let (tree, hit) = self.oracle.tree_tracked(from, self.flow.rate);
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        tree.path_to(to)
+        self.oracle_tree(from).path_to(to)
     }
 
     /// Cheapest path `from → to` over rate-feasible links whose summed
@@ -137,20 +129,18 @@ impl<'a> EngineCtx<'a> {
     /// one tree per distinct leaf end node.
     pub fn oracle_tree(&self, root: NodeId) -> Arc<ShortestPathTree> {
         let (tree, hit) = self.oracle.tree_tracked(root, self.flow.rate);
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let counter = if hit {
+            &self.cache_hits
         } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.cache_misses
+        };
+        counter.set(counter.get() + 1);
         tree
     }
 
     /// This solve's path-cache traffic as `(hits, misses)`.
     pub fn cache_counts(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
+        (self.cache_hits.get(), self.cache_misses.get())
     }
 }
 
@@ -261,8 +251,8 @@ impl SeenLinks {
 }
 
 thread_local! {
-    /// Per-thread scoring dedup set: merger scoring fans out across
-    /// scoped threads, and each worker keeps its own stamps.
+    /// Per-thread scoring dedup set, reused by every solve on the
+    /// thread (the sim runner solves on several threads at once).
     static SEEN_LINKS: RefCell<SeenLinks> = const {
         RefCell::new(SeenLinks {
             stamp: Vec::new(),

@@ -46,9 +46,7 @@ use crate::error::{deadline_infeasible_reason, SolveError};
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
 use dagsfc_net::{NodeId, Path};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Tuning knobs of the BBE/MBBE engine.
@@ -104,12 +102,6 @@ pub struct BbeConfig {
     /// pruning never removes a feasible candidate. On by default; the
     /// flag exists for the pruned-vs-unpruned differential test.
     pub early_delay_pruning: bool,
-    /// Score the merger candidates of a parallel layer on crossbeam
-    /// scoped threads. The reduction is deterministic (results are
-    /// re-ordered by merger index), so this only changes wall-clock, not
-    /// output. Off by default: the sim runner already saturates the cores
-    /// with run-level parallelism.
-    pub parallel_merger_scoring: bool,
 }
 
 /// A delay SLA attached to an embedding request.
@@ -138,7 +130,6 @@ impl Default for BbeConfig {
             max_level_width: 2048,
             delay_constraint: None,
             early_delay_pruning: true,
-            parallel_merger_scoring: false,
         }
     }
 }
@@ -358,8 +349,7 @@ struct MergerScore {
 
 /// Scores one merger candidate: backward search plus candidate
 /// generation (paper steps 2–3 for one FST–BST pair). Deterministic and
-/// independent of every other merger, which is what makes the parallel
-/// fan-out below safe.
+/// independent of every other merger.
 fn score_merger(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
@@ -383,53 +373,6 @@ fn score_merger(
         bst_nodes: bst.len(),
         generated,
     })
-}
-
-/// Scores every merger candidate of a parallel layer, optionally on
-/// crossbeam scoped threads ([`BbeConfig::parallel_merger_scoring`]).
-///
-/// The reduction is deterministic either way: workers pull merger
-/// indices from a shared atomic counter and push `(index, score)` pairs,
-/// and the collected results are re-sorted by index before use — so the
-/// output is bit-identical to the sequential loop regardless of thread
-/// interleaving (each pair's computation depends only on its own merger;
-/// oracle evictions at worst rebuild identical trees).
-fn score_mergers(
-    ctx: &EngineCtx<'_>,
-    layer: &Layer,
-    fst: &Fst,
-    mergers: &[NodeId],
-    cfg: &BbeConfig,
-    catalog: &VnfCatalog,
-) -> Vec<MergerScore> {
-    if !cfg.parallel_merger_scoring || mergers.len() < 2 {
-        return mergers
-            .iter()
-            .filter_map(|&m| score_merger(ctx, layer, fst, m, cfg, catalog))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let scored: Mutex<Vec<(usize, Option<MergerScore>)>> =
-        Mutex::new(Vec::with_capacity(mergers.len()));
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(mergers.len());
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&merger) = mergers.get(i) else {
-                    break;
-                };
-                let score = score_merger(ctx, layer, fst, merger, cfg, catalog);
-                scored.lock().push((i, score));
-            });
-        }
-    });
-    let mut scored = scored.into_inner();
-    scored.sort_by_key(|&(i, _)| i);
-    scored.into_iter().filter_map(|(_, s)| s).collect()
 }
 
 /// The memoized expansion of one layer from one start node.
@@ -488,13 +431,12 @@ fn expand_start(
         return memo;
     }
     let mut subs: Vec<LayerSub> = if layer.needs_merger() {
-        let mergers: Vec<NodeId> = fst
-            .hosting(catalog.merger())
-            .into_iter()
-            .map(|i| fst.node(i).node)
-            .collect();
         let mut collected = Vec::new();
-        for score in score_mergers(ctx, layer, &fst, &mergers, cfg, catalog) {
+        for i in fst.hosting(catalog.merger()) {
+            let merger = fst.node(i).node;
+            let Some(score) = score_merger(ctx, layer, &fst, merger, cfg, catalog) else {
+                continue;
+            };
             memo.bst_nodes += score.bst_nodes;
             memo.generated += score.generated;
             memo.pruned += score.generated - score.subs.len();
@@ -1095,42 +1037,6 @@ mod tests {
         // All on v3: vnf 1.5 + 1.0, no links.
         assert!((out.cost.total() - 2.5).abs() < 1e-9, "{}", out.cost);
         assert!(out.cost.link.abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_merger_scoring_is_bit_identical() {
-        // The scoped-thread fan-out must be a pure wall-clock change:
-        // the index-sorted reduction has to reproduce the sequential
-        // embedding bit for bit, including tie-breaks.
-        let g = net();
-        let sfc = DagSfc::new(
-            vec![
-                Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]),
-                Layer::new(vec![VnfTypeId(2)]),
-            ],
-            catalog(),
-        )
-        .unwrap();
-        let flow = Flow::unit(NodeId(0), NodeId(5));
-        let sequential = MbbeSolver::new().solve(&g, &sfc, &flow).unwrap();
-        let mut parallel = MbbeSolver::new();
-        parallel.config.parallel_merger_scoring = true;
-        let parallel = parallel.solve(&g, &sfc, &flow).unwrap();
-        assert_eq!(sequential.embedding, parallel.embedding);
-        assert_eq!(
-            sequential.cost.total().to_bits(),
-            parallel.cost.total().to_bits()
-        );
-        // Same for classic BBE (tree-traversal candidate generation).
-        let bbe_seq = BbeSolver::new().solve(&g, &sfc, &flow).unwrap();
-        let mut bbe_par = BbeSolver::new();
-        bbe_par.config.parallel_merger_scoring = true;
-        let bbe_par = bbe_par.solve(&g, &sfc, &flow).unwrap();
-        assert_eq!(bbe_seq.embedding, bbe_par.embedding);
-        assert_eq!(
-            bbe_seq.cost.total().to_bits(),
-            bbe_par.cost.total().to_bits()
-        );
     }
 
     #[test]

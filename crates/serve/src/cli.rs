@@ -127,7 +127,7 @@ impl Flags {
 }
 
 fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
-    Ok(SimConfig {
+    let cfg = SimConfig {
         network_size: flags.usize_or("nodes", 60)?,
         connectivity: flags.f64_or("degree", 6.0)?,
         vnf_kinds: flags.usize_or("kinds", 12)?,
@@ -140,14 +140,16 @@ fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
         affinity_rate: flags.f64_opt("affinity-rate")?,
         anti_affinity_rate: flags.f64_opt("anti-affinity-rate")?,
         ..SimConfig::default()
-    })
+    };
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(cfg)
 }
 
 /// The daemon configuration the serving flags describe, with `algo` as
 /// the default algorithm.
 fn batch_config(flags: &Flags, algo: Algo) -> Result<BatchConfig, String> {
     Ok(BatchConfig {
-        shards: flags.usize_or("shards", 1)?.max(1),
+        shards: flags.usize_or("shards", 1)?,
         queue_capacity: flags.usize_or("queue", 64)?,
         algo,
         reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),

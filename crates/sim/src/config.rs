@@ -8,7 +8,7 @@
 //! trends.
 
 use dagsfc_core::VnfCatalog;
-use dagsfc_net::NetGenConfig;
+use dagsfc_net::{NetError, NetGenConfig};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one simulation instance.
@@ -106,6 +106,46 @@ impl SimConfig {
         VnfCatalog::new(self.vnf_kinds as u16)
     }
 
+    /// Checks that this configuration can generate instances: its
+    /// [`net_gen`](Self::net_gen) projection passes
+    /// [`NetGenConfig::validate`], [`crate::sfcgen`] can draw its chains
+    /// (a positive size and layer width, and at least as many kinds as
+    /// the chain has VNFs), and its flows pass
+    /// [`Flow::validate`](dagsfc_core::Flow::validate). Every generator
+    /// entry point assumes this holds.
+    pub fn validate(&self) -> Result<(), NetError> {
+        // Kinds are u16 ids, and the merger takes the one after the last
+        // regular kind.
+        if self.vnf_kinds > usize::from(u16::MAX) {
+            return Err(NetError::InvalidParameter(
+                "vnf_kinds must be at most 65535",
+            ));
+        }
+        self.net_gen().validate()?;
+        if self.sfc_size == 0 {
+            return Err(NetError::InvalidParameter("sfc_size must be positive"));
+        }
+        if self.max_layer_width == 0 {
+            return Err(NetError::InvalidParameter(
+                "max_layer_width must be positive",
+            ));
+        }
+        if self.sfc_size > self.vnf_kinds {
+            return Err(NetError::InvalidParameter(
+                "sfc_size must not exceed vnf_kinds",
+            ));
+        }
+        if !(self.rate.is_finite() && self.rate > 0.0) {
+            return Err(NetError::InvalidParameter("rate must be finite and > 0"));
+        }
+        if !(self.flow_size.is_finite() && self.flow_size >= 0.0) {
+            return Err(NetError::InvalidParameter(
+                "flow_size must be finite and >= 0",
+            ));
+        }
+        Ok(())
+    }
+
     /// The network-generator configuration implied by this configuration
     /// (deployable kinds = regular kinds + the merger).
     pub fn net_gen(&self) -> NetGenConfig {
@@ -164,6 +204,28 @@ mod tests {
         let cat = c.catalog();
         assert_eq!(cat.regular_count(), 12);
         assert_eq!(cat.merger().0, 12);
+    }
+
+    #[test]
+    fn validate_refuses_what_the_generators_cannot_draw() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        assert_eq!(SimConfig::quick().validate(), Ok(()));
+        let bad: [fn(&mut SimConfig); 9] = [
+            |c| c.network_size = 0,
+            |c| c.connectivity = -1.0,
+            |c| c.vnf_deploy_ratio = 2.0,
+            |c| c.vnf_capacity = -1.0,
+            |c| c.sfc_size = 0,
+            |c| c.max_layer_width = 0,
+            |c| c.vnf_kinds = 0,
+            |c| c.vnf_kinds = usize::MAX,
+            |c| c.rate = 0.0,
+        ];
+        for (i, edit) in bad.iter().enumerate() {
+            let mut c = SimConfig::default();
+            edit(&mut c);
+            assert!(c.validate().is_err(), "case {i} passed: {c:?}");
+        }
     }
 
     #[test]

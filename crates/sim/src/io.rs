@@ -44,8 +44,11 @@ pub enum IoError {
     /// The file's format version is unsupported.
     UnsupportedVersion(u32),
     /// The file's network breaks a rule `Network`'s constructors
-    /// enforce (see [`Network::rebuilt`]).
+    /// enforce (see [`Network::rebuilt`]), or has no nodes.
     InvalidNetwork(NetError),
+    /// A trace's base configuration cannot generate instances (see
+    /// [`SimConfig::validate`]).
+    InvalidConfig(NetError),
     /// A trace's departure schedule does not give each arrival exactly
     /// one departure time.
     ScheduleLength {
@@ -70,6 +73,7 @@ impl std::fmt::Display for IoError {
                 "trace lists {departures} departure times for {arrivals} arrivals"
             ),
             IoError::InvalidNetwork(e) => write!(f, "invalid network: {e}"),
+            IoError::InvalidConfig(e) => write!(f, "invalid simulation config: {e}"),
         }
     }
 }
@@ -117,9 +121,15 @@ pub fn save_network(path: &Path, net: &Network) -> Result<(), IoError> {
 }
 
 /// Loads a network saved by [`save_network`], rebuilt through the
-/// validating constructors.
+/// validating constructors. A network with no nodes is refused: no flow
+/// can be drawn over it.
 pub fn load_network(path: &Path) -> Result<Network, IoError> {
     let net: Network = serde_json::from_str(&fs::read_to_string(path)?)?;
+    if net.node_count() == 0 {
+        return Err(IoError::InvalidNetwork(NetError::InvalidParameter(
+            "network has no nodes",
+        )));
+    }
     net.rebuilt().map_err(IoError::InvalidNetwork)
 }
 
@@ -149,17 +159,17 @@ pub fn load_trace(path: &Path) -> Result<crate::lifecycle::ReplayTrace, IoError>
 }
 
 /// Checks that `trace` gives every arrival exactly one departure time,
-/// as the lifecycle driver assumes. Its per-arrival tables are then
-/// bounded by the file's size.
+/// as the lifecycle driver assumes, and that its base configuration can
+/// generate the substrate and requests ([`SimConfig::validate`]). Its
+/// per-arrival tables are then bounded by the file's size.
 pub fn check_trace(trace: &crate::lifecycle::ReplayTrace) -> Result<(), IoError> {
-    if trace.depart_at.len() == trace.arrivals {
-        Ok(())
-    } else {
-        Err(IoError::ScheduleLength {
+    if trace.depart_at.len() != trace.arrivals {
+        return Err(IoError::ScheduleLength {
             arrivals: trace.arrivals,
             departures: trace.depart_at.len(),
-        })
+        });
     }
+    trace.base.validate().map_err(IoError::InvalidConfig)
 }
 
 /// A solved instance: the embedding a solver produced, with provenance.

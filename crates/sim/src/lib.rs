@@ -29,8 +29,6 @@ pub mod runner;
 pub mod sfcgen;
 pub mod stats;
 pub mod sweep;
-pub mod trace;
-pub mod workload;
 
 pub use audit::{audit_trace, ArrivalAudit, TraceAuditOutcome};
 pub use config::SimConfig;
@@ -45,5 +43,3 @@ pub use online::{acceptance_sweep, run_online, OnlineConfig, OnlineMetrics};
 pub use runner::{run_instance, run_instances_with_threads, Algo, AlgoResult, InstanceResult};
 pub use stats::Summary;
 pub use sweep::{SweepPoint, SweepResult};
-pub use trace::{head_to_head, trace_instance, AlgoTrace, Percentiles, RunRecord};
-pub use workload::EndpointModel;

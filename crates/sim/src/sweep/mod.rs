@@ -6,7 +6,6 @@
 //! point) for every algorithm. Sub-modules hold the per-figure x-grids;
 //! this module holds the shared machinery.
 
-pub mod capacity;
 pub mod connectivity;
 pub mod delay_budget;
 pub mod deploy_ratio;
@@ -18,7 +17,6 @@ pub mod runtime;
 pub mod sfc_size;
 pub mod topology;
 
-pub use capacity::{capacity_sweep, CapacityPoint};
 pub use connectivity::fig6c;
 pub use delay_budget::delay_sweep;
 pub use deploy_ratio::fig6d;

@@ -162,7 +162,7 @@ fn command_flags(command: &str) -> Option<(&'static [&'static str], Vec<&'static
 }
 
 fn sim_config(opts: &Flags) -> Result<SimConfig, String> {
-    Ok(SimConfig {
+    checked(SimConfig {
         network_size: opts.usize_or("nodes", 100)?,
         connectivity: opts.f64_or("degree", 6.0)?,
         vnf_kinds: opts.usize_or("kinds", 12)?,
@@ -172,6 +172,12 @@ fn sim_config(opts: &Flags) -> Result<SimConfig, String> {
         link_capacity: opts.f64_or("capacity", 1e6)?,
         ..SimConfig::default()
     })
+}
+
+/// `cfg`, if it can generate instances ([`SimConfig::validate`]).
+fn checked(cfg: SimConfig) -> Result<SimConfig, String> {
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(cfg)
 }
 
 fn make_solver(name: &str, seed: u64) -> Result<Box<dyn Solver>, String> {
@@ -426,6 +432,7 @@ fn cmd_quality(opts: &Flags) -> Result<(), String> {
         cfg.network_size = opts.usize_or("nodes", 60)?;
     }
     cfg.runs = opts.usize_or("runs", 10)?;
+    let cfg = checked(cfg)?;
     let rows = quality_experiment(
         &cfg,
         &[Algo::Mbbe, Algo::Bbe, Algo::Grasp, Algo::Minv, Algo::Ranv],
@@ -436,13 +443,13 @@ fn cmd_quality(opts: &Flags) -> Result<(), String> {
 }
 
 fn cmd_ilp(opts: &Flags) -> Result<(), String> {
-    let cfg = SimConfig {
+    let cfg = checked(SimConfig {
         network_size: opts.usize_or("nodes", 8)?,
         sfc_size: opts.usize_or("sfc-size", 2)?,
         vnf_kinds: opts.usize_or("kinds", 4)?,
         seed: opts.u64_or("seed", 1)?,
         ..SimConfig::default()
-    };
+    })?;
     let k = opts.usize_or("k", 4)?;
     let network = instance_network(&cfg);
     let (sfc, flow) = instance_request(&cfg, &network, 0);

@@ -325,6 +325,18 @@ fn audit_exit_codes_distinguish_failure_modes() {
         );
     }
 
+    // 3 — so is a network file with no nodes.
+    let empty = tmp("audit-empty-net.json");
+    std::fs::write(
+        &empty,
+        r#"{"nodes":[],"links":[],"adj":[],"hosts":[],"csr":null}"#,
+    )
+    .expect("write empty network");
+    let out = audit_with(&empty);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("network has no nodes"), "{err}");
+
     // 3 — a schedule shorter than its arrivals is bad input too.
     let cut = edited_fixture("smoke-50.json", "audit-cut.json", cut_to_10);
     let out = bin()
@@ -337,6 +349,50 @@ fn audit_exit_codes_distinguish_failure_modes() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // 3 — and so is a base config the generators cannot draw from.
+    for (field, value) in BAD_BASES {
+        let bad = edited_base(
+            "smoke-50.json",
+            &format!("audit-{field}.json"),
+            field,
+            value,
+        );
+        let out = bin()
+            .args(["audit", "--trace", bad.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{field} = {value}: {err}");
+        assert!(err.contains("invalid simulation config"), "{field}: {err}");
+    }
+}
+
+/// Base-config values no instance can be generated from, one field at
+/// a time.
+const BAD_BASES: [(&str, &str); 8] = [
+    ("network_size", "0"),
+    ("sfc_size", "0"),
+    ("max_layer_width", "0"),
+    ("vnf_kinds", "0"),
+    ("vnf_deploy_ratio", "2"),
+    ("connectivity", "-1"),
+    ("vnf_capacity", "-1"),
+    ("rate", "-1"),
+];
+
+/// Committed fixture `name` with the first `field` of its base config
+/// set to `value`, written to temp file `out`.
+fn edited_base(name: &str, out: &str, field: &str, value: &str) -> PathBuf {
+    let json = std::fs::read_to_string(committed(name)).expect("committed fixture");
+    let anchor = format!("\"{field}\"");
+    let path = tmp(out);
+    std::fs::write(
+        &path,
+        replace_number_after(&json, &["\"base\"", &anchor], value),
+    )
+    .expect("write edited fixture");
+    path
 }
 
 /// Committed fixture `name` (a trace or scenario file) with its
@@ -440,19 +496,80 @@ fn committed(name: &str) -> PathBuf {
 
 #[test]
 fn cut_schedules_fail_cleanly_in_replay_and_chaos() {
-    // A schedule with fewer departure times than arrivals is refused at
-    // load time with an error, never a panic (exit 101).
+    // A schedule with fewer departure times than arrivals, or a base
+    // config with no chain to draw, is refused at load time with an
+    // error, never a panic (exit 101).
     let trace = edited_fixture("smoke-50.json", "replay-cut.json", cut_to_10);
     let scenario = edited_fixture("chaos-smoke.json", "chaos-cut.json", cut_to_10);
-    for args in [
-        vec!["replay", "--trace", trace.to_str().unwrap()],
-        vec!["chaos", "run", "--scenario", scenario.to_str().unwrap()],
+    let bad_trace = edited_base("smoke-50.json", "replay-sfc0.json", "sfc_size", "0");
+    let bad_scenario = edited_base("chaos-smoke.json", "chaos-sfc0.json", "sfc_size", "0");
+    for (args, message) in [
+        (
+            vec!["replay", "--trace", trace.to_str().unwrap()],
+            "10 departure times for",
+        ),
+        (
+            vec!["chaos", "run", "--scenario", scenario.to_str().unwrap()],
+            "10 departure times for",
+        ),
+        (
+            vec!["replay", "--trace", bad_trace.to_str().unwrap()],
+            "sfc_size must be positive",
+        ),
+        (
+            vec!["chaos", "run", "--scenario", bad_scenario.to_str().unwrap()],
+            "sfc_size must be positive",
+        ),
     ] {
         let out = bin().args(&args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        assert!(err.contains("10 departure times for"), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn zero_sizes_are_errors_not_panics() {
+    // `--nodes 0` leaves nothing to generate: every command that builds
+    // a substrate, `trace` included, refuses it with exit 1 instead of
+    // panicking (101) or writing a file nothing can replay.
+    let out_file = tmp("zero-nodes.json");
+    let out_file = out_file.to_str().unwrap();
+    for args in [
+        vec!["generate", "--out", out_file],
+        vec!["instance", "--out", out_file],
+        vec!["embed"],
+        vec!["online"],
+        vec!["quality"],
+        vec!["topology"],
+        vec!["ilp"],
+        vec!["trace", "--out", out_file],
+        vec!["chaos", "gen", "--out", out_file],
+    ] {
+        let out = bin()
+            .args(&args)
+            .args(["--nodes", "0"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("nodes must be positive"), "{args:?}: {err}");
+    }
+    // `--shards 0` gets the partitioner's error, as `--shards 1000` does.
+    let trace = committed("smoke-50.json");
+    let out = bin()
+        .args([
+            "replay",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--shards",
+            "0",
+        ])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("shard count 0"), "{err}");
 }
 
 #[test]

@@ -24,10 +24,9 @@ fn anchor_cfg() -> SimConfig {
     }
 }
 
-fn costs_for(run: usize) -> Vec<(&'static str, f64)> {
-    let cfg = anchor_cfg();
-    let net = instance_network(&cfg);
-    let (sfc, flow) = instance_request(&cfg, &net, run);
+fn costs_for(cfg: &SimConfig, run: usize) -> Vec<(&'static str, f64)> {
+    let net = instance_network(cfg);
+    let (sfc, flow) = instance_request(cfg, &net, run);
     let solvers: Vec<Box<dyn Solver>> = vec![
         Box::new(BbeSolver::new()),
         Box::new(MbbeSolver::new()),
@@ -47,23 +46,34 @@ fn costs_for(run: usize) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
+/// The cost `name` reached in `costs`.
+fn cost_of(costs: &[(&str, f64)], name: &str) -> f64 {
+    costs.iter().find(|(n, _)| *n == name).unwrap().1
+}
+
 /// The structural invariants every anchor must satisfy, regardless of
 /// the pinned values: orderings between solvers.
 fn check_orderings(costs: &[(&str, f64)]) {
-    let get = |n: &str| costs.iter().find(|(name, _)| *name == n).unwrap().1;
+    check_baseline_orderings(costs);
+    assert!(cost_of(costs, "MBBE-ST") <= cost_of(costs, "MBBE") + 1e-9);
+}
+
+/// The orderings against the baselines: MBBE, BBE and GRASP never cost
+/// more than MINV, nor MBBE more than RANV.
+fn check_baseline_orderings(costs: &[(&str, f64)]) {
+    let get = |n: &str| cost_of(costs, n);
     assert!(get("MBBE") <= get("MINV") + 1e-9);
     assert!(get("MBBE") <= get("RANV") + 1e-9);
-    assert!(get("MBBE-ST") <= get("MBBE") + 1e-9);
     assert!(get("BBE") <= get("MINV") + 1e-9);
     assert!(get("GRASP") <= get("MINV") + 1e-9);
 }
 
 #[test]
 fn anchors_are_self_consistent_run0() {
-    let costs = costs_for(0);
+    let costs = costs_for(&anchor_cfg(), 0);
     check_orderings(&costs);
     // Repeatability at full precision.
-    let again = costs_for(0);
+    let again = costs_for(&anchor_cfg(), 0);
     for ((n1, c1), (n2, c2)) in costs.iter().zip(&again) {
         assert_eq!(n1, n2);
         assert!(
@@ -75,12 +85,48 @@ fn anchors_are_self_consistent_run0() {
 
 #[test]
 fn anchors_are_self_consistent_run1() {
-    check_orderings(&costs_for(1));
+    check_orderings(&costs_for(&anchor_cfg(), 1));
 }
 
 #[test]
 fn anchors_are_self_consistent_run2() {
-    check_orderings(&costs_for(2));
+    check_orderings(&costs_for(&anchor_cfg(), 2));
+}
+
+/// Run by run on a 40-node profile with 4-VNF chains: the baseline
+/// orderings hold on each of ten requests (so MBBE never loses one to
+/// MINV), and MBBE strictly beats MINV on at least one.
+///
+/// [`check_orderings`]' MBBE-ST ≤ MBBE does not hold on every run here:
+/// MBBE-ST is never worse than MBBE per layer, but on run 0 the whole
+/// chain costs 5.4929 under MBBE-ST against MBBE's 5.4775. That run is
+/// pinned, so a solver change that moves it shows here.
+#[test]
+fn mbbe_dominates_minv_per_run() {
+    let cfg = SimConfig {
+        network_size: 40,
+        sfc_size: 4,
+        runs: 10,
+        ..SimConfig::default()
+    };
+    let mut strict_wins = 0;
+    let mut mbbe_st_losses = Vec::new();
+    for run in 0..cfg.runs {
+        let costs = costs_for(&cfg, run);
+        check_baseline_orderings(&costs);
+        if cost_of(&costs, "MBBE") < cost_of(&costs, "MINV") - 1e-9 {
+            strict_wins += 1;
+        }
+        if cost_of(&costs, "MBBE-ST") > cost_of(&costs, "MBBE") + 1e-9 {
+            mbbe_st_losses.push(run);
+        }
+    }
+    assert!(strict_wins > 0, "MBBE should strictly win at least one run");
+    assert_eq!(
+        mbbe_st_losses,
+        [0],
+        "runs where MBBE-ST costs more than MBBE"
+    );
 }
 
 /// The deterministic fingerprint of the anchor instance itself: if the
