@@ -19,7 +19,7 @@ use crate::plan::ChaosIntensity;
 use crate::replay::replay_chaos;
 use crate::runner::run_chaos;
 use crate::scenario::{load_scenario, save_scenario, ChaosScenario};
-use dagsfc_serve::cli::Flags;
+use dagsfc_serve::cli::{queue_capacity, Flags};
 use dagsfc_serve::{spawn_batched, BatchConfig, Client};
 use dagsfc_sim::{Algo, LifecycleConfig, SimConfig};
 use std::path::PathBuf;
@@ -133,7 +133,7 @@ fn run_main(flags: &Flags) -> Result<(), String> {
         .ok_or("chaos run requires --scenario FILE".to_string())?;
     let scenario = load_scenario(&PathBuf::from(path)).map_err(|e| e.to_string())?;
     let cfg = BatchConfig {
-        queue_capacity: flags.usize_or("queue", 64)?,
+        queue_capacity: queue_capacity(flags)?,
         algo: scenario.trace.algo,
         ..BatchConfig::default()
     };

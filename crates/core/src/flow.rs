@@ -101,7 +101,9 @@ impl Flow {
 
     /// Checks the flow's numbers: the rate must be finite and positive,
     /// the size finite and non-negative (a zero-size flow is legal and
-    /// costs nothing). The error names the offending field.
+    /// costs nothing), and a delay budget finite and non-negative (a
+    /// budget of 0 is legal: only co-located chains meet it). The error
+    /// names the offending field.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.rate.is_finite() && self.rate > 0.0) {
             return Err(format!(
@@ -114,6 +116,13 @@ impl Flow {
                 "flow size must be finite and >= 0 (got {})",
                 self.size
             ));
+        }
+        if let Some(budget) = self.delay_budget_us {
+            if !(budget.is_finite() && budget >= 0.0) {
+                return Err(format!(
+                    "flow delay_budget_us must be finite and >= 0 (got {budget})"
+                ));
+            }
         }
         Ok(())
     }
@@ -171,6 +180,32 @@ mod tests {
         let budgeted = legacy.with_delay_budget(50.0);
         let back = Flow::from_value(&budgeted.to_value()).unwrap();
         assert_eq!(back.delay_budget_us, Some(50.0));
+    }
+
+    #[test]
+    fn validate_names_the_bad_field() {
+        let unit = Flow::unit(NodeId(0), NodeId(1));
+        assert_eq!(unit.validate(), Ok(()));
+        assert_eq!(unit.with_delay_budget(0.0).validate(), Ok(()));
+        assert_eq!(Flow { size: 0.0, ..unit }.validate(), Ok(()));
+        for (flow, field) in [
+            (Flow { rate: 0.0, ..unit }, "rate"),
+            (
+                Flow {
+                    rate: f64::NAN,
+                    ..unit
+                },
+                "rate",
+            ),
+            (Flow { size: -1.0, ..unit }, "size"),
+            (unit.with_delay_budget(-5.0), "delay_budget_us"),
+            (unit.with_delay_budget(f64::NAN), "delay_budget_us"),
+            (unit.with_delay_budget(f64::INFINITY), "delay_budget_us"),
+            (unit.with_delay_budget(f64::NEG_INFINITY), "delay_budget_us"),
+        ] {
+            let err = flow.validate().unwrap_err();
+            assert!(err.contains(field), "{flow:?}: {err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! Bounded enumeration: combination counts are capped by the
 //! [`super::BbeConfig`] knobs — candidates are explored cheapest-first so
 //! truncation discards the expensive tail.
+//!
+//! A parallel layer's candidates are scored as small records first; only
+//! the ones the caller keeps (MBBE's `X_d` per pair) get their paths
+//! copied into [`LayerSub`]s.
 
 use super::tree::SearchTree;
 use super::BbeConfig;
@@ -18,7 +22,7 @@ use crate::chain::Layer;
 use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
-use dagsfc_net::routing::ShortestPathTree;
+use dagsfc_net::routing::{MulticastTree, ShortestPathTree};
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -122,11 +126,11 @@ impl<'a> EngineCtx<'a> {
             .min_cost_path_bounded(from, to, self.flow.rate, max_delay_us)
     }
 
-    /// The full Dijkstra tree rooted at `root` over rate-feasible links,
-    /// from the shared oracle (hit/miss tracked like
-    /// [`Self::min_cost_path`]). The finals stage uses one
-    /// destination-rooted tree to price every leaf instead of building
-    /// one tree per distinct leaf end node.
+    /// The Dijkstra tree rooted at `root` over rate-feasible links, from
+    /// the shared oracle (hit/miss tracked like [`Self::min_cost_path`];
+    /// the tree settles as far as its queries reach). The finals stage
+    /// uses one destination-rooted tree to price every leaf instead of
+    /// building one tree per distinct leaf end node.
     pub fn oracle_tree(&self, root: NodeId) -> Arc<ShortestPathTree> {
         let (tree, hit) = self.oracle.tree_tracked(root, self.flow.rate);
         let counter = if hit {
@@ -144,46 +148,10 @@ impl<'a> EngineCtx<'a> {
     }
 }
 
-/// Mixed-radix cartesian product of `options`, cheapest-first (index 0 of
-/// every dimension first), capped at `cap` combinations.
-pub(crate) fn bounded_cartesian<T: Clone>(options: &[Vec<T>], cap: usize) -> Vec<Vec<T>> {
-    if options.iter().any(Vec::is_empty) || cap == 0 {
-        return Vec::new();
-    }
-    let mut combos = Vec::new();
-    let mut idx = vec![0usize; options.len()];
-    loop {
-        combos.push(
-            idx.iter()
-                .zip(options)
-                .map(|(&i, opts)| opts[i].clone())
-                .collect(),
-        );
-        if combos.len() >= cap {
-            break;
-        }
-        // Odometer increment, least-significant dimension last.
-        let mut dim = options.len();
-        loop {
-            if dim == 0 {
-                return combos;
-            }
-            dim -= 1;
-            idx[dim] += 1;
-            if idx[dim] < options[dim].len() {
-                break;
-            }
-            idx[dim] = 0;
-        }
-    }
-    combos
-}
-
-/// Visits the same index combinations [`bounded_cartesian`] would
-/// produce over the dimension sizes `dims` (cheapest-first odometer,
-/// capped at `cap`), without materializing or cloning anything — the
-/// flat-sweep scoring loops walk these indices straight into their
-/// struct-of-arrays path tables.
+/// Visits the index combinations of the dimension sizes `dims` in
+/// odometer order — index 0 of every dimension first, the last
+/// dimension turning fastest, so the cheapest options come first —
+/// capped at `cap` combinations.
 pub(crate) fn for_each_bounded_combo(dims: &[usize], cap: usize, mut visit: impl FnMut(&[usize])) {
     if dims.contains(&0) || cap == 0 {
         return;
@@ -265,14 +233,14 @@ thread_local! {
 /// across the inter-layer paths and per-occurrence charges on inner ones.
 ///
 /// The link sum accumulates left-to-right in path order — inter paths
-/// (first occurrence only) then inner paths link-by-link — exactly as
-/// the original hash-set scorer did, so totals are bit-identical and
-/// downstream cheapest-first orderings cannot shift.
-pub(crate) fn layer_cost(
+/// (first occurrence only) then inner paths link-by-link — so every
+/// candidate of every layer kind is priced in one float order and
+/// cheapest-first orderings are reproducible bit for bit.
+pub(crate) fn layer_cost<'p>(
     ctx: &EngineCtx<'_>,
     vnf_prices: f64,
-    inter: &[Path],
-    inner: &[Path],
+    inter: impl IntoIterator<Item = &'p Path>,
+    inner: impl IntoIterator<Item = &'p Path>,
 ) -> CostBreakdown {
     SEEN_LINKS.with(|cell| {
         let seen = &mut *cell.borrow_mut();
@@ -384,7 +352,7 @@ pub(crate) fn singleton_layer_subs(
         // lint:allow(expect) — invariant: candidate hosts kind
         let price = ctx.net.vnf_price(node, kind).expect("candidate hosts kind");
         for path in inter_path_options(ctx, fst, node) {
-            let cost = layer_cost(ctx, price, std::slice::from_ref(&path), &[]);
+            let cost = layer_cost(ctx, price, [&path], []);
             subs.push(LayerSub {
                 assignment: vec![node],
                 inter_paths: vec![path],
@@ -397,176 +365,241 @@ pub(crate) fn singleton_layer_subs(
     subs
 }
 
+/// One candidate node's path options within an FST–BST pair, each list
+/// looked up the first time an assignment needs it.
+struct NodePaths {
+    node: NodeId,
+    /// Inter-layer options `start → node`.
+    inter: Option<Vec<Path>>,
+    /// Inner-layer options `node → merger`.
+    inner: Option<Vec<Path>>,
+}
+
+impl NodePaths {
+    fn inter(&self) -> &[Path] {
+        self.inter.as_deref().unwrap_or_default()
+    }
+
+    fn inner(&self) -> &[Path] {
+        self.inner.as_deref().unwrap_or_default()
+    }
+}
+
+/// A scored candidate: its cost and the choices that rebuild it.
+struct Scored {
+    cost: CostBreakdown,
+    /// Offset of its assignment in the generation's assignment arena
+    /// (one [`NodePaths`] index per slot).
+    assignment: usize,
+    /// Offset of its path picks in the pick arena: per slot, the
+    /// (inter, inner) option indices (the inter index is unused when a
+    /// Steiner tree carries the inter-layer paths).
+    picks: usize,
+    /// The Steiner tree carrying its inter-layer paths, if any.
+    steiner: Option<usize>,
+}
+
 /// Generates sub-solutions for a *parallel* layer from one FST–BST pair
-/// (the BST is rooted at the merger candidate).
+/// (the BST is rooted at the merger candidate), keeping the `keep`
+/// cheapest (all when `None`), and returns them cheapest-first with the
+/// number of candidates generated.
+///
+/// Candidates are generated in a fixed order: per allocation combination
+/// (step i), MBBE-ST's Steiner-tree candidates first, then the
+/// independent-path ones (steps ii+iii). Each is scored into a small
+/// record; the records are ranked by (cost, generation order) — what a
+/// stable sort of every candidate would leave — and only the kept ones
+/// get their paths copied. A node's path options are looked up once per
+/// pair, the first time an allocation uses it, so the oracle sees its
+/// first queries in generation order.
 pub(crate) fn parallel_layer_subs(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
     fst: &SearchTree,
     bst: &SearchTree,
-) -> Vec<LayerSub> {
+    keep: Option<usize>,
+) -> (Vec<LayerSub>, usize) {
     debug_assert!(layer.needs_merger());
     let merger_node = bst.root();
     let merger_kind = ctx.catalog.merger();
     let Some(merger_inst) = ctx.net.instance(merger_node, merger_kind) else {
-        return Vec::new();
+        return (Vec::new(), 0);
     };
     if merger_inst.capacity + CAP_EPS < ctx.flow.rate {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
 
-    // Step (i): allocation combinations from the BST.
-    let per_slot: Vec<Vec<NodeId>> = layer
+    // Step (i): allocation combinations from the BST, each slot's
+    // candidates mapped onto the pair's node table.
+    let mut nodes: Vec<NodePaths> = Vec::new();
+    let per_slot: Vec<Vec<usize>> = layer
         .vnfs()
         .iter()
-        .map(|&kind| slot_candidates(ctx, bst, kind))
+        .map(|&kind| {
+            slot_candidates(ctx, bst, kind)
+                .into_iter()
+                .map(|node| match nodes.iter().position(|n| n.node == node) {
+                    Some(i) => i,
+                    None => {
+                        nodes.push(NodePaths {
+                            node,
+                            inter: None,
+                            inner: None,
+                        });
+                        nodes.len() - 1
+                    }
+                })
+                .collect()
+        })
         .collect();
-    let assignments = bounded_cartesian(&per_slot, ctx.cfg.max_assignment_combos);
+    let dims: Vec<usize> = per_slot.iter().map(Vec::len).collect();
+    let width = per_slot.len();
+    let pair_cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
 
-    let mut subs = Vec::new();
-    for assignment in assignments {
+    let mut records: Vec<Scored> = Vec::new();
+    let mut assignments: Vec<usize> = Vec::new();
+    let mut picks: Vec<(usize, usize)> = Vec::new();
+    let mut steiner: Vec<MulticastTree> = Vec::new();
+    for_each_bounded_combo(&dims, ctx.cfg.max_assignment_combos, |choice| {
+        let at = assignments.len();
+        assignments.extend(choice.iter().enumerate().map(|(s, &c)| per_slot[s][c]));
+        let slots = &assignments[at..];
+        let vnf_prices: f64 = slots
+            .iter()
+            .zip(layer.vnfs())
+            .map(|(&i, &k)| {
+                // lint:allow(expect) — invariant: candidate hosts kind
+                ctx.net
+                    .vnf_price(nodes[i].node, k)
+                    .expect("candidate hosts kind")
+            })
+            .sum::<f64>()
+            + merger_inst.price;
         // MBBE-ST extension: additionally route the layer's inter-layer
         // multicast as one Takahashi–Matsuyama Steiner tree, maximizing
         // the eq. (9) link sharing. These candidates *augment* the
-        // independent-path ones below; cheapest-first sorting and `X_d`
-        // pruning then pick whichever routing wins, so MBBE-ST is never
-        // worse than MBBE on a layer.
+        // independent-path ones below; cheapest-first ranking and `X_d`
+        // pruning then pick whichever routing wins.
         if ctx.cfg.use_steiner_multicast {
-            let tree = dagsfc_net::routing::multicast_tree(
-                ctx.net,
-                fst.root(),
-                &assignment,
-                &|l: LinkId| ctx.link_ok(l),
-            );
+            let targets: Vec<NodeId> = slots.iter().map(|&i| nodes[i].node).collect();
+            let tree =
+                dagsfc_net::routing::multicast_tree(ctx.net, fst.root(), &targets, &|l: LinkId| {
+                    ctx.link_ok(l)
+                });
             if let Some(mt) = tree {
-                let inner_opts: Vec<Vec<Path>> = assignment
-                    .iter()
-                    .map(|&node| inner_path_options(ctx, bst, node))
-                    .collect();
-                if inner_opts.iter().all(|o| !o.is_empty()) {
-                    let vnf_prices: f64 = assignment
+                for &i in slots {
+                    if nodes[i].inner.is_none() {
+                        nodes[i].inner = Some(inner_path_options(ctx, bst, nodes[i].node));
+                    }
+                }
+                let inner_dims: Vec<usize> =
+                    slots.iter().map(|&i| nodes[i].inner().len()).collect();
+                let before = records.len();
+                for_each_bounded_combo(&inner_dims, ctx.cfg.max_path_combos, |combo| {
+                    let from = picks.len();
+                    picks.extend(combo.iter().map(|&n| (0, n)));
+                    let chosen = &picks[from..];
+                    let inner = slots
                         .iter()
-                        .zip(layer.vnfs())
-                        // lint:allow(expect) — invariant: candidate hosts kind
-                        .map(|(&n, &k)| ctx.net.vnf_price(n, k).expect("candidate hosts kind"))
-                        .sum::<f64>()
-                        + merger_inst.price;
-                    let dims: Vec<usize> = inner_opts.iter().map(Vec::len).collect();
-                    for_each_bounded_combo(&dims, ctx.cfg.max_path_combos, |combo| {
-                        let inner_paths: Vec<Path> = combo
-                            .iter()
-                            .enumerate()
-                            .map(|(s, &i)| inner_opts[s][i].clone())
-                            .collect();
-                        let cost = layer_cost(ctx, vnf_prices, &mt.paths, &inner_paths);
-                        let mut full_assignment = assignment.clone();
-                        full_assignment.push(merger_node);
-                        subs.push(LayerSub {
-                            assignment: full_assignment,
-                            inter_paths: mt.paths.clone(),
-                            inner_paths,
-                            cost,
-                            end_node: merger_node,
-                        });
+                        .zip(chosen)
+                        .map(|(&i, &(_, n))| &nodes[i].inner()[n]);
+                    records.push(Scored {
+                        cost: layer_cost(ctx, vnf_prices, &mt.paths, inner),
+                        assignment: at,
+                        picks: from,
+                        steiner: Some(steiner.len()),
                     });
+                });
+                if records.len() > before {
+                    steiner.push(mt);
                 }
             }
         }
-        // Steps (ii)+(iii) in struct-of-arrays form: each slot keeps its
-        // inter/inner path alternatives in place plus a flat index-pair
-        // list replicating the old cheapest-first (inter × inner)
-        // enumeration. Candidate scoring then runs as one flat sweep per
-        // combination over these arrays — contiguous price reads, no
-        // per-candidate hash set, and no `Path` clones until a candidate
-        // is actually emitted.
-        let mut slot_paths: Vec<(Vec<Path>, Vec<Path>)> = Vec::with_capacity(assignment.len());
-        let mut pair_idx: Vec<Vec<(usize, usize)>> = Vec::with_capacity(assignment.len());
+        // Steps (ii)+(iii): per slot, every (inter, inner) option pair in
+        // row-major order, capped at `max_paths_per_pair²`.
         let mut feasible = true;
-        for &node in &assignment {
-            let inters = inter_path_options(ctx, fst, node);
-            let inners = inner_path_options(ctx, bst, node);
-            if inters.is_empty() || inners.is_empty() {
+        for &i in slots {
+            let n = &mut nodes[i];
+            if n.inter.is_none() {
+                n.inter = Some(inter_path_options(ctx, fst, n.node));
+            }
+            if n.inner.is_none() {
+                n.inner = Some(inner_path_options(ctx, bst, n.node));
+            }
+            if n.inter().is_empty() || n.inner().is_empty() {
                 feasible = false;
                 break;
             }
-            let cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
-            let mut pairs = Vec::with_capacity((inters.len() * inners.len()).min(cap));
-            'fill: for i in 0..inters.len() {
-                for n in 0..inners.len() {
-                    if pairs.len() >= cap {
-                        break 'fill;
-                    }
-                    pairs.push((i, n));
-                }
-            }
-            slot_paths.push((inters, inners));
-            pair_idx.push(pairs);
         }
         if !feasible {
-            continue;
+            return;
         }
-        let vnf_prices: f64 = assignment
+        let pair_dims: Vec<usize> = slots
             .iter()
-            .zip(layer.vnfs())
-            // lint:allow(expect) — invariant: candidate hosts kind
-            .map(|(&n, &k)| ctx.net.vnf_price(n, k).expect("candidate hosts kind"))
-            .sum::<f64>()
-            + merger_inst.price;
-
-        let dims: Vec<usize> = pair_idx.iter().map(Vec::len).collect();
-        SEEN_LINKS.with(|cell| {
-            let seen = &mut *cell.borrow_mut();
-            for_each_bounded_combo(&dims, ctx.cfg.max_path_combos, |combo| {
-                // Flat scoring sweep, in the exact accumulation order of
-                // [`layer_cost`]: deduped inter links slot-by-slot, then
-                // per-occurrence inner links slot-by-slot.
-                seen.begin(ctx.net.link_count());
-                let mut link_price = 0.0;
-                for (s, &c) in combo.iter().enumerate() {
-                    let (pi, _) = pair_idx[s][c];
-                    for &l in slot_paths[s].0[pi].links() {
-                        if seen.first(l) {
-                            link_price += ctx.link_price[l.index()];
-                        }
-                    }
-                }
-                for (s, &c) in combo.iter().enumerate() {
-                    let (_, ni) = pair_idx[s][c];
-                    for &l in slot_paths[s].1[ni].links() {
-                        link_price += ctx.link_price[l.index()];
-                    }
-                }
-                let cost = CostBreakdown {
-                    vnf: vnf_prices * ctx.flow.size,
-                    link: link_price * ctx.flow.size,
-                };
-                let inter_paths: Vec<Path> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| slot_paths[s].0[pair_idx[s][c].0].clone())
-                    .collect();
-                let inner_paths: Vec<Path> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| slot_paths[s].1[pair_idx[s][c].1].clone())
-                    .collect();
-                let mut full_assignment = assignment.clone();
-                full_assignment.push(merger_node);
-                subs.push(LayerSub {
-                    assignment: full_assignment,
-                    inter_paths,
-                    inner_paths,
-                    cost,
-                    end_node: merger_node,
-                });
+            .map(|&i| (nodes[i].inter().len() * nodes[i].inner().len()).min(pair_cap))
+            .collect();
+        for_each_bounded_combo(&pair_dims, ctx.cfg.max_path_combos, |combo| {
+            let from = picks.len();
+            picks.extend(slots.iter().zip(combo).map(|(&i, &c)| {
+                let inners = nodes[i].inner().len();
+                (c / inners, c % inners)
+            }));
+            let chosen = &picks[from..];
+            let inter = slots
+                .iter()
+                .zip(chosen)
+                .map(|(&i, &(p, _))| &nodes[i].inter()[p]);
+            let inner = slots
+                .iter()
+                .zip(chosen)
+                .map(|(&i, &(_, n))| &nodes[i].inner()[n]);
+            records.push(Scored {
+                cost: layer_cost(ctx, vnf_prices, inter, inner),
+                assignment: at,
+                picks: from,
+                steiner: None,
             });
         });
-    }
+    });
+
     // Step (iv): the static feasibility filters are applied inline above
-    // (capacity-vs-rate on every candidate node and path link); order
-    // candidates cheapest-first for downstream X_d pruning.
-    subs.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
-    subs
+    // (capacity-vs-rate on every candidate node and path link). Rank by
+    // (cost, generation order) and copy paths for the kept ones only.
+    let generated = records.len();
+    records.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
+    if let Some(k) = keep {
+        records.truncate(k);
+    }
+    let subs = records
+        .iter()
+        .map(|r| {
+            let slots = &assignments[r.assignment..r.assignment + width];
+            let chosen = &picks[r.picks..r.picks + width];
+            let inter_paths = match r.steiner {
+                Some(t) => steiner[t].paths.clone(),
+                None => slots
+                    .iter()
+                    .zip(chosen)
+                    .map(|(&i, &(p, _))| nodes[i].inter()[p].clone())
+                    .collect(),
+            };
+            let inner_paths = slots
+                .iter()
+                .zip(chosen)
+                .map(|(&i, &(_, n))| nodes[i].inner()[n].clone())
+                .collect();
+            let mut assignment: Vec<NodeId> = slots.iter().map(|&i| nodes[i].node).collect();
+            assignment.push(merger_node);
+            LayerSub {
+                assignment,
+                inter_paths,
+                inner_paths,
+                cost: r.cost,
+                end_node: merger_node,
+            }
+        })
+        .collect();
+    (subs, generated)
 }
 
 #[cfg(test)]
@@ -596,42 +629,27 @@ mod tests {
         g
     }
 
-    #[test]
-    fn bounded_cartesian_orders_and_caps() {
-        let opts = vec![vec![1, 2], vec![10, 20]];
-        let all = bounded_cartesian(&opts, 100);
-        assert_eq!(
-            all,
-            vec![vec![1, 10], vec![1, 20], vec![2, 10], vec![2, 20]]
-        );
-        let capped = bounded_cartesian(&opts, 3);
-        assert_eq!(capped.len(), 3);
-        assert_eq!(capped[0], vec![1, 10]); // cheapest-first prefix
-        assert!(bounded_cartesian(&[vec![1], vec![]], 10).is_empty());
-        assert!(bounded_cartesian::<i32>(&[], 0).is_empty());
-        // Empty dimension list with positive cap → single empty combo.
-        assert_eq!(bounded_cartesian::<i32>(&[], 5), vec![Vec::<i32>::new()]);
+    /// Every combination the visitor yields, in order.
+    fn combos(dims: &[usize], cap: usize) -> Vec<Vec<usize>> {
+        let mut visited = Vec::new();
+        for_each_bounded_combo(dims, cap, |c| visited.push(c.to_vec()));
+        visited
     }
 
     #[test]
-    fn combo_visitor_matches_bounded_cartesian() {
-        // The flat-sweep scorer enumerates index combos through
-        // `for_each_bounded_combo`; any divergence from the materializing
-        // odometer would silently reorder candidates.
-        for dims in [
-            vec![2usize, 3],
-            vec![1],
-            vec![3, 1, 2],
-            vec![2, 0, 2],
-            vec![],
-        ] {
-            for cap in [0usize, 1, 3, 5, 100] {
-                let options: Vec<Vec<usize>> = dims.iter().map(|&d| (0..d).collect()).collect();
-                let expected = bounded_cartesian(&options, cap);
-                let mut visited = Vec::new();
-                for_each_bounded_combo(&dims, cap, |c| visited.push(c.to_vec()));
-                assert_eq!(visited, expected, "dims {dims:?} cap {cap}");
-            }
+    fn combo_visitor_orders_and_caps() {
+        let all = combos(&[2, 2], 100);
+        assert_eq!(all, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
+        // Capped: the cheapest-first prefix.
+        assert_eq!(combos(&[2, 2], 3), all[..3].to_vec());
+        assert!(combos(&[1, 0], 10).is_empty());
+        assert!(combos(&[], 0).is_empty());
+        // Empty dimension list with positive cap → single empty combo.
+        assert_eq!(combos(&[], 5), vec![Vec::<usize>::new()]);
+        // Odometer order is mixed-radix counting, last dimension fastest.
+        let dims = [3usize, 1, 2];
+        for (rank, combo) in combos(&dims, 100).iter().enumerate() {
+            assert_eq!(combo, &vec![rank / 2, 0, rank % 2], "rank {rank}");
         }
     }
 
@@ -705,8 +723,9 @@ mod tests {
         assert!(fst.covered());
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
         assert!(bst.covered());
-        let subs = parallel_layer_subs(&ctx, &layer, &fst, &bst);
+        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
         assert!(!subs.is_empty());
+        assert_eq!(generated, subs.len());
         let best = &subs[0];
         assert_eq!(best.assignment.len(), 3); // f0, f1, merger
         assert_eq!(best.assignment[2], NodeId(2));
@@ -738,10 +757,139 @@ mod tests {
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
-        let subs = parallel_layer_subs(&ctx, &layer, &fst, &bst);
+        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
         // One assignment combo × one path combo.
-        assert_eq!(subs.len(), 1);
+        assert_eq!((subs.len(), generated), (1, 1));
         assert!((subs[0].cost.total() - 8.5).abs() < 1e-12);
+    }
+
+    /// Where an independent-path candidate stands in generation order:
+    /// the odometer ranks of its allocation over the slots' candidate
+    /// lists and of its path combination over the slots' (inter, inner)
+    /// option pairs.
+    fn generation_key(
+        ctx: &EngineCtx<'_>,
+        layer: &Layer,
+        fst: &SearchTree,
+        bst: &SearchTree,
+        sub: &LayerSub,
+    ) -> (usize, usize) {
+        let pair_cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
+        let (mut allocation, mut combo) = (0, 0);
+        for (s, &kind) in layer.vnfs().iter().enumerate() {
+            let node = sub.assignment[s];
+            let hosts = slot_candidates(ctx, bst, kind);
+            let inters = inter_path_options(ctx, fst, node);
+            let inners = inner_path_options(ctx, bst, node);
+            let at = |opts: &[Path], p: &Path| opts.iter().position(|o| o == p).unwrap();
+            allocation = allocation * hosts.len() + hosts.iter().position(|&h| h == node).unwrap();
+            let pair =
+                at(&inters, &sub.inter_paths[s]) * inners.len() + at(&inners, &sub.inner_paths[s]);
+            combo = combo * (inters.len() * inners.len()).min(pair_cap) + pair;
+        }
+        (allocation, combo)
+    }
+
+    /// A random parallel layer's generation under `cfg` on a generated
+    /// network: for every FST–BST pair, each `keep = Some(k)` returns the
+    /// first `k` of the `keep = None` ranking — same order, cost bits,
+    /// assignments and paths — and counts the same candidates as
+    /// generated. Without Steiner candidates, the ranking is checked to
+    /// be (cost, generation order), what a stable sort leaves. Returns
+    /// the largest candidate count seen.
+    fn check_keep_prefixes(seed: u64, cfg: &BbeConfig) -> usize {
+        use dagsfc_net::{generator, NetGenConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Even seeds draw flat prices: most candidates then tie on cost,
+        // and only generation order ranks them.
+        let spread = if seed.is_multiple_of(2) { 0.0 } else { 0.3 };
+        let gen = NetGenConfig {
+            nodes: rng.gen_range(20..45usize),
+            avg_degree: 4.0,
+            vnf_kinds: 5,
+            deploy_ratio: 0.6,
+            vnf_price_fluctuation: spread,
+            link_price_fluctuation: spread,
+            ..NetGenConfig::default()
+        };
+        let g = generator::generate(&gen, &mut rng).unwrap();
+        let c = VnfCatalog::new(4);
+        let width = rng.gen_range(2..4usize);
+        let layer = Layer::new((0..width).map(|k| VnfTypeId(k as u16)).collect());
+        let src = NodeId(rng.gen_range(0..gen.nodes) as u32);
+        let oracle = PathOracle::new(&g);
+        let ctx = EngineCtx::new(&g, c, Flow::unit(src, src), cfg, &oracle);
+        let fst = forward_search(&g, src, &layer, &c, cfg.x_max);
+        let mut largest = 0;
+        for i in fst.hosting(c.merger()) {
+            let bst = backward_search(&g, fst.node(i).node, &layer, &c, &fst);
+            if !bst.covered() {
+                continue;
+            }
+            let (all, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+            assert_eq!(all.len(), generated);
+            largest = largest.max(generated);
+            for k in 0..=generated + 1 {
+                let (kept, counted) = parallel_layer_subs(&ctx, &layer, &fst, &bst, Some(k));
+                assert_eq!(counted, generated, "seed {seed} k {k}");
+                assert_eq!(kept.len(), k.min(generated), "seed {seed} k {k}");
+                for (j, (a, b)) in kept.iter().zip(&all).enumerate() {
+                    let what = format!("seed {seed} k {k} candidate {j}");
+                    assert_eq!(a.assignment, b.assignment, "{what}");
+                    assert_eq!(a.end_node, b.end_node, "{what}");
+                    assert_eq!(a.cost.vnf.to_bits(), b.cost.vnf.to_bits(), "{what}");
+                    assert_eq!(a.cost.link.to_bits(), b.cost.link.to_bits(), "{what}");
+                    for (pa, pb) in a.inter_paths.iter().zip(&b.inter_paths) {
+                        assert_eq!((pa.nodes(), pa.links()), (pb.nodes(), pb.links()), "{what}");
+                    }
+                    for (pa, pb) in a.inner_paths.iter().zip(&b.inner_paths) {
+                        assert_eq!((pa.nodes(), pa.links()), (pb.nodes(), pb.links()), "{what}");
+                    }
+                    assert_eq!(a.inter_paths.len(), b.inter_paths.len(), "{what}");
+                    assert_eq!(a.inner_paths.len(), b.inner_paths.len(), "{what}");
+                }
+            }
+            for w in all.windows(2) {
+                assert!(
+                    w[0].cost.total() <= w[1].cost.total(),
+                    "seed {seed}: unranked"
+                );
+            }
+            if !cfg.use_steiner_multicast {
+                let keys: Vec<(usize, usize)> = all
+                    .iter()
+                    .map(|sub| generation_key(&ctx, &layer, &fst, &bst, sub))
+                    .collect();
+                for (j, w) in all.windows(2).enumerate() {
+                    let order = w[0].cost.total().total_cmp(&w[1].cost.total());
+                    assert!(
+                        order.then(keys[j].cmp(&keys[j + 1])).is_lt(),
+                        "seed {seed}: candidates {j} and {} out of (cost, generation) order",
+                        j + 1
+                    );
+                }
+            }
+        }
+        largest
+    }
+
+    #[test]
+    fn kept_candidates_are_a_prefix_of_the_full_ranking() {
+        let configs = [
+            ("BBE", BbeConfig::default()),
+            ("MBBE", BbeConfig::mbbe()),
+            ("MBBE-ST", BbeConfig::mbbe_steiner()),
+        ];
+        for (name, cfg) in &configs {
+            let largest = (0..8).map(|seed| check_keep_prefixes(seed, cfg)).max();
+            // The instances must give the cut something to choose from.
+            assert!(
+                largest > Some(32),
+                "{name}: at most {largest:?} candidates per pair"
+            );
+        }
     }
 
     #[test]
@@ -777,6 +925,8 @@ mod tests {
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(1), &layer, &c, &fst);
         // Merger on v1 has capacity 0.5 < rate 1.0 → no candidates.
-        assert!(parallel_layer_subs(&ctx, &layer, &fst, &bst).is_empty());
+        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+        assert!(subs.is_empty());
+        assert_eq!(generated, 0);
     }
 }

@@ -339,17 +339,19 @@ fn run(
 
 /// Sub-solutions produced from one FST–BST (merger) pair.
 struct MergerScore {
-    /// Pair sub-solutions, already `X_d`-truncated cheapest-first.
+    /// Pair sub-solutions, the `X_d` cheapest, cheapest-first.
     subs: Vec<LayerSub>,
     /// BST size for instrumentation.
     bst_nodes: usize,
-    /// Candidates produced before the per-pair truncation.
+    /// Candidates scored before the per-pair cut.
     generated: usize,
 }
 
 /// Scores one merger candidate: backward search plus candidate
 /// generation (paper steps 2–3 for one FST–BST pair). Deterministic and
-/// independent of every other merger.
+/// independent of every other merger. Strategy (3) applies per pair
+/// inside the generation: every candidate is scored, and only the `X_d`
+/// cheapest get their paths built.
 fn score_merger(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
@@ -362,12 +364,7 @@ fn score_merger(
     if !bst.covered() {
         return None;
     }
-    let mut subs = parallel_layer_subs(ctx, layer, fst, &bst);
-    let generated = subs.len();
-    // Strategy (3), per FST–BST pair.
-    if let Some(xd) = cfg.x_d {
-        subs.truncate(xd);
-    }
+    let (subs, generated) = parallel_layer_subs(ctx, layer, fst, &bst, cfg.x_d);
     Some(MergerScore {
         subs,
         bst_nodes: bst.len(),

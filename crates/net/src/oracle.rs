@@ -13,6 +13,16 @@
 //! mutex, so one oracle instance can be shared by all runs (and
 //! threads) of a simulation instance.
 //!
+//! A cache miss does not run a search: it returns a tree that settles
+//! nodes on demand (see [`ShortestPathTree`]). Each query settles the
+//! tree only as far as the queried node, and the next query resumes
+//! where the last one stopped, so a tree whose queries reach the nearest
+//! third of the network never settles the rest. The tree captures its
+//! filter — the class threshold and the down links and nodes, as one
+//! admitted-link set shared by every tree of the class — and the CSR
+//! snapshot when it is built, so its answers are those of a complete
+//! tree built at that moment, whatever the overlay does afterwards.
+//!
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
 //! reserve bandwidth as they go) cannot share trees across concurrent
 //! solves: each solve owns a private [`NetworkState`]. For those, an
@@ -39,9 +49,9 @@ use std::sync::Arc;
 /// Default bound on cached trees (LRU-evicted beyond this).
 const DEFAULT_CAPACITY: usize = 1024;
 
-/// Bound on memoized rate → threshold entries; the memo starts over
-/// once it is full, so an oracle that sees many distinct rates stays
-/// small.
+/// Bound on memoized rate → threshold entries, and on cached
+/// admitted-link sets (one per threshold); each memo starts over once
+/// it is full, so an oracle that sees many distinct rates stays small.
 const THRESHOLD_MEMO_CAPACITY: usize = 256;
 
 /// Counter snapshot of a [`PathOracle`] (see [`PathOracle::stats`]).
@@ -70,10 +80,6 @@ impl OracleStats {
 }
 
 /// LRU bookkeeping guarded by the oracle's mutex.
-///
-/// The [`RoutingScratch`] lives here because tree builds happen while
-/// the mutex is held: every cache fill on every thread reuses one set
-/// of search buffers, allocation-free in the steady state.
 struct TreeCache {
     /// Price trees keyed by `(source, threshold bits)`.
     map: FxHashMap<(NodeId, u64), (Arc<ShortestPathTree>, u64)>,
@@ -84,8 +90,11 @@ struct TreeCache {
     /// Memoized [`PathOracle::rate_threshold`] per rate (keyed by the
     /// rate's bits).
     thresholds: FxHashMap<u64, f64>,
+    /// Per threshold (keyed by its bits): the links a tree of that
+    /// class may use under the current overlay, shared by the class's
+    /// trees. Flushed with the trees.
+    admitted: FxHashMap<u64, Arc<[bool]>>,
     tick: u64,
-    scratch: RoutingScratch,
     /// Fault overlay: links taken out of service. Trees built while a
     /// resource is down exclude it, and flipping any flag flushes the
     /// cache (counted as an invalidation) — the fault-injection
@@ -94,6 +103,42 @@ struct TreeCache {
     /// Fault overlay: nodes taken out of service (incident links are
     /// excluded too).
     down_nodes: Vec<bool>,
+}
+
+impl TreeCache {
+    /// Drops every cached tree and admitted-link set.
+    fn flush(&mut self) {
+        self.map.clear();
+        self.wmap.clear();
+        self.admitted.clear();
+    }
+
+    /// The links a tree of class `threshold` may use on `net` under the
+    /// current overlay: up, between up nodes, with capacity at least
+    /// `threshold`.
+    fn admitted(&mut self, net: &Network, threshold: f64) -> Arc<[bool]> {
+        let TreeCache {
+            admitted,
+            down_links,
+            down_nodes,
+            ..
+        } = self;
+        if admitted.len() >= THRESHOLD_MEMO_CAPACITY {
+            admitted.clear();
+        }
+        let set = admitted.entry(threshold.to_bits()).or_insert_with(|| {
+            net.link_ids()
+                .map(|l| {
+                    let link = net.link(l);
+                    !down_links[l.index()]
+                        && !down_nodes[link.a.index()]
+                        && !down_nodes[link.b.index()]
+                        && link.capacity >= threshold
+                })
+                .collect()
+        });
+        Arc::clone(set)
+    }
 }
 
 /// Memoized single-source Dijkstra trees over the static-capacity link
@@ -127,8 +172,8 @@ impl<'n> PathOracle<'n> {
                 map: FxHashMap::default(),
                 wmap: FxHashMap::default(),
                 thresholds: FxHashMap::default(),
+                admitted: FxHashMap::default(),
                 tick: 0,
-                scratch: RoutingScratch::new(),
                 down_links: vec![false; net.link_count()],
                 down_nodes: vec![false; net.node_count()],
             }),
@@ -175,30 +220,15 @@ impl<'n> PathOracle<'n> {
             return (tree, true);
         }
         // Build with the class's canonical threshold so every rate of the
-        // class produces the bit-identical tree. Destructured so the
-        // filter can read the down flags while the scratch is borrowed
-        // mutably for the build.
-        let net = self.net;
-        let TreeCache {
-            map,
-            scratch,
-            down_links,
-            down_nodes,
-            ..
-        } = &mut *cache;
-        let filter = |l: LinkId| {
-            if down_links[l.index()] {
-                return false;
-            }
-            let link = net.link(l);
-            if down_nodes[link.a.index()] || down_nodes[link.b.index()] {
-                return false;
-            }
-            link.capacity >= threshold
-        };
-        let tree = Arc::new(ShortestPathTree::build_in(
-            net, source, &filter, None, scratch,
+        // class produces the bit-identical tree.
+        let admitted = cache.admitted(self.net, threshold);
+        let tree = Arc::new(ShortestPathTree::paused(
+            Arc::clone(self.net.snapshot()),
+            source,
+            admitted,
+            ArcWeight::Price,
         ));
+        let map = &mut cache.map;
         if map.len() >= self.capacity {
             // `used` ticks are unique (the counter bumps on every cache
             // access), so the min is unique and map iteration order
@@ -257,27 +287,14 @@ impl<'n> PathOracle<'n> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return tree;
         }
-        let net = self.net;
-        let TreeCache {
-            wmap,
-            scratch,
-            down_links,
-            down_nodes,
-            ..
-        } = &mut *cache;
-        let filter = |l: LinkId| {
-            if down_links[l.index()] {
-                return false;
-            }
-            let link = net.link(l);
-            if down_nodes[link.a.index()] || down_nodes[link.b.index()] {
-                return false;
-            }
-            link.capacity >= threshold
-        };
-        let tree = Arc::new(ShortestPathTree::build_weighted_in(
-            net, source, &filter, None, scratch, weight,
+        let admitted = cache.admitted(self.net, threshold);
+        let tree = Arc::new(ShortestPathTree::paused(
+            Arc::clone(self.net.snapshot()),
+            source,
+            admitted,
+            weight,
         ));
+        let wmap = &mut cache.wmap;
         if wmap.len() >= self.capacity {
             // `used` ticks are unique (the counter bumps on every cache
             // access), so the min is unique and map iteration order
@@ -329,10 +346,7 @@ impl<'n> PathOracle<'n> {
 
     /// Flushes every cached tree (counted as one invalidation).
     pub fn invalidate(&self) {
-        let mut cache = self.cache.lock();
-        cache.map.clear();
-        cache.wmap.clear();
-        drop(cache);
+        self.cache.lock().flush();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -349,8 +363,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
-        cache.map.clear();
-        cache.wmap.clear();
+        cache.flush();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true
@@ -369,8 +382,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
-        cache.map.clear();
-        cache.wmap.clear();
+        cache.flush();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true

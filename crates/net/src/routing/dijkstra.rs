@@ -15,13 +15,15 @@
 //! searches allocation-free. Entry points without a scratch parameter
 //! borrow a per-thread scratch transparently.
 
-use super::heap::search_weighted_in;
+use super::heap::{search_weighted_in, settle_until, SearchState, Stop};
 use super::scratch::{with_thread_scratch, RoutingScratch};
 use super::LinkFilter;
 use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::snapshot::NetworkSnapshot;
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Which per-arc scalar a weighted tree build minimizes.
 ///
@@ -73,13 +75,127 @@ pub(crate) fn search_in<F: LinkFilter>(
     search_weighted_in(snap, source, filter, target, scratch, ArcWeight::Price)
 }
 
+/// Predecessor entry of the source and of unreached nodes.
+const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// A single-source shortest-path tree, answering distance and path queries
 /// to every reachable node.
-#[derive(Debug, Clone)]
+///
+/// [`build`](Self::build) and its siblings return a complete tree. A
+/// tree from a [`PathOracle`](crate::PathOracle) miss settles nodes on
+/// demand instead: it starts with only its source reached, and a
+/// [`dist_to`](Self::dist_to) or [`path_to`](Self::path_to) of a node
+/// not yet settled resumes the search until that node is settled. The
+/// answers are bit-identical to a complete tree's under the same filter,
+/// in any query order and from any thread: the search settles nodes in
+/// the same (distance, node id) order whenever it pauses, and a settled
+/// node's distance and predecessor never change.
+///
+/// A paused tree holds its distance and predecessor arrays, one settled
+/// flag per node and shared handles to what it searches (the CSR
+/// snapshot and the admitted-link set it was built with), so it keeps
+/// answering as built whatever the oracle's overlay does later. It
+/// rebuilds its frontier from the tentative distances on each resume and
+/// drops the flags and handles once the search is complete.
+#[derive(Debug)]
 pub struct ShortestPathTree {
     source: NodeId,
+    nodes: Mutex<TreeNodes>,
+}
+
+/// A tree's per-node arrays.
+#[derive(Debug)]
+struct TreeNodes {
     dist: Vec<f64>,
-    prev: Vec<Option<(NodeId, LinkId)>>,
+    /// `(prev_node, via_link)`, [`NO_PREV`] at the source and at
+    /// unreached nodes.
+    prev: Vec<(u32, u32)>,
+    /// What the search needs to resume; `None` once it is complete.
+    paused: Option<Paused>,
+}
+
+/// The resumable part of a tree that settles on demand.
+#[derive(Debug)]
+struct Paused {
+    settled: Vec<bool>,
+    snap: Arc<NetworkSnapshot>,
+    /// Per link: whether the tree's filter admits it.
+    admitted: Arc<[bool]>,
+    weight: ArcWeight,
+}
+
+/// A paused tree's arrays, borrowed for one resumed run of the kernel.
+struct Resumed<'a> {
+    dist: &'a mut [f64],
+    prev: &'a mut [(u32, u32)],
+    settled: &'a mut [bool],
+}
+
+impl SearchState for Resumed<'_> {
+    #[inline]
+    fn dist(&self, v: NodeId) -> f64 {
+        self.dist[v.index()]
+    }
+
+    #[inline]
+    fn relax(&mut self, v: NodeId, d: f64, prev: Option<(NodeId, LinkId)>) {
+        self.dist[v.index()] = d;
+        self.prev[v.index()] = prev.map_or(NO_PREV, |(p, l)| (p.0, l.0));
+    }
+
+    #[inline]
+    fn is_settled(&self, v: NodeId) -> bool {
+        self.settled[v.index()]
+    }
+
+    #[inline]
+    fn settle(&mut self, v: NodeId) {
+        self.settled[v.index()] = true;
+    }
+}
+
+impl TreeNodes {
+    /// Resumes a paused search until `node` is settled, or until the
+    /// search completes. A complete tree, or a settled `node`, returns
+    /// at once.
+    fn settle_through(&mut self, node: NodeId) {
+        let TreeNodes { dist, prev, paused } = self;
+        let Some(p) = paused else {
+            return;
+        };
+        if p.settled[node.index()] {
+            return;
+        }
+        let admitted = &p.admitted;
+        let filter = |l: LinkId| admitted[l.index()];
+        let mut state = Resumed {
+            dist,
+            prev,
+            settled: &mut p.settled,
+        };
+        let complete = with_thread_scratch(|scratch| {
+            let heap = &mut scratch.heap;
+            heap.clear();
+            for (v, &d) in state.dist.iter().enumerate() {
+                if d.is_finite() && !state.settled[v] {
+                    heap.push(d, NodeId(v as u32));
+                }
+            }
+            let complete = settle_until(
+                &p.snap,
+                &filter,
+                p.weight,
+                &mut state,
+                heap,
+                Stop::Relaxed(node),
+            );
+            heap.clear();
+            complete
+        });
+        if complete {
+            *paused = None;
+        }
+    }
 }
 
 impl ShortestPathTree {
@@ -97,7 +213,7 @@ impl ShortestPathTree {
     }
 
     /// Like [`build`](Self::build), but runs in a caller-provided
-    /// scratch so repeated builds (oracle cache fills, Steiner rounds)
+    /// scratch so repeated builds (Steiner rounds, LARAC iterations)
     /// reuse one set of working buffers.
     pub fn build_in<F: LinkFilter>(
         net: &Network,
@@ -131,9 +247,47 @@ impl ShortestPathTree {
         let mut prev = Vec::with_capacity(n);
         for v in 0..n as u32 {
             dist.push(scratch.dist(NodeId(v)));
-            prev.push(scratch.prev_of(NodeId(v)));
+            prev.push(
+                scratch
+                    .prev_of(NodeId(v))
+                    .map_or(NO_PREV, |(p, l)| (p.0, l.0)),
+            );
         }
-        ShortestPathTree { source, dist, prev }
+        ShortestPathTree {
+            source,
+            nodes: Mutex::new(TreeNodes {
+                dist,
+                prev,
+                paused: None,
+            }),
+        }
+    }
+
+    /// A tree that settles on demand (see the type docs): only `source`
+    /// is reached, and queries resume the search over `snap` through
+    /// the links `admitted` marks, under `weight`.
+    pub(crate) fn paused(
+        snap: Arc<NetworkSnapshot>,
+        source: NodeId,
+        admitted: Arc<[bool]>,
+        weight: ArcWeight,
+    ) -> Self {
+        let n = snap.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        dist[source.index()] = 0.0;
+        ShortestPathTree {
+            source,
+            nodes: Mutex::new(TreeNodes {
+                dist,
+                prev: vec![NO_PREV; n],
+                paused: Some(Paused {
+                    settled: vec![false; n],
+                    snap,
+                    admitted,
+                    weight,
+                }),
+            }),
+        }
     }
 
     /// The tree's source node.
@@ -144,22 +298,30 @@ impl ShortestPathTree {
 
     /// Total price of the cheapest path to `node`, if reachable.
     pub fn dist_to(&self, node: NodeId) -> Option<f64> {
-        let d = self.dist[node.index()];
+        let mut nodes = self.nodes.lock();
+        nodes.settle_through(node);
+        let d = nodes.dist[node.index()];
         d.is_finite().then_some(d)
     }
 
     /// The cheapest path from the source to `node`, if reachable.
     pub fn path_to(&self, node: NodeId) -> Option<Path> {
-        if !self.dist[node.index()].is_finite() {
+        let mut tree = self.nodes.lock();
+        tree.settle_through(node);
+        if !tree.dist[node.index()].is_finite() {
             return None;
         }
         let mut nodes = vec![node];
         let mut links = Vec::new();
         let mut cur = node;
-        while let Some((p, l)) = self.prev[cur.index()] {
-            nodes.push(p);
-            links.push(l);
-            cur = p;
+        loop {
+            let (p, l) = tree.prev[cur.index()];
+            if (p, l) == NO_PREV {
+                break;
+            }
+            nodes.push(NodeId(p));
+            links.push(LinkId(l));
+            cur = NodeId(p);
         }
         debug_assert_eq!(cur, self.source);
         nodes.reverse();
@@ -320,9 +482,11 @@ mod tests {
             &mut scratch,
             weight,
         );
-        t.prev
+        let nodes = t.nodes.lock();
+        nodes
+            .prev
             .iter()
-            .map(|p| p.map_or(-1, |(_, l)| i64::from(l.0)))
+            .map(|&(p, l)| if (p, l) == NO_PREV { -1 } else { i64::from(l) })
             .collect()
     }
 

@@ -3,9 +3,14 @@
 //!
 //! Every weighted query in the workspace — min-cost paths, oracle trees,
 //! Steiner rounds, LARAC's `Delay` and `Lagrange(λ)` trees — runs the
-//! loop in [`search_weighted_in`]. Its queue pops the cheapest distance
-//! first and breaks ties on the smaller node id, so predecessor trees
-//! are a pure function of the network, the filter and the weight.
+//! loop in [`settle_until`]. Its queue pops the cheapest distance first and
+//! breaks ties on the smaller node id, so predecessor trees are a pure
+//! function of the network, the filter and the weight.
+//!
+//! The loop runs over any [`SearchState`]: the epoch-stamped
+//! [`RoutingScratch`] of a one-shot search, or the arrays of an oracle
+//! tree that settles on demand and resumes where its last query
+//! stopped.
 //!
 //! The module also holds the exact CSP reference's pareto label queue
 //! ([`ParetoQueue`]).
@@ -13,7 +18,7 @@
 use super::dijkstra::ArcWeight;
 use super::scratch::RoutingScratch;
 use super::LinkFilter;
-use crate::ids::NodeId;
+use crate::ids::{LinkId, NodeId};
 use crate::snapshot::NetworkSnapshot;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,6 +74,75 @@ impl MinHeap {
     }
 }
 
+/// The per-node state a Dijkstra search reads and writes.
+pub(crate) trait SearchState {
+    /// Tentative (or, once settled, final) distance of `v`.
+    fn dist(&self, v: NodeId) -> f64;
+    /// Records that `v` is reached at `d` via `prev` (`None` at the
+    /// source).
+    fn relax(&mut self, v: NodeId, d: f64, prev: Option<(NodeId, LinkId)>);
+    /// Whether `v` is settled.
+    fn is_settled(&self, v: NodeId) -> bool;
+    /// Marks `v` settled.
+    fn settle(&mut self, v: NodeId);
+}
+
+/// Where a run of [`settle_until`] stops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Stop {
+    /// When the frontier is empty.
+    Exhausted,
+    /// As soon as the node is settled, before its arcs are relaxed.
+    Settled(NodeId),
+    /// Once the node is settled and its arcs relaxed. The unsettled
+    /// nodes with a finite distance are then exactly the frontier, so a
+    /// later run can resume from them.
+    Relaxed(NodeId),
+}
+
+/// The Dijkstra loop: pops the frontier in (distance, node id) order,
+/// settles each node once and relaxes its admitted arcs, until `stop`.
+/// Returns whether the frontier ran dry.
+///
+/// A settled node's distance and predecessor never change, and the pop
+/// order depends only on the queued (distance, node) pairs, so a search
+/// paused at [`Stop::Relaxed`] and resumed from its frontier settles the
+/// same nodes in the same order as one that never paused.
+pub(crate) fn settle_until<S: SearchState, F: LinkFilter>(
+    snap: &NetworkSnapshot,
+    filter: &F,
+    weight: ArcWeight,
+    state: &mut S,
+    heap: &mut MinHeap,
+    stop: Stop,
+) -> bool {
+    while let Some((d, node)) = heap.pop() {
+        if state.is_settled(node) {
+            continue;
+        }
+        state.settle(node);
+        if stop == Stop::Settled(node) {
+            return false;
+        }
+        for i in snap.arc_range(node) {
+            let next = snap.arc_target(i);
+            let link = snap.arc_link(i);
+            if state.is_settled(next) || !filter.allows(link) {
+                continue;
+            }
+            let nd = d + weight.of(snap, i);
+            if nd < state.dist(next) {
+                state.relax(next, nd, Some((node, link)));
+                heap.push(nd, next);
+            }
+        }
+        if stop == Stop::Relaxed(node) {
+            return false;
+        }
+    }
+    true
+}
+
 /// Runs the weighted CSR Dijkstra loop, leaving distances and
 /// predecessors in `scratch` under a fresh epoch. With an early
 /// `target`, the search stops once the target is settled.
@@ -82,28 +156,11 @@ pub(crate) fn search_weighted_in<F: LinkFilter>(
 ) {
     scratch.begin(snap.node_count());
     scratch.relax(source, 0.0, None);
-    scratch.heap.push(0.0, source);
-    while let Some((d, node)) = scratch.heap.pop() {
-        if scratch.is_settled(node) {
-            continue;
-        }
-        scratch.settle(node);
-        if target == Some(node) {
-            break;
-        }
-        for i in snap.arc_range(node) {
-            let next = snap.arc_target(i);
-            let link = snap.arc_link(i);
-            if scratch.is_settled(next) || !filter.allows(link) {
-                continue;
-            }
-            let nd = d + weight.of(snap, i);
-            if nd < scratch.dist(next) {
-                scratch.relax(next, nd, Some((node, link)));
-                scratch.heap.push(nd, next);
-            }
-        }
-    }
+    let mut heap = std::mem::take(&mut scratch.heap);
+    heap.push(0.0, source);
+    let stop = target.map_or(Stop::Exhausted, Stop::Settled);
+    settle_until(snap, filter, weight, scratch, &mut heap, stop);
+    scratch.heap = heap;
 }
 
 /// Entry of the exact pareto label-setting queue (`csp.rs`), ordered

@@ -22,7 +22,7 @@
 //! thread-local is already borrowed (e.g. a filter closure that
 //! recursively routes), so no code path can panic on a double borrow.
 
-use super::heap::MinHeap;
+use super::heap::{MinHeap, SearchState};
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use std::cell::RefCell;
@@ -176,6 +176,28 @@ impl RoutingScratch {
     #[inline]
     pub(crate) fn bfs_hops(&self, v: NodeId) -> Option<u32> {
         self.bfs_visited(v).then(|| self.bfs_hops[v.index()])
+    }
+}
+
+impl SearchState for RoutingScratch {
+    #[inline]
+    fn dist(&self, v: NodeId) -> f64 {
+        RoutingScratch::dist(self, v)
+    }
+
+    #[inline]
+    fn relax(&mut self, v: NodeId, d: f64, prev: Option<(NodeId, LinkId)>) {
+        RoutingScratch::relax(self, v, d, prev);
+    }
+
+    #[inline]
+    fn is_settled(&self, v: NodeId) -> bool {
+        RoutingScratch::is_settled(self, v)
+    }
+
+    #[inline]
+    fn settle(&mut self, v: NodeId) {
+        RoutingScratch::settle(self, v);
     }
 }
 

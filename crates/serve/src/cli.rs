@@ -145,12 +145,21 @@ fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
     Ok(cfg)
 }
 
+/// `--queue`, the bound on the daemon's job queue (default 64). It must
+/// be at least 1: a queue of 0 turns every request away as "queue full".
+pub fn queue_capacity(flags: &Flags) -> Result<usize, String> {
+    match flags.usize_or("queue", 64)? {
+        0 => Err("--queue must be at least 1 (got 0)".into()),
+        q => Ok(q),
+    }
+}
+
 /// The daemon configuration the serving flags describe, with `algo` as
 /// the default algorithm.
 fn batch_config(flags: &Flags, algo: Algo) -> Result<BatchConfig, String> {
     Ok(BatchConfig {
         shards: flags.usize_or("shards", 1)?,
-        queue_capacity: flags.usize_or("queue", 64)?,
+        queue_capacity: queue_capacity(flags)?,
         algo,
         reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
         ..BatchConfig::default()

@@ -419,6 +419,29 @@ fn flows_with_bad_rate_or_size_get_an_error_and_no_lease() {
 }
 
 #[test]
+fn negative_delay_budget_gets_an_error_and_moves_no_counter() {
+    let sim = base();
+    let handle = spawn(BatchConfig::default(), &sim);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let net = instance_network(&sim);
+    let (sfc, flow) = instance_request(&sim, &net, 0);
+    let before = client.stats().expect("stats");
+    match client.embed(&sfc, &flow.with_delay_budget(-5.0), None, 1) {
+        Err(ClientError::Server(reason)) => {
+            assert!(reason.contains("invalid flow"), "'{reason}'");
+            assert!(reason.contains("delay_budget_us"), "'{reason}'");
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    let after = client.stats().expect("stats");
+    assert_eq!(after.rejected, before.rejected);
+    let json = |s: &StatsReport| serde_json::to_string(s).expect("stats serialize");
+    assert_eq!(json(&after), json(&before), "a bad request moved a counter");
+    drop(client);
+    handle.join();
+}
+
+#[test]
 fn unknown_and_double_release_are_protocol_errors() {
     let sim = base();
     let handle = spawn(BatchConfig::default(), &sim);

@@ -7,11 +7,11 @@
 //! the endpoints of links that cross a shard boundary. Gateways are
 //! where cross-shard embeddings are stitched together.
 //!
-//! On top of the plan, a [`GatewayTable`] precomputes the min-cost
-//! transit route between every ordered pair of gateways over the base
-//! (full-capacity) substrate, and distils it into one *corridor* per
-//! ordered shard pair — the cheapest gateway-to-gateway route that a
-//! stitched embedding between those shards is allowed to use. The table
+//! On top of the plan, a [`GatewayTable`] prices the min-cost transit
+//! between every ordered pair of gateways over the base (full-capacity)
+//! substrate, and distils it into one *corridor* per ordered shard pair
+//! — the cheapest gateway-to-gateway route that a stitched embedding
+//! between those shards is allowed to use. The table
 //! is the pricing oracle of the stitching step: gateway selection is a
 //! table lookup, never a per-request graph search.
 
@@ -178,6 +178,11 @@ impl GatewayTable {
     /// Routing goes through a [`PathOracle`] at rate 0 — base topology,
     /// no residual-capacity dependence — so the table never changes
     /// during serving and gateway selection stays a lookup.
+    ///
+    /// Each pair is priced by its tree distance; only a pair that beats
+    /// the corridor so far gets its path built. The distance has the
+    /// bits of the path's [`Path::price`]: both add the same link prices
+    /// in the same order from the source.
     pub fn build(net: &Network, plan: &ShardPlan) -> GatewayTable {
         let oracle = PathOracle::new(net);
         let mut corridors: BTreeMap<(u32, u32), TransitRoute> = BTreeMap::new();
@@ -187,32 +192,33 @@ impl GatewayTable {
                 if home == dst {
                     continue;
                 }
+                let key = (home as u32, dst as u32);
                 for &ga in plan.gateways(home) {
+                    let tree = oracle.tree(ga, 0.0);
                     for &gb in plan.gateways(dst) {
-                        let Some(path) = oracle.min_cost_path(ga, gb, 0.0) else {
+                        let Some(price) = tree.dist_to(gb) else {
                             continue;
                         };
                         pairs_priced += 1;
-                        let price = path.price(net);
-                        let delay_us = path.delay_us(net);
-                        let better = match corridors.get(&(home as u32, dst as u32)) {
-                            None => true,
-                            // Strict `<`: the ascending (ga, gb) iteration
-                            // order makes the lowest-id pair win ties.
-                            Some(cur) => price < cur.price,
-                        };
-                        if better {
-                            corridors.insert(
-                                (home as u32, dst as u32),
-                                TransitRoute {
-                                    from: ga,
-                                    to: gb,
-                                    price,
-                                    delay_us,
-                                    path,
-                                },
-                            );
+                        // Strict `<`: the ascending (ga, gb) iteration
+                        // order makes the lowest-id pair win ties.
+                        if corridors.get(&key).is_some_and(|cur| price >= cur.price) {
+                            continue;
                         }
+                        let Some(path) = tree.path_to(gb) else {
+                            continue;
+                        };
+                        let delay_us = path.delay_us(net);
+                        corridors.insert(
+                            key,
+                            TransitRoute {
+                                from: ga,
+                                to: gb,
+                                price,
+                                delay_us,
+                                path,
+                            },
+                        );
                     }
                 }
             }

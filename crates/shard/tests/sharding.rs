@@ -124,6 +124,43 @@ fn gateway_table_prices_every_reachable_region_pair() {
     }
 }
 
+/// Corridors are priced by tree distance before any path is built: on
+/// a 500-node substrate cut 2–8 ways, every corridor's price has the
+/// bits of its path's `Path::price`, and its delay is its path's.
+#[test]
+fn corridor_prices_have_the_bits_of_their_paths() {
+    let net = instance_network(&cfg(500, 0xA5));
+    for shards in 2..=8usize {
+        let plan = ShardPlan::partition(&net, shards).expect("partition");
+        let table = GatewayTable::build(&net, &plan);
+        assert_eq!(
+            table.corridor_count(),
+            shards * (shards - 1),
+            "{shards} shards"
+        );
+        for home in 0..shards {
+            for dst in (0..shards).filter(|&d| d != home) {
+                let route = table.corridor(home, dst).expect("connected substrate");
+                let what = format!("{shards} shards, {home} -> {dst}");
+                assert_eq!(
+                    route.price.to_bits(),
+                    route.path.price(&net).to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    route.delay_us.to_bits(),
+                    route.path.delay_us(&net).to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    (route.path.source(), route.path.target()),
+                    (route.from, route.to)
+                );
+            }
+        }
+    }
+}
+
 /// 2PC embeds across two regions, and release drains every shard's
 /// ledger back to zero — no half-committed reservations survive.
 #[test]

@@ -143,6 +143,13 @@ impl SimConfig {
                 "flow_size must be finite and >= 0",
             ));
         }
+        if let Some(budget) = self.delay_budget_us {
+            if !(budget.is_finite() && budget >= 0.0) {
+                return Err(NetError::InvalidParameter(
+                    "delay_budget_us must be finite and >= 0",
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -210,7 +217,10 @@ mod tests {
     fn validate_refuses_what_the_generators_cannot_draw() {
         assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(SimConfig::quick().validate(), Ok(()));
-        let bad: [fn(&mut SimConfig); 9] = [
+        let bad: [fn(&mut SimConfig); 12] = [
+            |c| c.delay_budget_us = Some(-5.0),
+            |c| c.delay_budget_us = Some(f64::NAN),
+            |c| c.delay_budget_us = Some(f64::INFINITY),
             |c| c.network_size = 0,
             |c| c.connectivity = -1.0,
             |c| c.vnf_deploy_ratio = 2.0,
@@ -226,6 +236,12 @@ mod tests {
             edit(&mut c);
             assert!(c.validate().is_err(), "case {i} passed: {c:?}");
         }
+        // A zero budget is legal: only co-located chains can meet it.
+        let zero = SimConfig {
+            delay_budget_us: Some(0.0),
+            ..SimConfig::default()
+        };
+        assert_eq!(zero.validate(), Ok(()));
     }
 
     #[test]

@@ -366,6 +366,20 @@ fn audit_exit_codes_distinguish_failure_modes() {
         assert_eq!(out.status.code(), Some(3), "{field} = {value}: {err}");
         assert!(err.contains("invalid simulation config"), "{field}: {err}");
     }
+
+    // 3 — and a negative delay budget: it would reject every arrival.
+    let json = std::fs::read_to_string(committed("smoke-50.json")).expect("committed fixture");
+    let budgeted = json.replacen("\"base\": {", "\"base\": {\"delay_budget_us\": -5,", 1);
+    assert_ne!(budgeted, json, "the base config opens as expected");
+    let bad = tmp("audit-negative-budget.json");
+    std::fs::write(&bad, budgeted).expect("write edited fixture");
+    let out = bin()
+        .args(["audit", "--trace", bad.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("delay_budget_us"), "{err}");
 }
 
 /// Base-config values no instance can be generated from, one field at
@@ -570,6 +584,26 @@ fn zero_sizes_are_errors_not_panics() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("shard count 0"), "{err}");
+    // `--queue 0` is refused too, not served as a queue that is always
+    // full.
+    let scenario = committed("chaos-smoke.json");
+    for args in [
+        vec!["replay", "--trace", trace.to_str().unwrap()],
+        vec!["chaos", "run", "--scenario", scenario.to_str().unwrap()],
+    ] {
+        let args = &args;
+        let out = bin()
+            .args(args)
+            .args(["--queue", "0"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("--queue must be at least 1"),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]

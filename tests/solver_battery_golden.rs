@@ -7,18 +7,27 @@
 //! `SolveCtx` per (instance, solver) carries the oracle across that
 //! solver's requests, so cache reuse is part of what is pinned.
 //!
-//! Everything a solve decides folds into one FNV-1a digest: each
-//! embedding (every assignment node, every path's nodes and links), its
-//! cost bits, each error string, and every `SolverStats` counter except
-//! the wall-clock fields. Cache counters are folded for the BBE family
+//! Everything a solve decides folds into the decision digest (FNV-1a):
+//! each embedding (every assignment node, every path's nodes and links),
+//! its cost bits, each error string, and every `SolverStats` counter
+//! except the wall-clock fields and `cache_hits`. `cache_misses` — how
+//! many trees the oracle had to build — is folded for the BBE family
 //! only: MINV/RANV route on per-solve residuals and their cache
 //! accounting is not a decision.
 //!
-//! The constant was recorded before the sub-solution tree stored
-//! handles instead of cloned layers and before the residual-routing
-//! session searches stopped at their target, so it pins that both
-//! changes kept every decision bit for bit. A deliberate behaviour
-//! change re-derives it from the printed value and says why.
+//! `cache_hits` counts lookups, not decisions: how often candidate
+//! generation asks the oracle for a tree it already holds. It folds
+//! into a second, cache-traffic digest, so a change to how often paths
+//! are looked up moves that digest and leaves the decision digest
+//! alone.
+//!
+//! The decision constant was recorded before the sub-solution tree
+//! stored handles instead of cloned layers, before the residual-routing
+//! session searches stopped at their target, and before candidate
+//! generation looked each node's paths up once per merger and copied
+//! paths for the kept candidates only, so it pins that those changes
+//! kept every decision bit for bit. A deliberate behaviour change
+//! re-derives it from the printed value and says why.
 
 use dagsfc::core::solvers::{BbeConfig, BbeSolver, MbbeSolver, MbbeStSolver, SolveCtx};
 use dagsfc::core::solvers::{MinvSolver, RanvSolver};
@@ -172,7 +181,21 @@ struct Tally {
     other_errors: usize,
 }
 
-fn fold(h: &mut Fnv, tally: &mut Tally, bbe_family: bool, out: &Result<SolveOutcome, SolveError>) {
+/// The two digests of a battery run.
+struct Digests {
+    /// Every decision and counter except `cache_hits`.
+    decisions: Fnv,
+    /// BBE-family `cache_hits`, in solve order.
+    cache_traffic: Fnv,
+}
+
+fn fold(
+    d: &mut Digests,
+    tally: &mut Tally,
+    bbe_family: bool,
+    out: &Result<SolveOutcome, SolveError>,
+) {
+    let h = &mut d.decisions;
     tally.solves += 1;
     match out {
         Ok(o) => {
@@ -211,8 +234,8 @@ fn fold(h: &mut Fnv, tally: &mut Tally, bbe_family: bool, out: &Result<SolveOutc
                 h.u64(v as u64);
             }
             if bbe_family {
-                h.u64(s.cache_hits);
                 h.u64(s.cache_misses);
+                d.cache_traffic.u64(s.cache_hits);
             }
         }
         Err(e) => {
@@ -229,9 +252,13 @@ fn fold(h: &mut Fnv, tally: &mut Tally, bbe_family: bool, out: &Result<SolveOutc
     }
 }
 
-/// Runs the battery, returning its digest and tally.
-fn battery() -> (u64, Tally) {
-    let mut h = Fnv::new();
+/// Runs the battery, returning its decision and cache-traffic digests
+/// and its tally.
+fn battery() -> (u64, u64, Tally) {
+    let mut d = Digests {
+        decisions: Fnv::new(),
+        cache_traffic: Fnv::new(),
+    };
     let mut tally = Tally::default();
     for cfg in profiles() {
         let net: Network = instance_network(&cfg);
@@ -239,25 +266,31 @@ fn battery() -> (u64, Tally) {
             .map(|i| instance_request(&cfg, &net, i))
             .collect();
         for column in &COLUMNS {
-            h.bytes(column.label.as_bytes());
+            d.decisions.bytes(column.label.as_bytes());
             let solver = (column.build)(cfg.seed);
             let ctx = SolveCtx::new(&net);
             for (sfc, flow) in &requests {
                 let out = solver.solve_in(&ctx, sfc, flow);
-                fold(&mut h, &mut tally, column.bbe_family, &out);
+                fold(&mut d, &mut tally, column.bbe_family, &out);
             }
         }
     }
-    (h.0, tally)
+    (d.decisions.0, d.cache_traffic.0, tally)
 }
 
 #[test]
 fn solver_battery_decisions_are_pinned() {
-    let (digest, tally) = battery();
-    eprintln!("solver battery: digest {digest:#018x}, {tally:?}");
+    let (digest, cache_traffic, tally) = battery();
+    eprintln!(
+        "solver battery: digest {digest:#018x}, cache traffic {cache_traffic:#018x}, {tally:?}"
+    );
     assert!(tally.accepted > 0, "{tally:?}");
     assert!(tally.deadline > 0, "no deadline rejection: {tally:?}");
     assert!(tally.rule > 0, "no rule rejection: {tally:?}");
     assert!(tally.other_errors > 0, "no capacity rejection: {tally:?}");
-    assert_eq!(digest, 0xc252_4a7f_ac1d_2447, "solver battery digest moved");
+    assert_eq!(digest, 0x143a_1886_5e75_0e24, "solver battery digest moved");
+    assert_eq!(
+        cache_traffic, 0xa723_cb30_e002_d9b1,
+        "cache-traffic digest moved"
+    );
 }
