@@ -16,9 +16,11 @@
 //! the ones the caller keeps (MBBE's `X_d` per pair) get their paths
 //! copied into [`LayerSub`]s.
 
+use super::loads::Loads;
+use super::stamped::Stamped;
 use super::tree::SearchTree;
-use super::BbeConfig;
-use crate::chain::Layer;
+use super::{cuts_never_bind, BbeConfig};
+use crate::chain::{DagSfc, Layer};
 use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
@@ -59,6 +61,11 @@ pub(crate) struct EngineCtx<'a> {
     /// Flat per-link static rate-feasibility under this flow's rate,
     /// precomputed once per solve for the same reason.
     link_rate_ok: Vec<bool>,
+    /// How the chain loads the residual, when lineage loads are tracked:
+    /// without a delay constraint, while no level cut can bind, and only
+    /// if some link or instance the chain can use binds (see
+    /// [`super::loads`]).
+    pub loads: Option<Loads>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
 }
@@ -66,18 +73,25 @@ pub(crate) struct EngineCtx<'a> {
 impl<'a> EngineCtx<'a> {
     pub fn new(
         net: &'a Network,
-        catalog: VnfCatalog,
+        sfc: &DagSfc,
         flow: Flow,
         cfg: &'a BbeConfig,
         oracle: &'a PathOracle<'a>,
     ) -> Self {
+        let catalog = *sfc.catalog();
+        let loads = (cfg.delay_constraint.is_none() && cuts_never_bind(cfg, sfc.depth()))
+            .then(|| Loads::new(sfc, &catalog, flow.rate, net.link_count()));
         let mut link_price = Vec::with_capacity(net.link_count());
         let mut link_rate_ok = Vec::with_capacity(net.link_count());
+        let mut binds = false;
         for l in 0..net.link_count() {
             let link = net.link(LinkId(l as u32));
+            let ok = link.capacity + CAP_EPS >= flow.rate;
             link_price.push(link.price);
-            link_rate_ok.push(link.capacity + CAP_EPS >= flow.rate);
+            link_rate_ok.push(ok);
+            binds |= ok && loads.as_ref().is_some_and(|m| m.link_binds(link.capacity));
         }
+        let loads = loads.filter(|m| binds || m.any_instance_binds(net));
         EngineCtx {
             net,
             catalog,
@@ -86,6 +100,7 @@ impl<'a> EngineCtx<'a> {
             oracle,
             link_price,
             link_rate_ok,
+            loads,
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
         }
@@ -180,53 +195,11 @@ pub(crate) fn for_each_bounded_combo(dims: &[usize], cap: usize, mut visit: impl
     }
 }
 
-/// Epoch-stamped first-occurrence set over link ids: the multicast
-/// dedup behind layer scoring. `begin` is O(1) (an epoch bump), so the
-/// set is reused across thousands of candidate scorings without the
-/// per-candidate hash-set allocation the old scorer paid.
-struct SeenLinks {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl SeenLinks {
-    /// Starts a fresh dedup scope covering link ids `0..links`.
-    fn begin(&mut self, links: usize) {
-        if self.stamp.len() < links {
-            self.stamp.resize(links, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: hard-reset the stamps so stale marks from
-                // u32::MAX scopes ago cannot alias the new epoch.
-                self.stamp.fill(0);
-                1
-            }
-        };
-    }
-
-    /// Whether this is the first occurrence of `l` in the current scope.
-    fn first(&mut self, l: LinkId) -> bool {
-        let s = &mut self.stamp[l.index()];
-        if *s == self.epoch {
-            false
-        } else {
-            *s = self.epoch;
-            true
-        }
-    }
-}
-
 thread_local! {
-    /// Per-thread scoring dedup set, reused by every solve on the
-    /// thread (the sim runner solves on several threads at once).
-    static SEEN_LINKS: RefCell<SeenLinks> = const {
-        RefCell::new(SeenLinks {
-            stamp: Vec::new(),
-            epoch: 0,
-        })
-    };
+    /// Per-thread multicast dedup for layer scoring (a link's count is
+    /// nonzero once seen), reused by every solve on the thread (the sim
+    /// runner solves on several threads at once).
+    static SEEN_LINKS: RefCell<Stamped> = const { RefCell::new(Stamped::new()) };
 }
 
 /// Computes a layer's cost: VNF rentals plus links, with multicast dedup
@@ -248,7 +221,8 @@ pub(crate) fn layer_cost<'p>(
         let mut link_price = 0.0;
         for p in inter {
             for &l in p.links() {
-                if seen.first(l) {
+                if seen.get(l.0) == 0 {
+                    seen.add(l.0, 1);
                     link_price += ctx.link_price[l.index()];
                 }
             }
@@ -614,6 +588,12 @@ mod tests {
         BbeConfig::default()
     }
 
+    /// A one-VNF chain over catalog `c`: the engine context reads only
+    /// its catalog and load model.
+    fn chain(c: VnfCatalog) -> DagSfc {
+        DagSfc::sequential(&[VnfTypeId(0)], c).unwrap()
+    }
+
     /// Diamond: v0-v1-v2, v0-v3-v2; f0@v1, f1@v3, merger@v2; plus
     /// direct src links.
     fn net() -> Network {
@@ -662,7 +642,8 @@ mod tests {
         let c = VnfCatalog::new(2);
         let cfg = cfg();
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
+        let sfc = chain(c);
+        let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let p01 = ctx.min_cost_path(NodeId(0), NodeId(1)).unwrap();
         let p02 = ctx.min_cost_path(NodeId(0), NodeId(2)).unwrap();
         let inter = vec![p01.clone(), p01.clone(), p02.clone()];
@@ -695,7 +676,8 @@ mod tests {
         let c = VnfCatalog::new(2);
         let cfg = cfg();
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
+        let sfc = chain(c);
+        let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let subs = singleton_layer_subs(&ctx, &layer, &fst);
@@ -717,7 +699,8 @@ mod tests {
         let c = VnfCatalog::new(2);
         let cfg = cfg();
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
+        let sfc = chain(c);
+        let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         assert!(fst.covered());
@@ -753,7 +736,8 @@ mod tests {
         let mut cfg = cfg();
         cfg.use_min_cost_paths = true;
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
+        let sfc = chain(c);
+        let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
@@ -820,7 +804,7 @@ mod tests {
         let layer = Layer::new((0..width).map(|k| VnfTypeId(k as u16)).collect());
         let src = NodeId(rng.gen_range(0..gen.nodes) as u32);
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(src, src), cfg, &oracle);
+        let ctx = EngineCtx::new(&g, &chain(c), Flow::unit(src, src), cfg, &oracle);
         let fst = forward_search(&g, src, &layer, &c, cfg.x_max);
         let mut largest = 0;
         for i in fst.hosting(c.merger()) {
@@ -906,7 +890,7 @@ mod tests {
             delay_budget_us: None,
         };
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, flow, &cfg, &oracle);
+        let ctx = EngineCtx::new(&g, &chain(c), flow, &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         assert!(singleton_layer_subs(&ctx, &layer, &fst).is_empty());
@@ -920,7 +904,8 @@ mod tests {
         let c = VnfCatalog::new(2);
         let cfg = cfg();
         let oracle = PathOracle::new(&g);
-        let ctx = EngineCtx::new(&g, c, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
+        let sfc = chain(c);
+        let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(1), &layer, &c, &fst);

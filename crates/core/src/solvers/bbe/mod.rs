@@ -27,6 +27,8 @@
 mod backward;
 mod candidates;
 mod forward;
+mod loads;
+mod stamped;
 mod subtree;
 mod tree;
 
@@ -35,6 +37,7 @@ pub use tree::{SearchTree, TreeNode};
 use self::backward::backward_search;
 use self::candidates::{parallel_layer_subs, singleton_layer_subs, EngineCtx, LayerSub};
 use self::forward::forward_search;
+use self::loads::{Use, UseLists};
 use self::subtree::{SubHandle, SubTree};
 use self::tree::SearchTree as Fst;
 use super::instrument::{Counters, Instrument};
@@ -386,6 +389,10 @@ fn score_merger(
 struct StartMemo {
     /// Final sub-solutions (sorted cheapest-first, `X_d`-truncated).
     subs: Vec<LayerSub>,
+    /// Their uses of the resources the chain can overload, while
+    /// lineage loads are tracked (boxed: a layer holds a memo slot per
+    /// substrate node).
+    uses: Option<Box<UseLists>>,
     /// FST size (replayed into `fst_nodes` per parent).
     fst_nodes: usize,
     /// Whether the FST covered the layer (uncovered ⇒ no subs).
@@ -403,6 +410,14 @@ struct StartMemo {
     explored: usize,
 }
 
+impl StartMemo {
+    /// The uses sub-solution `i` makes of the resources the chain can
+    /// overload (none while lineage loads are not tracked).
+    fn uses(&self, i: usize) -> &[Use] {
+        self.uses.as_ref().map_or(&[], |lists| lists.get(i))
+    }
+}
+
 /// Expands `layer` from `start_node`: forward search, merger scoring (or
 /// singleton generation), sort, and `X_d` truncation. Pure in
 /// `start_node`; see [`StartMemo`].
@@ -416,6 +431,7 @@ fn expand_start(
     let fst = forward_search(ctx.net, start_node, layer, catalog, cfg.x_max);
     let mut memo = StartMemo {
         subs: Vec::new(),
+        uses: None,
         fst_nodes: fst.len(),
         covered: fst.covered(),
         capped: fst.capped(),
@@ -454,6 +470,9 @@ fn expand_start(
             memo.pruned += subs.len() - xd;
             subs.truncate(xd);
         }
+    }
+    if let Some(loads) = &ctx.loads {
+        memo.uses = Some(Box::new(loads.use_lists(ctx.net, layer, catalog, &subs)));
     }
     memo.subs = subs;
     memo
@@ -521,6 +540,22 @@ fn cut_level(cands: &mut Vec<Candidate>, width: usize) -> usize {
     dropped
 }
 
+/// Whether no level cut of a `depth`-layer search can bind: with at
+/// most `X_d` children per parent, level `j` holds at most `X_d^(j+1)`
+/// candidates, and the deepest level bounds them all.
+fn cuts_never_bind(cfg: &BbeConfig, depth: usize) -> bool {
+    cfg.x_d.is_some_and(|xd| {
+        u32::try_from(depth)
+            .ok()
+            .and_then(|d| xd.checked_pow(d))
+            .is_some_and(|widest| widest <= cfg.max_level_width)
+    })
+}
+
+/// Why an attempt fails when no complete candidate validates.
+const FINALS_CAPACITY_REASON: &str =
+    "no complete candidate reached the destination within capacity and delay bound";
+
 /// A search attempt that found no embedding.
 struct Failed {
     error: SolveError,
@@ -540,7 +575,7 @@ fn attempt<I: Instrument>(
 ) -> Result<(Embedding, usize, usize), Failed> {
     let net = ctx.net;
     let catalog = *sfc.catalog();
-    let ctx = EngineCtx::new(net, catalog, *flow, cfg, &ctx.oracle);
+    let ctx = EngineCtx::new(net, sfc, *flow, cfg, &ctx.oracle);
     let mut tree = SubTree::new(flow.src);
     let mut level: Vec<usize> = vec![0];
     let mut explored = 0usize;
@@ -557,6 +592,14 @@ fn attempt<I: Instrument>(
     // Every layer's end-node memo, kept until the attempt returns: tree
     // nodes hold handles into them (see `SubHandle`).
     let mut memos: Vec<Memo> = Vec::with_capacity(sfc.depth());
+    // Lineage loads (see `loads`), tracked only without a delay
+    // constraint and while no level cut can bind. A lineage that
+    // already overloads the residual can never validate, so it is
+    // dropped; every level keeps all it is given, so dropping moves no
+    // survivor.
+    let loads = ctx.loads.as_ref();
+    // Per child of the current parent: whether it overloads.
+    let mut child_dead: Vec<bool> = Vec::new();
 
     for l in 0..sfc.depth() {
         // Per-layer wall clock only when a recording sink asks for it.
@@ -571,6 +614,8 @@ fn attempt<I: Instrument>(
         // nodes — evidence for classifying an empty level as a deadline
         // (not capacity) failure.
         let mut layer_delay_pruned: Option<f64> = None;
+        // Candidates dropped because their lineage overloads.
+        let mut layer_overloaded = 0usize;
         // End-node memo, fresh per layer (expansions depend on the layer).
         let mut memo: Memo = std::iter::repeat_with(|| None).take(substrate_n).collect();
         for &parent in &level {
@@ -592,7 +637,21 @@ fn attempt<I: Instrument>(
             ins.candidates_generated(m.generated);
             ins.candidates_pruned(m.pruned);
             explored += m.explored;
+            child_dead.clear();
+            if let Some(loads) = loads.filter(|_| !m.subs.is_empty()) {
+                let lineage = tree
+                    .handles(parent)
+                    .map(|h| memo_of(&memos, h).uses(h.index as usize));
+                loads.with_lineage(lineage, |load| {
+                    child_dead.extend((0..m.subs.len()).map(|i| load.overloads_with(m.uses(i))));
+                });
+            }
             for (index, sub) in m.subs.iter().enumerate() {
+                if child_dead.get(index) == Some(&true) {
+                    ins.candidates_overloaded(1);
+                    layer_overloaded += 1;
+                    continue;
+                }
                 let mut delay = 0.0;
                 if let Some(dc) = dc {
                     delay = node_delay[parent] + sub_delay_us(&dc.model, layer, &catalog, sub);
@@ -625,9 +684,11 @@ fn attempt<I: Instrument>(
             ins.cache(h, m);
             // A level emptied by delay pruning is a deadline failure:
             // capacity-feasible sub-solutions existed, every one blew
-            // the budget.
+            // the budget. A level whose every candidate overloads fails
+            // as the finals would have: no lineage can validate.
             let reason = match (dc, layer_delay_pruned) {
                 (Some(dc), Some(best)) => deadline_infeasible_reason(best, dc.max_delay_us),
+                _ if layer_overloaded > 0 => FINALS_CAPACITY_REASON.into(),
                 _ => format!("layer {l} produced no feasible sub-solution"),
             };
             let error = SolveError::NoFeasibleEmbedding { solver, reason };
@@ -775,10 +836,17 @@ fn attempt<I: Instrument>(
     // fallthrough.
     let reason = match (dc, best_rejected) {
         (Some(dc), Some(best)) => deadline_infeasible_reason(best, dc.max_delay_us),
-        _ => "no complete candidate reached the destination within capacity and delay bound".into(),
+        _ => FINALS_CAPACITY_REASON.into(),
     };
     let error = SolveError::NoFeasibleEmbedding { solver, reason };
     Err(Failed { error, capped })
+}
+
+/// The layer expansion a tree node's handle points into.
+fn memo_of(memos: &[Memo], handle: SubHandle) -> &StartMemo {
+    let memo = memos[handle.layer as usize][handle.start.index()].as_ref();
+    // lint:allow(expect) — invariant: handles are made from filled memos
+    memo.expect("handle names a filled memo")
 }
 
 /// Reconstructs the [`Embedding`] from a sub-solution-tree leaf: the only
@@ -795,9 +863,7 @@ fn assemble(
     let mut assignments = Vec::with_capacity(sfc.depth());
     let mut paths = Vec::new();
     for handle in lineage {
-        let memo = memos[handle.layer as usize][handle.start.index()].as_ref();
-        // lint:allow(expect) — invariant: handles are made from filled memos
-        let sub = &memo.expect("handle names a filled memo").subs[handle.index as usize];
+        let sub = &memo_of(memos, handle).subs[handle.index as usize];
         assignments.push(sub.assignment.clone());
         paths.extend(sub.inter_paths.iter().cloned());
         paths.extend(sub.inner_paths.iter().cloned());
@@ -1248,6 +1314,166 @@ mod tests {
             ..s.clone()
         };
         assert_eq!(timeless(&zero.stats), timeless(&one.stats));
+    }
+
+    /// The source v0 reaches f0's host v1 at price 1, and v1 reaches
+    /// f1's host v2 at price 0.1. Two merger hosts sit one link from v1:
+    /// v4 over the one link of capacity 1.5 (price 0.1), v6 at price 1
+    /// (also one link from v2). Both reach the destination v5 at price
+    /// 1; without `merger_on_v6`, v6 hosts nothing. f2 sits on v7, which
+    /// no link reaches.
+    fn overload_net(merger_on_v6: bool) -> Network {
+        let mut g = Network::new();
+        g.add_nodes(8);
+        for (a, b, price, capacity) in [
+            (0, 1, 1.0, 10.0),
+            (1, 2, 0.1, 10.0),
+            (1, 4, 0.1, 1.5),
+            (4, 5, 1.0, 10.0),
+            (1, 6, 1.0, 10.0),
+            (2, 6, 1.0, 10.0),
+            (6, 5, 1.0, 10.0),
+        ] {
+            g.add_link(NodeId(a), NodeId(b), price, capacity).unwrap();
+        }
+        g.deploy_vnf(NodeId(1), VnfTypeId(0), 1.0, 10.0).unwrap();
+        g.deploy_vnf(NodeId(2), VnfTypeId(1), 1.0, 10.0).unwrap();
+        g.deploy_vnf(NodeId(4), VnfTypeId(3), 0.5, 10.0).unwrap();
+        if merger_on_v6 {
+            g.deploy_vnf(NodeId(6), VnfTypeId(3), 0.5, 10.0).unwrap();
+        }
+        g.deploy_vnf(NodeId(7), VnfTypeId(2), 1.0, 10.0).unwrap();
+        g
+    }
+
+    /// The cheapest sub-solution merges on v4: VNFs 2.5, inter links
+    /// v0–v1 and v1–v2 1.1, inner paths v1–v4 and v2–v1–v4 0.3, final
+    /// v4–v5 1 — 4.9 in all, but both inner paths (2 units) cross the
+    /// capacity-1.5 link v1–v4. MBBE drops it; BBE, whose levels have no
+    /// `X_d` bound and so are not tracked, fails it at validation. Both
+    /// return the merge on v6: VNFs 2.5, inter 1.1, inner v1–v6 and
+    /// v2–v6 2, final v6–v5 1 = 6.6.
+    #[test]
+    fn overloaded_cheapest_sub_solution_yields_the_next_one() {
+        let g = overload_net(true);
+        let sfc = DagSfc::new(
+            vec![Layer::new(vec![VnfTypeId(0), VnfTypeId(1)])],
+            catalog(),
+        )
+        .unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(5));
+        let solvers: [(&str, Box<dyn Solver>, bool); 2] = [
+            ("MBBE", Box::new(MbbeSolver::new()), true),
+            ("BBE", Box::new(BbeSolver::new()), false),
+        ];
+        for (name, solver, tracked) in solvers {
+            let out = solver.solve(&g, &sfc, &flow).unwrap();
+            validate(&g, &sfc, &flow, &out.embedding).unwrap();
+            assert_eq!(
+                out.embedding.assignments(),
+                &[vec![NodeId(1), NodeId(2), NodeId(6)]],
+                "{name}"
+            );
+            assert!(
+                (out.cost.total() - 6.6).abs() < 1e-9,
+                "{name}: {}",
+                out.cost
+            );
+            assert_eq!(
+                out.stats.candidates_overloaded >= 1,
+                tracked,
+                "{name}: {:?}",
+                out.stats
+            );
+        }
+    }
+
+    /// f0 twice in a row, from v0 to v3. f0 sits on v1 (capacity 1.5)
+    /// and v2, both one link from v0 and from v3: the cheaper lineage
+    /// places both slots on v1 (4 in all), two units on an instance
+    /// that takes 1.5; the other places both on v2 (4.5). No link can be
+    /// overloaded, so the instance alone turns tracking on.
+    #[test]
+    fn overloaded_instance_yields_the_next_lineage() {
+        let mut g = Network::new();
+        g.add_nodes(4);
+        for (a, b, price) in [(0, 1, 1.0), (0, 2, 1.5), (1, 3, 1.0), (2, 3, 1.0)] {
+            g.add_link(NodeId(a), NodeId(b), price, 10.0).unwrap();
+        }
+        g.deploy_vnf(NodeId(1), VnfTypeId(0), 1.0, 1.5).unwrap();
+        g.deploy_vnf(NodeId(2), VnfTypeId(0), 1.0, 10.0).unwrap();
+        let sfc = DagSfc::sequential(&[VnfTypeId(0), VnfTypeId(0)], catalog()).unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(3));
+        let out = MbbeSolver::new().solve(&g, &sfc, &flow).unwrap();
+        assert_eq!(
+            out.embedding.assignments(),
+            &[vec![NodeId(2)], vec![NodeId(2)]]
+        );
+        assert!((out.cost.total() - 4.5).abs() < 1e-9, "{}", out.cost);
+        assert_eq!(out.stats.candidates_overloaded, 1);
+    }
+
+    /// The two-layer chain of the reason tests: f0 ‖ f1, then f2.
+    fn overload_chain() -> DagSfc {
+        DagSfc::new(
+            vec![
+                Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]),
+                Layer::new(vec![VnfTypeId(2)]),
+            ],
+            catalog(),
+        )
+        .unwrap()
+    }
+
+    /// Without v6's merger, MBBE's only first-layer sub-solution
+    /// overloads v1–v4, and no host of f2 is reachable for the second
+    /// layer. The attempt stops at the dead first level and fails as
+    /// the finals would; a search that expanded the dead lineage failed
+    /// at the empty second level instead ("layer 1 produced no feasible
+    /// sub-solution"). Both are capacity failures.
+    #[test]
+    fn all_dead_level_fails_with_the_finals_reason() {
+        let g = overload_net(false);
+        let flow = Flow::unit(NodeId(0), NodeId(5));
+        let err = MbbeSolver::new()
+            .solve(&g, &overload_chain(), &flow)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MBBE: no feasible embedding found (no complete candidate reached \
+             the destination within capacity and delay bound)"
+        );
+        assert!(!err.is_deadline_infeasible());
+    }
+
+    /// Under a delay budget no lineage is tracked: dead leaves still
+    /// decide the deadline reason, so the search runs in full and
+    /// reports the empty second level, and nothing counts as
+    /// overloaded.
+    #[test]
+    fn delay_budgets_leave_the_search_untracked() {
+        let flow = Flow::unit(NodeId(0), NodeId(5)).with_delay_budget(1e6);
+        let err = MbbeSolver::new()
+            .solve(&overload_net(false), &overload_chain(), &flow)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MBBE: no feasible embedding found (layer 1 produced no feasible sub-solution)"
+        );
+        assert!(!err.is_deadline_infeasible());
+        let sfc = DagSfc::new(
+            vec![Layer::new(vec![VnfTypeId(0), VnfTypeId(1)])],
+            catalog(),
+        )
+        .unwrap();
+        let out = MbbeSolver::new()
+            .solve(&overload_net(true), &sfc, &flow)
+            .unwrap();
+        assert_eq!(
+            out.embedding.assignments(),
+            &[vec![NodeId(1), NodeId(2), NodeId(6)]]
+        );
+        assert_eq!(out.stats.candidates_overloaded, 0);
     }
 }
 

@@ -85,17 +85,17 @@ impl SubTree {
         &self.nodes[idx]
     }
 
+    /// The layer sub-solution handles from `idx` up the tree, deepest
+    /// first (the root holds none).
+    pub fn handles(&self, idx: usize) -> impl Iterator<Item = SubHandle> + '_ {
+        std::iter::successors(Some(idx), |&i| self.nodes[i].parent)
+            .filter_map(|i| self.nodes[i].sub)
+    }
+
     /// Walks the up links from `leaf` to the root, returning the layer
     /// sub-solution handles in layer order (root's child first).
     pub fn lineage(&self, leaf: usize) -> Vec<SubHandle> {
-        let mut out = Vec::new();
-        let mut cur = Some(leaf);
-        while let Some(i) = cur {
-            if let Some(sub) = self.nodes[i].sub {
-                out.push(sub);
-            }
-            cur = self.nodes[i].parent;
-        }
+        let mut out: Vec<SubHandle> = self.handles(leaf).collect();
         out.reverse();
         out
     }

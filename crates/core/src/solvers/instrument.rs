@@ -58,6 +58,13 @@ pub trait Instrument {
         let _ = n;
     }
 
+    /// `n` candidates were dropped from the search because their
+    /// lineage already overloads a link or VNF instance of the residual.
+    #[inline]
+    fn candidates_overloaded(&mut self, n: usize) {
+        let _ = n;
+    }
+
     /// One SFC layer finished after `wall` of work.
     #[inline]
     fn layer_wall(&mut self, wall: Duration) {
@@ -120,6 +127,11 @@ impl Instrument for Counters {
     }
 
     #[inline]
+    fn candidates_overloaded(&mut self, n: usize) {
+        self.stats.candidates_overloaded += n;
+    }
+
+    #[inline]
     fn layer_wall(&mut self, wall: Duration) {
         self.stats.layer_wall.push(wall);
     }
@@ -145,6 +157,7 @@ mod tests {
         c.candidates_generated(10);
         c.candidates_pruned(6);
         c.candidates_delay_rejected(2);
+        c.candidates_overloaded(3);
         c.layer_wall(Duration::from_micros(7));
         c.cache(8, 9);
         assert_eq!(c.stats.nodes_expanded, 5);
@@ -153,6 +166,7 @@ mod tests {
         assert_eq!(c.stats.candidates_generated, 10);
         assert_eq!(c.stats.candidates_pruned, 6);
         assert_eq!(c.stats.candidates_delay_rejected, 2);
+        assert_eq!(c.stats.candidates_overloaded, 3);
         assert_eq!(c.stats.layer_wall, vec![Duration::from_micros(7)]);
         assert_eq!((c.stats.cache_hits, c.stats.cache_misses), (8, 9));
         assert!(c.stats.cache_hit_rate() > 0.0);

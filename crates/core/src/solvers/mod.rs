@@ -76,6 +76,11 @@ pub struct SolverStats {
     /// rule-aware searches (MINV/RANV, GRASP, EXACT); zero for solvers
     /// that rely on the central [`enforce_placement_rules`] gate alone.
     pub candidates_rule_rejected: usize,
+    /// BBE-family candidates dropped from the search because their
+    /// sub-solution lineage already overloads a link or VNF instance of
+    /// the residual. Such a lineage can never validate, so these are
+    /// search work saved, not decisions.
+    pub candidates_overloaded: usize,
     /// Shortest-path queries answered from a cache.
     pub cache_hits: u64,
     /// Shortest-path queries that ran a fresh search.

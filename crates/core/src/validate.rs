@@ -109,6 +109,13 @@ impl fmt::Display for Violation {
     }
 }
 
+/// Whether `load` overloads a link or VNF instance of `capacity`: the
+/// test behind constraints (2)/(3). The BBE search judges its lineage
+/// loads with it too, so a lineage it drops is one this check rejects.
+pub(crate) fn overloaded(load: f64, capacity: f64) -> bool {
+    load > capacity + CAP_EPS
+}
+
 /// Checks every model constraint; on success returns the embedding's cost.
 pub fn validate(
     net: &Network,
@@ -174,7 +181,7 @@ pub fn validate(
     let acct = emb.account_lenient(net, sfc, flow, &mut None);
     for (&(node, kind), &load) in &acct.vnf_load {
         let capacity = net.instance(node, kind).map(|i| i.capacity).unwrap_or(0.0); // missing instance already reported above
-        if net.hosts(node, kind) && load > capacity + CAP_EPS {
+        if net.hosts(node, kind) && overloaded(load, capacity) {
             violations.push(Violation::VnfOverload {
                 node,
                 kind,
@@ -186,7 +193,7 @@ pub fn validate(
     for (i, &load) in acct.link_load.iter().enumerate() {
         let link = LinkId(i as u32);
         let capacity = net.link(link).capacity;
-        if load > capacity + CAP_EPS {
+        if overloaded(load, capacity) {
             violations.push(Violation::LinkOverload {
                 link,
                 load,

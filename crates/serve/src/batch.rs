@@ -6,7 +6,8 @@
 //!
 //! * the **front-end thread** polls every connection with non-blocking
 //!   reads, tolerating partial lines (bytes accumulate in a
-//!   per-connection buffer until a `\n` completes a request) — no
+//!   per-connection buffer until a `\n` completes a request, up to
+//!   [`MAX_LINE_BYTES`]) — no
 //!   thread per connection, so hundreds of clients cost neither context
 //!   switches nor lock bouncing. It answers `ping`, `hello` and
 //!   `shutdown` itself, turns away embeds that fail admission, and
@@ -44,8 +45,8 @@
 //! given back.
 
 use crate::protocol::{
-    fault_event_from_wire, AlgoLatency, OracleCounters, ShardLane, StatsReport, WireRequest,
-    WireResponse,
+    fault_event_from_wire, line_too_long, AlgoLatency, OracleCounters, ShardLane, StatsReport,
+    WireRequest, WireResponse, MAX_LINE_BYTES,
 };
 use crate::server::{hello_response, lock_recover, preset_chain, ServerHandle};
 use dagsfc_core::solvers::precheck;
@@ -55,7 +56,7 @@ use dagsfc_shard::{RoutePolicy, ShardPlan, ShardRouter, ShardedEngine, ShardedSt
 use dagsfc_sim::Algo;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -206,8 +207,13 @@ struct Conn {
     stream: TcpStream,
     owner: u64,
     /// Bytes read but not yet terminated by `\n` (partial-line
-    /// tolerance — slow or chunking clients).
+    /// tolerance — slow or chunking clients), at most [`MAX_LINE_BYTES`].
     buf: Vec<u8>,
+    /// A line ran past [`MAX_LINE_BYTES`]: its error reply is owed,
+    /// every later byte is read and dropped, and the write side shuts
+    /// once the reply is out. The connection goes when the client hangs
+    /// up; closing it with input unread would reset the reply away.
+    overlong: bool,
     /// Replies owed, in request order (pipelining support).
     pending: VecDeque<Pending>,
     /// Read side finished (EOF, IO error, or a served `shutdown`/`bye`);
@@ -368,6 +374,7 @@ impl FrontEnd<'_, '_> {
                     stream,
                     owner: next_owner,
                     buf: Vec::new(),
+                    overlong: false,
                     pending: VecDeque::new(),
                     closed: false,
                 });
@@ -383,7 +390,9 @@ impl FrontEnd<'_, '_> {
                 let hung_up = loop {
                     match conn.stream.read(&mut scratch) {
                         Ok(n) if n > 0 => {
-                            conn.buf.extend_from_slice(&scratch[..n]);
+                            if !conn.overlong {
+                                self.take_lines(conn, &scratch[..n]);
+                            }
                             progressed = true;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
@@ -395,11 +404,6 @@ impl FrontEnd<'_, '_> {
                         }
                     }
                 };
-                while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-                    let pending = self.admit(&String::from_utf8_lossy(&line), conn.owner);
-                    conn.pending.push_back(pending);
-                }
                 // A vanished client may leave committed leases behind.
                 // When the operator opted in, queue a reclaim behind
                 // everything the client sent (fire-and-forget: nobody
@@ -419,6 +423,11 @@ impl FrontEnd<'_, '_> {
             for conn in &mut conns {
                 if flush_pending(conn) {
                     progressed = true;
+                    if conn.overlong && conn.pending.is_empty() {
+                        // The refusal is out: end our side, keep
+                        // draining theirs.
+                        let _ = conn.stream.shutdown(Shutdown::Write);
+                    }
                 }
             }
             conns.retain(|c| !(c.closed && c.pending.is_empty()));
@@ -455,6 +464,26 @@ impl FrontEnd<'_, '_> {
                     break;
                 }
             }
+        }
+    }
+
+    /// Appends `bytes` to `conn`'s partial line and admits every line
+    /// they complete, scanning only the new bytes for `\n`. A partial
+    /// line that outgrows [`MAX_LINE_BYTES`] is refused, not buffered.
+    fn take_lines(&mut self, conn: &mut Conn, bytes: &[u8]) {
+        // Everything already buffered holds no newline.
+        let mut from = conn.buf.len();
+        conn.buf.extend_from_slice(bytes);
+        while let Some(at) = conn.buf[from..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = conn.buf.drain(..=from + at).collect();
+            let pending = self.admit(&String::from_utf8_lossy(&line), conn.owner);
+            conn.pending.push_back(pending);
+            from = 0;
+        }
+        if conn.buf.len() > MAX_LINE_BYTES {
+            conn.buf = Vec::new();
+            conn.overlong = true;
+            conn.pending.push_back(Pending::Ready(line_too_long()));
         }
     }
 

@@ -46,7 +46,7 @@ pub use batch::{run_batched, spawn_batched, BatchConfig};
 pub use client::{Client, ClientError, EmbedReply};
 pub use protocol::{
     algo_wire_name, fault_event_from_wire, fault_event_to_wire, AlgoLatency, OracleCounters,
-    ShardLane, StatsReport, WireRequest, WireResponse, PROTOCOL_VERSION,
+    ShardLane, StatsReport, WireRequest, WireResponse, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 pub use replay::replay;
 pub use server::ServerHandle;

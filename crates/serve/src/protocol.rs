@@ -31,6 +31,19 @@ use serde::{Deserialize, Serialize};
 /// `stats` is answered in request order.
 pub const PROTOCOL_VERSION: u32 = 5;
 
+/// The most bytes the daemon holds of a request line whose `\n` has not
+/// arrived (1 MiB). Past it the daemon answers [`line_too_long`] and
+/// takes no further request from that connection: it drops the rest of
+/// the client's input and ends its own side once the reply is out.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The error reply to a request line longer than [`MAX_LINE_BYTES`].
+pub(crate) fn line_too_long() -> WireResponse {
+    WireResponse::error(format!(
+        "request line too long: over {MAX_LINE_BYTES} bytes without a newline"
+    ))
+}
+
 /// A client → server command.
 ///
 /// `cmd` selects the operation; the other fields are its operands:

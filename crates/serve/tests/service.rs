@@ -11,7 +11,7 @@ use dagsfc_core::{DagSfc, Flow, VnfCatalog};
 use dagsfc_net::{FaultEvent, LeaseId, Network, NodeId, VnfTypeId};
 use dagsfc_serve::{
     fault_event_to_wire, replay, spawn_batched, BatchConfig, Client, ClientError, EmbedReply,
-    ServerHandle, StatsReport, WireRequest, WireResponse,
+    ServerHandle, StatsReport, WireRequest, WireResponse, MAX_LINE_BYTES,
 };
 use dagsfc_sim::runner::{instance_network, instance_request};
 use dagsfc_sim::{export_trace, run_lifecycle_detailed, Algo, LifecycleConfig, SimConfig};
@@ -735,6 +735,37 @@ fn slow_and_abandoning_clients_do_not_wedge_the_daemon() {
     let stats = fresh.stats().expect("stats");
     assert_eq!(stats.accepted, 1, "only the slow client's embed landed");
     drop((slow, fresh));
+    handle.join();
+}
+
+/// A client that streams 2 MiB without a newline gets the typed
+/// line-too-long error, then end of stream, instead of growing the
+/// daemon's buffer; other clients are served throughout.
+#[test]
+fn overlong_request_line_is_refused_and_its_connection_ended() {
+    let handle = spawn(BatchConfig::default(), &base());
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let junk = vec![b'x'; 2 * MAX_LINE_BYTES];
+    raw.write_all(&junk).expect("the daemon keeps reading");
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("an error reply, not silence");
+    let resp: WireResponse = serde_json::from_str(line.trim()).expect("reply parses");
+    assert_eq!(resp.status, "error");
+    let want = format!("request line too long: over {MAX_LINE_BYTES} bytes without a newline");
+    assert_eq!(resp.reason, Some(want));
+    line.clear();
+    let n = reader.read_line(&mut line).expect("end of stream");
+    assert_eq!(n, 0, "the connection takes no further request: {line}");
+
+    let mut other = Client::connect(handle.addr()).expect("connect");
+    other.ping().expect("a second client is still served");
+    assert_eq!(other.stats().expect("stats").accepted, 0);
+    drop((reader, other));
     handle.join();
 }
 

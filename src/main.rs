@@ -261,11 +261,12 @@ fn cmd_embed(opts: &Flags) -> Result<(), String> {
         out.stats.elapsed.as_secs_f64() * 1e6
     );
     println!(
-        "stats:  {} nodes expanded, {} candidates generated ({} pruned), \
-         path cache {:.0}% hit ({}h/{}m)",
+        "stats:  {} nodes expanded, {} candidates generated ({} pruned, \
+         {} overloaded), path cache {:.0}% hit ({}h/{}m)",
         out.stats.nodes_expanded,
         out.stats.candidates_generated,
         out.stats.candidates_pruned,
+        out.stats.candidates_overloaded,
         out.stats.cache_hit_rate() * 100.0,
         out.stats.cache_hits,
         out.stats.cache_misses

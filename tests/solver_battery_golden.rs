@@ -1,4 +1,4 @@
-//! Golden digest of the solver battery.
+//! Golden digests of the solver battery.
 //!
 //! Seeded 30–200-node instances — best-effort, capacity 1.5, delay
 //! budgets over 10 µs links, and placement rules on top of both — each
@@ -7,27 +7,30 @@
 //! `SolveCtx` per (instance, solver) carries the oracle across that
 //! solver's requests, so cache reuse is part of what is pinned.
 //!
-//! Everything a solve decides folds into the decision digest (FNV-1a):
-//! each embedding (every assignment node, every path's nodes and links),
-//! its cost bits, each error string, and every `SolverStats` counter
-//! except the wall-clock fields and `cache_hits`. `cache_misses` — how
-//! many trees the oracle had to build — is folded for the BBE family
-//! only: MINV/RANV route on per-solve residuals and their cache
-//! accounting is not a decision.
+//! Three FNV-1a digests, so that a change to how much a solver searches
+//! moves only the digest that counts it:
 //!
-//! `cache_hits` counts lookups, not decisions: how often candidate
-//! generation asks the oracle for a tree it already holds. It folds
-//! into a second, cache-traffic digest, so a change to how often paths
-//! are looked up moves that digest and leaves the decision digest
-//! alone.
+//! - The decision digest folds what a solve returns: whether it
+//!   accepted, each embedding (every assignment node, every path's
+//!   nodes and links), its cost bits and each error string.
+//! - The search-work digest folds every `SolverStats` counter of an
+//!   accepted solve except the wall-clock fields and `cache_hits`.
+//!   `cache_misses` — how many trees the oracle had to build — is
+//!   folded for the BBE family only: MINV/RANV route on per-solve
+//!   residuals and their cache accounting is not search work.
+//! - The cache-traffic digest folds BBE-family `cache_hits`: how often
+//!   candidate generation asks the oracle for a tree it already holds.
 //!
-//! The decision constant was recorded before the sub-solution tree
-//! stored handles instead of cloned layers, before the residual-routing
-//! session searches stopped at their target, and before candidate
-//! generation looked each node's paths up once per merger and copied
-//! paths for the kept candidates only, so it pins that those changes
-//! kept every decision bit for bit. A deliberate behaviour change
-//! re-derives it from the printed value and says why.
+//! The decision constant was recorded when the digest was split in
+//! three, before BBE dropped the lineages that already overload the
+//! residual, so it pins that dropping them kept every decision bit for
+//! bit. The single digest it replaced, which folded the counters too,
+//! pinned the same for the sub-solution tree's handles, the
+//! residual-routing searches that stop at their target, and candidate
+//! generation's once-per-pair path lookups. A change that searches less
+//! re-derives the work and cache-traffic digests and says why; a
+//! deliberate behaviour change re-derives the decision digest from the
+//! printed value and says why.
 
 use dagsfc::core::solvers::{BbeConfig, BbeSolver, MbbeSolver, MbbeStSolver, SolveCtx};
 use dagsfc::core::solvers::{MinvSolver, RanvSolver};
@@ -181,10 +184,12 @@ struct Tally {
     other_errors: usize,
 }
 
-/// The two digests of a battery run.
+/// The three digests of a battery run.
 struct Digests {
-    /// Every decision and counter except `cache_hits`.
+    /// Accept flags, embeddings, cost bits and error strings.
     decisions: Fnv,
+    /// The search counters of every accepted solve.
+    work: Fnv,
     /// BBE-family `cache_hits`, in solve order.
     cache_traffic: Fnv,
 }
@@ -218,6 +223,7 @@ fn fold(
             }
             h.u64(o.cost.vnf.to_bits());
             h.u64(o.cost.link.to_bits());
+            let w = &mut d.work;
             let s = &o.stats;
             for v in [
                 s.explored,
@@ -229,12 +235,13 @@ fn fold(
                 s.candidates_pruned,
                 s.candidates_delay_rejected,
                 s.candidates_rule_rejected,
+                s.candidates_overloaded,
                 s.layer_wall.len(),
             ] {
-                h.u64(v as u64);
+                w.u64(v as u64);
             }
             if bbe_family {
-                h.u64(s.cache_misses);
+                w.u64(s.cache_misses);
                 d.cache_traffic.u64(s.cache_hits);
             }
         }
@@ -252,11 +259,11 @@ fn fold(
     }
 }
 
-/// Runs the battery, returning its decision and cache-traffic digests
-/// and its tally.
-fn battery() -> (u64, u64, Tally) {
+/// Runs the battery, returning its digests and its tally.
+fn battery() -> (Digests, Tally) {
     let mut d = Digests {
         decisions: Fnv::new(),
+        work: Fnv::new(),
         cache_traffic: Fnv::new(),
     };
     let mut tally = Tally::default();
@@ -275,22 +282,28 @@ fn battery() -> (u64, u64, Tally) {
             }
         }
     }
-    (d.decisions.0, d.cache_traffic.0, tally)
+    (d, tally)
 }
 
 #[test]
 fn solver_battery_decisions_are_pinned() {
-    let (digest, cache_traffic, tally) = battery();
+    let (d, tally) = battery();
+    let (decisions, work, cache_traffic) = (d.decisions.0, d.work.0, d.cache_traffic.0);
     eprintln!(
-        "solver battery: digest {digest:#018x}, cache traffic {cache_traffic:#018x}, {tally:?}"
+        "solver battery: decisions {decisions:#018x}, work {work:#018x}, \
+         cache traffic {cache_traffic:#018x}, {tally:?}"
     );
     assert!(tally.accepted > 0, "{tally:?}");
     assert!(tally.deadline > 0, "no deadline rejection: {tally:?}");
     assert!(tally.rule > 0, "no rule rejection: {tally:?}");
     assert!(tally.other_errors > 0, "no capacity rejection: {tally:?}");
-    assert_eq!(digest, 0x143a_1886_5e75_0e24, "solver battery digest moved");
     assert_eq!(
-        cache_traffic, 0xa723_cb30_e002_d9b1,
+        decisions, 0x2466_804d_2d3b_09b1,
+        "solver battery decision digest moved"
+    );
+    assert_eq!(work, 0x5c54_6b92_ce6b_8970, "search-work digest moved");
+    assert_eq!(
+        cache_traffic, 0x703e_4ac2_8644_0d81,
         "cache-traffic digest moved"
     );
 }
