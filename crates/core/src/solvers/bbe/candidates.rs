@@ -8,9 +8,9 @@
 //! tree traversals of (ii)/(iii) with minimum-cost paths on the real-time
 //! network.
 //!
-//! Bounded enumeration: combination counts are capped by the
-//! [`super::BbeConfig`] knobs — candidates are explored cheapest-first so
-//! truncation discards the expensive tail.
+//! Bounded enumeration: combination counts are capped by the constants
+//! below — candidates are explored cheapest-first so truncation discards
+//! the expensive tail.
 //!
 //! A parallel layer's candidates are scored as small records first; only
 //! the ones the caller keeps (MBBE's `X_d` per pair) get their paths
@@ -28,6 +28,18 @@ use dagsfc_net::routing::{MulticastTree, ShortestPathTree};
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+
+/// Real-path alternatives kept per node pair in tree-traversal mode (the
+/// paper's `h`).
+const MAX_PATHS_PER_PAIR: usize = 3;
+/// Raw prev-chain enumeration bound behind [`MAX_PATHS_PER_PAIR`].
+const MAX_RAW_CHAINS: usize = 32;
+/// Bound on VNF-allocation combinations per FST–BST pair (step i).
+const MAX_ASSIGNMENT_COMBOS: usize = 64;
+/// Bound on path-choice combinations per allocation (steps ii+iii).
+const MAX_PATH_COMBOS: usize = 16;
+/// Candidate hosting nodes considered per slot, cheapest rental first.
+const MAX_CANDIDATES_PER_SLOT: usize = 8;
 
 /// One embedded layer: the paper's per-layer sub-solution.
 #[derive(Debug, Clone)]
@@ -248,15 +260,10 @@ fn inter_path_options(ctx: &EngineCtx<'_>, fst: &SearchTree, node: NodeId) -> Ve
         let Some(idx) = fst.index_of(node) else {
             return Vec::new();
         };
-        fst.paths_from_root(
-            ctx.net,
-            idx,
-            ctx.cfg.max_raw_chains,
-            ctx.cfg.max_paths_per_pair,
-        )
-        .into_iter()
-        .filter(|p| ctx.path_ok(p))
-        .collect()
+        fst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR)
+            .into_iter()
+            .filter(|p| ctx.path_ok(p))
+            .collect()
     }
 }
 
@@ -274,16 +281,11 @@ fn inner_path_options(ctx: &EngineCtx<'_>, bst: &SearchTree, node: NodeId) -> Ve
         let Some(idx) = bst.index_of(node) else {
             return Vec::new();
         };
-        bst.paths_from_root(
-            ctx.net,
-            idx,
-            ctx.cfg.max_raw_chains,
-            ctx.cfg.max_paths_per_pair,
-        )
-        .into_iter()
-        .map(Path::reversed)
-        .filter(|p| ctx.path_ok(p))
-        .collect()
+        bst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR)
+            .into_iter()
+            .map(Path::reversed)
+            .filter(|p| ctx.path_ok(p))
+            .collect()
     }
 }
 
@@ -294,8 +296,7 @@ fn slot_candidates(
     kind: dagsfc_net::VnfTypeId,
 ) -> Vec<NodeId> {
     let mut cands: Vec<NodeId> = tree
-        .hosting(kind)
-        .into_iter()
+        .hosting(ctx.net, kind)
         .map(|i| tree.node(i).node)
         .filter(|&n| {
             ctx.net
@@ -308,7 +309,7 @@ fn slot_candidates(
         let pb = ctx.net.vnf_price(b, kind).unwrap_or(f64::INFINITY);
         pa.total_cmp(&pb).then(a.cmp(&b))
     });
-    cands.truncate(ctx.cfg.max_candidates_per_slot);
+    cands.truncate(MAX_CANDIDATES_PER_SLOT);
     cands
 }
 
@@ -428,13 +429,13 @@ pub(crate) fn parallel_layer_subs(
         .collect();
     let dims: Vec<usize> = per_slot.iter().map(Vec::len).collect();
     let width = per_slot.len();
-    let pair_cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
+    let pair_cap = MAX_PATHS_PER_PAIR * MAX_PATHS_PER_PAIR;
 
     let mut records: Vec<Scored> = Vec::new();
     let mut assignments: Vec<usize> = Vec::new();
     let mut picks: Vec<(usize, usize)> = Vec::new();
     let mut steiner: Vec<MulticastTree> = Vec::new();
-    for_each_bounded_combo(&dims, ctx.cfg.max_assignment_combos, |choice| {
+    for_each_bounded_combo(&dims, MAX_ASSIGNMENT_COMBOS, |choice| {
         let at = assignments.len();
         assignments.extend(choice.iter().enumerate().map(|(s, &c)| per_slot[s][c]));
         let slots = &assignments[at..];
@@ -469,7 +470,7 @@ pub(crate) fn parallel_layer_subs(
                 let inner_dims: Vec<usize> =
                     slots.iter().map(|&i| nodes[i].inner().len()).collect();
                 let before = records.len();
-                for_each_bounded_combo(&inner_dims, ctx.cfg.max_path_combos, |combo| {
+                for_each_bounded_combo(&inner_dims, MAX_PATH_COMBOS, |combo| {
                     let from = picks.len();
                     picks.extend(combo.iter().map(|&n| (0, n)));
                     let chosen = &picks[from..];
@@ -490,7 +491,7 @@ pub(crate) fn parallel_layer_subs(
             }
         }
         // Steps (ii)+(iii): per slot, every (inter, inner) option pair in
-        // row-major order, capped at `max_paths_per_pair²`.
+        // row-major order, capped at `MAX_PATHS_PER_PAIR²`.
         let mut feasible = true;
         for &i in slots {
             let n = &mut nodes[i];
@@ -512,7 +513,7 @@ pub(crate) fn parallel_layer_subs(
             .iter()
             .map(|&i| (nodes[i].inter().len() * nodes[i].inner().len()).min(pair_cap))
             .collect();
-        for_each_bounded_combo(&pair_dims, ctx.cfg.max_path_combos, |combo| {
+        for_each_bounded_combo(&pair_dims, MAX_PATH_COMBOS, |combo| {
             let from = picks.len();
             picks.extend(slots.iter().zip(combo).map(|(&i, &c)| {
                 let inners = nodes[i].inner().len();
@@ -758,7 +759,7 @@ mod tests {
         bst: &SearchTree,
         sub: &LayerSub,
     ) -> (usize, usize) {
-        let pair_cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
+        let pair_cap = MAX_PATHS_PER_PAIR * MAX_PATHS_PER_PAIR;
         let (mut allocation, mut combo) = (0, 0);
         for (s, &kind) in layer.vnfs().iter().enumerate() {
             let node = sub.assignment[s];
@@ -807,7 +808,7 @@ mod tests {
         let ctx = EngineCtx::new(&g, &chain(c), Flow::unit(src, src), cfg, &oracle);
         let fst = forward_search(&g, src, &layer, &c, cfg.x_max);
         let mut largest = 0;
-        for i in fst.hosting(c.merger()) {
+        for i in fst.hosting(&g, c.merger()) {
             let bst = backward_search(&g, fst.node(i).node, &layer, &c, &fst);
             if !bst.covered() {
                 continue;

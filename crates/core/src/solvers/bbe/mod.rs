@@ -76,18 +76,6 @@ pub struct BbeConfig {
     /// search would grow the same tree under a larger bound, so a retry
     /// could only replay the failed attempt.
     pub adaptive_x_max: bool,
-    /// Real-path alternatives kept per node pair in tree-traversal mode
-    /// (the paper's `h`).
-    pub max_paths_per_pair: usize,
-    /// Raw prev-chain enumeration bound behind `max_paths_per_pair`.
-    pub max_raw_chains: usize,
-    /// Bound on VNF-allocation combinations per FST–BST pair (step i).
-    pub max_assignment_combos: usize,
-    /// Bound on path-choice combinations per allocation (steps ii+iii).
-    pub max_path_combos: usize,
-    /// Candidate hosting nodes considered per slot, cheapest rental
-    /// first.
-    pub max_candidates_per_slot: usize,
     /// Global cap on sub-solution-tree nodes per level (cheapest kept).
     pub max_level_width: usize,
     /// Optional end-to-end delay SLA (extension): among the complete
@@ -125,11 +113,6 @@ impl Default for BbeConfig {
             use_min_cost_paths: false,
             use_steiner_multicast: false,
             adaptive_x_max: false,
-            max_paths_per_pair: 3,
-            max_raw_chains: 32,
-            max_assignment_combos: 64,
-            max_path_combos: 16,
-            max_candidates_per_slot: 8,
             max_level_width: 2048,
             delay_constraint: None,
             early_delay_pruning: true,
@@ -390,9 +373,8 @@ struct StartMemo {
     /// Final sub-solutions (sorted cheapest-first, `X_d`-truncated).
     subs: Vec<LayerSub>,
     /// Their uses of the resources the chain can overload, while
-    /// lineage loads are tracked (boxed: a layer holds a memo slot per
-    /// substrate node).
-    uses: Option<Box<UseLists>>,
+    /// lineage loads are tracked.
+    uses: Option<UseLists>,
     /// FST size (replayed into `fst_nodes` per parent).
     fst_nodes: usize,
     /// Whether the FST covered the layer (uncovered ⇒ no subs).
@@ -445,7 +427,7 @@ fn expand_start(
     }
     let mut subs: Vec<LayerSub> = if layer.needs_merger() {
         let mut collected = Vec::new();
-        for i in fst.hosting(catalog.merger()) {
+        for i in fst.hosting(ctx.net, catalog.merger()) {
             let merger = fst.node(i).node;
             let Some(score) = score_merger(ctx, layer, &fst, merger, cfg, catalog) else {
                 continue;
@@ -472,7 +454,7 @@ fn expand_start(
         }
     }
     if let Some(loads) = &ctx.loads {
-        memo.uses = Some(Box::new(loads.use_lists(ctx.net, layer, catalog, &subs)));
+        memo.uses = Some(loads.use_lists(ctx.net, layer, catalog, &subs));
     }
     memo.subs = subs;
     memo
@@ -501,10 +483,6 @@ fn sub_delay_us(model: &DelayModel, layer: &Layer, catalog: &VnfCatalog, sub: &L
     }
     slowest
 }
-
-/// One layer's end-node memo: the expansion from each substrate node,
-/// filled on first use.
-type Memo = Vec<Option<StartMemo>>;
 
 /// A candidate child for the next sub-solution-tree level. A level is
 /// ranked and cut on these small records; only the survivors enter the
@@ -582,16 +560,19 @@ fn attempt<I: Instrument>(
     // The root plus every candidate that reached a level before its
     // width cap.
     let mut kept = 1usize;
-    let substrate_n = net.node_count();
     let dc = cfg.delay_constraint.as_ref();
     // Accumulated layer delays per sub-solution-tree node, indexed like
     // the tree's arena (root = 0.0). Maintained only under a delay
     // constraint; drives early pruning and the LARAC final-path repair.
     let mut node_delay: Vec<f64> = vec![0.0];
     let mut capped = false;
-    // Every layer's end-node memo, kept until the attempt returns: tree
-    // nodes hold handles into them (see `SubHandle`).
-    let mut memos: Vec<Memo> = Vec::with_capacity(sfc.depth());
+    // Every layer expansion of the attempt, in the order they were made,
+    // kept until the attempt returns: tree nodes hold handles into them
+    // (see `SubHandle`).
+    let mut memos: Vec<StartMemo> = Vec::new();
+    // The arena index of each start node's expansion; an index below the
+    // current layer's first expansion belongs to an earlier layer.
+    let mut memo_at: Vec<u32> = vec![u32::MAX; net.node_count()];
     // Lineage loads (see `loads`), tracked only without a delay
     // constraint and while no level cut can bind. A lineage that
     // already overloads the residual can never validate, so it is
@@ -616,18 +597,20 @@ fn attempt<I: Instrument>(
         let mut layer_delay_pruned: Option<f64> = None;
         // Candidates dropped because their lineage overloads.
         let mut layer_overloaded = 0usize;
-        // End-node memo, fresh per layer (expansions depend on the layer).
-        let mut memo: Memo = std::iter::repeat_with(|| None).take(substrate_n).collect();
+        // Expansions depend on the layer: this layer's are
+        // `memos[layer_first..]`.
+        let layer_first = memos.len();
         for &parent in &level {
             ins.nodes_expanded(1);
             let node = tree.node(parent);
             let start = node.end_node;
-            let slot = &mut memo[start.index()];
-            if slot.is_none() {
-                *slot = Some(expand_start(&ctx, layer, start, cfg, &catalog));
+            let mut at = memo_at[start.index()] as usize;
+            if !(layer_first..memos.len()).contains(&at) {
+                at = memos.len();
+                memo_at[start.index()] = at as u32;
+                memos.push(expand_start(&ctx, layer, start, cfg, &catalog));
             }
-            // lint:allow(expect) — invariant: filled just above
-            let m = slot.as_ref().expect("memo slot filled");
+            let m = &memos[at];
             ins.fst_nodes(m.fst_nodes);
             capped |= m.capped;
             if !m.covered {
@@ -668,8 +651,7 @@ fn attempt<I: Instrument>(
                 cands.push(Candidate {
                     parent,
                     sub: SubHandle {
-                        layer: l as u32,
-                        start,
+                        memo: at as u32,
                         index: index as u32,
                     },
                     end_node: sub.end_node,
@@ -709,7 +691,6 @@ fn attempt<I: Instrument>(
             }
             level.push(idx);
         }
-        memos.push(memo);
         if let Some(t) = layer_start {
             ins.layer_wall(t.elapsed());
         }
@@ -843,10 +824,8 @@ fn attempt<I: Instrument>(
 }
 
 /// The layer expansion a tree node's handle points into.
-fn memo_of(memos: &[Memo], handle: SubHandle) -> &StartMemo {
-    let memo = memos[handle.layer as usize][handle.start.index()].as_ref();
-    // lint:allow(expect) — invariant: handles are made from filled memos
-    memo.expect("handle names a filled memo")
+fn memo_of(memos: &[StartMemo], handle: SubHandle) -> &StartMemo {
+    &memos[handle.memo as usize]
 }
 
 /// Reconstructs the [`Embedding`] from a sub-solution-tree leaf: the only
@@ -854,7 +833,7 @@ fn memo_of(memos: &[Memo], handle: SubHandle) -> &StartMemo {
 fn assemble(
     sfc: &DagSfc,
     tree: &SubTree,
-    memos: &[Memo],
+    memos: &[StartMemo],
     leaf: usize,
     final_path: Path,
 ) -> Result<Embedding, SolveError> {
@@ -1155,8 +1134,7 @@ mod tests {
                     .map(|(seq, &cum_cost)| Candidate {
                         parent: 0,
                         sub: SubHandle {
-                            layer: 0,
-                            start: NodeId(0),
+                            memo: 0,
                             index: seq as u32,
                         },
                         end_node: NodeId(0),

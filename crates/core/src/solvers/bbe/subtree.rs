@@ -8,20 +8,18 @@
 //! are stored.
 //!
 //! A node does not own its layer sub-solution: it holds a [`SubHandle`]
-//! into the memoized layer expansion that produced it, which outlives
-//! the tree for the whole search attempt. Only the winning lineage is
-//! ever materialized.
+//! into the memoized layer expansion that produced it. The expansions
+//! live in the search attempt's memo arena until the attempt returns.
+//! Only the winning lineage is ever materialized.
 
 use dagsfc_net::NodeId;
 
 /// Where a tree node's layer sub-solution lives: entry `index` of the
-/// sub-solutions that layer `layer` expanded from `start`.
+/// sub-solutions of expansion `memo` in the attempt's memo arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SubHandle {
-    /// The SFC layer the sub-solution embeds.
-    pub layer: u32,
-    /// The layer's start node (the parent's end node).
-    pub start: NodeId,
+    /// The layer expansion's index in the memo arena.
+    pub memo: u32,
     /// Position in that expansion's cheapest-first sub-solution list.
     pub index: u32,
 }
@@ -105,12 +103,8 @@ impl SubTree {
 mod tests {
     use super::*;
 
-    fn handle(layer: u32, index: u32) -> SubHandle {
-        SubHandle {
-            layer,
-            start: NodeId(layer),
-            index,
-        }
+    fn handle(memo: u32, index: u32) -> SubHandle {
+        SubHandle { memo, index }
     }
 
     #[test]

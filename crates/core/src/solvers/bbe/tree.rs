@@ -1,43 +1,34 @@
 //! Forward/Backward Search Trees (paper §4.2.2, §4.3.2, Table 1, Fig. 4).
 //!
-//! Both FST and BST share one structure: a binary tree (left child = first
-//! node of the next BFS iteration, right child = next sibling within the
-//! same iteration) whose nodes carry, per Table 1, the father/left/right
-//! pointers, the network node id, the *available VNF set* (the required
-//! kinds hosted there), and the *previous/next node lists* — the dotted
-//! arrows of Fig. 4 recording physical adjacency between consecutive
-//! iterations, which is what real-path instantiation walks.
+//! Both FST and BST share one structure. Of the seven elements Table 1
+//! gives a tree node, a node here stores two: its network node id and
+//! its ring (the BFS iteration that discovered it). Two more are derived
+//! on demand from the network: the *available VNF set* is the required
+//! kinds the node hosts ([`SearchTree::hosting`]), and the *previous
+//! node list* — the dotted arrows of Fig. 4 that real-path
+//! instantiation walks toward the root — is the node's neighbours one
+//! ring nearer the root ([`SearchTree::paths_from_root`]). The
+//! father/left/right pointers of the binary-tree logic and the next
+//! lists are not built, because no step of BBE reads them.
 
 use dagsfc_net::{Network, NodeId, Path, VnfTypeId};
 
 /// Sentinel for "network node not in the tree" in the index vector.
 const NOT_IN_TREE: u32 = u32::MAX;
 
-/// One node of a search tree (the seven elements of Table 1).
-#[derive(Debug, Clone)]
+/// One node of a search tree: a network node and its ring.
+#[derive(Debug, Clone, Copy)]
 pub struct TreeNode {
-    /// Father pointer (binary-tree logic).
-    pub father: Option<usize>,
-    /// Left child: first tree node of the next iteration.
-    pub left_child: Option<usize>,
-    /// Right child: next tree node of the same iteration.
-    pub right_child: Option<usize>,
     /// The corresponding network node.
     pub node: NodeId,
-    /// Required VNF kinds available on this network node.
-    pub available_vnfs: Vec<VnfTypeId>,
-    /// Tree indices of nodes from the *previous* iteration with a direct
-    /// network link to this one (dotted arrows toward the root).
-    pub prev: Vec<usize>,
-    /// Tree indices of nodes from the *next* iteration with a direct
-    /// network link to this one.
-    pub next: Vec<usize>,
     /// BFS iteration (ring) this node was discovered in; the root is 0.
-    pub ring: usize,
+    pub ring: u32,
 }
 
 /// A grown search tree: the result of one forward or backward search.
 ///
+/// Nodes are stored in discovery order, ring by ring and each ring in
+/// node id order, so every ring is a contiguous range of the node array.
 /// Membership lookups go through a `NodeId`-indexed vector sized off the
 /// substrate (sentinel [`NOT_IN_TREE`]) instead of a hash map: the tree
 /// is rebuilt for every BBE attempt, so cheap O(1) array probes on the
@@ -46,6 +37,8 @@ pub struct TreeNode {
 pub struct SearchTree {
     nodes: Vec<TreeNode>,
     index_of: Vec<u32>,
+    /// The required kinds, sorted and deduplicated.
+    kinds: Vec<VnfTypeId>,
     covered: bool,
     capped: bool,
 }
@@ -71,122 +64,54 @@ impl SearchTree {
         node_ok: impl Fn(NodeId) -> bool,
         x_max: Option<usize>,
     ) -> SearchTree {
-        let mut remaining: Vec<VnfTypeId> = {
-            let mut r = required.to_vec();
-            r.sort_unstable();
-            r.dedup();
-            r
-        };
-        let avail = |n: NodeId| -> Vec<VnfTypeId> {
-            required
-                .iter()
-                .copied()
-                .filter(|&k| net.hosts(n, k))
-                .collect::<Vec<_>>()
-        };
-
-        let substrate_n = net.node_count();
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        let mut index_of: Vec<u32> = vec![NOT_IN_TREE; substrate_n];
-        // Ring-stamped dedup for candidate collection: `ring_seen[v] ==
-        // ring_no` marks v as already queued for the current ring, so the
-        // per-neighbor membership probe is O(1) instead of a linear scan.
-        let mut ring_seen: Vec<usize> = vec![0; substrate_n];
-
-        let root_avail = avail(start);
+        let mut kinds = required.to_vec();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let mut remaining = kinds.clone();
         remaining.retain(|&k| !net.hosts(start, k));
-        nodes.push(TreeNode {
-            father: None,
-            left_child: None,
-            right_child: None,
+        let mut nodes = vec![TreeNode {
             node: start,
-            available_vnfs: root_avail,
-            prev: Vec::new(),
-            next: Vec::new(),
             ring: 0,
-        });
+        }];
+        let mut index_of: Vec<u32> = vec![NOT_IN_TREE; net.node_count()];
         index_of[start.index()] = 0;
 
-        let mut prev_ring: Vec<usize> = vec![0];
-        let mut ring_no = 0usize;
+        // The last ring grown is `nodes[ring_start..]`.
+        let mut ring_start = 0;
+        let mut ring = 0;
         let mut capped = false;
-        while !remaining.is_empty() && !prev_ring.is_empty() {
-            if let Some(cap) = x_max {
-                if nodes.len() >= cap {
-                    capped = true;
-                    break;
-                }
-            }
-            ring_no += 1;
-            // Collect the next ring in deterministic (node id) order.
-            let mut ring_members: Vec<NodeId> = Vec::new();
-            for &ti in &prev_ring {
-                let n = nodes[ti].node;
-                for &(m, _) in net.neighbors(n) {
-                    if index_of[m.index()] == NOT_IN_TREE
-                        && ring_seen[m.index()] != ring_no
-                        && node_ok(m)
-                    {
-                        ring_seen[m.index()] = ring_no;
-                        ring_members.push(m);
-                    }
-                }
-            }
-            ring_members.sort_unstable();
-            if ring_members.is_empty() {
+        while !remaining.is_empty() {
+            if x_max.is_some_and(|cap| nodes.len() >= cap) {
+                capped = true;
                 break;
             }
-            let mut this_ring: Vec<usize> = Vec::with_capacity(ring_members.len());
-            for (i, m) in ring_members.iter().copied().enumerate() {
-                let idx = nodes.len();
-                let available = avail(m);
-                remaining.retain(|&k| !net.hosts(m, k));
-                // Binary-tree pointers: first ring member is the left
-                // child of the previous ring's first member; later members
-                // chain as right children of their left sibling.
-                let father = if i == 0 {
-                    Some(prev_ring[0])
-                } else {
-                    Some(this_ring[i - 1])
-                };
-                nodes.push(TreeNode {
-                    father,
-                    left_child: None,
-                    right_child: None,
-                    node: m,
-                    available_vnfs: available,
-                    prev: Vec::new(),
-                    next: Vec::new(),
-                    ring: ring_no,
-                });
-                if i == 0 {
-                    nodes[prev_ring[0]].left_child = Some(idx);
-                } else {
-                    nodes[this_ring[i - 1]].right_child = Some(idx);
-                }
-                index_of[m.index()] = idx as u32;
-                this_ring.push(idx);
-            }
-            // Dotted arrows: adjacency between consecutive iterations.
-            for &ti in &this_ring {
-                let n = nodes[ti].node;
-                for &(m, _) in net.neighbors(n) {
-                    let pi = index_of[m.index()];
-                    if pi != NOT_IN_TREE {
-                        let pi = pi as usize;
-                        if nodes[pi].ring + 1 == ring_no {
-                            nodes[ti].prev.push(pi);
-                            nodes[pi].next.push(ti);
-                        }
+            ring += 1;
+            let next_start = nodes.len();
+            // The next ring: every enterable neighbour of the last ring
+            // not yet discovered, then put in node id order.
+            for i in ring_start..next_start {
+                for &(m, _) in net.neighbors(nodes[i].node) {
+                    if index_of[m.index()] == NOT_IN_TREE && node_ok(m) {
+                        index_of[m.index()] = nodes.len() as u32;
+                        nodes.push(TreeNode { node: m, ring });
                     }
                 }
             }
-            prev_ring = this_ring;
+            if nodes.len() == next_start {
+                break;
+            }
+            nodes[next_start..].sort_unstable_by_key(|t| t.node);
+            for (i, t) in nodes.iter().enumerate().skip(next_start) {
+                index_of[t.node.index()] = i as u32;
+                remaining.retain(|&k| !net.hosts(t.node, k));
+            }
+            ring_start = next_start;
         }
 
         SearchTree {
             nodes,
             index_of,
+            kinds,
             covered: remaining.is_empty(),
             capped,
         }
@@ -227,12 +152,6 @@ impl SearchTree {
         &self.nodes[idx]
     }
 
-    /// All tree nodes.
-    #[inline]
-    pub fn nodes(&self) -> &[TreeNode] {
-        &self.nodes
-    }
-
     /// The root's network node (the search start).
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -250,22 +169,33 @@ impl SearchTree {
     /// Whether `n` belongs to the search node set.
     #[inline]
     pub fn contains(&self, n: NodeId) -> bool {
-        matches!(self.index_of.get(n.index()), Some(&i) if i != NOT_IN_TREE)
+        self.index_of(n).is_some()
     }
 
     /// Tree indices of discovered nodes hosting `kind`, in discovery
-    /// order.
-    pub fn hosting(&self, kind: VnfTypeId) -> Vec<usize> {
-        self.nodes
+    /// order: the nodes whose available VNF set holds it. `kind` must be
+    /// one of the kinds the tree was grown for.
+    pub fn hosting<'a>(
+        &'a self,
+        net: &'a Network,
+        kind: VnfTypeId,
+    ) -> impl Iterator<Item = usize> + 'a {
+        debug_assert!(self.kinds.contains(&kind), "{kind:?} was not searched for");
+        (0..self.nodes.len()).filter(move |&i| net.hosts(self.nodes[i].node, kind))
+    }
+
+    /// The prev list of the tree node `idx`: tree indices of its network
+    /// neighbours one ring nearer the root, in neighbour order.
+    fn prev<'a>(&'a self, net: &'a Network, idx: usize) -> impl Iterator<Item = usize> + 'a {
+        let ring = self.nodes[idx].ring;
+        net.neighbors(self.nodes[idx].node)
             .iter()
-            .enumerate()
-            .filter(|(_, t)| t.available_vnfs.contains(&kind))
-            .map(|(i, _)| i)
-            .collect()
+            .filter_map(move |&(m, _)| self.index_of(m))
+            .filter(move |&p| self.nodes[p].ring + 1 == ring)
     }
 
     /// Enumerates real-paths from the tree node `idx` back to the root by
-    /// walking `prev` chains (each hop is a physical link between
+    /// walking prev lists (each hop is a physical link between
     /// consecutive rings, so every produced path has `ring(idx)` links —
     /// the hop-minimal paths inside the searched subgraph).
     ///
@@ -291,7 +221,7 @@ impl SearchTree {
                 raw.push(seq);
                 continue;
             }
-            for &p in &self.nodes[cur].prev {
+            for p in self.prev(net, cur) {
                 let mut s = seq.clone();
                 s.push(self.nodes[p].node);
                 stack.push((p, s));
@@ -355,7 +285,7 @@ mod tests {
         assert!(t.contains(NodeId(4)));
         let ve = t.index_of(NodeId(4)).unwrap();
         assert_eq!(t.node(ve).ring, 2);
-        assert_eq!(t.node(ve).available_vnfs, vec![VnfTypeId(8)]);
+        assert_eq!(t.hosting(&g, VnfTypeId(8)).collect::<Vec<_>>(), vec![ve]);
     }
 
     #[test]
@@ -447,47 +377,20 @@ mod tests {
     }
 
     #[test]
-    fn binary_tree_pointers_consistent() {
-        let g = net();
-        let t = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(8)], |_| true, None);
-        // Root has a left child (first node of ring 1) and no father.
-        assert!(t.node(0).father.is_none());
-        let lc = t.node(0).left_child.expect("ring 1 exists");
-        assert_eq!(t.node(lc).ring, 1);
-        assert_eq!(t.node(lc).father, Some(0));
-        // Right-sibling chain stays within the ring.
-        if let Some(rs) = t.node(lc).right_child {
-            assert_eq!(t.node(rs).ring, 1);
-            assert_eq!(t.node(rs).father, Some(lc));
-        }
-    }
-
-    #[test]
-    fn prev_lists_point_to_previous_ring() {
-        let g = net();
-        let t = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(8)], |_| true, None);
-        for (i, n) in t.nodes().iter().enumerate() {
-            if i == 0 {
-                assert!(n.prev.is_empty());
-            } else {
-                assert!(!n.prev.is_empty(), "non-root must reach the root");
-                for &p in &n.prev {
-                    assert_eq!(t.node(p).ring + 1, n.ring);
-                    assert!(g.link_between(t.node(p).node, n.node).is_some());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn hosting_lookup() {
         let g = net();
         let required = [VnfTypeId(2), VnfTypeId(3), VnfTypeId(8)];
         let t = SearchTree::grow(&g, NodeId(0), &required, |_| true, None);
-        let hosts2 = t.hosting(VnfTypeId(2));
+        let hosts2: Vec<usize> = t.hosting(&g, VnfTypeId(2)).collect();
         assert_eq!(hosts2.len(), 1);
         assert_eq!(t.node(hosts2[0]).node, NodeId(1));
-        assert!(t.hosting(VnfTypeId(9)).is_empty());
+        // vb hosts f3 as well; only ve hosts the merger f8.
+        assert!(t.hosting(&g, VnfTypeId(3)).eq(hosts2));
+        let hosts8: Vec<NodeId> = t
+            .hosting(&g, VnfTypeId(8))
+            .map(|i| t.node(i).node)
+            .collect();
+        assert_eq!(hosts8, vec![NodeId(4)]);
     }
 
     #[test]
@@ -522,5 +425,97 @@ mod tests {
         let t = SearchTree::grow(&g, NodeId(0), &[VnfTypeId(8)], |_| true, None);
         let ve = t.index_of(NodeId(4)).unwrap();
         assert_eq!(t.paths_from_root(&g, ve, 32, 1).len(), 1);
+    }
+
+    /// 64-bit FNV-1a over little-endian words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        /// Folds in everything a tree answers: discovery order and rings,
+        /// `covered` and `capped`, the hosts of every required kind, and
+        /// the prev-chain paths of every node.
+        fn tree(&mut self, g: &Network, t: &SearchTree, kinds: &[VnfTypeId]) {
+            self.word(t.len() as u64);
+            for i in 0..t.len() {
+                self.word(u64::from(t.node(i).node.0));
+                self.word(t.node(i).ring as u64);
+            }
+            self.word(u64::from(t.covered()));
+            self.word(u64::from(t.capped()));
+            for &k in kinds {
+                for i in t.hosting(g, k) {
+                    self.word(i as u64);
+                }
+                self.word(u64::MAX);
+            }
+            for i in 0..t.len() {
+                for p in t.paths_from_root(g, i, 32, 3) {
+                    for n in p.nodes() {
+                        self.word(u64::from(n.0));
+                    }
+                    for l in p.links() {
+                        self.word(u64::from(l.0));
+                    }
+                    self.word(u64::MAX);
+                }
+                self.word(u64::MAX - 1);
+            }
+        }
+    }
+
+    /// About 200 seeded growths on generated 20–200-node substrates:
+    /// forward searches from several starts for 1–4 required kinds
+    /// (always with the merger) under `x_max` None, 1, 5 and 40, and a
+    /// backward search from every merger host of each, fenced to that
+    /// forward tree. One digest pins every tree's answers.
+    #[test]
+    fn seeded_growths_are_pinned() {
+        use dagsfc_net::{generator, NetGenConfig};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const MERGER: VnfTypeId = VnfTypeId(5);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let (mut growths, mut capped, mut fenced) = (0, 0, 0);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let gen = NetGenConfig {
+                nodes: rng.gen_range(20..=200usize),
+                avg_degree: [3.0, 4.0, 5.0][rng.gen_range(0..3usize)],
+                vnf_kinds: 6,
+                deploy_ratio: 0.15,
+                ..NetGenConfig::default()
+            };
+            let g = generator::generate(&gen, &mut rng).unwrap();
+            for _ in 0..3 {
+                let start = NodeId(rng.gen_range(0..gen.nodes) as u32);
+                let mut kinds = vec![MERGER];
+                for _ in 1..rng.gen_range(1..=4usize) {
+                    kinds.push(VnfTypeId(rng.gen_range(0..5u16)));
+                }
+                for x_max in [None, Some(1), Some(5), Some(40)] {
+                    let fst = SearchTree::grow(&g, start, &kinds, |_| true, x_max);
+                    h.tree(&g, &fst, &kinds);
+                    growths += 1;
+                    capped += usize::from(fst.capped());
+                    for m in fst.hosting(&g, MERGER) {
+                        let root = fst.node(m).node;
+                        let bst = SearchTree::grow(&g, root, &kinds, |n| fst.contains(n), None);
+                        h.tree(&g, &bst, &kinds);
+                        growths += 1;
+                        fenced += usize::from(!bst.covered());
+                    }
+                }
+            }
+        }
+        assert!(
+            (150..=250).contains(&growths) && capped > 0 && fenced > 0,
+            "{growths} growths, {capped} capped, {fenced} fenced"
+        );
+        assert_eq!(h.0, 0xbfa3_edda_2a66_6021, "search-tree digest");
     }
 }

@@ -1,95 +1,15 @@
-//! Breadth-first hop-ring expansion.
+//! Breadth-first hop distances.
 //!
-//! BBE's forward search grows a node set ring by ring from a layer's start
-//! node until the set's VNF inventory covers the layer (§4.2); the backward
-//! search does the same from a merger candidate, *restricted to the forward
-//! node set* (§4.3). [`RingSearch`] is that primitive: each call to
-//! [`RingSearch::next_ring`] returns the nodes at the next hop distance.
-//!
-//! Both searches walk the network's CSR snapshot (contiguous arc scans
-//! instead of nested-`Vec` pointer chasing); [`hop_distances_in`] runs
-//! in a caller-provided [`RoutingScratch`] so repeated distance maps
-//! reuse one queue and one stamp array.
+//! [`hop_distances_in`] walks the network's CSR snapshot (contiguous arc
+//! scans instead of nested-`Vec` pointer chasing) in a caller-provided
+//! [`RoutingScratch`], so repeated distance maps reuse one queue and one
+//! stamp array. BBE's forward and backward searches grow their own hop
+//! rings (`dagsfc_core`'s `SearchTree`).
 
 use super::scratch::{with_thread_scratch, RoutingScratch};
 use crate::graph::Network;
 use crate::ids::NodeId;
 use crate::snapshot::NetworkSnapshot;
-
-/// Incremental BFS producing one hop-ring at a time.
-///
-/// Ring 0 is the start node itself (the paper's first iteration where
-/// `V^{F,l}_{v,1} = {v}`).
-pub struct RingSearch<'a, F> {
-    snap: &'a NetworkSnapshot,
-    node_ok: F,
-    visited: Vec<bool>,
-    frontier: Vec<NodeId>,
-    /// All nodes returned so far, in discovery order.
-    discovered: Vec<NodeId>,
-    rings_emitted: usize,
-}
-
-impl<'a, F: Fn(NodeId) -> bool> RingSearch<'a, F> {
-    /// Starts a ring search at `start`; only nodes satisfying `node_ok`
-    /// are entered (the start node is always admitted).
-    pub fn new(net: &'a Network, start: NodeId, node_ok: F) -> Self {
-        let snap: &NetworkSnapshot = net.snapshot();
-        let mut visited = vec![false; snap.node_count()];
-        visited[start.index()] = true;
-        RingSearch {
-            snap,
-            node_ok,
-            visited,
-            frontier: vec![start],
-            discovered: Vec::new(),
-            rings_emitted: 0,
-        }
-    }
-
-    /// Returns the next hop-ring, or `None` once the reachable set is
-    /// exhausted. The first call returns `[start]`.
-    pub fn next_ring(&mut self) -> Option<Vec<NodeId>> {
-        if self.frontier.is_empty() {
-            return None;
-        }
-        let ring = std::mem::take(&mut self.frontier);
-        self.discovered.extend_from_slice(&ring);
-        let mut next = Vec::new();
-        for &n in &ring {
-            for i in self.snap.arc_range(n) {
-                let m = self.snap.arc_target(i);
-                if !self.visited[m.index()] && (self.node_ok)(m) {
-                    self.visited[m.index()] = true;
-                    next.push(m);
-                }
-            }
-        }
-        next.sort_unstable();
-        self.frontier = next;
-        self.rings_emitted += 1;
-        Some(ring)
-    }
-
-    /// All nodes emitted so far (the paper's `V^{F,l}_{v,q}` after `q`
-    /// rings), in discovery order.
-    #[inline]
-    pub fn discovered(&self) -> &[NodeId] {
-        &self.discovered
-    }
-
-    /// Number of rings emitted so far (the paper's iteration counter `q`).
-    #[inline]
-    pub fn rings_emitted(&self) -> usize {
-        self.rings_emitted
-    }
-
-    /// Whether `node` has been emitted or queued.
-    #[inline]
-    pub fn seen(&self, node: NodeId) -> bool {
-        self.visited[node.index()]
-    }
-}
 
 /// Hop distance from `start` to every node (`None` if unreachable).
 pub fn hop_distances(net: &Network, start: NodeId) -> Vec<Option<u32>> {
@@ -137,52 +57,6 @@ mod tests {
         g.add_link(NodeId(2), NodeId(3), 1.0, 1.0).unwrap();
         g.add_link(NodeId(1), NodeId(4), 1.0, 1.0).unwrap();
         g
-    }
-
-    #[test]
-    fn rings_in_hop_order() {
-        let g = graph();
-        let mut rs = RingSearch::new(&g, NodeId(0), |_| true);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(0)]);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(1)]);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(2), NodeId(4)]);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(3)]);
-        assert_eq!(rs.next_ring(), None);
-        assert_eq!(rs.rings_emitted(), 4);
-        assert_eq!(
-            rs.discovered(),
-            &[NodeId(0), NodeId(1), NodeId(2), NodeId(4), NodeId(3)]
-        );
-    }
-
-    #[test]
-    fn restriction_prunes_subtrees() {
-        let g = graph();
-        // Exclude node 1: nothing beyond the start is reachable.
-        let mut rs = RingSearch::new(&g, NodeId(0), |n| n != NodeId(1));
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(0)]);
-        assert_eq!(rs.next_ring(), None);
-    }
-
-    #[test]
-    fn restriction_to_subset() {
-        let g = graph();
-        let allowed = [NodeId(0), NodeId(1), NodeId(2)];
-        let mut rs = RingSearch::new(&g, NodeId(2), move |n| allowed.contains(&n));
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(2)]);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(1)]);
-        assert_eq!(rs.next_ring().unwrap(), vec![NodeId(0)]);
-        assert_eq!(rs.next_ring(), None);
-    }
-
-    #[test]
-    fn seen_tracks_queued_nodes() {
-        let g = graph();
-        let mut rs = RingSearch::new(&g, NodeId(0), |_| true);
-        assert!(rs.seen(NodeId(0)));
-        assert!(!rs.seen(NodeId(1)));
-        rs.next_ring();
-        assert!(rs.seen(NodeId(1))); // queued for the next ring
     }
 
     #[test]

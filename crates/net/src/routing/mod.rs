@@ -2,8 +2,8 @@
 //!
 //! * [`dijkstra`] — min-*cost* (price) paths, the paper's "minimum cost
 //!   path" primitive used by MBBE, RANV, MINV and the final hop of BBE.
-//! * [`bfs`] — hop-ring expansion, the primitive behind BBE's forward and
-//!   backward searches.
+//! * [`bfs`] — breadth-first hop distances, behind the hop diameter of
+//!   the structural network metrics.
 //! * [`ksp`] — Yen's k-shortest (cheapest) loopless paths, used by the
 //!   exact solver and by path enumeration diagnostics.
 //! * [`steiner`] — Takahashi–Matsuyama multicast trees, powering the
@@ -27,7 +27,7 @@ pub mod ksp;
 pub mod scratch;
 pub mod steiner;
 
-pub use bfs::{hop_distances, RingSearch};
+pub use bfs::hop_distances;
 pub use csp::{
     constrained_min_cost_path, constrained_min_cost_path_exact, constrained_path,
     constrained_path_in, ConstrainedPath,

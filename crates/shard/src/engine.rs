@@ -583,12 +583,13 @@ impl<'n> ShardedEngine<'n> {
                     if cross {
                         self.cross_shard_accepted += 1;
                     }
-                    self.total_cost += pending.cost.total();
-                    self.solver_cache_hits += pending.stats.cache_hits;
-                    self.solver_cache_misses += pending.stats.cache_misses;
+                    let out = &pending.outcome;
+                    self.total_cost += out.cost.total();
+                    self.solver_cache_hits += out.stats.cache_hits;
+                    self.solver_cache_misses += out.stats.cache_misses;
                     return Ok(Accepted {
                         lease: id,
-                        cost: pending.cost,
+                        cost: out.cost,
                         shards_involved,
                     });
                 }
@@ -748,8 +749,6 @@ impl<'n> ShardedEngine<'n> {
 /// shard, ascending shard order.
 struct PendingCommit {
     parts: Vec<(usize, LeaseId)>,
-    cost: CostBreakdown,
-    stats: dagsfc_core::solvers::SolverStats,
     outcome: dagsfc_core::solvers::SolveOutcome,
 }
 
@@ -819,8 +818,6 @@ fn two_phase_reserve(
     }
     Ok(PendingCommit {
         parts,
-        cost: out.cost,
-        stats: out.stats.clone(),
         outcome: out,
     })
 }

@@ -439,7 +439,7 @@ fn one_shard_engine_matches_the_lifecycle_kernel() {
         let served = engine.embed(&sfc, &flow, Algo::Minv, seed);
         match (direct, served) {
             (Ok(d), Ok(s)) => assert_eq!(
-                d.cost.total().to_bits(),
+                d.outcome.cost.total().to_bits(),
                 s.cost.total().to_bits(),
                 "arrival {i}"
             ),

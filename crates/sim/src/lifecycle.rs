@@ -32,8 +32,8 @@ use crate::config::SimConfig;
 use crate::departures::DepartureQueue;
 use crate::runner::{instance_network, instance_request, Algo};
 use dagsfc_audit::ConstraintAuditor;
-use dagsfc_core::solvers::{SolveOutcome, SolverStats};
-use dagsfc_core::{CostBreakdown, DagSfc, Flow, ModelError, SolveError};
+use dagsfc_core::solvers::SolveOutcome;
+use dagsfc_core::{DagSfc, Flow, ModelError, SolveError};
 use dagsfc_net::{CommitLedger, FaultEvent, LeaseId, LinkId, NetError, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -245,11 +245,8 @@ impl std::error::Error for EmbedRejection {}
 pub struct EmbedSuccess {
     /// Handle for the committed resources (release on departure).
     pub lease: LeaseId,
-    /// Objective cost of the embedding.
-    pub cost: CostBreakdown,
-    /// The solver's instrumentation counters.
-    pub stats: SolverStats,
-    /// The full solve outcome (embedding included).
+    /// The solve outcome: embedding, objective cost and the solver's
+    /// instrumentation counters.
     pub outcome: SolveOutcome,
 }
 
@@ -260,10 +257,12 @@ pub struct EmbedSuccess {
 /// `residual` must reflect `ledger`'s current state (callers either
 /// pass `ledger.residual()` or an epoch-tagged cache of it); the commit
 /// then cannot fail, but if it ever does the ledger is left untouched
-/// and the request is merely rejected. The [`LedgerBackend`] and the
-/// shard engine behind the daemon route every request through this
-/// function — that shared path is what makes trace replay bit-for-bit
-/// equivalent.
+/// and the request is merely rejected. The [`LedgerBackend`] routes
+/// every in-process request through this function. The shard engine
+/// behind the daemon solves and accounts the same way but commits
+/// through its own two-phase reservation across shard ledgers; at one
+/// shard the two decide alike, which is what makes trace replay
+/// bit-for-bit equivalent.
 pub fn embed_and_commit(
     ledger: &mut CommitLedger<'_>,
     residual: &Network,
@@ -295,8 +294,6 @@ pub fn embed_and_commit(
         .map_err(EmbedRejection::Commit)?;
     Ok(EmbedSuccess {
         lease,
-        cost: out.cost,
-        stats: out.stats.clone(),
         outcome: out,
     })
 }
@@ -501,7 +498,7 @@ impl LifecycleBackend for LedgerBackend<'_> {
         };
         let report = self.auditor.audit_outcome(&residual, sfc, flow, &s.outcome);
         self.audited += 1;
-        let cost = s.cost.total();
+        let cost = s.outcome.cost.total();
         if report.is_clean() {
             let drift = (report.recomputed.total() - cost).abs();
             self.max_cost_drift = self.max_cost_drift.max(drift);
@@ -744,7 +741,7 @@ mod tests {
         .expect("fresh network admits the first request");
         assert!(ledger.is_active(s.lease));
         assert!(ledger.outstanding_load() > 0.0);
-        assert!(s.cost.total() > 0.0);
+        assert!(s.outcome.cost.total() > 0.0);
         ledger.release(s.lease).unwrap();
         assert!(ledger.outstanding_load().abs() < 1e-12);
     }
