@@ -128,10 +128,12 @@ fn assign_then_route(
     precheck(net, sfc, flow)?;
     let catalog = sfc.catalog();
     let mut state = NetworkState::new(net);
-    // Residual-filtered paths must stay private to this solve (each
-    // solve owns its NetworkState), so routing goes through an oracle
-    // *session*: one target-bounded search per meta-path.
-    let mut session = ctx.oracle.session();
+    // Routing filters on this solve's residuals through an oracle
+    // session. It reads the oracle's class trees while the state is over
+    // the oracle's network, the overlay marks nothing down and no
+    // reservation has left a link below the rate; after that, one
+    // target-bounded search per meta-path.
+    let mut session = ctx.oracle.session(flow.rate);
     let mut explored = 0usize;
 
     // Phase 1: assign every slot (parallel VNFs and mergers). The rule
@@ -206,11 +208,12 @@ fn assign_then_route(
         let to = endpoint(mp.to);
         let path = match mp.kind {
             MetaPathKind::InterLayer => {
-                let shared = group_links.entry(mp.group).or_default().clone();
-                // The filter admits the group's already reserved links.
-                let filter = |l: LinkId| shared.contains(&l) || state.link_fits(l, flow.rate);
+                // The group's already reserved links stay admitted.
+                let shared = group_links.get(&mp.group);
                 let path = session
-                    .min_cost_path_with(from, to, &filter)
+                    .residual_path(&state, from, to, &|l: LinkId| {
+                        shared.is_some_and(|s| s.contains(&l))
+                    })
                     .ok_or_else(|| SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: format!("no bandwidth-feasible path {from} → {to}"),
@@ -218,7 +221,7 @@ fn assign_then_route(
                 let group = group_links.entry(mp.group).or_default();
                 for &l in path.links() {
                     if group.insert(l) {
-                        state.reserve_link(l, flow.rate).map_err(|_| {
+                        session.reserve_link(&mut state, l).map_err(|_| {
                             SolveError::NoFeasibleEmbedding {
                                 solver,
                                 reason: format!("link {l} saturated while reserving"),
@@ -229,14 +232,13 @@ fn assign_then_route(
                 path
             }
             MetaPathKind::InnerLayer => {
-                let filter = |l: LinkId| state.link_fits(l, flow.rate);
                 let path = session
-                    .min_cost_path_with(from, to, &filter)
+                    .residual_path(&state, from, to, &|_| false)
                     .ok_or_else(|| SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: format!("no bandwidth-feasible path {from} → {to}"),
                     })?;
-                state.reserve_path(&path, flow.rate).map_err(|_| {
+                session.reserve_path(&mut state, &path).map_err(|_| {
                     SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: "inner-layer path saturated while reserving".into(),
@@ -257,7 +259,11 @@ fn assign_then_route(
             explored,
             kept: 1,
             elapsed: start.elapsed(),
-            cache_misses: session.searches(),
+            // Tree hits, and tree builds plus residual searches. The
+            // solver battery's work and cache-traffic digests leave both
+            // out for MINV/RANV: they count oracle traffic, not search.
+            cache_hits: session.hits(),
+            cache_misses: session.misses(),
             candidates_rule_rejected: rule_rejected,
             ..SolverStats::default()
         },
@@ -268,6 +274,7 @@ fn assign_then_route(
 mod tests {
     use super::*;
     use crate::chain::Layer;
+    use crate::solvers::MbbeSolver;
     use crate::validate::validate;
     use crate::vnf::VnfCatalog;
 
@@ -373,6 +380,59 @@ mod tests {
             MinvSolver::new().solve(&g, &sfc, &flow),
             Err(SolveError::NoFeasibleEmbedding { .. })
         ));
+    }
+
+    /// At capacity 10 no reservation leaves a link below rate 1, so a
+    /// MINV solve after an MBBE solve on one context reads MBBE's trees
+    /// and neither builds a tree nor runs a search.
+    #[test]
+    fn minv_after_mbbe_reads_cached_trees() {
+        let g = net();
+        let sfc =
+            DagSfc::sequential(&[VnfTypeId(0), VnfTypeId(1), VnfTypeId(0)], catalog()).unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(4));
+        let ctx = SolveCtx::new(&g);
+        MbbeSolver::new().solve_in(&ctx, &sfc, &flow).unwrap();
+        let before = ctx.oracle.stats();
+        let out = MinvSolver::new().solve_in(&ctx, &sfc, &flow).unwrap();
+        let after = ctx.oracle.stats();
+        assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (4, 0));
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.hits, before.hits + 4);
+        let fresh = MinvSolver::new().solve(&g, &sfc, &flow).unwrap();
+        assert_eq!(out.embedding, fresh.embedding);
+    }
+
+    /// With the 1-3 chord at capacity 1.5, reserving it for the 1 → 3
+    /// meta-path leaves 0.5 < rate 1: the two later meta-paths search
+    /// the residuals (though MBBE left trees from both sources) and
+    /// route around the chord. The pinned embedding is the one a
+    /// residual search for every meta-path gives.
+    #[test]
+    fn reservation_below_rate_falls_back_to_search() {
+        let mut g = Network::new();
+        g.add_nodes(5);
+        g.add_link(NodeId(0), NodeId(1), 1.0, 10.0).unwrap();
+        g.add_link(NodeId(1), NodeId(2), 1.0, 10.0).unwrap();
+        g.add_link(NodeId(2), NodeId(3), 1.0, 10.0).unwrap();
+        g.add_link(NodeId(3), NodeId(4), 1.0, 10.0).unwrap();
+        g.add_link(NodeId(1), NodeId(3), 0.5, 1.5).unwrap();
+        g.deploy_vnf(NodeId(1), VnfTypeId(0), 1.0, 10.0).unwrap();
+        g.deploy_vnf(NodeId(2), VnfTypeId(0), 5.0, 10.0).unwrap();
+        g.deploy_vnf(NodeId(3), VnfTypeId(1), 2.0, 10.0).unwrap();
+        let sfc =
+            DagSfc::sequential(&[VnfTypeId(0), VnfTypeId(1), VnfTypeId(0)], catalog()).unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(4));
+        let ctx = SolveCtx::new(&g);
+        MbbeSolver::new().solve_in(&ctx, &sfc, &flow).unwrap();
+        let out = MinvSolver::new().solve_in(&ctx, &sfc, &flow).unwrap();
+        assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (2, 2));
+        let links = |p: &Path| p.links().iter().map(|l| l.0).collect::<Vec<_>>();
+        let paths: Vec<Vec<u32>> = out.embedding.paths().iter().map(links).collect();
+        assert_eq!(paths, [vec![0], vec![4], vec![2, 1], vec![1, 2, 3]]);
+        let hosts = out.embedding.assignments();
+        assert_eq!(hosts, [[NodeId(1)], [NodeId(3)], [NodeId(1)]]);
+        assert_eq!(out.cost.total().to_bits(), 10.5f64.to_bits());
     }
 
     #[test]

@@ -24,16 +24,19 @@
 //! tree built at that moment, whatever the overlay does afterwards.
 //!
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
-//! reserve bandwidth as they go) cannot share trees across concurrent
-//! solves: each solve owns a private [`NetworkState`]. For those, an
-//! [`OracleSession`] runs one target-bounded Dijkstra per query in
-//! session-owned search buffers. Nothing is cached: nearly every query
-//! follows a reservation that changed the residuals, so a tree would
-//! almost never be asked twice. Each search still counts as a miss in
-//! the shared oracle's counters.
-//!
-//! [`NetworkState`]: crate::state::NetworkState
+//! reserve bandwidth as they go) filter on a private [`NetworkState`]
+//! per solve, through an [`OracleSession`]. Until one of the solve's
+//! reservations leaves a link unable to fit the flow's rate, that filter
+//! admits exactly the links of the rate's class, so the session answers
+//! from the class trees. It reads them while three things hold: the
+//! solve's state is over the oracle's network, the overlay marks no link
+//! or node down (a fresh state knows no faults), and no reservation made
+//! through the session has left a link below the rate. From the first
+//! query at which one fails, every later query of the session runs a
+//! target-bounded Dijkstra under the residual filter in the session's
+//! own search buffers.
 
+use crate::error::NetResult;
 use crate::fault::FaultEvent;
 use crate::fxmap::FxHashMap;
 use crate::graph::Network;
@@ -41,7 +44,7 @@ use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::routing::csp::{larac_core, ConstrainedPath};
 use crate::routing::{min_cost_path_in, ArcWeight, LinkFilter, RoutingScratch, ShortestPathTree};
-use crate::state::CAP_EPS;
+use crate::state::{NetworkState, CAP_EPS};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,6 +106,8 @@ struct TreeCache {
     /// Fault overlay: nodes taken out of service (incident links are
     /// excluded too).
     down_nodes: Vec<bool>,
+    /// How many flags of `down_links` and `down_nodes` are set.
+    down: usize,
 }
 
 impl TreeCache {
@@ -176,6 +181,7 @@ impl<'n> PathOracle<'n> {
                 tick: 0,
                 down_links: vec![false; net.link_count()],
                 down_nodes: vec![false; net.node_count()],
+                down: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -207,17 +213,37 @@ impl<'n> PathOracle<'n> {
     /// Like [`Self::tree`], also reporting whether the query was a cache
     /// hit — callers use this for per-solve hit/miss accounting.
     pub fn tree_tracked(&self, source: NodeId, rate: f64) -> (Arc<ShortestPathTree>, bool) {
+        self.price_tree(&mut self.cache.lock(), source, rate)
+    }
+
+    /// Like [`Self::tree_tracked`], but `None` while the overlay marks
+    /// any link or node down: such a tree excludes them, and a
+    /// [`NetworkState`] that knows no faults does not.
+    fn tree_without_faults(
+        &self,
+        source: NodeId,
+        rate: f64,
+    ) -> Option<(Arc<ShortestPathTree>, bool)> {
         let mut cache = self.cache.lock();
+        (cache.down == 0).then(|| self.price_tree(&mut cache, source, rate))
+    }
+
+    /// The price tree of `(source, class of rate)`, from `cache` (the
+    /// locked cache) when it holds one.
+    fn price_tree(
+        &self,
+        cache: &mut TreeCache,
+        source: NodeId,
+        rate: f64,
+    ) -> (Arc<ShortestPathTree>, bool) {
         let threshold = threshold_in(self.net, &mut cache.thresholds, rate);
         let key = (source, threshold.to_bits());
         cache.tick += 1;
         let tick = cache.tick;
         if let Some((tree, last_used)) = cache.map.get_mut(&key) {
             *last_used = tick;
-            let tree = Arc::clone(tree);
-            drop(cache);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (tree, true);
+            return (Arc::clone(tree), true);
         }
         // Build with the class's canonical threshold so every rate of the
         // class produces the bit-identical tree.
@@ -244,7 +270,6 @@ impl<'n> PathOracle<'n> {
             }
         }
         map.insert(key, (Arc::clone(&tree), tick));
-        drop(cache);
         self.misses.fetch_add(1, Ordering::Relaxed);
         (tree, false)
     }
@@ -363,6 +388,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
+        cache.down = if down { cache.down + 1 } else { cache.down - 1 };
         cache.flush();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -382,6 +408,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
+        cache.down = if down { cache.down + 1 } else { cache.down - 1 };
         cache.flush();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -414,12 +441,16 @@ impl<'n> PathOracle<'n> {
         }
     }
 
-    /// Opens a per-solve session for residual-capacity routing (see
-    /// [`OracleSession`]).
-    pub fn session(&self) -> OracleSession<'_, 'n> {
+    /// Opens a per-solve session routing a flow of `rate` on residual
+    /// capacities (see [`OracleSession`]).
+    pub fn session(&self, rate: f64) -> OracleSession<'_, 'n> {
         OracleSession {
             oracle: self,
+            rate,
+            reads_trees: rate.is_finite() && rate > 0.0,
             scratch: RoutingScratch::new(),
+            hits: 0,
+            misses: 0,
             searches: 0,
         }
     }
@@ -449,43 +480,121 @@ fn threshold_in(net: &Network, memo: &mut FxHashMap<u64, f64>, rate: f64) -> f64
     threshold
 }
 
-/// Residual-capacity routing for one solve.
+/// Residual-capacity routing for one solve of a flow of one rate.
 ///
-/// Residual-filtered paths depend on the solve's own [`NetworkState`]
-/// and on caller context (e.g. which links a multicast group already
-/// owns), so they are never shared across solves. Each query runs a
-/// Dijkstra that stops once its target is settled, in buffers the
-/// session reuses for the whole solve. The path is the one a full tree
-/// from `from` would give: a settled node's predecessor never changes.
-/// Every non-trivial query counts once in the parent oracle's misses.
+/// The solve owns a [`NetworkState`] that starts fresh over the oracle's
+/// network (every link at its capacity, nothing down) and reserves every
+/// link through [`Self::reserve_link`] or [`Self::reserve_path`]. A
+/// query admits the links of that state that fit the rate, plus the
+/// links the caller says a multicast group already shares, which are
+/// links the solve reserved.
 ///
-/// [`NetworkState`]: crate::state::NetworkState
+/// For a finite positive rate, `capacity + CAP_EPS >= rate` holds
+/// exactly when the capacity reaches the rate's class threshold, so
+/// until a reservation leaves a link below the rate the residual filter
+/// admits the class's links and the class tree's path is the answer. The
+/// session reads the oracle's trees while
+///
+/// - the state is over the oracle's network,
+/// - the overlay marks no link or node down, and
+/// - no reservation made through the session has left a link unable to
+///   fit the rate.
+///
+/// Once one of them fails, this query and every later one runs a
+/// Dijkstra under the residual filter that stops once its target is
+/// settled, in buffers the session reuses. Both give the path a complete
+/// tree under the residual filter would: a settled node's predecessor
+/// never changes, and both search the same CSR snapshot. Debug builds
+/// check every tree answer against that search.
+///
+/// A tree found in the cache counts as a hit, and a tree built or a
+/// search run as a miss, in the session's counters and the oracle's.
 pub struct OracleSession<'o, 'n> {
     oracle: &'o PathOracle<'n>,
+    rate: f64,
+    /// Whether queries still read the class trees.
+    reads_trees: bool,
     /// Session-owned search buffers, reused by every search of the
     /// solve (see [`RoutingScratch`]).
     scratch: RoutingScratch,
+    hits: u64,
+    misses: u64,
     searches: u64,
 }
 
 impl OracleSession<'_, '_> {
-    /// Cheapest path `from → to` under a caller-supplied filter
-    /// (typically residual capacity plus shared multicast links).
-    pub fn min_cost_path_with<F: LinkFilter>(
+    /// Cheapest path `from → to` over the links of `state` that fit the
+    /// session's rate and the links `shared` allows.
+    pub fn residual_path<F: LinkFilter>(
         &mut self,
+        state: &NetworkState<'_>,
         from: NodeId,
         to: NodeId,
-        filter: &F,
+        shared: &F,
     ) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
         }
+        let filter = |l: LinkId| shared.allows(l) || state.link_fits(l, self.rate);
+        self.reads_trees &= std::ptr::eq(state.network(), self.oracle.net);
+        if self.reads_trees {
+            if let Some((tree, hit)) = self.oracle.tree_without_faults(from, self.rate) {
+                if hit {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
+                let path = tree.path_to(to);
+                #[cfg(debug_assertions)]
+                {
+                    let searched =
+                        min_cost_path_in(self.oracle.net, from, to, &filter, &mut self.scratch);
+                    debug_assert_eq!(
+                        path.as_ref().map(|p| (p.nodes(), p.links())),
+                        searched.as_ref().map(|p| (p.nodes(), p.links())),
+                        "tree answer {from} -> {to} differs from the residual search"
+                    );
+                }
+                return path;
+            }
+            self.reads_trees = false;
+        }
+        self.misses += 1;
         self.searches += 1;
         self.oracle.misses.fetch_add(1, Ordering::Relaxed);
-        min_cost_path_in(self.oracle.net, from, to, filter, &mut self.scratch)
+        min_cost_path_in(self.oracle.net, from, to, &filter, &mut self.scratch)
     }
 
-    /// Searches this session ran (trivial queries excluded).
+    /// Reserves the session's rate on `link` of `state`.
+    pub fn reserve_link(&mut self, state: &mut NetworkState<'_>, link: LinkId) -> NetResult<()> {
+        state.reserve_link(link, self.rate)?;
+        self.reads_trees &= state.link_fits(link, self.rate);
+        Ok(())
+    }
+
+    /// Reserves the session's rate on every link of `path` in `state`;
+    /// on failure nothing is reserved (see
+    /// [`NetworkState::reserve_path`]).
+    pub fn reserve_path(&mut self, state: &mut NetworkState<'_>, path: &Path) -> NetResult<()> {
+        state.reserve_path(path, self.rate)?;
+        self.reads_trees &= path.links().iter().all(|&l| state.link_fits(l, self.rate));
+        Ok(())
+    }
+
+    /// Queries answered from a cached tree.
+    #[inline]
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Queries that built a tree or ran a search (trivial queries
+    /// excluded).
+    #[inline]
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Queries that ran a search under the residual filter.
     #[inline]
     pub fn searches(&self) -> u64 {
         self.searches
@@ -608,81 +717,127 @@ mod tests {
         let g = diamond();
         let oracle = PathOracle::new(&g);
         let mut state = NetworkState::new(&g);
-        let mut session = oracle.session();
+        let mut session = oracle.session(0.8);
+        let none = |_l: LinkId| false;
 
-        let filter = |l: LinkId| state.link_fits(l, 0.8);
+        // Nothing reserved yet: the class tree answers, and a second
+        // query from the same source finds it in the cache.
         let p1 = session
-            .min_cost_path_with(NodeId(0), NodeId(3), &filter)
+            .residual_path(&state, NodeId(0), NodeId(3), &none)
             .unwrap();
         assert_eq!(p1.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
+        session
+            .residual_path(&state, NodeId(0), NodeId(1), &none)
+            .unwrap();
+        assert_eq!((session.hits(), session.misses()), (1, 1));
 
-        // Reserve the cheap 2-3 link to saturation: the next search sees
-        // the new residuals and routes around it.
-        state.reserve_link(LinkId(3), 1.0).unwrap();
-        let filter = |l: LinkId| state.link_fits(l, 0.8);
+        // A reservation that still leaves the rate room keeps the trees.
+        session.reserve_link(&mut state, LinkId(0)).unwrap();
+        session
+            .residual_path(&state, NodeId(0), NodeId(3), &none)
+            .unwrap();
+        assert_eq!(session.searches(), 0);
+
+        // Reserving the cheap 2-3 link (capacity 1.0) leaves 0.2 < 0.8:
+        // the next query searches the residuals and routes around it.
+        session.reserve_link(&mut state, LinkId(3)).unwrap();
         let p2 = session
-            .min_cost_path_with(NodeId(0), NodeId(3), &filter)
+            .residual_path(&state, NodeId(0), NodeId(3), &none)
             .unwrap();
         assert_eq!(p2.nodes(), &[NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
-        // Trivial queries run no search.
-        let p3 = session.min_cost_path_with(NodeId(1), NodeId(1), &filter);
-        assert!(p3.unwrap().is_empty());
+        // Links a multicast group shares stay admitted.
+        let shared = |l: LinkId| l == LinkId(3);
+        let p3 = session
+            .residual_path(&state, NodeId(0), NodeId(3), &shared)
+            .unwrap();
+        assert_eq!(p3.nodes(), p1.nodes());
+        // Trivial queries count nothing.
+        let p4 = session.residual_path(&state, NodeId(1), NodeId(1), &none);
+        assert!(p4.unwrap().is_empty());
         assert_eq!(session.searches(), 2);
-        // Every search rolls up into the shared counters as a miss.
+        assert_eq!((session.hits(), session.misses()), (2, 3));
         let s = oracle.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (0, 2, 0));
+        assert_eq!((s.hits, s.misses, s.invalidations), (2, 3, 0));
     }
 
     #[test]
-    fn session_filters_are_independent() {
+    fn session_searches_under_faults_and_foreign_states() {
         let g = diamond();
-        let oracle = PathOracle::new(&g);
-        let mut session = oracle.session();
-        let all = |_l: LinkId| true;
+        let other = diamond();
         let none = |_l: LinkId| false;
-        assert!(session
-            .min_cost_path_with(NodeId(0), NodeId(3), &all)
-            .is_some());
-        // Another filter from the same source runs its own search.
-        assert!(session
-            .min_cost_path_with(NodeId(0), NodeId(3), &none)
-            .is_none());
+        // A link down on the oracle: the fresh state does not know it.
+        let oracle = PathOracle::new(&g);
+        oracle.set_link_down(LinkId(3), true);
+        let state = NetworkState::new(&g);
+        let mut session = oracle.session(0.5);
+        let p = session
+            .residual_path(&state, NodeId(0), NodeId(3), &none)
+            .unwrap();
+        assert_eq!(p.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
+        // Bringing it back up does not resume the tree reads.
+        oracle.set_link_down(LinkId(3), false);
+        session.residual_path(&state, NodeId(0), NodeId(3), &none);
         assert_eq!(session.searches(), 2);
+        // A state over another network: an equal one, but not the same.
+        let oracle = PathOracle::new(&g);
+        let foreign = NetworkState::new(&other);
+        let mut session = oracle.session(0.5);
+        session.residual_path(&foreign, NodeId(0), NodeId(3), &none);
+        session.residual_path(&state, NodeId(0), NodeId(3), &none);
+        assert_eq!(session.searches(), 2);
+        // A rate outside the finite positive range never reads a tree.
+        let mut session = oracle.session(f64::INFINITY);
+        assert!(session
+            .residual_path(&state, NodeId(0), NodeId(3), &none)
+            .is_none());
+        assert_eq!(session.searches(), 1);
     }
 
-    /// The target-bounded session search returns exactly the path the
-    /// full tree from the same source gives, for every node pair, under
-    /// a residual filter that blocks part of the network.
+    /// The session's answers equal a complete tree's under the residual
+    /// filter for every node pair: first read from the class trees, then,
+    /// once a reservation has left a link too thin, from the searches.
     #[test]
     fn session_paths_equal_full_tree_paths() {
         let g = graded();
         let oracle = PathOracle::new(&g);
         let mut state = NetworkState::new(&g);
+        let mut session = oracle.session(0.9);
+        let none = |_l: LinkId| false;
         // Links 0-1 and 4-5 are too thin for the rate; reserving 2-5
-        // leaves it too thin as well. That splits {0, 5} from the
-        // 1-2-3-4 cycle.
-        state.reserve_link(LinkId(7), 1.5).unwrap();
-        let filter = |l: LinkId| state.link_fits(l, 0.9);
-        let mut session = oracle.session();
-        let mut unreachable = 0;
-        for from in 0..g.node_count() as u32 {
-            let tree = ShortestPathTree::build(&g, NodeId(from), &filter, None);
-            for to in 0..g.node_count() as u32 {
-                let bounded = session.min_cost_path_with(NodeId(from), NodeId(to), &filter);
-                let full = if from == to {
-                    Some(Path::trivial(NodeId(from)))
-                } else {
-                    tree.path_to(NodeId(to))
-                };
-                unreachable += usize::from(full.is_none());
-                assert_eq!(
-                    bounded.as_ref().map(|p| (p.nodes(), p.links())),
-                    full.as_ref().map(|p| (p.nodes(), p.links())),
-                    "{from} -> {to}"
-                );
+        // twice leaves it too thin as well. That splits {0, 5} from the
+        // 1-2-3-4 cycle, which 0-5 and 2-5 joined before.
+        for reserve in [0, 2] {
+            for _ in 0..reserve {
+                session.reserve_link(&mut state, LinkId(7)).unwrap();
             }
+            let filter = |l: LinkId| state.link_fits(l, 0.9);
+            let searches = session.searches();
+            let mut unreachable = 0;
+            for from in 0..g.node_count() as u32 {
+                let tree = ShortestPathTree::build(&g, NodeId(from), &filter, None);
+                for to in 0..g.node_count() as u32 {
+                    let got = session.residual_path(&state, NodeId(from), NodeId(to), &none);
+                    let full = if from == to {
+                        Some(Path::trivial(NodeId(from)))
+                    } else {
+                        tree.path_to(NodeId(to))
+                    };
+                    unreachable += usize::from(full.is_none());
+                    assert_eq!(
+                        got.as_ref().map(|p| (p.nodes(), p.links())),
+                        full.as_ref().map(|p| (p.nodes(), p.links())),
+                        "{from} -> {to} after {reserve} reservations"
+                    );
+                }
+            }
+            assert_eq!(
+                unreachable > 0,
+                reserve > 0,
+                "{unreachable} pairs cut apart"
+            );
+            let searched = session.searches() - searches;
+            assert_eq!(searched > 0, reserve > 0, "{searched} searches");
         }
-        assert!(unreachable > 0, "the filter cut no pair apart");
     }
 
     /// Diamond with delays: 0-1 and 1-3 are fast (5 µs) but pricey,
