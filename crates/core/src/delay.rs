@@ -1,7 +1,7 @@
 //! End-to-end delay model for embedded chains.
 //!
-//! The motivation for hybrid SFCs (paper §1, Fig. 1, via NFP [17]) is
-//! that parallel VNFs cut traffic delay: within a layer, the slowest
+//! The motivation for hybrid SFCs (paper §1, Fig. 1, via NFP \[17\])
+//! is that parallel VNFs cut traffic delay: within a layer, the slowest
 //! branch — not the sum of all branches — determines the layer's
 //! latency. This module quantifies that on a concrete [`Embedding`]:
 //!

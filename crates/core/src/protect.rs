@@ -1,8 +1,8 @@
 //! 1+1 protection of embeddings — a survivability extension.
 //!
 //! The paper's related work motivates availability-aware chain mapping
-//! (its ref. [3]); this module adds the standard mechanism on top of any
-//! solver's embedding: every non-trivial real-path gets a **link-
+//! (its ref. \[3\]); this module adds the standard mechanism on top of
+//! any solver's embedding: every non-trivial real-path gets a **link-
 //! disjoint backup**, so no single link failure can sever a meta-path.
 //! Backups come from Bhandari pairs
 //! ([`dagsfc_net::routing::disjoint_path_pair`]), which also survive

@@ -24,7 +24,7 @@ use crate::chain::{DagSfc, Layer};
 use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
-use dagsfc_net::routing::{MulticastTree, ShortestPathTree};
+use dagsfc_net::routing::{ArcWeight, MulticastTree, ShortestPathTree};
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -74,8 +74,8 @@ pub(crate) struct EngineCtx<'a> {
     /// precomputed once per solve for the same reason.
     link_rate_ok: Vec<bool>,
     /// How the chain loads the residual, when lineage loads are tracked:
-    /// without a delay constraint, while no level cut can bind, and only
-    /// if some link or instance the chain can use binds (see
+    /// while no level cut can bind, with or without a delay constraint,
+    /// and only if some link or instance the chain can use binds (see
     /// [`super::loads`]).
     pub loads: Option<Loads>,
     cache_hits: Cell<u64>,
@@ -91,7 +91,7 @@ impl<'a> EngineCtx<'a> {
         oracle: &'a PathOracle<'a>,
     ) -> Self {
         let catalog = *sfc.catalog();
-        let loads = (cfg.delay_constraint.is_none() && cuts_never_bind(cfg, sfc.depth()))
+        let loads = cuts_never_bind(cfg, sfc.depth())
             .then(|| Loads::new(sfc, &catalog, flow.rate, net.link_count()));
         let mut link_price = Vec::with_capacity(net.link_count());
         let mut link_rate_ok = Vec::with_capacity(net.link_count());
@@ -151,6 +151,17 @@ impl<'a> EngineCtx<'a> {
     ) -> Option<Path> {
         self.oracle
             .min_cost_path_bounded(from, to, self.flow.rate, max_delay_us)
+    }
+
+    /// The least-delay tree rooted at `root` over rate-feasible links —
+    /// the links LARAC admits — from the shared oracle's weighted cache
+    /// (not this solve's hit/miss counters, like
+    /// [`Self::min_cost_path_bounded`]). Links are undirected, so its
+    /// distance to a node is that node's least substrate delay to
+    /// `root`.
+    pub fn delay_tree(&self, root: NodeId) -> Arc<ShortestPathTree> {
+        self.oracle
+            .weighted_tree(root, self.flow.rate, ArcWeight::Delay)
     }
 
     /// The Dijkstra tree rooted at `root` over rate-feasible links, from

@@ -8,12 +8,15 @@
 //! multicast that crosses it plus once per inner path over it, a VNF
 //! instance once per slot on it (a chain that crosses a link `k` times
 //! uses `k·R` of it). So a lineage whose uses already overload a link or
-//! an instance, by the validator's own test, can never validate.
+//! an instance, by the validator's own test, can never validate, not
+//! even with a delay-bounded final path.
 //!
 //! The search drops such a lineage, and so tracks loads only where
-//! dropping moves no decision: without a delay budget (dead leaves
-//! still decide the deadline reason there) and while no level cut can
-//! bind (MBBE on at most five layers). Only resources this chain can
+//! dropping moves no accepted embedding: while no level cut can bind
+//! (MBBE on at most five layers), with or without a delay budget. Under
+//! a budget a dead lineage is dropped before its delay is checked, so a
+//! request is a deadline rejection only if a lineage that does not
+//! overload the residual blew the budget. Only resources this chain can
 //! overload are counted: a link that every use the chain can make of it
 //! fits (capacity 1e6 in Fig. 6), or an instance of a kind the chain
 //! places once, never binds. When no resource binds, tracking is off

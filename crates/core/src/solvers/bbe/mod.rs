@@ -48,6 +48,7 @@ use crate::embedding::Embedding;
 use crate::error::{deadline_infeasible_reason, SolveError};
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
+use dagsfc_net::routing::csp::DELAY_EPS;
 use dagsfc_net::{NodeId, Path};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -573,10 +574,10 @@ fn attempt<I: Instrument>(
     // The arena index of each start node's expansion; an index below the
     // current layer's first expansion belongs to an earlier layer.
     let mut memo_at: Vec<u32> = vec![u32::MAX; net.node_count()];
-    // Lineage loads (see `loads`), tracked only without a delay
-    // constraint and while no level cut can bind. A lineage that
-    // already overloads the residual can never validate, so it is
-    // dropped; every level keeps all it is given, so dropping moves no
+    // Lineage loads (see `loads`), tracked while no level cut can bind,
+    // under a delay constraint too. A lineage that already overloads the
+    // residual can never validate, so it is dropped before its delay is
+    // looked at; every level keeps all it is given, so dropping moves no
     // survivor.
     let loads = ctx.loads.as_ref();
     // Per child of the current parent: whether it overloads.
@@ -665,9 +666,10 @@ fn attempt<I: Instrument>(
             let (h, m) = ctx.cache_counts();
             ins.cache(h, m);
             // A level emptied by delay pruning is a deadline failure:
-            // capacity-feasible sub-solutions existed, every one blew
-            // the budget. A level whose every candidate overloads fails
-            // as the finals would have: no lineage can validate.
+            // some candidate blew the budget, and where lineages are
+            // tracked, only one that does not overload the residual is
+            // delay-checked. A level whose every candidate overloads
+            // fails as the finals would have: no lineage can validate.
             let reason = match (dc, layer_delay_pruned) {
                 (Some(dc), Some(best)) => deadline_infeasible_reason(best, dc.max_delay_us),
                 _ if layer_overloaded > 0 => FINALS_CAPACITY_REASON.into(),
@@ -785,8 +787,14 @@ fn attempt<I: Instrument>(
     // the SLA model and re-validated, so the swap is sound even when
     // the SLA model differs from the substrate propagation table LARAC
     // optimizes over. Leaves are tried cheapest-lineage-first.
+    //
+    // One least-delay tree from dst, fetched for the first leaf that
+    // needs it, gives every leaf its fastest admitted route's delay
+    // (links are undirected), so a leaf that LARAC cannot repair is
+    // skipped without a search (see `repair_ruled_out`).
     if let Some(dc) = dc {
         if dc.model.link_delay_us.is_some() {
+            let mut fastest = None;
             for leaf in deadline_rejected {
                 let end = tree.node(leaf).end_node;
                 if end == flow.dst {
@@ -796,6 +804,13 @@ fn attempt<I: Instrument>(
                 if slack.is_nan() || slack <= 0.0 {
                     continue;
                 }
+                let least = fastest
+                    .get_or_insert_with(|| ctx.delay_tree(flow.dst))
+                    .dist_to(end);
+                if repair_ruled_out(least, slack) {
+                    continue;
+                }
+                ins.delay_repairs(1);
                 let Some(p) = ctx.min_cost_path_bounded(end, flow.dst, slack) else {
                     continue;
                 };
@@ -821,6 +836,17 @@ fn attempt<I: Instrument>(
     };
     let error = SolveError::NoFeasibleEmbedding { solver, reason };
     Err(Failed { error, capped })
+}
+
+/// Whether LARAC provably finds no final path for a leaf with `slack`
+/// µs of budget left whose least substrate delay to dst is `least`
+/// (`None`: dst unreachable over the admitted links). LARAC returns no
+/// path exactly when the fastest admitted route is later than
+/// `slack + DELAY_EPS`; the route's delay summed from dst may differ
+/// from LARAC's sum in the last bits, so the bound allows a further
+/// `1e-9·max(1, slack)` and every repair LARAC could make still runs.
+fn repair_ruled_out(least: Option<f64>, slack: f64) -> bool {
+    least.is_none_or(|d| d > slack + DELAY_EPS + 1e-9 * slack.abs().max(1.0))
 }
 
 /// The layer expansion a tree node's handle points into.
@@ -1424,19 +1450,20 @@ mod tests {
         assert!(!err.is_deadline_infeasible());
     }
 
-    /// Under a delay budget no lineage is tracked: dead leaves still
-    /// decide the deadline reason, so the search runs in full and
-    /// reports the empty second level, and nothing counts as
-    /// overloaded.
+    /// Under a delay budget lineages are tracked as without one: the
+    /// search stops at the dead first level with the finals' capacity
+    /// reason, and the merge on v6 wins once the dead merge on v4 is
+    /// dropped.
     #[test]
-    fn delay_budgets_leave_the_search_untracked() {
+    fn delay_budgets_track_lineages_too() {
         let flow = Flow::unit(NodeId(0), NodeId(5)).with_delay_budget(1e6);
         let err = MbbeSolver::new()
             .solve(&overload_net(false), &overload_chain(), &flow)
             .unwrap_err();
         assert_eq!(
             err.to_string(),
-            "MBBE: no feasible embedding found (layer 1 produced no feasible sub-solution)"
+            "MBBE: no feasible embedding found (no complete candidate reached \
+             the destination within capacity and delay bound)"
         );
         assert!(!err.is_deadline_infeasible());
         let sfc = DagSfc::new(
@@ -1451,7 +1478,48 @@ mod tests {
             out.embedding.assignments(),
             &[vec![NodeId(1), NodeId(2), NodeId(6)]]
         );
-        assert_eq!(out.stats.candidates_overloaded, 0);
+        assert!(out.stats.candidates_overloaded >= 1, "{:?}", out.stats);
+    }
+
+    /// `overload_net(false)` with 1 µs links but 100 µs on v4–v5, under
+    /// a 50 µs budget. MBBE's one sub-solution of f0 ‖ f1 merges on v4
+    /// within 4 µs but overloads v1–v4, and its min-cost final path
+    /// v4–v5 blows the budget: the only over-budget lineage is dead.
+    /// Where lineages are tracked, the request is a capacity rejection.
+    /// At level width 3 a cut could bind, nothing is tracked, and the
+    /// dead leaf still makes it a deadline rejection.
+    #[test]
+    fn a_dead_lineage_over_budget_is_a_capacity_rejection() {
+        let mut g = overload_net(false);
+        for l in 0..g.link_count() as u32 {
+            let delay = if l == 3 { 100.0 } else { 1.0 };
+            g.set_link_delay(dagsfc_net::LinkId(l), delay).unwrap();
+        }
+        let sfc = DagSfc::new(
+            vec![Layer::new(vec![VnfTypeId(0), VnfTypeId(1)])],
+            catalog(),
+        )
+        .unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(5)).with_delay_budget(50.0);
+        let err = MbbeSolver::new().solve(&g, &sfc, &flow).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MBBE: no feasible embedding found (no complete candidate reached \
+             the destination within capacity and delay bound)"
+        );
+        assert!(!err.is_deadline_infeasible());
+        let untracked = MbbeSolver {
+            config: BbeConfig {
+                max_level_width: 3,
+                ..BbeConfig::mbbe()
+            },
+        };
+        let err = untracked.solve(&g, &sfc, &flow).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MBBE: no feasible embedding found (deadline infeasible: best delay \
+             104.000 us > budget 50.000 us)"
+        );
     }
 }
 
@@ -1459,6 +1527,7 @@ mod tests {
 mod delay_tests {
     use super::*;
     use crate::delay::DelayModel;
+    use crate::solvers::instrument::Counters;
     use crate::validate::validate;
     use crate::vnf::VnfCatalog;
     use dagsfc_net::{Network, NodeId, VnfTypeId};
@@ -1621,8 +1690,106 @@ mod delay_tests {
         // Direct final rejected once, detour accepted: vnf 1 + links
         // (0-1) 1 + (1-2-3-4) 3 = 5.
         assert_eq!(out.stats.candidates_delay_rejected, 1);
+        assert_eq!(out.stats.delay_repairs, 1);
         assert!((out.cost.total() - 5.0).abs() < 1e-9, "{}", out.cost);
         validate(&g, &sfc, &flow, &out.embedding).unwrap();
+    }
+
+    /// Under a 15 µs budget both leaves reach their f0 host in 10 µs and
+    /// blow the budget with their min-cost final paths (20 and 50 µs).
+    /// Neither can reach v6 within its 5 µs of slack: the fastest
+    /// routes take 10 µs from v1 and 30 µs from v2. So no repair runs,
+    /// and the finals' deadline reason stands.
+    #[test]
+    fn repairs_a_min_delay_bound_rules_out_are_skipped() {
+        let g = delayed_sla_net();
+        let sfc = DagSfc::sequential(&[VnfTypeId(0)], VnfCatalog::new(1)).unwrap();
+        let flow = Flow::unit(NodeId(0), NodeId(6)).with_delay_budget(15.0);
+        let ctx = SolveCtx::new(&g);
+        let cfg = BbeConfig {
+            delay_constraint: Some(DelayConstraint {
+                model: ctx.delay_model().clone(),
+                max_delay_us: 15.0,
+            }),
+            ..BbeConfig::mbbe()
+        };
+        let mut ins = Counters::default();
+        let Err(failed) = attempt(&ctx, &sfc, &flow, &cfg, "MBBE", &mut ins) else {
+            panic!("no route meets a 15 µs budget");
+        };
+        assert_eq!(
+            failed.error.to_string(),
+            "MBBE: no feasible embedding found (deadline infeasible: best delay \
+             20.000 us > budget 15.000 us)"
+        );
+        assert!(failed.error.is_deadline_infeasible());
+        assert_eq!(ins.stats.candidates_delay_rejected, 2);
+        assert_eq!(ins.stats.delay_repairs, 0);
+    }
+
+    /// The repair skip never skips a repair LARAC could make. On random
+    /// 10-node substrates with delays whose sums round differently by
+    /// summation order, a link too thin for the rate and one link down
+    /// in the oracle's overlay, every (leaf, dst) pair is tried at
+    /// slacks on and around its least delay: whenever the dst-rooted
+    /// delay tree rules the repair out, LARAC finds no path.
+    #[test]
+    fn ruled_out_repairs_find_no_path() {
+        use dagsfc_net::routing::ArcWeight;
+        use dagsfc_net::LinkId;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xDE1A);
+        let delays = [0.1, 0.2, 0.3, 0.7, 1.1, 10.0];
+        let (mut skipped, mut run) = (0usize, 0usize);
+        for _ in 0..30 {
+            let n = 10u32;
+            let mut g = Network::new();
+            g.add_nodes(n as usize);
+            for _ in 0..20 {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a == b || g.link_between(NodeId(a), NodeId(b)).is_some() {
+                    continue;
+                }
+                let price = f64::from(rng.gen_range(1..4u8));
+                let capacity = if rng.gen_range(0..6u8) == 0 { 0.5 } else { 2.0 };
+                let delay = delays[rng.gen_range(0..delays.len())];
+                g.add_link_with_delay(NodeId(a), NodeId(b), price, capacity, delay)
+                    .unwrap();
+            }
+            let ctx = SolveCtx::new(&g);
+            if g.link_count() > 0 {
+                let down = rng.gen_range(0..g.link_count() as u32);
+                ctx.oracle.set_link_down(LinkId(down), true);
+            }
+            for dst in (0..n).map(NodeId) {
+                let tree = ctx.oracle.weighted_tree(dst, 1.0, ArcWeight::Delay);
+                for end in (0..n).map(NodeId).filter(|&v| v != dst) {
+                    let least = tree.dist_to(end);
+                    let d = least.unwrap_or(5.0);
+                    for slack in [
+                        d,
+                        d - 1e-12,
+                        d + 1e-12,
+                        d - 2e-9,
+                        d - 1e-6,
+                        0.5 * d,
+                        d + 1.0,
+                    ] {
+                        if slack <= 0.0 {
+                            continue;
+                        }
+                        let larac = ctx.oracle.min_cost_path_bounded(end, dst, 1.0, slack);
+                        if repair_ruled_out(least, slack) {
+                            skipped += 1;
+                            assert!(larac.is_none(), "skipped a repair LARAC makes");
+                        } else {
+                            run += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 100 && run > 100, "skipped {skipped}, run {run}");
     }
 
     /// Delay-oblivious baselines go through the same central gate in

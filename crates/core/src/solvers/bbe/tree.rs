@@ -30,7 +30,7 @@ pub struct TreeNode {
 /// Nodes are stored in discovery order, ring by ring and each ring in
 /// node id order, so every ring is a contiguous range of the node array.
 /// Membership lookups go through a `NodeId`-indexed vector sized off the
-/// substrate (sentinel [`NOT_IN_TREE`]) instead of a hash map: the tree
+/// substrate (sentinel `NOT_IN_TREE`) instead of a hash map: the tree
 /// is rebuilt for every BBE attempt, so cheap O(1) array probes on the
 /// hot `contains`/`index_of` calls matter more than sparse storage.
 #[derive(Debug, Clone)]

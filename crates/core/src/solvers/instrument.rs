@@ -65,6 +65,13 @@ pub trait Instrument {
         let _ = n;
     }
 
+    /// `n` delay-bounded final paths were searched (LARAC repairs of
+    /// leaves whose min-cost final path blew the delay budget).
+    #[inline]
+    fn delay_repairs(&mut self, n: usize) {
+        let _ = n;
+    }
+
     /// One SFC layer finished after `wall` of work.
     #[inline]
     fn layer_wall(&mut self, wall: Duration) {
@@ -132,6 +139,11 @@ impl Instrument for Counters {
     }
 
     #[inline]
+    fn delay_repairs(&mut self, n: usize) {
+        self.stats.delay_repairs += n;
+    }
+
+    #[inline]
     fn layer_wall(&mut self, wall: Duration) {
         self.stats.layer_wall.push(wall);
     }
@@ -158,6 +170,7 @@ mod tests {
         c.candidates_pruned(6);
         c.candidates_delay_rejected(2);
         c.candidates_overloaded(3);
+        c.delay_repairs(4);
         c.layer_wall(Duration::from_micros(7));
         c.cache(8, 9);
         assert_eq!(c.stats.nodes_expanded, 5);
@@ -167,6 +180,7 @@ mod tests {
         assert_eq!(c.stats.candidates_pruned, 6);
         assert_eq!(c.stats.candidates_delay_rejected, 2);
         assert_eq!(c.stats.candidates_overloaded, 3);
+        assert_eq!(c.stats.delay_repairs, 4);
         assert_eq!(c.stats.layer_wall, vec![Duration::from_micros(7)]);
         assert_eq!((c.stats.cache_hits, c.stats.cache_misses), (8, 9));
         assert!(c.stats.cache_hit_rate() > 0.0);

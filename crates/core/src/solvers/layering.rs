@@ -10,8 +10,8 @@
 //! file, so the seam cannot erode by accident.
 //!
 //! The module also hosts [`verify_admissible`]: the pre-solve check
-//! that a chain's carried [`PrecedenceOrder`] is actually honored by
-//! its layered rendering. Chains built by
+//! that a chain's carried [`crate::PrecedenceOrder`] is actually
+//! honored by its layered rendering. Chains built by
 //! [`DagSfc::from_partial_order`] satisfy it by construction; a
 //! hand-built or wire-supplied chain can claim any order, and must be
 //! rejected before a solver embeds it in the wrong sequence.

@@ -79,8 +79,15 @@ pub struct SolverStats {
     /// BBE-family candidates dropped from the search because their
     /// sub-solution lineage already overloads a link or VNF instance of
     /// the residual. Such a lineage can never validate, so these are
-    /// search work saved, not decisions.
+    /// search work saved, not accepted embeddings lost; under a delay
+    /// budget a dropped lineage no longer makes a request a deadline
+    /// rejection.
     pub candidates_overloaded: usize,
+    /// BBE-family LARAC repairs run: delay-bounded final paths searched
+    /// for leaves whose min-cost final path blew the delay budget. A
+    /// leaf whose least substrate delay to the destination already
+    /// misses its slack runs none.
+    pub delay_repairs: usize,
     /// Shortest-path queries answered from a cache.
     pub cache_hits: u64,
     /// Shortest-path queries that ran a fresh search.

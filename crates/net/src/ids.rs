@@ -9,13 +9,15 @@ use std::fmt;
 
 /// Identifier of a network node (a cloud node hosting VNF instances).
 ///
-/// `NodeId(i)` indexes into [`crate::Network::nodes`].
+/// `NodeId(i)` names the `i`-th node of a network (see
+/// [`crate::Network::node`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a bi-directional network link.
 ///
-/// `LinkId(i)` indexes into [`crate::Network::links`].
+/// `LinkId(i)` names the `i`-th link of a network (see
+/// [`crate::Network::link`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinkId(pub u32);
 

@@ -7,7 +7,7 @@
 //!
 //! The search loop is the crate's one weighted-search kernel, kept in
 //! the private `routing::heap` module. It runs over the network's
-//! cached CSR [`NetworkSnapshot`](crate::NetworkSnapshot) — a flat
+//! cached CSR [`NetworkSnapshot`] — a flat
 //! struct-of-arrays adjacency whose arc order matches
 //! [`Network::neighbors`] exactly, so results are bit-identical to the
 //! historical adjacency-list implementation — and keeps its working
@@ -296,7 +296,8 @@ impl ShortestPathTree {
         self.source
     }
 
-    /// Total price of the cheapest path to `node`, if reachable.
+    /// Total weight of the lightest path to `node` under the tree's
+    /// [`ArcWeight`] (its price for a price tree), if reachable.
     pub fn dist_to(&self, node: NodeId) -> Option<f64> {
         let mut nodes = self.nodes.lock();
         nodes.settle_through(node);

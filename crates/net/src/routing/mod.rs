@@ -15,7 +15,8 @@
 //!   QoS-constrained oracle mode.
 //!
 //! Every weighted search — price, delay or LARAC's `price + λ·delay` —
-//! runs one kernel: the binary-heap Dijkstra loop in [`heap`], which
+//! runs one kernel: the binary-heap Dijkstra loop in the private `heap`
+//! module, which
 //! pops the cheapest distance first and the smaller node id on ties.
 
 pub mod bfs;

@@ -11,8 +11,8 @@
 //!
 //! One scratch hosts the working state of both search families: the
 //! weighted Dijkstra kernel's distances, predecessors and binary heap
-//! ([`super::heap`]), and an independent BFS epoch so breadth-first
-//! rings may interleave with weighted searches.
+//! (the private `heap` module), and an independent BFS epoch so
+//! breadth-first rings may interleave with weighted searches.
 //!
 //! Long-lived owners ([`crate::OracleSession`], the oracle's tree
 //! cache, Yen's spur loop, Steiner rounds) hold an explicit scratch and

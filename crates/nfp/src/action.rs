@@ -3,7 +3,8 @@
 //! A profile abstracts what a network function does to traffic — which
 //! fields it reads and writes, whether it may drop packets, and whether it
 //! accounts traffic — which is exactly the information needed to decide
-//! whether two functions can run in parallel (NFP [17], ParaBox [22]).
+//! whether two functions can run in parallel (NFP \[17\], ParaBox
+//! \[22\]).
 
 use crate::field::FieldSet;
 use serde::{Deserialize, Serialize};

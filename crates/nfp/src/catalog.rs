@@ -1,7 +1,7 @@
 //! A canned catalog of enterprise network functions.
 //!
 //! The DAG-SFC paper motivates hybrid chains with the enterprise NFs
-//! studied by NFP [17] — firewalls, intrusion detection, NAT, load
+//! studied by NFP \[17\] — firewalls, intrusion detection, NAT, load
 //! balancing, monitoring, and so on. This module provides action profiles
 //! and representative per-packet processing delays for twelve such
 //! functions, enough to populate the paper's VNF universe (Table 2 uses a

@@ -1,7 +1,7 @@
 //! Pairwise order-dependency analysis over an NF catalog.
 //!
-//! NFP [17] reports that 53.8% of NF pairs in enterprise networks can work
-//! in parallel and 41.5% can do so without extra resource overhead. This
+//! NFP \[17\] reports that 53.8% of NF pairs in enterprise networks can
+//! work in parallel and 41.5% can do so without extra resource overhead. This
 //! module computes the same classification for any catalog of
 //! [`NfSpec`]s, and is the oracle the chain transformation queries.
 

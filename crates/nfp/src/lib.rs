@@ -1,8 +1,8 @@
 //! # dagsfc-nfp — network-function parallelism analysis
 //!
-//! The DAG-SFC paper builds on the observation (NFP [17], ParaBox [22])
-//! that many network-function pairs have no order dependency and can run
-//! in parallel. This crate supplies that substrate:
+//! The DAG-SFC paper builds on the observation (NFP \[17\], ParaBox
+//! \[22\]) that many network-function pairs have no order dependency and
+//! can run in parallel. This crate supplies that substrate:
 //!
 //! * [`field`]/[`action`] — packet-field bitsets and NF action profiles
 //!   (reads, writes, drop, accounting, termination);

@@ -32,9 +32,10 @@ use serde::{Deserialize, Serialize};
 pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The most bytes the daemon holds of a request line whose `\n` has not
-/// arrived (1 MiB). Past it the daemon answers [`line_too_long`] and
-/// takes no further request from that connection: it drops the rest of
-/// the client's input and ends its own side once the reply is out.
+/// arrived (1 MiB). Past it the daemon answers with a `request line too
+/// long` error and takes no further request from that connection: it
+/// drops the rest of the client's input and ends its own side once the
+/// reply is out.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The error reply to a request line longer than [`MAX_LINE_BYTES`].

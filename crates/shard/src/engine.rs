@@ -324,7 +324,7 @@ pub struct ShardedStats {
 /// [`Network::set_vnf_capacity`]), so neither the network nor its CSR
 /// snapshot is rebuilt. A fault or an owner reclaim drops every view
 /// instead. A view that a caller still holds, or that lags more than
-/// [`MAX_PENDING_CHANGES`] changes behind, is rebuilt in full.
+/// `MAX_PENDING_CHANGES` changes behind, is rebuilt in full.
 pub struct ShardedEngine<'n> {
     net: &'n Network,
     plan: ShardPlan,

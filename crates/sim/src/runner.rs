@@ -1,8 +1,8 @@
 //! The instance runner: the paper's evaluation protocol.
 //!
 //! "For each simulation instance, we run 100 times with different SFCs
-//! generated by [the] SFC generator with the same structure, then set the
-//! average cost of those embedding solutions as the final result."
+//! generated by \[the\] SFC generator with the same structure, then set
+//! the average cost of those embedding solutions as the final result."
 //!
 //! One instance = one seeded random network + `runs` random (SFC, flow)
 //! draws; every algorithm solves the *same* sequence of requests against

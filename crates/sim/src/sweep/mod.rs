@@ -107,10 +107,11 @@ fn point_plans(
 /// instance. Every point reseeds deterministically from the base seed.
 ///
 /// Points execute on the deterministic parallel executor
-/// ([`run_instances`]): every `(point, run)` pair goes through one
-/// shared work queue and the reduction is index-ordered, so the result —
-/// including the rendered CSV, byte for byte — is identical to the
-/// serial reference [`sweep_serial`] regardless of thread interleaving.
+/// ([`crate::runner::run_instances`]): every `(point, run)` pair goes
+/// through one shared work queue and the reduction is index-ordered, so
+/// the result — including the rendered CSV, byte for byte — is
+/// identical to the serial reference [`sweep_serial`] regardless of
+/// thread interleaving.
 pub fn sweep(
     id: &'static str,
     x_label: &'static str,

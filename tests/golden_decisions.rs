@@ -11,9 +11,13 @@
 //!
 //! Each run is pinned by an FNV-1a digest of every arrival's
 //! (accepted, cost bits) and the departure order, plus its
-//! accepted/rejected/deadline counts. The constants were recorded
-//! before the retry rule was gated on the cap having cut a forward
-//! search, so they pin that every decision survived it bit for bit.
+//! accepted/rejected counts and how the rejections split into
+//! deadline, capacity and rule ones. The digests and counts were
+//! recorded before the retry rule was gated on the cap having cut a
+//! forward search, so they pin that every decision survived it bit for
+//! bit. The split moved once on purpose: since budgeted MBBE solves
+//! track lineage loads, a request is a deadline rejection only if a
+//! lineage that does not overload the residual blew the budget.
 //!
 //! The same digest pins `run_trace` over the four committed lifecycle
 //! traces and `run_chaos` over the committed chaos scenario. Those
@@ -45,6 +49,8 @@ struct Golden {
     accepted: usize,
     rejected: usize,
     rejected_deadline: usize,
+    rejected_capacity: usize,
+    rejected_rule: usize,
 }
 
 /// 64-bit FNV-1a over per-arrival (accepted, cost bits), then the
@@ -107,8 +113,11 @@ fn capacity_trace_decisions_are_pinned() {
         digest: fates_digest(&out.per_arrival, &out.departure_order),
         accepted: out.metrics.accepted,
         rejected: out.metrics.rejected,
-        // Best-effort flows carry no budget, so none is deadline-bound.
+        // Best-effort flows carry no budget and no placement rules, so
+        // every rejection is a capacity one.
         rejected_deadline: 0,
+        rejected_capacity: out.metrics.rejected,
+        rejected_rule: 0,
     };
     assert_eq!(out.metrics.checks.unwrap().audit_violations, 0);
     assert_eq!(
@@ -118,6 +127,8 @@ fn capacity_trace_decisions_are_pinned() {
             accepted: 142,
             rejected: 98,
             rejected_deadline: 0,
+            rejected_capacity: 98,
+            rejected_rule: 0,
         }
     );
 }
@@ -167,6 +178,8 @@ fn sharded_sla_trace_decisions_are_pinned() {
         accepted: stats.accepted as usize,
         rejected: stats.rejected as usize,
         rejected_deadline: stats.rejected_deadline as usize,
+        rejected_capacity: stats.rejected_capacity as usize,
+        rejected_rule: stats.rejected_rule as usize,
     };
     assert_eq!(
         got,
@@ -174,7 +187,9 @@ fn sharded_sla_trace_decisions_are_pinned() {
             digest: 0xa28f_1da5_2060_191b,
             accepted: 62,
             rejected: 178,
-            rejected_deadline: 51,
+            rejected_deadline: 23,
+            rejected_capacity: 155,
+            rejected_rule: 0,
         }
     );
 }

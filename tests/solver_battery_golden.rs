@@ -7,12 +7,14 @@
 //! `SolveCtx` per (instance, solver) carries the oracle across that
 //! solver's requests, so cache reuse is part of what is pinned.
 //!
-//! Three FNV-1a digests, so that a change to how much a solver searches
-//! moves only the digest that counts it:
+//! Four FNV-1a digests, so that a change to how much a solver searches
+//! or to why it rejects moves only the digest that records it:
 //!
-//! - The decision digest folds what a solve returns: whether it
-//!   accepted, each embedding (every assignment node, every path's
-//!   nodes and links), its cost bits and each error string.
+//! - The embeddings digest folds what an accepted solve returns and
+//!   where the battery rejected: each solve's accept flag, each
+//!   embedding (every assignment node, every path's nodes and links)
+//!   and its cost bits.
+//! - The reasons digest folds each rejection's error string.
 //! - The search-work digest folds every `SolverStats` counter of an
 //!   accepted solve except the wall-clock fields and `cache_hits`.
 //!   `cache_misses` — how many trees the oracle had to build — is
@@ -21,16 +23,21 @@
 //! - The cache-traffic digest folds BBE-family `cache_hits`: how often
 //!   candidate generation asks the oracle for a tree it already holds.
 //!
-//! The decision constant was recorded when the digest was split in
-//! three, before BBE dropped the lineages that already overload the
-//! residual, so it pins that dropping them kept every decision bit for
-//! bit. The single digest it replaced, which folded the counters too,
-//! pinned the same for the sub-solution tree's handles, the
+//! The embeddings constant was recorded when the decision digest was
+//! split into embeddings and reasons, before budgeted MBBE solves
+//! tracked lineage loads, so it pins that dropping the lineages that
+//! already overload the residual under a delay budget, and skipping
+//! the LARAC repairs a min-delay bound rules out, kept every accepted
+//! embedding and cost bit for bit. The reasons constant moved with that
+//! change: a request becomes a deadline rejection only if a lineage
+//! that does not overload the residual blew the budget. The single
+//! decision digest the two replaced pinned the same for dropping dead
+//! lineages without a budget, the sub-solution tree's handles, the
 //! residual-routing searches that stop at their target, and candidate
-//! generation's once-per-pair path lookups. A change that searches less
-//! re-derives the work and cache-traffic digests and says why; a
-//! deliberate behaviour change re-derives the decision digest from the
-//! printed value and says why.
+//! generation's once-per-pair path lookups. A change that searches
+//! less re-derives the work and cache-traffic digests and says why; a
+//! deliberate behaviour change re-derives the embeddings or reasons
+//! digest from the printed value and says why.
 
 use dagsfc::core::solvers::{BbeConfig, BbeSolver, MbbeSolver, MbbeStSolver, SolveCtx};
 use dagsfc::core::solvers::{MinvSolver, RanvSolver};
@@ -175,7 +182,7 @@ fn profiles() -> Vec<SimConfig> {
 
 /// What the battery reached, so the digest is known to cover each
 /// outcome class.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Tally {
     solves: usize,
     accepted: usize,
@@ -184,10 +191,12 @@ struct Tally {
     other_errors: usize,
 }
 
-/// The three digests of a battery run.
+/// The four digests of a battery run.
 struct Digests {
-    /// Accept flags, embeddings, cost bits and error strings.
-    decisions: Fnv,
+    /// Accept flags, embeddings and cost bits.
+    embeddings: Fnv,
+    /// Error strings.
+    reasons: Fnv,
     /// The search counters of every accepted solve.
     work: Fnv,
     /// BBE-family `cache_hits`, in solve order.
@@ -200,7 +209,7 @@ fn fold(
     bbe_family: bool,
     out: &Result<SolveOutcome, SolveError>,
 ) {
-    let h = &mut d.decisions;
+    let h = &mut d.embeddings;
     tally.solves += 1;
     match out {
         Ok(o) => {
@@ -236,6 +245,7 @@ fn fold(
                 s.candidates_delay_rejected,
                 s.candidates_rule_rejected,
                 s.candidates_overloaded,
+                s.delay_repairs,
                 s.layer_wall.len(),
             ] {
                 w.u64(v as u64);
@@ -247,7 +257,7 @@ fn fold(
         }
         Err(e) => {
             h.u64(0);
-            h.bytes(e.to_string().as_bytes());
+            d.reasons.bytes(e.to_string().as_bytes());
             if e.is_deadline_infeasible() {
                 tally.deadline += 1;
             } else if e.is_rule_infeasible() {
@@ -262,7 +272,8 @@ fn fold(
 /// Runs the battery, returning its digests and its tally.
 fn battery() -> (Digests, Tally) {
     let mut d = Digests {
-        decisions: Fnv::new(),
+        embeddings: Fnv::new(),
+        reasons: Fnv::new(),
         work: Fnv::new(),
         cache_traffic: Fnv::new(),
     };
@@ -273,7 +284,8 @@ fn battery() -> (Digests, Tally) {
             .map(|i| instance_request(&cfg, &net, i))
             .collect();
         for column in &COLUMNS {
-            d.decisions.bytes(column.label.as_bytes());
+            d.embeddings.bytes(column.label.as_bytes());
+            d.reasons.bytes(column.label.as_bytes());
             let solver = (column.build)(cfg.seed);
             let ctx = SolveCtx::new(&net);
             for (sfc, flow) in &requests {
@@ -288,22 +300,37 @@ fn battery() -> (Digests, Tally) {
 #[test]
 fn solver_battery_decisions_are_pinned() {
     let (d, tally) = battery();
-    let (decisions, work, cache_traffic) = (d.decisions.0, d.work.0, d.cache_traffic.0);
+    let (embeddings, reasons) = (d.embeddings.0, d.reasons.0);
+    let (work, cache_traffic) = (d.work.0, d.cache_traffic.0);
     eprintln!(
-        "solver battery: decisions {decisions:#018x}, work {work:#018x}, \
-         cache traffic {cache_traffic:#018x}, {tally:?}"
+        "solver battery: embeddings {embeddings:#018x}, reasons {reasons:#018x}, \
+         work {work:#018x}, cache traffic {cache_traffic:#018x}, {tally:?}"
     );
     assert!(tally.accepted > 0, "{tally:?}");
     assert!(tally.deadline > 0, "no deadline rejection: {tally:?}");
     assert!(tally.rule > 0, "no rule rejection: {tally:?}");
     assert!(tally.other_errors > 0, "no capacity rejection: {tally:?}");
     assert_eq!(
-        decisions, 0x2466_804d_2d3b_09b1,
-        "solver battery decision digest moved"
+        tally,
+        Tally {
+            solves: 1280,
+            accepted: 758,
+            deadline: 107,
+            rule: 64,
+            other_errors: 351,
+        }
     );
-    assert_eq!(work, 0x5c54_6b92_ce6b_8970, "search-work digest moved");
     assert_eq!(
-        cache_traffic, 0x703e_4ac2_8644_0d81,
+        embeddings, 0xfbe3_0fd3_3acb_f43d,
+        "solver battery embeddings digest moved"
+    );
+    assert_eq!(
+        reasons, 0x1be4_8795_ca88_2e4e,
+        "solver battery reasons digest moved"
+    );
+    assert_eq!(work, 0x647a_07bd_7cd8_6863, "search-work digest moved");
+    assert_eq!(
+        cache_traffic, 0x3d02_af94_84d8_5e80,
         "cache-traffic digest moved"
     );
 }
