@@ -12,9 +12,11 @@
 //! below — candidates are explored cheapest-first so truncation discards
 //! the expensive tail.
 //!
-//! A parallel layer's candidates are scored as small records first; only
-//! the ones the caller keeps (MBBE's `X_d` per pair) get their paths
-//! copied into [`LayerSub`]s.
+//! A layer expansion's candidates live in one [`LayerSubs`] arena: every
+//! path option its FST–BST pairs look up is moved in once, and each
+//! candidate holds one [`Pick`] per parallel slot — its node and the
+//! arena indices of its paths. Candidates are ranked and cut on those
+//! picks; paths are copied out only for the lineages the finals try.
 
 use super::loads::Loads;
 use super::stamped::Stamped;
@@ -24,9 +26,10 @@ use crate::chain::{DagSfc, Layer};
 use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
-use dagsfc_net::routing::{ArcWeight, MulticastTree, ShortestPathTree};
+use dagsfc_net::routing::{ArcWeight, ShortestPathTree};
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Real-path alternatives kept per node pair in tree-traversal mode (the
@@ -41,21 +44,160 @@ const MAX_PATH_COMBOS: usize = 16;
 /// Candidate hosting nodes considered per slot, cheapest rental first.
 const MAX_CANDIDATES_PER_SLOT: usize = 8;
 
-/// One embedded layer: the paper's per-layer sub-solution.
-#[derive(Debug, Clone)]
+/// One parallel slot of a layer sub-solution: the node its VNF runs on
+/// and its real-paths, as indices into the [`LayerSubs`] path arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pick {
+    /// The slot's node.
+    pub node: NodeId,
+    /// Inter-layer real-path (start → node).
+    pub inter: u32,
+    /// Inner-layer real-path (node → merger); unused in singleton layers.
+    pub inner: u32,
+}
+
+/// One embedded layer: the paper's per-layer sub-solution. Its slots are
+/// picks in the [`LayerSubs`] arena that holds it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LayerSub {
-    /// Node per slot (merger last for parallel layers).
-    pub assignment: Vec<NodeId>,
-    /// Inter-layer real-paths, one per parallel slot (start → VNF node).
-    pub inter_paths: Vec<Path>,
-    /// Inner-layer real-paths, one per parallel slot (VNF node → merger);
-    /// empty for singleton layers.
-    pub inner_paths: Vec<Path>,
     /// This layer's cost contribution (VNF rentals + multicast-deduped
     /// inter links + per-version inner links, scaled by the flow size).
     pub cost: CostBreakdown,
-    /// The layer's end node: next layer's search start.
+    /// The layer's end node (the merger of a parallel layer): next
+    /// layer's search start.
     pub end_node: NodeId,
+    /// Offset of its picks, one per parallel slot, in the arena.
+    picks: u32,
+}
+
+/// Where a [`LayerSubs`] arena stood before a batch of candidates was
+/// added (see [`LayerSubs::rank_since`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Mark {
+    subs: usize,
+    picks: usize,
+}
+
+/// The sub-solutions of one layer expansion in one arena: every path
+/// option its FST–BST pairs looked up (and MBBE-ST's Steiner paths),
+/// moved in once, and per sub-solution one [`Pick`] per parallel slot.
+#[derive(Debug)]
+pub(crate) struct LayerSubs {
+    paths: Vec<Path>,
+    picks: Vec<Pick>,
+    subs: Vec<LayerSub>,
+    /// Parallel slots per sub-solution (the layer's width).
+    width: usize,
+    /// Whether the layer merges: its slots then have inner paths, and
+    /// its sub-solutions end on the merger.
+    merger: bool,
+}
+
+impl LayerSubs {
+    /// An empty arena for sub-solutions of `layer`.
+    pub fn new(layer: &Layer) -> Self {
+        LayerSubs {
+            paths: Vec::new(),
+            picks: Vec::new(),
+            subs: Vec::new(),
+            width: layer.width(),
+            merger: layer.needs_merger(),
+        }
+    }
+
+    /// The sub-solutions, in the order they were added or last ranked.
+    pub fn subs(&self) -> &[LayerSub] {
+        &self.subs
+    }
+
+    /// A sub-solution's picks, one per parallel slot.
+    pub fn picks(&self, sub: &LayerSub) -> &[Pick] {
+        let at = sub.picks as usize;
+        &self.picks[at..at + self.width]
+    }
+
+    /// The path at arena index `i`.
+    pub fn path(&self, i: u32) -> &Path {
+        &self.paths[i as usize]
+    }
+
+    /// A sub-solution's inter-layer real-paths, slot by slot.
+    pub fn inter_paths<'s>(&'s self, sub: &LayerSub) -> impl Iterator<Item = &'s Path> + 's {
+        self.picks(sub).iter().map(|p| self.path(p.inter))
+    }
+
+    /// A sub-solution's inner real-paths, slot by slot (none in a
+    /// singleton layer).
+    pub fn inner_paths<'s>(&'s self, sub: &LayerSub) -> impl Iterator<Item = &'s Path> + 's {
+        let picks = if self.merger { self.picks(sub) } else { &[] };
+        picks.iter().map(|p| self.path(p.inner))
+    }
+
+    /// A sub-solution's node per slot, the merger last in a parallel
+    /// layer.
+    pub fn assignment(&self, sub: &LayerSub) -> impl Iterator<Item = NodeId> + '_ {
+        let merger = self.merger.then_some(sub.end_node);
+        self.picks(sub).iter().map(|p| p.node).chain(merger)
+    }
+
+    /// Where the arena stands now.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            subs: self.subs.len(),
+            picks: self.picks.len(),
+        }
+    }
+
+    /// Ranks the sub-solutions added since `mark` cheapest-first, ties in
+    /// the order they were added (a stable sort), keeps the `keep`
+    /// cheapest (all when `None`) and returns how many it dropped. Only
+    /// the survivors' picks stay in the arena; paths stay where they are.
+    pub fn rank_since(&mut self, mark: Mark, keep: Option<usize>) -> usize {
+        let batch = &mut self.subs[mark.subs..];
+        batch.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
+        let dropped = keep.map_or(0, |k| batch.len().saturating_sub(k));
+        if dropped == 0 {
+            return 0;
+        }
+        self.subs.truncate(self.subs.len() - dropped);
+        // Append the survivors' picks in rank order, then close the gap
+        // the batch's picks leave behind them.
+        let end = self.picks.len();
+        let gap = end - mark.picks;
+        for sub in &mut self.subs[mark.subs..] {
+            let at = sub.picks as usize;
+            sub.picks = (self.picks.len() - gap) as u32;
+            self.picks.extend_from_within(at..at + self.width);
+        }
+        self.picks.drain(mark.picks..end);
+        dropped
+    }
+
+    /// Moves the path options `look_up` appends into the arena and
+    /// returns their index range.
+    fn push_paths(&mut self, look_up: impl FnOnce(&mut Vec<Path>)) -> Range<u32> {
+        let start = self.paths.len() as u32;
+        look_up(&mut self.paths);
+        start..self.paths.len() as u32
+    }
+
+    /// Scores the candidate whose picks were pushed from offset `from`
+    /// and adds it as a sub-solution ending on `end_node`.
+    fn push_sub(&mut self, ctx: &EngineCtx<'_>, vnf_prices: f64, end_node: NodeId, from: usize) {
+        let chosen = &self.picks[from..from + self.width];
+        let inner = if self.merger { chosen } else { &[] };
+        let cost = layer_cost(
+            ctx,
+            vnf_prices,
+            chosen.iter().map(|p| self.path(p.inter)),
+            inner.iter().map(|p| self.path(p.inner)),
+        );
+        self.subs.push(LayerSub {
+            cost,
+            end_node,
+            picks: from as u32,
+        });
+    }
 }
 
 /// Shared per-solve context: network, flow, config, and the shared
@@ -262,41 +404,33 @@ pub(crate) fn layer_cost<'p>(
     })
 }
 
-/// Alternatives for the path `start → node` using the FST (BBE) or the
-/// real-time network (MBBE).
-fn inter_path_options(ctx: &EngineCtx<'_>, fst: &SearchTree, node: NodeId) -> Vec<Path> {
+/// Appends the alternatives for the path `start → node`, using the FST
+/// (BBE) or the real-time network (MBBE), to `out`.
+fn inter_path_options(ctx: &EngineCtx<'_>, fst: &SearchTree, node: NodeId, out: &mut Vec<Path>) {
     if ctx.cfg.use_min_cost_paths {
-        ctx.min_cost_path(fst.root(), node).into_iter().collect()
-    } else {
-        let Some(idx) = fst.index_of(node) else {
-            return Vec::new();
-        };
-        fst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR)
-            .into_iter()
-            .filter(|p| ctx.path_ok(p))
-            .collect()
+        out.extend(ctx.min_cost_path(fst.root(), node));
+    } else if let Some(idx) = fst.index_of(node) {
+        let options = fst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR);
+        out.extend(options.into_iter().filter(|p| ctx.path_ok(p)));
     }
 }
 
-/// Alternatives for the inner path `node → merger` using the BST (BBE) or
-/// the real-time network (MBBE). Paths are oriented node → merger.
-fn inner_path_options(ctx: &EngineCtx<'_>, bst: &SearchTree, node: NodeId) -> Vec<Path> {
+/// Appends the alternatives for the inner path `node → merger`, using
+/// the BST (BBE) or the real-time network (MBBE), to `out`. Paths are
+/// oriented node → merger.
+fn inner_path_options(ctx: &EngineCtx<'_>, bst: &SearchTree, node: NodeId, out: &mut Vec<Path>) {
     if ctx.cfg.use_min_cost_paths {
         // Dijkstra tree rooted at the merger, path reversed (links are
         // bi-directional).
-        ctx.min_cost_path(bst.root(), node)
-            .into_iter()
-            .map(Path::reversed)
-            .collect()
-    } else {
-        let Some(idx) = bst.index_of(node) else {
-            return Vec::new();
-        };
-        bst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR)
-            .into_iter()
-            .map(Path::reversed)
-            .filter(|p| ctx.path_ok(p))
-            .collect()
+        out.extend(ctx.min_cost_path(bst.root(), node).map(Path::reversed));
+    } else if let Some(idx) = bst.index_of(node) {
+        let options = bst.paths_from_root(ctx.net, idx, MAX_RAW_CHAINS, MAX_PATHS_PER_PAIR);
+        out.extend(
+            options
+                .into_iter()
+                .map(Path::reversed)
+                .filter(|p| ctx.path_ok(p)),
+        );
     }
 }
 
@@ -324,95 +458,82 @@ fn slot_candidates(
     cands
 }
 
-/// Generates sub-solutions for a *singleton* layer from its FST: one
-/// candidate per (hosting node, inter-path alternative).
+/// Generates sub-solutions for a *singleton* layer from its FST into
+/// `arena`: one candidate per (hosting node, inter-path alternative).
+/// Returns how many it generated.
 pub(crate) fn singleton_layer_subs(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
     fst: &SearchTree,
-) -> Vec<LayerSub> {
+    arena: &mut LayerSubs,
+) -> usize {
     debug_assert!(!layer.needs_merger());
     let kind = layer.vnfs()[0];
-    let mut subs = Vec::new();
+    let before = arena.subs.len();
     for node in slot_candidates(ctx, fst, kind) {
         // lint:allow(expect) — invariant: candidate hosts kind
         let price = ctx.net.vnf_price(node, kind).expect("candidate hosts kind");
-        for path in inter_path_options(ctx, fst, node) {
-            let cost = layer_cost(ctx, price, [&path], []);
-            subs.push(LayerSub {
-                assignment: vec![node],
-                inter_paths: vec![path],
-                inner_paths: Vec::new(),
-                cost,
-                end_node: node,
+        for inter in arena.push_paths(|out| inter_path_options(ctx, fst, node, out)) {
+            let from = arena.picks.len();
+            arena.picks.push(Pick {
+                node,
+                inter,
+                inner: 0,
             });
+            arena.push_sub(ctx, price, node, from);
         }
     }
-    subs
+    arena.subs.len() - before
 }
 
-/// One candidate node's path options within an FST–BST pair, each list
-/// looked up the first time an assignment needs it.
+/// One candidate node's path options within an FST–BST pair, as arena
+/// index ranges, each looked up the first time an allocation needs it.
 struct NodePaths {
     node: NodeId,
     /// Inter-layer options `start → node`.
-    inter: Option<Vec<Path>>,
+    inter: Option<Range<u32>>,
     /// Inner-layer options `node → merger`.
-    inner: Option<Vec<Path>>,
+    inner: Option<Range<u32>>,
 }
 
 impl NodePaths {
-    fn inter(&self) -> &[Path] {
-        self.inter.as_deref().unwrap_or_default()
+    fn inter(&self) -> Range<u32> {
+        self.inter.clone().unwrap_or_default()
     }
 
-    fn inner(&self) -> &[Path] {
-        self.inner.as_deref().unwrap_or_default()
+    fn inner(&self) -> Range<u32> {
+        self.inner.clone().unwrap_or_default()
     }
-}
-
-/// A scored candidate: its cost and the choices that rebuild it.
-struct Scored {
-    cost: CostBreakdown,
-    /// Offset of its assignment in the generation's assignment arena
-    /// (one [`NodePaths`] index per slot).
-    assignment: usize,
-    /// Offset of its path picks in the pick arena: per slot, the
-    /// (inter, inner) option indices (the inter index is unused when a
-    /// Steiner tree carries the inter-layer paths).
-    picks: usize,
-    /// The Steiner tree carrying its inter-layer paths, if any.
-    steiner: Option<usize>,
 }
 
 /// Generates sub-solutions for a *parallel* layer from one FST–BST pair
-/// (the BST is rooted at the merger candidate), keeping the `keep`
-/// cheapest (all when `None`), and returns them cheapest-first with the
-/// number of candidates generated.
+/// (the BST is rooted at the merger candidate) into `arena`, keeping
+/// the `keep` cheapest (all when `None`) cheapest-first, and returns how
+/// many candidates it generated.
 ///
 /// Candidates are generated in a fixed order: per allocation combination
 /// (step i), MBBE-ST's Steiner-tree candidates first, then the
-/// independent-path ones (steps ii+iii). Each is scored into a small
-/// record; the records are ranked by (cost, generation order) — what a
-/// stable sort of every candidate would leave — and only the kept ones
-/// get their paths copied. A node's path options are looked up once per
-/// pair, the first time an allocation uses it, so the oracle sees its
-/// first queries in generation order.
+/// independent-path ones (steps ii+iii). Each is scored on its picks and
+/// ranked by (cost, generation order), what a stable sort of every
+/// candidate leaves. A node's path options are looked up once per pair,
+/// the first time an allocation uses it, so the oracle sees its first
+/// queries in generation order.
 pub(crate) fn parallel_layer_subs(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
     fst: &SearchTree,
     bst: &SearchTree,
     keep: Option<usize>,
-) -> (Vec<LayerSub>, usize) {
+    arena: &mut LayerSubs,
+) -> usize {
     debug_assert!(layer.needs_merger());
     let merger_node = bst.root();
     let merger_kind = ctx.catalog.merger();
     let Some(merger_inst) = ctx.net.instance(merger_node, merger_kind) else {
-        return (Vec::new(), 0);
+        return 0;
     };
     if merger_inst.capacity + CAP_EPS < ctx.flow.rate {
-        return (Vec::new(), 0);
+        return 0;
     }
 
     // Step (i): allocation combinations from the BST, each slot's
@@ -439,17 +560,14 @@ pub(crate) fn parallel_layer_subs(
         })
         .collect();
     let dims: Vec<usize> = per_slot.iter().map(Vec::len).collect();
-    let width = per_slot.len();
     let pair_cap = MAX_PATHS_PER_PAIR * MAX_PATHS_PER_PAIR;
 
-    let mut records: Vec<Scored> = Vec::new();
-    let mut assignments: Vec<usize> = Vec::new();
-    let mut picks: Vec<(usize, usize)> = Vec::new();
-    let mut steiner: Vec<MulticastTree> = Vec::new();
+    let mark = arena.mark();
+    // The current allocation: one node-table index per slot.
+    let mut slots: Vec<usize> = Vec::with_capacity(per_slot.len());
     for_each_bounded_combo(&dims, MAX_ASSIGNMENT_COMBOS, |choice| {
-        let at = assignments.len();
-        assignments.extend(choice.iter().enumerate().map(|(s, &c)| per_slot[s][c]));
-        let slots = &assignments[at..];
+        slots.clear();
+        slots.extend(choice.iter().enumerate().map(|(s, &c)| per_slot[s][c]));
         let vnf_prices: f64 = slots
             .iter()
             .zip(layer.vnfs())
@@ -473,119 +591,70 @@ pub(crate) fn parallel_layer_subs(
                     ctx.link_ok(l)
                 });
             if let Some(mt) = tree {
-                for &i in slots {
+                for &i in &slots {
                     if nodes[i].inner.is_none() {
-                        nodes[i].inner = Some(inner_path_options(ctx, bst, nodes[i].node));
+                        let node = nodes[i].node;
+                        nodes[i].inner =
+                            Some(arena.push_paths(|out| inner_path_options(ctx, bst, node, out)));
                     }
                 }
+                // The tree's paths are aligned with the slots.
+                let tree_paths = arena.push_paths(|out| out.extend(mt.paths));
                 let inner_dims: Vec<usize> =
                     slots.iter().map(|&i| nodes[i].inner().len()).collect();
-                let before = records.len();
                 for_each_bounded_combo(&inner_dims, MAX_PATH_COMBOS, |combo| {
-                    let from = picks.len();
-                    picks.extend(combo.iter().map(|&n| (0, n)));
-                    let chosen = &picks[from..];
-                    let inner = slots
-                        .iter()
-                        .zip(chosen)
-                        .map(|(&i, &(_, n))| &nodes[i].inner()[n]);
-                    records.push(Scored {
-                        cost: layer_cost(ctx, vnf_prices, &mt.paths, inner),
-                        assignment: at,
-                        picks: from,
-                        steiner: Some(steiner.len()),
-                    });
+                    let from = arena.picks.len();
+                    let picks = slots.iter().zip(combo).zip(tree_paths.clone());
+                    arena.picks.extend(picks.map(|((&i, &n), inter)| Pick {
+                        node: nodes[i].node,
+                        inter,
+                        inner: nodes[i].inner().start + n as u32,
+                    }));
+                    arena.push_sub(ctx, vnf_prices, merger_node, from);
                 });
-                if records.len() > before {
-                    steiner.push(mt);
-                }
             }
         }
         // Steps (ii)+(iii): per slot, every (inter, inner) option pair in
         // row-major order, capped at `MAX_PATHS_PER_PAIR²`.
-        let mut feasible = true;
-        for &i in slots {
-            let n = &mut nodes[i];
-            if n.inter.is_none() {
-                n.inter = Some(inter_path_options(ctx, fst, n.node));
+        for &i in &slots {
+            let node = nodes[i].node;
+            if nodes[i].inter.is_none() {
+                nodes[i].inter =
+                    Some(arena.push_paths(|out| inter_path_options(ctx, fst, node, out)));
             }
-            if n.inner.is_none() {
-                n.inner = Some(inner_path_options(ctx, bst, n.node));
+            if nodes[i].inner.is_none() {
+                nodes[i].inner =
+                    Some(arena.push_paths(|out| inner_path_options(ctx, bst, node, out)));
             }
-            if n.inter().is_empty() || n.inner().is_empty() {
-                feasible = false;
-                break;
+            if nodes[i].inter().is_empty() || nodes[i].inner().is_empty() {
+                return;
             }
-        }
-        if !feasible {
-            return;
         }
         let pair_dims: Vec<usize> = slots
             .iter()
             .map(|&i| (nodes[i].inter().len() * nodes[i].inner().len()).min(pair_cap))
             .collect();
         for_each_bounded_combo(&pair_dims, MAX_PATH_COMBOS, |combo| {
-            let from = picks.len();
-            picks.extend(slots.iter().zip(combo).map(|(&i, &c)| {
-                let inners = nodes[i].inner().len();
-                (c / inners, c % inners)
+            let from = arena.picks.len();
+            arena.picks.extend(slots.iter().zip(combo).map(|(&i, &c)| {
+                let (inter, inner) = (nodes[i].inter(), nodes[i].inner());
+                let inners = inner.len();
+                Pick {
+                    node: nodes[i].node,
+                    inter: inter.start + (c / inners) as u32,
+                    inner: inner.start + (c % inners) as u32,
+                }
             }));
-            let chosen = &picks[from..];
-            let inter = slots
-                .iter()
-                .zip(chosen)
-                .map(|(&i, &(p, _))| &nodes[i].inter()[p]);
-            let inner = slots
-                .iter()
-                .zip(chosen)
-                .map(|(&i, &(_, n))| &nodes[i].inner()[n]);
-            records.push(Scored {
-                cost: layer_cost(ctx, vnf_prices, inter, inner),
-                assignment: at,
-                picks: from,
-                steiner: None,
-            });
+            arena.push_sub(ctx, vnf_prices, merger_node, from);
         });
     });
 
     // Step (iv): the static feasibility filters are applied inline above
     // (capacity-vs-rate on every candidate node and path link). Rank by
-    // (cost, generation order) and copy paths for the kept ones only.
-    let generated = records.len();
-    records.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
-    if let Some(k) = keep {
-        records.truncate(k);
-    }
-    let subs = records
-        .iter()
-        .map(|r| {
-            let slots = &assignments[r.assignment..r.assignment + width];
-            let chosen = &picks[r.picks..r.picks + width];
-            let inter_paths = match r.steiner {
-                Some(t) => steiner[t].paths.clone(),
-                None => slots
-                    .iter()
-                    .zip(chosen)
-                    .map(|(&i, &(p, _))| nodes[i].inter()[p].clone())
-                    .collect(),
-            };
-            let inner_paths = slots
-                .iter()
-                .zip(chosen)
-                .map(|(&i, &(_, n))| nodes[i].inner()[n].clone())
-                .collect();
-            let mut assignment: Vec<NodeId> = slots.iter().map(|&i| nodes[i].node).collect();
-            assignment.push(merger_node);
-            LayerSub {
-                assignment,
-                inter_paths,
-                inner_paths,
-                cost: r.cost,
-                end_node: merger_node,
-            }
-        })
-        .collect();
-    (subs, generated)
+    // (cost, generation order) and keep the `keep` cheapest.
+    let generated = arena.subs.len() - mark.subs;
+    arena.rank_since(mark, keep);
+    generated
 }
 
 #[cfg(test)]
@@ -619,6 +688,44 @@ mod tests {
         g.deploy_vnf(NodeId(3), VnfTypeId(1), 2.0, 10.0).unwrap();
         g.deploy_vnf(NodeId(2), VnfTypeId(2), 0.5, 10.0).unwrap();
         g
+    }
+
+    /// A sub-solution read through its arena's accessors.
+    struct Sub<'a> {
+        assignment: Vec<NodeId>,
+        inter_paths: Vec<&'a Path>,
+        inner_paths: Vec<&'a Path>,
+        cost: CostBreakdown,
+        end_node: NodeId,
+    }
+
+    /// The arena's sub-solutions in order, read through its accessors.
+    fn read(arena: &LayerSubs) -> Vec<Sub<'_>> {
+        arena
+            .subs()
+            .iter()
+            .map(|s| Sub {
+                assignment: arena.assignment(s).collect(),
+                inter_paths: arena.inter_paths(s).collect(),
+                inner_paths: arena.inner_paths(s).collect(),
+                cost: s.cost,
+                end_node: s.end_node,
+            })
+            .collect()
+    }
+
+    /// One FST–BST pair's generation into a fresh arena, and the number
+    /// of candidates it generated.
+    fn parallel(
+        ctx: &EngineCtx<'_>,
+        layer: &Layer,
+        fst: &SearchTree,
+        bst: &SearchTree,
+        keep: Option<usize>,
+    ) -> (LayerSubs, usize) {
+        let mut arena = LayerSubs::new(layer);
+        let generated = parallel_layer_subs(ctx, layer, fst, bst, keep, &mut arena);
+        (arena, generated)
     }
 
     /// Every combination the visitor yields, in order.
@@ -658,9 +765,9 @@ mod tests {
         let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let p01 = ctx.min_cost_path(NodeId(0), NodeId(1)).unwrap();
         let p02 = ctx.min_cost_path(NodeId(0), NodeId(2)).unwrap();
-        let inter = vec![p01.clone(), p01.clone(), p02.clone()];
-        let inner = vec![p01.clone(), p01];
-        let cost = layer_cost(&ctx, 3.0, &inter, &inner);
+        let inter = [&p01, &p01, &p02];
+        let inner = [&p01, &p01];
+        let cost = layer_cost(&ctx, 3.0, inter, inner);
         let mut seen = dagsfc_net::FxHashSet::default();
         let mut expect_link = 0.0;
         for p in &inter {
@@ -678,7 +785,7 @@ mod tests {
         assert_eq!(cost.vnf.to_bits(), 3.0f64.to_bits());
         assert_eq!(cost.link.to_bits(), expect_link.to_bits());
         // A second scoring on the same thread must reset the dedup scope.
-        let again = layer_cost(&ctx, 3.0, &inter, &inner);
+        let again = layer_cost(&ctx, 3.0, inter, inner);
         assert_eq!(again.link.to_bits(), cost.link.to_bits());
     }
 
@@ -692,7 +799,9 @@ mod tests {
         let ctx = EngineCtx::new(&g, &sfc, Flow::unit(NodeId(0), NodeId(2)), &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
-        let subs = singleton_layer_subs(&ctx, &layer, &fst);
+        let mut arena = LayerSubs::new(&layer);
+        singleton_layer_subs(&ctx, &layer, &fst, &mut arena);
+        let subs = read(&arena);
         assert!(!subs.is_empty());
         for s in &subs {
             assert_eq!(s.assignment, vec![NodeId(1)]);
@@ -718,7 +827,8 @@ mod tests {
         assert!(fst.covered());
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
         assert!(bst.covered());
-        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+        let (arena, generated) = parallel(&ctx, &layer, &fst, &bst, None);
+        let subs = read(&arena);
         assert!(!subs.is_empty());
         assert_eq!(generated, subs.len());
         let best = &subs[0];
@@ -753,7 +863,8 @@ mod tests {
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
-        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+        let (arena, generated) = parallel(&ctx, &layer, &fst, &bst, None);
+        let subs = read(&arena);
         // One assignment combo × one path combo.
         assert_eq!((subs.len(), generated), (1, 1));
         assert!((subs[0].cost.total() - 8.5).abs() < 1e-12);
@@ -768,19 +879,20 @@ mod tests {
         layer: &Layer,
         fst: &SearchTree,
         bst: &SearchTree,
-        sub: &LayerSub,
+        sub: &Sub<'_>,
     ) -> (usize, usize) {
         let pair_cap = MAX_PATHS_PER_PAIR * MAX_PATHS_PER_PAIR;
         let (mut allocation, mut combo) = (0, 0);
         for (s, &kind) in layer.vnfs().iter().enumerate() {
             let node = sub.assignment[s];
             let hosts = slot_candidates(ctx, bst, kind);
-            let inters = inter_path_options(ctx, fst, node);
-            let inners = inner_path_options(ctx, bst, node);
+            let (mut inters, mut inners) = (Vec::new(), Vec::new());
+            inter_path_options(ctx, fst, node, &mut inters);
+            inner_path_options(ctx, bst, node, &mut inners);
             let at = |opts: &[Path], p: &Path| opts.iter().position(|o| o == p).unwrap();
             allocation = allocation * hosts.len() + hosts.iter().position(|&h| h == node).unwrap();
             let pair =
-                at(&inters, &sub.inter_paths[s]) * inners.len() + at(&inners, &sub.inner_paths[s]);
+                at(&inters, sub.inter_paths[s]) * inners.len() + at(&inners, sub.inner_paths[s]);
             combo = combo * (inters.len() * inners.len()).min(pair_cap) + pair;
         }
         (allocation, combo)
@@ -824,11 +936,13 @@ mod tests {
             if !bst.covered() {
                 continue;
             }
-            let (all, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+            let (all, generated) = parallel(&ctx, &layer, &fst, &bst, None);
+            let all = read(&all);
             assert_eq!(all.len(), generated);
             largest = largest.max(generated);
             for k in 0..=generated + 1 {
-                let (kept, counted) = parallel_layer_subs(&ctx, &layer, &fst, &bst, Some(k));
+                let (kept, counted) = parallel(&ctx, &layer, &fst, &bst, Some(k));
+                let kept = read(&kept);
                 assert_eq!(counted, generated, "seed {seed} k {k}");
                 assert_eq!(kept.len(), k.min(generated), "seed {seed} k {k}");
                 for (j, (a, b)) in kept.iter().zip(&all).enumerate() {
@@ -905,7 +1019,9 @@ mod tests {
         let ctx = EngineCtx::new(&g, &chain(c), flow, &cfg, &oracle);
         let layer = Layer::new(vec![VnfTypeId(0)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
-        assert!(singleton_layer_subs(&ctx, &layer, &fst).is_empty());
+        let mut arena = LayerSubs::new(&layer);
+        singleton_layer_subs(&ctx, &layer, &fst, &mut arena);
+        assert!(read(&arena).is_empty());
     }
 
     #[test]
@@ -922,7 +1038,8 @@ mod tests {
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(1), &layer, &c, &fst);
         // Merger on v1 has capacity 0.5 < rate 1.0 → no candidates.
-        let (subs, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst, None);
+        let (arena, generated) = parallel(&ctx, &layer, &fst, &bst, None);
+        let subs = read(&arena);
         assert!(subs.is_empty());
         assert_eq!(generated, 0);
     }

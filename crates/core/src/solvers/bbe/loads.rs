@@ -22,7 +22,7 @@
 //! places once, never binds. When no resource binds, tracking is off
 //! and the search runs as if this module did not exist.
 
-use super::candidates::LayerSub;
+use super::candidates::LayerSubs;
 use super::stamped::Stamped;
 use crate::chain::{DagSfc, Layer};
 use crate::validate::overloaded;
@@ -111,26 +111,28 @@ impl Loads {
         Some((res, self.kinds[i].1))
     }
 
-    /// The uses each of `subs`, embeddings of `layer`, makes of the
-    /// resources the chain can overload: each link once per multicast
-    /// over it and once per inner path over it, each instance once per
-    /// slot.
+    /// The uses each sub-solution in `arena`, an embedding of `layer`,
+    /// makes of the resources the chain can overload: each link once per
+    /// multicast over it and once per inner path over it, each instance
+    /// once per slot.
     pub fn use_lists(
         &self,
         net: &Network,
         layer: &Layer,
         catalog: &VnfCatalog,
-        subs: &[LayerSub],
+        arena: &LayerSubs,
     ) -> UseLists {
         let mut lists = UseLists::default();
         SCRATCH.with(|cell| {
             let counts = &mut cell.borrow_mut().links;
-            for sub in subs {
+            for sub in arena.subs() {
                 counts.begin(self.links);
                 let uses = &mut lists.uses;
                 let from = uses.len();
-                for (paths, multicast) in [(&sub.inter_paths, true), (&sub.inner_paths, false)] {
-                    for &l in paths.iter().flat_map(|p| p.links()) {
+                let inter = arena.inter_paths(sub).map(|p| (p, true));
+                let inner = arena.inner_paths(sub).map(|p| (p, false));
+                for (path, multicast) in inter.chain(inner) {
+                    for &l in path.links() {
                         let capacity = net.link(l).capacity;
                         if !self.link_binds(capacity) {
                             continue;
@@ -151,7 +153,7 @@ impl Loads {
                 for u in &mut uses[from..] {
                     u.count = counts.get(u.res);
                 }
-                for (slot, &node) in sub.assignment.iter().enumerate() {
+                for (slot, node) in arena.assignment(sub).enumerate() {
                     let kind = layer.slot_kind(slot, catalog);
                     let (Some((res, slots)), Some(inst)) =
                         (self.instance(node, kind), net.instance(node, kind))

@@ -35,11 +35,12 @@ mod tree;
 pub use tree::{SearchTree, TreeNode};
 
 use self::backward::backward_search;
-use self::candidates::{parallel_layer_subs, singleton_layer_subs, EngineCtx, LayerSub};
+use self::candidates::{
+    parallel_layer_subs, singleton_layer_subs, EngineCtx, LayerSub, LayerSubs, Mark,
+};
 use self::forward::forward_search;
 use self::loads::{Use, UseLists};
 use self::subtree::{SubHandle, SubTree};
-use self::tree::SearchTree as Fst;
 use super::instrument::{Counters, Instrument};
 use super::{precheck, SolveCtx, SolveOutcome, Solver};
 use crate::chain::{DagSfc, Layer};
@@ -51,6 +52,8 @@ use crate::vnf::VnfCatalog;
 use dagsfc_net::routing::csp::DELAY_EPS;
 use dagsfc_net::{NodeId, Path};
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Tuning knobs of the BBE/MBBE engine.
@@ -324,41 +327,6 @@ fn run(
     }
 }
 
-/// Sub-solutions produced from one FST–BST (merger) pair.
-struct MergerScore {
-    /// Pair sub-solutions, the `X_d` cheapest, cheapest-first.
-    subs: Vec<LayerSub>,
-    /// BST size for instrumentation.
-    bst_nodes: usize,
-    /// Candidates scored before the per-pair cut.
-    generated: usize,
-}
-
-/// Scores one merger candidate: backward search plus candidate
-/// generation (paper steps 2–3 for one FST–BST pair). Deterministic and
-/// independent of every other merger. Strategy (3) applies per pair
-/// inside the generation: every candidate is scored, and only the `X_d`
-/// cheapest get their paths built.
-fn score_merger(
-    ctx: &EngineCtx<'_>,
-    layer: &Layer,
-    fst: &Fst,
-    merger_node: NodeId,
-    cfg: &BbeConfig,
-    catalog: &VnfCatalog,
-) -> Option<MergerScore> {
-    let bst = backward_search(ctx.net, merger_node, layer, catalog, fst);
-    if !bst.covered() {
-        return None;
-    }
-    let (subs, generated) = parallel_layer_subs(ctx, layer, fst, &bst, cfg.x_d);
-    Some(MergerScore {
-        subs,
-        bst_nodes: bst.len(),
-        generated,
-    })
-}
-
 /// The memoized expansion of one layer from one start node.
 ///
 /// Within a layer, everything downstream of a sub-solution-tree parent —
@@ -371,8 +339,9 @@ fn score_merger(
 /// search). Instrumentation totals are stored alongside and replayed per
 /// parent, keeping every counter identical to the unmemoized loop.
 struct StartMemo {
-    /// Final sub-solutions (sorted cheapest-first, `X_d`-truncated).
-    subs: Vec<LayerSub>,
+    /// Final sub-solutions (sorted cheapest-first, `X_d`-truncated) and
+    /// the paths they pick from.
+    arena: LayerSubs,
     /// Their uses of the resources the chain can overload, while
     /// lineage loads are tracked.
     uses: Option<UseLists>,
@@ -401,9 +370,11 @@ impl StartMemo {
     }
 }
 
-/// Expands `layer` from `start_node`: forward search, merger scoring (or
-/// singleton generation), sort, and `X_d` truncation. Pure in
-/// `start_node`; see [`StartMemo`].
+/// Expands `layer` from `start_node`: forward search, then per merger
+/// candidate a backward search and candidate generation (paper steps
+/// 2–3 for each FST–BST pair, strategy (3) cutting each pair to its
+/// `X_d` cheapest), or singleton generation; then rank and `X_d`
+/// truncation. Pure in `start_node`; see [`StartMemo`].
 fn expand_start(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
@@ -413,7 +384,7 @@ fn expand_start(
 ) -> StartMemo {
     let fst = forward_search(ctx.net, start_node, layer, catalog, cfg.x_max);
     let mut memo = StartMemo {
-        subs: Vec::new(),
+        arena: LayerSubs::new(layer),
         uses: None,
         fst_nodes: fst.len(),
         covered: fst.covered(),
@@ -426,38 +397,28 @@ fn expand_start(
     if !memo.covered {
         return memo;
     }
-    let mut subs: Vec<LayerSub> = if layer.needs_merger() {
-        let mut collected = Vec::new();
+    if layer.needs_merger() {
         for i in fst.hosting(ctx.net, catalog.merger()) {
-            let merger = fst.node(i).node;
-            let Some(score) = score_merger(ctx, layer, &fst, merger, cfg, catalog) else {
+            let bst = backward_search(ctx.net, fst.node(i).node, layer, catalog, &fst);
+            if !bst.covered() {
                 continue;
-            };
-            memo.bst_nodes += score.bst_nodes;
-            memo.generated += score.generated;
-            memo.pruned += score.generated - score.subs.len();
-            collected.extend(score.subs);
+            }
+            let before = memo.arena.subs().len();
+            let generated = parallel_layer_subs(ctx, layer, &fst, &bst, cfg.x_d, &mut memo.arena);
+            memo.bst_nodes += bst.len();
+            memo.generated += generated;
+            memo.pruned += generated - (memo.arena.subs().len() - before);
         }
-        collected
     } else {
-        let subs = singleton_layer_subs(ctx, layer, &fst);
-        memo.generated += subs.len();
-        subs
-    };
-    memo.explored = subs.len();
+        memo.generated += singleton_layer_subs(ctx, layer, &fst, &mut memo.arena);
+    }
+    memo.explored = memo.arena.subs().len();
     // Strategy (3), per sub-solution-tree node: cheapest X_d children
     // (the X_d-tree of the paper).
-    subs.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
-    if let Some(xd) = cfg.x_d {
-        if subs.len() > xd {
-            memo.pruned += subs.len() - xd;
-            subs.truncate(xd);
-        }
-    }
+    memo.pruned += memo.arena.rank_since(Mark::default(), cfg.x_d);
     if let Some(loads) = &ctx.loads {
-        memo.uses = Some(loads.use_lists(ctx.net, layer, catalog, &subs));
+        memo.uses = Some(loads.use_lists(ctx.net, layer, catalog, &memo.arena));
     }
-    memo.subs = subs;
     memo
 }
 
@@ -468,14 +429,20 @@ fn expand_start(
 /// sub-solution tree yields each node's share of the end-to-end delay
 /// exactly — and a lower bound on any completion, since the final path
 /// only adds non-negative latency.
-fn sub_delay_us(model: &DelayModel, layer: &Layer, catalog: &VnfCatalog, sub: &LayerSub) -> f64 {
+fn sub_delay_us(
+    model: &DelayModel,
+    layer: &Layer,
+    catalog: &VnfCatalog,
+    arena: &LayerSubs,
+    sub: &LayerSub,
+) -> f64 {
     let merger = layer.needs_merger();
     let mut slowest: f64 = 0.0;
-    for slot in 0..layer.width() {
+    for (slot, pick) in arena.picks(sub).iter().enumerate() {
         let kind = layer.slot_kind(slot, catalog);
-        let mut branch = model.path_us(&sub.inter_paths[slot]) + model.proc(kind);
+        let mut branch = model.path_us(arena.path(pick.inter)) + model.proc(kind);
         if merger {
-            branch += model.path_us(&sub.inner_paths[slot]);
+            branch += model.path_us(arena.path(pick.inner));
         }
         slowest = slowest.max(branch);
     }
@@ -503,20 +470,68 @@ struct Candidate {
     seq: usize,
 }
 
-/// Keeps the `width` cheapest candidates by (`cum_cost`, generation
-/// order), sorted in that order — what a stable sort of the whole level
-/// by `cum_cost` followed by a truncation leaves — and returns how many
-/// it dropped.
+/// How a level ranks its candidates: by `cum_cost`, then generation
+/// order — what a stable sort of the level by `cum_cost` leaves.
+fn level_rank(a: &Candidate, b: &Candidate) -> Ordering {
+    a.cum_cost.total_cmp(&b.cum_cost).then(a.seq.cmp(&b.seq))
+}
+
+/// Keeps the `width` best candidates by [`level_rank`], in no particular
+/// order — the set a stable sort of the whole level by `cum_cost`
+/// followed by a truncation leaves — and returns how many it dropped.
 fn cut_level(cands: &mut Vec<Candidate>, width: usize) -> usize {
-    let rank =
-        |a: &Candidate, b: &Candidate| a.cum_cost.total_cmp(&b.cum_cost).then(a.seq.cmp(&b.seq));
     let dropped = cands.len().saturating_sub(width);
     if dropped > 0 {
-        cands.select_nth_unstable_by(width, rank);
+        cands.select_nth_unstable_by(width, level_rank);
         cands.truncate(width);
     }
-    cands.sort_unstable_by(rank);
     dropped
+}
+
+/// A leaf of the last level in the finals.
+#[derive(Debug, Clone, Copy)]
+struct Final {
+    /// Its accumulated cost plus its min-cost final path's.
+    total: f64,
+    /// Its accumulated cost.
+    cum_cost: f64,
+    /// Its generation order within the last level.
+    seq: usize,
+    /// Its position in the last level.
+    at: usize,
+}
+
+impl PartialEq for Final {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Final {}
+
+impl PartialOrd for Final {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Final {
+    /// Completed total, then accumulated cost, then generation order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total
+            .total_cmp(&other.total)
+            .then(self.cum_cost.total_cmp(&other.cum_cost))
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// Yields `finals` best first: by completed total, then accumulated
+/// cost, then generation order — the order a stable sort by total
+/// leaves of the last level ranked by [`level_rank`]. A binary heap
+/// orders only the leaves actually taken.
+fn ranked_finals(finals: Vec<Final>) -> impl Iterator<Item = Final> {
+    let mut heap: BinaryHeap<Reverse<Final>> = finals.into_iter().map(Reverse).collect();
+    std::iter::from_fn(move || heap.pop().map(|Reverse(f)| f))
 }
 
 /// Whether no level cut of a `depth`-layer search can bind: with at
@@ -582,6 +597,9 @@ fn attempt<I: Instrument>(
     let loads = ctx.loads.as_ref();
     // Per child of the current parent: whether it overloads.
     let mut child_dead: Vec<bool> = Vec::new();
+    // The level being generated; after the last layer, its leaves, each
+    // at the tree index `level` holds at the same position.
+    let mut cands: Vec<Candidate> = Vec::new();
 
     for l in 0..sfc.depth() {
         // Per-layer wall clock only when a recording sink asks for it.
@@ -591,7 +609,7 @@ fn attempt<I: Instrument>(
             None
         };
         let layer = super::layering::layer(sfc, l);
-        let mut cands: Vec<Candidate> = Vec::new();
+        cands.clear();
         // Cheapest accumulated delay among this layer's delay-pruned
         // nodes — evidence for classifying an empty level as a deadline
         // (not capacity) failure.
@@ -622,15 +640,16 @@ fn attempt<I: Instrument>(
             ins.candidates_pruned(m.pruned);
             explored += m.explored;
             child_dead.clear();
-            if let Some(loads) = loads.filter(|_| !m.subs.is_empty()) {
+            let subs = m.arena.subs();
+            if let Some(loads) = loads.filter(|_| !subs.is_empty()) {
                 let lineage = tree
                     .handles(parent)
                     .map(|h| memo_of(&memos, h).uses(h.index as usize));
                 loads.with_lineage(lineage, |load| {
-                    child_dead.extend((0..m.subs.len()).map(|i| load.overloads_with(m.uses(i))));
+                    child_dead.extend((0..subs.len()).map(|i| load.overloads_with(m.uses(i))));
                 });
             }
-            for (index, sub) in m.subs.iter().enumerate() {
+            for (index, sub) in subs.iter().enumerate() {
                 if child_dead.get(index) == Some(&true) {
                     ins.candidates_overloaded(1);
                     layer_overloaded += 1;
@@ -638,7 +657,8 @@ fn attempt<I: Instrument>(
                 }
                 let mut delay = 0.0;
                 if let Some(dc) = dc {
-                    delay = node_delay[parent] + sub_delay_us(&dc.model, layer, &catalog, sub);
+                    delay = node_delay[parent]
+                        + sub_delay_us(&dc.model, layer, &catalog, &m.arena, sub);
                     if cfg.early_delay_pruning && delay > dc.max_delay_us + 1e-9 {
                         // Already over budget with layers still to embed
                         // and the final path unpaid: no completion can
@@ -684,6 +704,12 @@ fn attempt<I: Instrument>(
         if dropped > 0 {
             ins.candidates_pruned(dropped);
         }
+        // The next layer expands the level in rank order. The last level
+        // is ranked in the finals instead, unless a delay constraint has
+        // each leaf's final path searched eagerly, in rank order.
+        if l + 1 < sfc.depth() || dc.is_some() {
+            cands.sort_unstable_by(level_rank);
+        }
         level.clear();
         for c in &cands {
             let idx = tree.insert(c.parent, c.sub, c.cum_cost, c.end_node);
@@ -705,60 +731,61 @@ fn attempt<I: Instrument>(
     // Dijkstra tree prices them all: links are undirected, so the tree's
     // distance to a leaf's end node *is* the exact end → dst min-cost —
     // the per-leaf exact version of the `bounds.rs` link-term lower
-    // bound. Candidates are ranked best-first by that completed total
-    // and the final path is materialized lazily (reversed tree walk)
-    // only for candidates actually attempted, so the common case
-    // extracts exactly one path instead of one per leaf. Under a delay
-    // SLA the per-leaf forward search is kept: equal-cost final paths
-    // can differ in hop count, which the delay model observes.
+    // bound. Candidates are taken best-first by that completed total
+    // from a heap, so only the leaves actually tried get ordered, and
+    // the final path is materialized lazily (reversed tree walk) only
+    // for those: the common case extracts exactly one path instead of
+    // one per leaf. Under a delay SLA the per-leaf forward search is
+    // kept: equal-cost final paths can differ in hop count, which the
+    // delay model observes.
     let dst_tree = if cfg.delay_constraint.is_none() {
         Some(ctx.oracle_tree(flow.dst))
     } else {
         None
     };
-    let mut finals: Vec<(f64, usize, Option<Path>)> = Vec::new();
-    for &leaf in &level {
-        let end = tree.node(leaf).end_node;
-        match &dst_tree {
-            Some(dt) => {
-                let remaining = if end == flow.dst {
-                    Some(0.0)
-                } else {
-                    dt.dist_to(end)
-                };
-                if let Some(d) = remaining {
-                    finals.push((tree.node(leaf).cum_cost + d * flow.size, leaf, None));
-                }
-            }
+    let mut finals: Vec<Final> = Vec::with_capacity(cands.len());
+    // Each leaf's eagerly searched final path (delay constraint only).
+    let mut eager: Vec<Option<Path>> = Vec::new();
+    for (at, c) in cands.iter().enumerate() {
+        let end = c.end_node;
+        let remaining = match &dst_tree {
+            Some(_) if end == flow.dst => Some(0.0),
+            Some(dt) => dt.dist_to(end),
             None => {
-                if let Some(p) = ctx.min_cost_path(end, flow.dst) {
-                    let total = tree.node(leaf).cum_cost + p.price(net) * flow.size;
-                    finals.push((total, leaf, Some(p)));
-                }
+                let p = ctx.min_cost_path(end, flow.dst);
+                let price = p.as_ref().map(|p| p.price(net));
+                eager.push(p);
+                price
             }
+        };
+        if let Some(d) = remaining {
+            finals.push(Final {
+                total: c.cum_cost + d * flow.size,
+                cum_cost: c.cum_cost,
+                seq: c.seq,
+                at,
+            });
         }
     }
-    finals.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (h, m) = ctx.cache_counts();
     ins.cache(h, m);
     // Cheapest end-to-end delay among deadline-rejected candidates, and
     // the rejected leaves themselves (for the LARAC repair pass).
     let mut best_rejected: Option<f64> = None;
     let mut deadline_rejected: Vec<usize> = Vec::new();
-    for (_, leaf, eager_path) in finals {
-        let final_path = match eager_path {
-            Some(p) => p,
-            None => {
-                let end = tree.node(leaf).end_node;
-                if end == flow.dst {
-                    Path::trivial(end)
-                } else {
-                    match dst_tree.as_ref().and_then(|dt| dt.path_to(end)) {
-                        Some(p) => p.reversed(),
-                        None => continue,
-                    }
-                }
-            }
+    for f in ranked_finals(finals) {
+        let leaf = level[f.at];
+        let end = cands[f.at].end_node;
+        let final_path = match &dst_tree {
+            None => match eager[f.at].take() {
+                Some(p) => p,
+                None => continue,
+            },
+            Some(_) if end == flow.dst => Path::trivial(end),
+            Some(dt) => match dt.path_to(end) {
+                Some(p) => p.reversed(),
+                None => continue,
+            },
         };
         let embedding = assemble(sfc, &tree, &memos, leaf, final_path)
             .map_err(|error| Failed { error, capped })?;
@@ -855,7 +882,8 @@ fn memo_of(memos: &[StartMemo], handle: SubHandle) -> &StartMemo {
 }
 
 /// Reconstructs the [`Embedding`] from a sub-solution-tree leaf: the only
-/// place layer sub-solutions are copied out of the memos.
+/// place layer sub-solutions are copied out of the memos, and the only
+/// place the search clones a path.
 fn assemble(
     sfc: &DagSfc,
     tree: &SubTree,
@@ -868,10 +896,11 @@ fn assemble(
     let mut assignments = Vec::with_capacity(sfc.depth());
     let mut paths = Vec::new();
     for handle in lineage {
-        let sub = &memo_of(memos, handle).subs[handle.index as usize];
-        assignments.push(sub.assignment.clone());
-        paths.extend(sub.inter_paths.iter().cloned());
-        paths.extend(sub.inner_paths.iter().cloned());
+        let arena = &memo_of(memos, handle).arena;
+        let sub = &arena.subs()[handle.index as usize];
+        assignments.push(arena.assignment(sub).collect());
+        paths.extend(arena.inter_paths(sub).cloned());
+        paths.extend(arena.inner_paths(sub).cloned());
     }
     paths.push(final_path);
     Embedding::new(sfc, assignments, paths).map_err(SolveError::from)
@@ -1144,9 +1173,10 @@ mod tests {
         assert!(again.stats.cache_hit_rate() > 0.0);
     }
 
-    /// The level cut (selection, then a sort of the survivors) leaves
-    /// exactly what a stable sort of the whole level by `cum_cost` and a
-    /// truncation leave, at every width, on levels full of ties.
+    /// The level cut, then a sort of the survivors by `level_rank`,
+    /// leaves exactly what a stable sort of the whole level by
+    /// `cum_cost` and a truncation leave, at every width, on levels full
+    /// of ties.
     #[test]
     fn cut_level_matches_stable_sort_and_truncate() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1170,6 +1200,7 @@ mod tests {
                     })
                     .collect();
                 let dropped = cut_level(&mut cands, width);
+                cands.sort_unstable_by(level_rank);
                 let mut reference: Vec<usize> = (0..len).collect();
                 reference.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
                 reference.truncate(width);
@@ -1182,6 +1213,71 @@ mod tests {
                 assert_eq!(kept, reference, "len {len} width {width}");
             }
         }
+    }
+
+    /// The finals take the leaves in exactly the order the last level's
+    /// sort and the old finals sort left them: the level cut and sorted
+    /// by (`cum_cost`, generation order), then stably sorted by completed
+    /// total. Levels are tie-heavy — accumulated costs and final-path
+    /// prices drawn from a few flat values, so totals tie across
+    /// different accumulated costs and both tie across leaves — mostly
+    /// wider than the cut, with unreachable leaves mixed in.
+    #[test]
+    fn finals_take_leaves_in_the_stable_sort_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF1A7);
+        let flat = [1.0, 1.5, 2.0];
+        let finals_paths = [None, Some(0.0), Some(0.5), Some(1.0)];
+        let mut cut = 0;
+        for _ in 0..500 {
+            let len = rng.gen_range(0..80usize);
+            let width = rng.gen_range(1..48usize);
+            cut += usize::from(len > width);
+            let costs: Vec<f64> = (0..len).map(|_| flat[rng.gen_range(0..3usize)]).collect();
+            let remaining: Vec<Option<f64>> = (0..len)
+                .map(|_| finals_paths[rng.gen_range(0..4usize)])
+                .collect();
+            let mut cands: Vec<Candidate> = costs
+                .iter()
+                .enumerate()
+                .map(|(seq, &cum_cost)| Candidate {
+                    parent: 0,
+                    sub: SubHandle {
+                        memo: 0,
+                        index: seq as u32,
+                    },
+                    end_node: NodeId(0),
+                    cum_cost,
+                    delay: 0.0,
+                    seq,
+                })
+                .collect();
+            cut_level(&mut cands, width);
+            let finals: Vec<Final> = cands
+                .iter()
+                .enumerate()
+                .filter_map(|(at, c)| {
+                    remaining[c.seq].map(|d| Final {
+                        total: c.cum_cost + d,
+                        cum_cost: c.cum_cost,
+                        seq: c.seq,
+                        at,
+                    })
+                })
+                .collect();
+            let taken: Vec<usize> = ranked_finals(finals).map(|f| cands[f.at].seq).collect();
+            let mut level: Vec<usize> = (0..len).collect();
+            level.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
+            level.truncate(width);
+            let mut reference: Vec<(f64, usize)> = level
+                .iter()
+                .filter_map(|&seq| remaining[seq].map(|d| (costs[seq] + d, seq)))
+                .collect();
+            reference.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let reference: Vec<usize> = reference.iter().map(|&(_, seq)| seq).collect();
+            assert_eq!(taken, reference, "len {len} width {width}");
+        }
+        assert!(cut > 200, "only {cut} levels wider than the cut");
     }
 
     /// Three f0 hosts one link (price 1) from the source, all renting at
