@@ -64,15 +64,16 @@ fn search_tree_bench(c: &mut Criterion) {
 
 fn state_bench(c: &mut Criterion) {
     let net = make_net(500);
-    c.bench_function("state/reserve_rollback_100", |b| {
+    c.bench_function("state/reserve_release_100", |b| {
         let mut state = NetworkState::new(&net);
+        let links = (0..100u32).map(|i| dagsfc_net::LinkId(i % net.link_count() as u32));
         b.iter(|| {
-            let cp = state.checkpoint();
-            for i in 0..100u32 {
-                let l = dagsfc_net::LinkId(i % net.link_count() as u32);
+            for l in links.clone() {
                 let _ = state.reserve_link(l, 0.5);
             }
-            state.rollback(cp);
+            for l in links.clone() {
+                let _ = state.release_link(l, 0.5);
+            }
         })
     });
 }

@@ -6,19 +6,17 @@
 //!
 //! 1. **Direct commits.** A `.commit(…)` whose receiver is a ledger
 //!    (`ledger`, `ledgers[…]`, `raw_ledger(…)`, or any identifier
-//!    containing "ledger") may appear only inside the sanctioned
-//!    wrappers — `embed_and_commit` (the solve → account → commit
-//!    kernel in `crates/sim`) and `two_phase_reserve` (phase 1 of the
-//!    shard gateway's 2PC, whose result is audited in phase 2 before
-//!    any lease is honored). Any other function committing to a ledger
-//!    is a new unaudited commit path and fails the build.
+//!    containing "ledger") may appear only inside the one sanctioned
+//!    wrapper, `embed_and_commit` (the solve → account → commit kernel
+//!    in `crates/sim`). Any other function committing to a ledger is a
+//!    new unaudited commit path and fails the build.
 //!
-//! 2. **Wrapper callers.** Every function that *calls* a sanctioned
-//!    wrapper must itself audit the outcome: its body must reference
-//!    the constraint auditor (`audit_outcome` / `auditor`). This is
-//!    what keeps audit-on-commit — in the shard engine and in the
-//!    lifecycle driver's `LedgerBackend`, which audits every accepted
-//!    commit and rolls it back on a violation — from silently
+//! 2. **Wrapper callers.** Every function that *calls* the wrapper
+//!    must itself audit the outcome: its body must reference the
+//!    constraint auditor (`audit_outcome` / `auditor`). This is what
+//!    keeps audit-on-commit — in the shard engine and in the lifecycle
+//!    driver's `LedgerBackend`, each of which audits every accepted
+//!    commit and releases it again on a violation — from silently
 //!    disappearing in a refactor.
 //!
 //! `crates/net/src/ledger.rs` (the `CommitLedger` definition itself)
@@ -30,7 +28,7 @@ use crate::scan::FileModel;
 use crate::{emit, FileCtx, Violation};
 
 /// Functions allowed to commit to a ledger directly.
-const SANCTIONED_WRAPPERS: &[&str] = &["embed_and_commit", "two_phase_reserve"];
+const SANCTIONED_WRAPPERS: &[&str] = &["embed_and_commit"];
 
 /// Body markers that count as auditing the outcome.
 const AUDIT_MARKERS: &[&str] = &["audit_outcome", "auditor"];
@@ -130,9 +128,7 @@ fn check_wrapper_callers(model: &FileModel, out: &mut Vec<Violation>) {
         let Some(f) = model.fn_of(i) else {
             continue;
         };
-        // The wrappers may compose (two_phase_reserve is not expected
-        // to call embed_and_commit, but the rule should not trip on
-        // wrapper-internal reuse).
+        // A wrapper may call a wrapper.
         if SANCTIONED_WRAPPERS.contains(&f.name.as_str()) {
             continue;
         }
@@ -151,10 +147,16 @@ mod tests {
 
     #[test]
     fn direct_commit_outside_wrappers_fires() {
-        let src = "fn sneaky(ledger: &mut CommitLedger) {\n    ledger.commit(v, l).ok();\n}\n";
-        assert!(analyze_one("crates/serve/src/x.rs", src)
-            .iter()
-            .any(|v| v.rule == "audit-gate"));
+        // `two_phase_reserve` was a second sanctioned wrapper until the
+        // sharded engine moved to one ledger.
+        for src in [
+            "fn sneaky(ledger: &mut CommitLedger) {\n    ledger.commit(v, l).ok();\n}\n",
+            "fn two_phase_reserve(ledgers: &mut [CommitLedger]) {\n    ledgers[0].commit(v, l).ok();\n}\n",
+        ] {
+            assert!(analyze_one("crates/serve/src/x.rs", src)
+                .iter()
+                .any(|v| v.rule == "audit-gate"));
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   over unordered sources), [`lock_order`] (every multi-ledger path
 //!   acquires shard ledgers in ascending shard order and releases in
 //!   reverse), and [`audit_gate`] (every `CommitLedger` commit is
-//!   reachable only through `embed_and_commit` / the audited shard
-//!   2PC phases, and every wrapper caller audits the result).
+//!   reachable only through `embed_and_commit`, and every caller of it
+//!   audits the result).
 //!
 //! Violations honor `lint:allow(rule)` markers (whole-statement
 //! scoped), `#[cfg(test)]` regions, and a checked-in baseline file
@@ -106,7 +106,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "shard-ledger",
-        "a shard's CommitLedger is private to the shard gateway API (2PC)",
+        "the sharded engine's CommitLedger is private to its gateway API",
     ),
     (
         "float-eq",
@@ -134,8 +134,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "audit-gate",
-        "CommitLedger commits are reachable only via embed_and_commit / the audited shard \
-         2PC phases, and every wrapper caller must audit the outcome",
+        "CommitLedger commits are reachable only via embed_and_commit, and every caller \
+         of it must audit the outcome",
     ),
 ];
 

@@ -1,7 +1,9 @@
 //! The lock/ledger-ordering pass: every multi-ledger path acquires
 //! shard ledgers in **ascending shard order** and releases in
-//! **reverse** — the two-phase-commit discipline `crates/shard`'s
-//! gateway depends on for deadlock-freedom and deterministic rollback.
+//! **reverse** — the two-phase-commit discipline that gives such a
+//! path deadlock-freedom and deterministic rollback. The sharded
+//! engine holds one ledger, so no path in the workspace acquires more
+//! than one today.
 //!
 //! What counts as a "ledger vector": an identifier literally named
 //! `ledgers`, or any identifier declared in-file as a collection of

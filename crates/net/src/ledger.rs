@@ -8,17 +8,17 @@
 //! [`CommitLedger`] packages that lifecycle:
 //!
 //! * [`CommitLedger::commit`] reserves a whole load set **atomically** —
-//!   if any single reservation fails, everything already reserved for
-//!   the lease is rolled back and the state is untouched;
+//!   every load is checked before any is reserved, so a refused commit
+//!   leaves the state bit-identical;
 //! * [`CommitLedger::release`] returns a lease's resources and rejects
 //!   unknown or double releases with [`NetError::UnknownLease`];
 //! * every successful commit/release bumps an **epoch** counter, so
 //!   residual-network caches (e.g. a daemon's shared solve context) know
 //!   exactly when their snapshot went stale.
 //!
-//! The ledger is the serving-path twin of the solver-facing
-//! checkpoint/rollback API on [`NetworkState`]: solvers backtrack within
-//! one request, the ledger tracks commitments *across* requests.
+//! Solvers reserve on a [`NetworkState`] of their own within one
+//! request; the ledger tracks commitments *across* requests, and its
+//! memory is the outstanding leases alone.
 
 use crate::error::{NetError, NetResult};
 use crate::fault::FaultEvent;
@@ -142,41 +142,21 @@ impl<'a> CommitLedger<'a> {
     /// Atomically reserves a whole load set and opens a lease for it.
     ///
     /// `vnf_loads` are `(node, kind, rate)` triples; `link_loads` are
-    /// `(link, rate)` pairs (zero-rate entries are skipped). On any
-    /// individual failure the partial reservation is rolled back, the
-    /// state is left untouched, and the error is returned.
+    /// `(link, rate)` pairs (zero-rate entries are skipped). Every load
+    /// is checked before any is reserved — loads that name one resource
+    /// twice are checked for their sum — so on any failure the state is
+    /// left bit-identical and the error is returned.
     pub fn commit<V, L>(&mut self, vnf_loads: V, link_loads: L) -> NetResult<LeaseId>
     where
         V: IntoIterator<Item = (NodeId, VnfTypeId, f64)>,
         L: IntoIterator<Item = (LinkId, f64)>,
     {
-        let cp = self.state.checkpoint();
-        let mut record = LeaseRecord {
-            vnf: Vec::new(),
-            links: Vec::new(),
-            owner: None,
+        let record = LeaseRecord {
+            vnf: vnf_loads.into_iter().filter(|&(_, _, r)| r > 0.0).collect(),
+            links: link_loads.into_iter().filter(|&(_, r)| r > 0.0).collect(),
+            owner: self.default_owner,
         };
-        for (node, kind, rate) in vnf_loads {
-            if rate <= 0.0 {
-                continue;
-            }
-            if let Err(e) = self.state.reserve_vnf(node, kind, rate) {
-                self.state.rollback(cp);
-                return Err(e);
-            }
-            record.vnf.push((node, kind, rate));
-        }
-        for (link, rate) in link_loads {
-            if rate <= 0.0 {
-                continue;
-            }
-            if let Err(e) = self.state.reserve_link(link, rate) {
-                self.state.rollback(cp);
-                return Err(e);
-            }
-            record.links.push((link, rate));
-        }
-        record.owner = self.default_owner;
+        self.state.reserve_loads(&record.vnf, &record.links)?;
         let id = LeaseId(self.next_lease);
         self.next_lease += 1;
         self.epoch += 1;
@@ -347,6 +327,21 @@ mod tests {
         assert_eq!(ledger.active_leases(), 0);
         assert_eq!(ledger.epoch(), 0, "failed commit must not bump the epoch");
         assert!(ledger.outstanding_load().abs() < 1e-12);
+
+        // A refused commit leaves every capacity bit-identical, not one
+        // rounding step away: 0.9 - 0.2 + 0.2 reads 0.8999999999999999.
+        let mut g = net();
+        g.deploy_vnf(NodeId(2), VnfTypeId(2), 1.0, 0.9).unwrap();
+        let mut ledger = CommitLedger::new(&g);
+        let err = ledger
+            .commit([(NodeId(2), VnfTypeId(2), 0.2)], [(LinkId(1), 5.0)])
+            .unwrap_err();
+        assert!(matches!(err, NetError::InsufficientBandwidth { .. }));
+        let left = ledger
+            .state()
+            .vnf_remaining(NodeId(2), VnfTypeId(2))
+            .unwrap();
+        assert_eq!(left.to_bits(), 0.9f64.to_bits(), "instance reads {left}");
     }
 
     #[test]

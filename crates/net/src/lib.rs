@@ -12,8 +12,11 @@
 //! On top of the [`Network`] (fixed topology and prices; capacities can
 //! be rewritten in place) the crate provides:
 //!
-//! * [`NetworkState`] — residual capacities with O(1) checkpoint/rollback,
-//!   the workhorse of backtracking embedders;
+//! * [`NetworkState`] — residual capacities and a fault overlay; a
+//!   reservation is checked in full before it changes anything, so a
+//!   refused one leaves the state untouched;
+//! * [`CommitLedger`] — leased commitments over a [`NetworkState`], the
+//!   serving path's one residual;
 //! * [`routing`] — min-cost paths (Dijkstra), hop-ring BFS expansion
 //!   (the primitive behind BBE's forward/backward searches), and Yen's
 //!   k-cheapest paths;
@@ -70,5 +73,5 @@ pub use ledger::{CommitLedger, LeaseId, LeaseLoads};
 pub use oracle::{OracleSession, OracleStats, PathOracle};
 pub use path::Path;
 pub use snapshot::{Arc32, NetworkSnapshot};
-pub use state::{Checkpoint, NetworkState, CAP_EPS};
+pub use state::{NetworkState, CAP_EPS};
 pub use topologies::Topology;

@@ -1,10 +1,14 @@
-//! Residual-capacity view of a [`Network`] with checkpoint/rollback.
+//! Residual-capacity view of a [`Network`].
 //!
-//! Embedding algorithms explore many candidate sub-solutions and must
-//! tentatively reserve VNF processing capacity and link bandwidth, then
-//! back out of dead ends. `NetworkState` keeps the *remaining* capacity of
-//! every VNF instance and link, and records every reservation in an undo
-//! log so that backtracking is O(#operations undone), not O(network size).
+//! Embedding algorithms tentatively reserve VNF processing capacity and
+//! link bandwidth while they build one embedding, and the serving
+//! ledger reserves whole load sets across requests. `NetworkState`
+//! keeps the *remaining* capacity of every VNF instance and link. Every
+//! reservation is checked in full before it changes anything — a single
+//! resource, a path ([`NetworkState::reserve_path`]) or a ledger's load
+//! set ([`CommitLedger::commit`](crate::CommitLedger::commit)) — so a
+//! refused one leaves the state bit-identical, and the state keeps no
+//! log of what it did.
 
 use crate::error::{NetError, NetResult};
 use crate::fault::FaultEvent;
@@ -15,24 +19,9 @@ use crate::path::Path;
 /// Tolerance used for all capacity comparisons.
 pub const CAP_EPS: f64 = 1e-9;
 
-/// A position in the undo log; rolling back to a checkpoint undoes every
-/// reservation made after it was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint(usize);
-
-#[derive(Debug, Clone, Copy)]
-enum UndoEntry {
-    Vnf { slot: usize, amount: f64 },
-    Link { link: LinkId, amount: f64 },
-}
-
 /// Mutable residual capacities layered over an immutable [`Network`],
 /// plus a fault overlay (down flags and effective capacities) applied
 /// through [`Self::apply_fault`].
-///
-/// The fault overlay is deliberately *not* part of the undo log:
-/// faults come from the substrate, not from solver exploration, and are
-/// only applied between solves — never while a checkpoint is live.
 #[derive(Debug, Clone)]
 pub struct NetworkState<'a> {
     net: &'a Network,
@@ -52,7 +41,6 @@ pub struct NetworkState<'a> {
     link_down: Vec<bool>,
     /// Nodes currently out of service (implies incident links down).
     node_down: Vec<bool>,
-    undo: Vec<UndoEntry>,
 }
 
 impl<'a> NetworkState<'a> {
@@ -81,7 +69,6 @@ impl<'a> NetworkState<'a> {
             link_eff,
             link_down: vec![false; net.link_count()],
             node_down: vec![false; net.node_count()],
-            undo: Vec::new(),
         }
     }
 
@@ -145,8 +132,9 @@ impl<'a> NetworkState<'a> {
             && self.link_remaining[link.index()] + CAP_EPS >= rate
     }
 
-    /// Reserves `rate` units of processing on `vnf@node`.
-    pub fn reserve_vnf(&mut self, node: NodeId, vnf: VnfTypeId, rate: f64) -> NetResult<()> {
+    /// The slot of `vnf@node` when it can absorb `rate` more traffic,
+    /// else the error a reservation of it returns.
+    fn check_vnf(&self, node: NodeId, vnf: VnfTypeId, rate: f64) -> NetResult<usize> {
         let slot = self.slot(node, vnf)?;
         if !self.node_available(node) {
             return Err(NetError::NodeUnavailable(node));
@@ -160,13 +148,12 @@ impl<'a> NetworkState<'a> {
                 available: avail,
             });
         }
-        self.vnf_remaining[slot] = avail - rate;
-        self.undo.push(UndoEntry::Vnf { slot, amount: rate });
-        Ok(())
+        Ok(slot)
     }
 
-    /// Reserves `rate` units of bandwidth on `link`.
-    pub fn reserve_link(&mut self, link: LinkId, rate: f64) -> NetResult<()> {
+    /// Whether `link` can absorb `rate` more traffic, as the error a
+    /// reservation of it returns.
+    fn check_link(&self, link: LinkId, rate: f64) -> NetResult<()> {
         let avail = self.link_remaining(link)?;
         if !self.link_available(link) {
             return Err(NetError::LinkUnavailable(link));
@@ -178,20 +165,70 @@ impl<'a> NetworkState<'a> {
                 available: avail,
             });
         }
-        self.link_remaining[link.index()] = avail - rate;
-        self.undo.push(UndoEntry::Link { link, amount: rate });
         Ok(())
     }
 
-    /// Reserves `rate` on every link of `path`. On failure the partial
-    /// reservation is rolled back, leaving the state unchanged.
+    /// Reserves `rate` units of processing on `vnf@node`.
+    pub fn reserve_vnf(&mut self, node: NodeId, vnf: VnfTypeId, rate: f64) -> NetResult<()> {
+        let slot = self.check_vnf(node, vnf, rate)?;
+        self.vnf_remaining[slot] -= rate;
+        Ok(())
+    }
+
+    /// Reserves `rate` units of bandwidth on `link`.
+    pub fn reserve_link(&mut self, link: LinkId, rate: f64) -> NetResult<()> {
+        self.check_link(link, rate)?;
+        self.link_remaining[link.index()] -= rate;
+        Ok(())
+    }
+
+    /// Reserves `rate` on every link of `path`, or nothing: each link is
+    /// checked for `rate` times the number of times the path crosses it
+    /// before any is reserved, so a refused path leaves the state
+    /// unchanged.
     pub fn reserve_path(&mut self, path: &Path, rate: f64) -> NetResult<()> {
-        let cp = self.checkpoint();
-        for &l in path.links() {
-            if let Err(e) = self.reserve_link(l, rate) {
-                self.rollback(cp);
-                return Err(e);
+        let links = path.links();
+        for (i, &link) in links.iter().enumerate() {
+            if !links[..i].contains(&link) {
+                let crossings = links[i..].iter().filter(|&&l| l == link).count();
+                self.check_link(link, rate * crossings as f64)?;
             }
+        }
+        for &link in links {
+            self.link_remaining[link.index()] -= rate;
+        }
+        Ok(())
+    }
+
+    /// Reserves a whole load set — `(node, kind, rate)` processing and
+    /// `(link, rate)` bandwidth — or nothing: each resource is checked
+    /// for the sum of the loads the set puts on it before any load is
+    /// reserved, so a refused set leaves the state bit-identical.
+    pub(crate) fn reserve_loads(
+        &mut self,
+        vnf: &[(NodeId, VnfTypeId, f64)],
+        links: &[(LinkId, f64)],
+    ) -> NetResult<()> {
+        let mut slots = Vec::with_capacity(vnf.len());
+        for (i, &(node, kind, _)) in vnf.iter().enumerate() {
+            let slot = self.slot(node, kind)?;
+            if !slots.contains(&slot) {
+                let same = vnf[i..].iter().filter(|e| (e.0, e.1) == (node, kind));
+                self.check_vnf(node, kind, same.map(|e| e.2).sum())?;
+            }
+            slots.push(slot);
+        }
+        for (i, &(link, _)) in links.iter().enumerate() {
+            if !links[..i].iter().any(|e| e.0 == link) {
+                let total = links[i..].iter().filter(|e| e.0 == link).map(|e| e.1).sum();
+                self.check_link(link, total)?;
+            }
+        }
+        for (&slot, &(_, _, rate)) in slots.iter().zip(vnf) {
+            self.vnf_remaining[slot] -= rate;
+        }
+        for &(link, rate) in links {
+            self.link_remaining[link.index()] -= rate;
         }
         Ok(())
     }
@@ -213,10 +250,6 @@ impl<'a> NetworkState<'a> {
             ));
         }
         self.vnf_remaining[slot] += rate;
-        self.undo.push(UndoEntry::Vnf {
-            slot,
-            amount: -rate,
-        });
         Ok(())
     }
 
@@ -232,42 +265,7 @@ impl<'a> NetworkState<'a> {
             ));
         }
         self.link_remaining[link.index()] = remaining + rate;
-        self.undo.push(UndoEntry::Link {
-            link,
-            amount: -rate,
-        });
         Ok(())
-    }
-
-    /// Takes a checkpoint; pass it to [`Self::rollback`] to undo everything
-    /// reserved since.
-    #[inline]
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint(self.undo.len())
-    }
-
-    /// Rolls back all reservations made after `cp` was taken.
-    ///
-    /// # Panics
-    /// Panics if `cp` comes from a different state or a later epoch.
-    pub fn rollback(&mut self, cp: Checkpoint) {
-        assert!(
-            cp.0 <= self.undo.len(),
-            "rollback to a checkpoint from the future"
-        );
-        while self.undo.len() > cp.0 {
-            // lint:allow(expect) — invariant: undo log entry
-            match self.undo.pop().expect("undo log entry") {
-                UndoEntry::Vnf { slot, amount } => self.vnf_remaining[slot] += amount,
-                UndoEntry::Link { link, amount } => self.link_remaining[link.index()] += amount,
-            }
-        }
-    }
-
-    /// Number of reservations currently recorded.
-    #[inline]
-    pub fn reservation_count(&self) -> usize {
-        self.undo.len()
     }
 
     /// Materializes the residual capacities as a fresh immutable
@@ -406,6 +404,30 @@ impl<'a> NetworkState<'a> {
             .map(|(eff, rem)| eff - rem)
             .sum()
     }
+
+    /// Reserved load per region: each link's load goes to region
+    /// `link_region(link)`, each VNF instance's to `node_region(node)`,
+    /// and a region's figure is its link sum plus its VNF sum, both in
+    /// id order — with one region, exactly `total_link_load() +
+    /// total_vnf_load()`.
+    pub fn load_by_region(
+        &self,
+        regions: usize,
+        node_region: impl Fn(NodeId) -> usize,
+        link_region: impl Fn(LinkId) -> usize,
+    ) -> Vec<f64> {
+        let mut links = vec![0.0; regions];
+        for l in self.net.link_ids() {
+            links[link_region(l)] += self.link_eff[l.index()] - self.link_remaining[l.index()];
+        }
+        let mut vnfs = vec![0.0; regions];
+        for n in self.net.node_ids() {
+            for slot in self.node_slot_base[n.index()]..self.node_slot_base[n.index() + 1] {
+                vnfs[node_region(n)] += self.vnf_eff[slot] - self.vnf_remaining[slot];
+            }
+        }
+        links.iter().zip(&vnfs).map(|(l, v)| l + v).collect()
+    }
 }
 
 #[cfg(test)]
@@ -468,21 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rollback_restores_everything() {
-        let g = net();
-        let mut s = NetworkState::new(&g);
-        s.reserve_vnf(NodeId(0), VnfTypeId(0), 1.0).unwrap();
-        let cp = s.checkpoint();
-        s.reserve_vnf(NodeId(1), VnfTypeId(0), 2.0).unwrap();
-        s.reserve_link(LinkId(1), 1.5).unwrap();
-        s.rollback(cp);
-        assert_eq!(s.vnf_remaining(NodeId(0), VnfTypeId(0)).unwrap(), 2.0);
-        assert_eq!(s.vnf_remaining(NodeId(1), VnfTypeId(0)).unwrap(), 3.0);
-        assert_eq!(s.link_remaining(LinkId(1)).unwrap(), 2.0);
-        assert_eq!(s.reservation_count(), 1);
-    }
-
-    #[test]
     fn reserve_path_is_atomic() {
         let g = net();
         let mut s = NetworkState::new(&g);
@@ -495,6 +502,51 @@ mod tests {
     }
 
     #[test]
+    fn reserve_path_checks_a_link_it_crosses_twice_for_both_crossings() {
+        let g = net();
+        let mut s = NetworkState::new(&g);
+        // 0-1-0 crosses link 0 twice: 1.5 fits once, not twice.
+        let there_and_back = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(0)]).unwrap();
+        assert!(matches!(
+            s.reserve_path(&there_and_back, 1.5),
+            Err(NetError::InsufficientBandwidth { requested, .. }) if requested == 3.0
+        ));
+        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 2.0);
+        s.reserve_path(&there_and_back, 1.0).unwrap();
+        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn reserve_loads_sums_a_resource_named_twice_and_refuses_whole() {
+        let g = net();
+        let mut s = NetworkState::new(&g);
+        let v = (NodeId(1), VnfTypeId(0));
+        // Each load fits alone; the two on one instance do not.
+        let err = s
+            .reserve_loads(&[(v.0, v.1, 2.0), (v.0, v.1, 2.0)], &[(LinkId(0), 1.0)])
+            .unwrap_err();
+        assert!(
+            matches!(err, NetError::InsufficientVnfCapacity { requested, .. } if requested == 4.0)
+        );
+        assert_eq!(s.vnf_remaining(v.0, v.1).unwrap(), 3.0);
+        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 2.0);
+        let err = s
+            .reserve_loads(&[(v.0, v.1, 1.0)], &[(LinkId(0), 1.5), (LinkId(0), 1.5)])
+            .unwrap_err();
+        assert!(
+            matches!(err, NetError::InsufficientBandwidth { requested, .. } if requested == 3.0)
+        );
+        assert_eq!(s.vnf_remaining(v.0, v.1).unwrap(), 3.0);
+        s.reserve_loads(
+            &[(v.0, v.1, 1.0), (v.0, v.1, 2.0)],
+            &[(LinkId(0), 1.0), (LinkId(0), 1.0)],
+        )
+        .unwrap();
+        assert_eq!(s.vnf_remaining(v.0, v.1).unwrap(), 0.0);
+        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 0.0);
+    }
+
+    #[test]
     fn reserve_path_success() {
         let g = net();
         let mut s = NetworkState::new(&g);
@@ -503,17 +555,6 @@ mod tests {
         assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 0.5);
         assert_eq!(s.link_remaining(LinkId(1)).unwrap(), 0.5);
         assert!((s.total_link_load() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "future")]
-    fn rollback_to_future_panics() {
-        let g = net();
-        let mut s = NetworkState::new(&g);
-        s.reserve_link(LinkId(0), 1.0).unwrap();
-        let cp = s.checkpoint();
-        s.rollback(Checkpoint(0));
-        s.rollback(cp); // cp now points past the truncated log
     }
 
     #[test]
@@ -539,18 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_undoes_releases_too() {
-        let g = net();
-        let mut s = NetworkState::new(&g);
-        s.reserve_link(LinkId(0), 2.0).unwrap();
-        let cp = s.checkpoint();
-        s.release_link(LinkId(0), 1.0).unwrap();
-        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 1.0);
-        s.rollback(cp);
-        assert_eq!(s.link_remaining(LinkId(0)).unwrap(), 0.0);
-    }
-
-    #[test]
     fn residual_network_reflects_reservations() {
         let g = net();
         let mut s = NetworkState::new(&g);
@@ -573,7 +602,7 @@ mod tests {
         let g = net();
         let mut s = NetworkState::new(&g);
         s.reserve_path(&Path::trivial(NodeId(0)), 5.0).unwrap();
-        assert_eq!(s.reservation_count(), 0);
+        assert_eq!(s.total_link_load(), 0.0);
     }
 
     #[test]
@@ -737,5 +766,22 @@ mod tests {
             .unwrap();
         let r2 = s.to_residual_network();
         assert_eq!(r2.link(LinkId(0)).capacity, 2.0);
+    }
+
+    #[test]
+    fn load_by_region_splits_loads_by_owner() {
+        let g = net();
+        let mut s = NetworkState::new(&g);
+        s.reserve_vnf(NodeId(0), VnfTypeId(0), 0.5).unwrap();
+        s.reserve_vnf(NodeId(1), VnfTypeId(1), 0.25).unwrap();
+        s.reserve_link(LinkId(0), 0.125).unwrap();
+        s.reserve_link(LinkId(1), 1.5).unwrap();
+        // Node 0 and link 0 in region 0; node 1, node 2 and link 1 in
+        // region 1.
+        let split = s.load_by_region(2, |n| usize::from(n != NodeId(0)), |l| l.index());
+        assert_eq!(split, vec![0.125 + 0.5, 1.5 + 0.25]);
+        let whole = s.load_by_region(1, |_| 0, |_| 0);
+        let total = s.total_link_load() + s.total_vnf_load();
+        assert_eq!(whole[0].to_bits(), total.to_bits());
     }
 }

@@ -705,7 +705,7 @@ fn stats_report(s: &ShardedStats, front: &FrontCounters) -> StatsReport {
         audits_failed: s.audits_failed,
         faults_applied: s.faults_applied,
         orphans_reclaimed: s.orphans_reclaimed,
-        commit_retries: s.commit_retries,
+        commit_retries: 0,
         shards: s.per_shard.len() as u64,
         cross_shard_offered: s.cross_shard_offered,
         cross_shard_accepted: s.cross_shard_accepted,
@@ -714,9 +714,6 @@ fn stats_report(s: &ShardedStats, front: &FrontCounters) -> StatsReport {
             .iter()
             .map(|l| ShardLane {
                 shard: l.shard,
-                active_leases: l.active_leases,
-                released: l.released,
-                epoch: l.epoch,
                 outstanding_load: l.outstanding_load,
                 faults_applied: l.faults_applied,
                 gateways: l.gateways,

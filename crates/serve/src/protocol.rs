@@ -28,8 +28,12 @@ use serde::{Deserialize, Serialize};
 /// enforces a solve budget);
 /// 5 — one job queue: `per_shard` lanes no longer carry a
 /// `queue_depth`, `queue_depth` counts the daemon's single queue, and
-/// `stats` is answered in request order.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// `stats` is answered in request order;
+/// 6 — one ledger behind every shard: `per_shard` lanes drop
+/// `active_leases`, `released` and `epoch`, `released`, `epoch` and
+/// `orphans_reclaimed` count leases at any shard count, and
+/// `commit_retries` always reads 0.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The most bytes the daemon holds of a request line whose `\n` has not
 /// arrived (1 MiB). Past it the daemon answers with a `request line too
@@ -217,7 +221,8 @@ pub struct StatsReport {
     /// The queue's capacity (embeds, faults and reclaims are refused
     /// beyond it; releases never are).
     pub queue_capacity: u64,
-    /// The ledger's change epoch (commits + releases).
+    /// The ledger's change epoch (commits, releases and state-changing
+    /// faults).
     pub epoch: u64,
     /// Committed-but-unreleased load across all resources.
     pub outstanding_load: f64,
@@ -236,8 +241,8 @@ pub struct StatsReport {
     pub faults_applied: u64,
     /// Leases reclaimed from vanished or misbehaving owners.
     pub orphans_reclaimed: u64,
-    /// Transient commit failures that were retried with a refreshed
-    /// residual.
+    /// Always 0: a refused commit changes nothing, so the daemon never
+    /// retries one (kept for readers of the field).
     pub commit_retries: u64,
     /// Per-algorithm solve latency, sorted by algorithm name.
     pub per_algo: Vec<AlgoLatency>,
@@ -256,15 +261,9 @@ pub struct StatsReport {
 pub struct ShardLane {
     /// Shard index.
     pub shard: u64,
-    /// Sub-leases outstanding in this shard's ledger.
-    pub active_leases: u64,
-    /// Sub-leases released over the shard's lifetime.
-    pub released: u64,
-    /// The shard ledger's change epoch.
-    pub epoch: u64,
-    /// Committed-but-unreleased load in this shard.
+    /// Committed-but-unreleased load on the resources this shard owns.
     pub outstanding_load: f64,
-    /// Fault events that changed this shard's state.
+    /// Fault events that changed a resource this shard owns.
     pub faults_applied: u64,
     /// Gateway nodes of this shard.
     pub gateways: u64,

@@ -1,6 +1,7 @@
-//! The sharded serving engine: per-shard [`CommitLedger`]s behind one
-//! gateway API, stitched cross-shard solves, and a two-phase commit
-//! that every embedding must clear before any shard keeps its load.
+//! The sharded serving engine: one [`CommitLedger`] over the whole
+//! substrate behind a gateway API of region shards, stitched
+//! cross-shard solves, and an audit that every embedding must clear
+//! before its lease is honoured.
 //!
 //! ## How a request is served
 //!
@@ -12,25 +13,25 @@
 //!    precomputed gateway **corridor** between the two shards carry
 //!    capacity; everything else is zeroed. For an intra-shard request
 //!    the view exposes the home shard alone. Residual capacities are
-//!    read from each resource's *owner* ledger, so the view is exact.
+//!    read from the one ledger, so the view is exact.
 //!    Each view is one long-lived `Network`: a refresh rewrites only the
 //!    capacities that ledger mutations touched since the view was last
 //!    current (see [`ShardedEngine`]).
-//! 3. A standard solver runs over the view — the chain segments land in
-//!    the exposed shards, and the tail path can only reach the
-//!    destination through the corridor the inter-gateway table priced.
-//! 4. **Two-phase commit**: the embedding's loads are grouped by owner
-//!    shard and reserved in ascending shard order (phase 1); the
-//!    finished embedding is audited against the **unpartitioned**
-//!    residual substrate plus the stitching scope (phase 2); only then
-//!    does the stitched lease go on the books (phase 3). Any failure
-//!    rolls back every reservation already made.
+//! 3. [`embed_and_commit`] solves over the view, accounts the embedding
+//!    and commits its loads to the ledger, which checks the whole load
+//!    set before it reserves any of it: a refused commit changes
+//!    nothing. The chain segments land in the exposed shards, and the
+//!    tail path can only reach the destination through the corridor the
+//!    inter-gateway table priced.
+//! 4. The committed embedding is audited against the **unpartitioned**
+//!    residual substrate plus the stitching scope; a violation releases
+//!    the lease again and rejects the request.
 //!
 //! With one shard the view is the full residual, the corridor set is
-//! empty, and every step above degenerates to one ledger's solve →
-//! commit → audit, the kernel `dagsfc_sim::run_trace` runs per arrival.
-//! The crate's 1-shard tests and the serve crate's replays of every
-//! committed trace pin that equivalence bit for bit.
+//! empty, and every step above is the solve → commit → audit that
+//! `dagsfc_sim::run_trace` runs per arrival. The crate's 1-shard tests
+//! and the serve crate's replays of every committed trace pin that
+//! equivalence bit for bit.
 
 use crate::plan::{GatewayTable, ShardPlan};
 use crate::router::ShardRouter;
@@ -39,19 +40,29 @@ use dagsfc_core::{CostBreakdown, DagSfc, Flow};
 use dagsfc_net::{
     CommitLedger, FaultEvent, LeaseId, LinkId, NetError, NetResult, Network, NodeId, VnfTypeId,
 };
-use dagsfc_sim::{Algo, EmbedRejection};
+use dagsfc_sim::{embed_and_commit, Algo, EmbedRejection};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Bounded retry budget for transient commit failures: the views are
-/// force-refreshed and the request re-solved at most this many extra
-/// times.
-pub const MAX_COMMIT_RETRIES: u32 = 2;
-
-/// Handle for one stitched lease (spans one ledger per involved shard).
+/// Handle for one lease of the engine: the ledger's [`LeaseId`] plus
+/// one, so the handles clients see count from 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StitchId(pub u64);
+
+impl StitchId {
+    /// The ledger lease this handle names (`None` for handle 0, which
+    /// the engine never issues).
+    fn lease(self) -> Option<LeaseId> {
+        self.0.checked_sub(1).map(LeaseId)
+    }
+}
+
+impl From<LeaseId> for StitchId {
+    fn from(lease: LeaseId) -> Self {
+        StitchId(lease.0 + 1)
+    }
+}
 
 impl std::fmt::Display for StitchId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -66,8 +77,6 @@ pub struct Accepted {
     pub lease: StitchId,
     /// Objective cost of the stitched embedding.
     pub cost: CostBreakdown,
-    /// How many shard ledgers the commit spans (1 for intra-shard).
-    pub shards_involved: usize,
 }
 
 /// Which resources a stitched view exposes.
@@ -105,22 +114,22 @@ enum Resource {
 
 /// The capacity a view with `exposure` (`None` exposes every shard)
 /// shows for `res`: zero outside the exposure or while the resource is
-/// out of service, else the owner ledger's remaining capacity floored at
+/// out of service, else the ledger's remaining capacity floored at
 /// zero. A view rebuild and an in-place patch both call this, so a
 /// patched view is bit-identical to a rebuilt one.
 fn view_capacity(
     net: &Network,
     plan: &ShardPlan,
-    ledgers: &[CommitLedger<'_>],
+    ledger: &CommitLedger<'_>,
     exposure: Option<&Exposure>,
     res: Resource,
 ) -> f64 {
+    let state = ledger.state();
     match res {
         Resource::Vnf(node, kind) => {
             if exposure.is_some_and(|e| !e.node_in_scope(plan, node)) {
                 return 0.0;
             }
-            let state = ledgers[plan.shard_of(node)].state();
             if !state.node_available(node) {
                 return 0.0;
             }
@@ -134,7 +143,6 @@ fn view_capacity(
             if exposure.is_some_and(|e| !e.link_in_scope(plan, net, link)) {
                 return 0.0;
             }
-            let state = ledgers[plan.owner_of(link)].state();
             if !state.link_available(link) {
                 return 0.0;
             }
@@ -152,12 +160,12 @@ fn view_capacity(
 fn rebuild_view(
     net: &Network,
     plan: &ShardPlan,
-    ledgers: &[CommitLedger<'_>],
+    ledger: &CommitLedger<'_>,
     exposure: Option<&Exposure>,
 ) -> Network {
     net.map_capacities(
-        |node, kind, _| view_capacity(net, plan, ledgers, exposure, Resource::Vnf(node, kind)),
-        |link, _| view_capacity(net, plan, ledgers, exposure, Resource::Link(link)),
+        |node, kind, _| view_capacity(net, plan, ledger, exposure, Resource::Vnf(node, kind)),
+        |link, _| view_capacity(net, plan, ledger, exposure, Resource::Link(link)),
     )
 }
 
@@ -231,8 +239,8 @@ impl ChangeLog {
 }
 
 struct CachedView {
-    /// The shard ledgers' epochs when the view was last refreshed.
-    epochs: Vec<u64>,
+    /// The ledger's epoch when the view was last refreshed.
+    epoch: u64,
     /// The [`ChangeLog`] sequence number this view is current through.
     synced: u64,
     net: Arc<Network>,
@@ -249,15 +257,11 @@ struct LatencyAcc {
 pub struct ShardLoad {
     /// Shard index.
     pub shard: u64,
-    /// Sub-leases currently outstanding in this shard's ledger.
-    pub active_leases: u64,
-    /// Sub-leases released over the shard's lifetime.
-    pub released: u64,
-    /// The shard ledger's change epoch.
-    pub epoch: u64,
-    /// Committed-but-unreleased load in this shard.
+    /// Committed-but-unreleased load on the resources this shard owns
+    /// (its nodes' VNF instances and the links it owns).
     pub outstanding_load: f64,
-    /// Fault events that changed this shard's state.
+    /// Fault events that changed the state of a resource this shard
+    /// owns.
     pub faults_applied: u64,
     /// Gateway nodes of this shard.
     pub gateways: u64,
@@ -280,13 +284,15 @@ pub struct ShardedStats {
     pub rejected_capacity: u64,
     /// Sum of accepted stitched costs.
     pub total_cost: f64,
-    /// Stitched leases currently outstanding.
+    /// Leases currently outstanding.
     pub active_leases: u64,
-    /// Sub-lease releases summed over every shard ledger.
+    /// Leases released over the engine's lifetime (audit rollbacks and
+    /// reclaims included).
     pub released: u64,
-    /// Sum of shard-ledger epochs (moves on every commit/release).
+    /// The ledger's change epoch (moves on every commit, release and
+    /// state-changing fault).
     pub epoch: u64,
-    /// Outstanding load summed over every shard.
+    /// Committed-but-unreleased load across the substrate.
     pub outstanding_load: f64,
     /// Path-cache hits summed over accepted solves.
     pub solver_cache_hits: u64,
@@ -296,12 +302,10 @@ pub struct ShardedStats {
     pub audits_run: u64,
     /// Audits that found a violation (rolled back) — must stay 0.
     pub audits_failed: u64,
-    /// Fault events that changed some shard's state.
+    /// Fault events that changed the substrate state.
     pub faults_applied: u64,
-    /// Sub-leases reclaimed from vanished owners.
+    /// Leases reclaimed from vanished owners.
     pub orphans_reclaimed: u64,
-    /// Transient commit failures retried with refreshed views.
-    pub commit_retries: u64,
     /// Requests whose source and destination shards differed.
     pub cross_shard_offered: u64,
     /// Cross-shard requests that committed.
@@ -312,15 +316,16 @@ pub struct ShardedStats {
     pub per_shard: Vec<ShardLoad>,
 }
 
-/// Per-shard ledgers, stitched views, and the two-phase commit gateway
-/// (see the module docs). This type is the **only** sanctioned path to
-/// a shard's `CommitLedger` — the `shard-ledger` lint rule turns direct
-/// access from outside `crates/shard` into a CI failure.
+/// One ledger over the substrate, region shards that route and stitch
+/// over it, and the audit gate every commit passes (see the module
+/// docs). This type is the **only** sanctioned path to the engine's
+/// `CommitLedger` — the `shard-ledger` lint rule turns direct access
+/// from outside `crates/shard` into a CI failure.
 ///
-/// Residual views are long-lived. Every ledger mutation the engine makes
-/// — a phase-1 reservation (successful or not), a rollback, a release —
-/// first logs the resources it touches. A view refresh rewrites just
-/// those capacities in place ([`Network::set_link_capacity`] and
+/// Residual views are long-lived. Every ledger change the engine makes
+/// — a commit, a release — logs the resources it touches (a refused
+/// commit touches none). A view refresh rewrites just those capacities
+/// in place ([`Network::set_link_capacity`] and
 /// [`Network::set_vnf_capacity`]), so neither the network nor its CSR
 /// snapshot is rebuilt. A fault or an owner reclaim drops every view
 /// instead. A view that a caller still holds, or that lags more than
@@ -330,16 +335,16 @@ pub struct ShardedEngine<'n> {
     plan: ShardPlan,
     router: ShardRouter,
     table: GatewayTable,
-    ledgers: Vec<CommitLedger<'n>>,
+    ledger: CommitLedger<'n>,
     auditor: ConstraintAuditor,
     /// View cache: `(home, dst)` → stitched view; `home == dst` is the
     /// local view; [`UNPARTITIONED`] is the all-shards residual, and the
     /// only entry a 1-shard engine uses.
     views: BTreeMap<(u32, u32), CachedView>,
-    /// What the ledgers changed, for the views to catch up on.
+    /// What the ledger changed, for the views to catch up on.
     changes: ChangeLog,
-    leases: BTreeMap<u64, Vec<(usize, LeaseId)>>,
-    next_stitch: u64,
+    /// State-changing faults per shard that owns their target.
+    faults_applied: Vec<u64>,
     accepted: u64,
     rejected: u64,
     rejected_deadline: u64,
@@ -350,7 +355,6 @@ pub struct ShardedEngine<'n> {
     solver_cache_misses: u64,
     audits_run: u64,
     audits_failed: u64,
-    commit_retries: u64,
     cross_shard_offered: u64,
     cross_shard_accepted: u64,
     per_algo: BTreeMap<&'static str, LatencyAcc>,
@@ -365,18 +369,17 @@ impl<'n> ShardedEngine<'n> {
     /// table eagerly (base-capacity pricing; see `plan.rs`).
     pub fn new(net: &'n Network, plan: ShardPlan, router: ShardRouter) -> Self {
         let table = GatewayTable::build(net, &plan);
-        let ledgers = (0..plan.shards()).map(|_| CommitLedger::new(net)).collect();
+        let faults_applied = vec![0; plan.shards()];
         ShardedEngine {
             net,
             plan,
             router,
             table,
-            ledgers,
+            ledger: CommitLedger::new(net),
             auditor: ConstraintAuditor::new(),
             views: BTreeMap::new(),
             changes: ChangeLog::default(),
-            leases: BTreeMap::new(),
-            next_stitch: 1,
+            faults_applied,
             accepted: 0,
             rejected: 0,
             rejected_deadline: 0,
@@ -387,7 +390,6 @@ impl<'n> ShardedEngine<'n> {
             solver_cache_misses: 0,
             audits_run: 0,
             audits_failed: 0,
-            commit_retries: 0,
             cross_shard_offered: 0,
             cross_shard_accepted: 0,
             per_algo: BTreeMap::new(),
@@ -409,13 +411,13 @@ impl<'n> ShardedEngine<'n> {
         &self.table
     }
 
-    /// Read-only escape hatch to one shard's ledger, for tests and
-    /// diagnostics only — production code must go through the gateway
-    /// API above, and the `shard-ledger` lint rule enforces exactly
-    /// that outside `crates/shard`.
+    /// Read-only escape hatch to the ledger, for tests and diagnostics
+    /// only — production code must go through the gateway API above,
+    /// and the `shard-ledger` lint rule enforces exactly that outside
+    /// `crates/shard`.
     #[doc(hidden)]
-    pub fn raw_ledger(&self, shard: usize) -> &CommitLedger<'n> {
-        &self.ledgers[shard]
+    pub fn raw_ledger(&self) -> &CommitLedger<'n> {
+        &self.ledger
     }
 
     /// Refreshes (or builds) the residual view for `exposure`; `None`
@@ -426,25 +428,23 @@ impl<'n> ShardedEngine<'n> {
         let ShardedEngine {
             net,
             plan,
-            ledgers,
+            ledger,
             views,
             changes,
             ..
         } = self;
-        let (net, end) = (*net, changes.end());
-        let epochs = || ledgers.iter().map(CommitLedger::epoch);
+        let (net, end, epoch) = (*net, changes.end(), ledger.epoch());
         if let Some(cached) = views.get_mut(&key) {
-            // A refused commit logs changes without moving an epoch; an
-            // epoch that moved with nothing logged is a missed mark,
+            // An epoch that moved with nothing logged is a missed mark,
             // which the cross-check below reports in debug builds.
-            if cached.synced == end && cached.epochs.iter().copied().eq(epochs()) {
+            if cached.synced == end && cached.epoch == epoch {
                 return Arc::clone(&cached.net);
             }
             if let (Some(pending), Some(view)) =
                 (changes.since(cached.synced), Arc::get_mut(&mut cached.net))
             {
                 for res in pending {
-                    let cap = view_capacity(net, plan, ledgers, exposure, res);
+                    let cap = view_capacity(net, plan, ledger, exposure, res);
                     let written = match res {
                         Resource::Vnf(node, kind) => view.set_vnf_capacity(node, kind, cap),
                         Resource::Link(link) => view.set_link_capacity(link, cap),
@@ -453,21 +453,19 @@ impl<'n> ShardedEngine<'n> {
                     written.expect("logged resource takes its view capacity");
                 }
                 cached.synced = end;
-                for (seen, now) in cached.epochs.iter_mut().zip(epochs()) {
-                    *seen = now;
-                }
+                cached.epoch = epoch;
                 debug_assert!(
-                    same_capacities(view, &rebuild_view(net, plan, ledgers, exposure)),
+                    same_capacities(view, &rebuild_view(net, plan, ledger, exposure)),
                     "patched view {key:?} differs from its rebuild"
                 );
                 return Arc::clone(&cached.net);
             }
         }
-        let built = Arc::new(rebuild_view(net, plan, ledgers, exposure));
+        let built = Arc::new(rebuild_view(net, plan, ledger, exposure));
         views.insert(
             key,
             CachedView {
-                epochs: epochs().collect(),
+                epoch,
                 synced: end,
                 net: Arc::clone(&built),
             },
@@ -495,13 +493,21 @@ impl<'n> ShardedEngine<'n> {
         }
     }
 
-    /// The unpartitioned residual: every shard's state combined — what
-    /// a single global ledger would report. The audit target.
+    /// The unpartitioned residual: the ledger's state over every shard.
+    /// The audit target.
     pub fn unpartitioned_residual(&mut self) -> Arc<Network> {
         self.view_for(UNPARTITIONED, None)
     }
 
-    /// Solves and (two-phase) commits one request. Counted either way.
+    /// The stitched view a request homed at shard `home` for a
+    /// destination in shard `dst` is solved on (with one shard, embeds
+    /// solve on [`Self::unpartitioned_residual`] instead).
+    pub fn stitched_view(&mut self, home: usize, dst: usize) -> Arc<Network> {
+        let exposure = self.exposure(home, dst);
+        self.view_for((home as u32, dst as u32), Some(&exposure))
+    }
+
+    /// Solves, commits and audits one request. Counted either way.
     pub fn embed(
         &mut self,
         sfc: &DagSfc,
@@ -516,135 +522,104 @@ impl<'n> ShardedEngine<'n> {
             self.cross_shard_offered += 1;
         }
         let exposure = self.exposure(home, dst);
-        let mut attempt = 0u32;
-        loop {
-            // The audit target must predate phase 1's reservations. With
-            // a single shard the stitched view exposes every resource, so
-            // it *is* the unpartitioned residual: solve and audit on that
-            // one cache entry instead of a second network.
-            let (view, unpart) = if self.plan.shards() == 1 {
-                let unpart = self.unpartitioned_residual();
-                (Arc::clone(&unpart), unpart)
-            } else {
-                let view = self.view_for((home as u32, dst as u32), Some(&exposure));
-                (view, self.unpartitioned_residual())
-            };
-            let started = Instant::now();
-            let result = two_phase_reserve(
-                &mut self.ledgers,
-                &mut self.changes,
-                &self.plan,
-                &view,
-                sfc,
-                flow,
-                algo,
-                seed,
-            );
-            let elapsed = started.elapsed();
-            let acc = self.per_algo.entry(algo.name()).or_default();
-            acc.solves += 1;
-            acc.total += elapsed;
-            match result {
-                Ok(pending) => {
-                    // Phase 2: audit the stitched embedding against the
-                    // *unpartitioned* substrate — the same constraints
-                    // (2)-(10) certificate an unsharded daemon issues —
-                    // plus the stitching scope: every VNF in the home or
-                    // destination shard, every path link exposed by the
-                    // view. A violation rolls back every reservation.
-                    self.audits_run += 1;
-                    let report = self
-                        .auditor
-                        .audit_outcome(&unpart, sfc, flow, &pending.outcome);
-                    let scope = stitched_scope_violations(
-                        &pending.outcome.embedding,
-                        &|node| exposure.node_in_scope(&self.plan, node),
-                        &|link| exposure.link_in_scope(&self.plan, self.net, link),
-                    );
-                    if !report.is_clean() || !scope.is_empty() {
-                        self.audits_failed += 1;
-                        rollback(&mut self.ledgers, &mut self.changes, &pending.parts);
-                        self.rejected += 1;
-                        let mut summary = report.summary();
-                        if !scope.is_empty() {
-                            if !summary.is_empty() {
-                                summary.push_str("; ");
-                            }
-                            summary.push_str(&scope.join("; "));
-                        }
-                        return Err(EmbedRejection::Audit(summary));
-                    }
-                    // Phase 3: the stitched lease goes on the books.
-                    let id = StitchId(self.next_stitch);
-                    self.next_stitch += 1;
-                    let shards_involved = pending.parts.len();
-                    self.leases.insert(id.0, pending.parts);
-                    self.accepted += 1;
-                    if cross {
-                        self.cross_shard_accepted += 1;
-                    }
-                    let out = &pending.outcome;
-                    self.total_cost += out.cost.total();
-                    self.solver_cache_hits += out.stats.cache_hits;
-                    self.solver_cache_misses += out.stats.cache_misses;
-                    return Ok(Accepted {
-                        lease: id,
-                        cost: out.cost,
-                        shards_involved,
-                    });
+        // The audit target must predate the commit. With a single shard
+        // the stitched view exposes every resource, so it *is* the
+        // unpartitioned residual: solve and audit on that one cache
+        // entry instead of a second network.
+        let (view, unpart) = if self.plan.shards() == 1 {
+            let unpart = self.unpartitioned_residual();
+            (Arc::clone(&unpart), unpart)
+        } else {
+            let view = self.view_for((home as u32, dst as u32), Some(&exposure));
+            (view, self.unpartitioned_residual())
+        };
+        let started = Instant::now();
+        let result = embed_and_commit(&mut self.ledger, &view, sfc, flow, algo, seed);
+        let acc = self.per_algo.entry(algo.name()).or_default();
+        acc.solves += 1;
+        acc.total += started.elapsed();
+        let committed = match result {
+            Ok(committed) => committed,
+            Err(e) => {
+                self.rejected += 1;
+                if e.is_deadline_infeasible() {
+                    self.rejected_deadline += 1;
+                } else if e.is_rule_infeasible() {
+                    self.rejected_rule += 1;
+                } else if matches!(e, EmbedRejection::Solve(_)) {
+                    self.rejected_capacity += 1;
                 }
-                Err(EmbedRejection::Commit(_)) if attempt < MAX_COMMIT_RETRIES => {
-                    attempt += 1;
-                    self.commit_retries += 1;
-                    // Force every cached view to rebuild.
-                    self.views.clear();
-                }
-                Err(e) => {
-                    self.rejected += 1;
-                    if e.is_deadline_infeasible() {
-                        self.rejected_deadline += 1;
-                    } else if e.is_rule_infeasible() {
-                        self.rejected_rule += 1;
-                    } else if matches!(e, EmbedRejection::Solve(_)) {
-                        self.rejected_capacity += 1;
-                    }
-                    return Err(e);
-                }
+                return Err(e);
             }
+        };
+        if let Some((vnf, links)) = self.ledger.lease_loads(committed.lease) {
+            self.changes.mark(vnf, links);
         }
+        // Audit the stitched embedding against the *unpartitioned*
+        // substrate — the same constraints (2)-(10) certificate an
+        // unsharded daemon issues — plus the stitching scope: every VNF
+        // in the home or destination shard, every path link exposed by
+        // the view. A violation releases the lease again.
+        self.audits_run += 1;
+        let out = &committed.outcome;
+        let report = self.auditor.audit_outcome(&unpart, sfc, flow, out);
+        let scope = stitched_scope_violations(
+            &out.embedding,
+            &|node| exposure.node_in_scope(&self.plan, node),
+            &|link| exposure.link_in_scope(&self.plan, self.net, link),
+        );
+        let lease = StitchId::from(committed.lease);
+        if !report.is_clean() || !scope.is_empty() {
+            self.audits_failed += 1;
+            self.release(lease)
+                // lint:allow(expect) — invariant: the lease was committed just above
+                .expect("fresh lease is active");
+            self.rejected += 1;
+            let mut summary = report.summary();
+            if !scope.is_empty() {
+                if !summary.is_empty() {
+                    summary.push_str("; ");
+                }
+                summary.push_str(&scope.join("; "));
+            }
+            return Err(EmbedRejection::Audit(summary));
+        }
+        self.accepted += 1;
+        if cross {
+            self.cross_shard_accepted += 1;
+        }
+        self.total_cost += out.cost.total();
+        self.solver_cache_hits += out.stats.cache_hits;
+        self.solver_cache_misses += out.stats.cache_misses;
+        Ok(Accepted {
+            lease,
+            cost: out.cost,
+        })
     }
 
-    /// Releases a stitched lease: every per-shard sub-lease, in
-    /// **descending** shard order — the reverse of phase-1 acquisition,
-    /// the classic 2PC release discipline (per-ledger releases are
-    /// independent, so the outcome is bit-identical either way; the
-    /// `lock-order` lint pass pins the discipline for future paths).
+    /// Releases a lease, logging the resources it held first.
     pub fn release(&mut self, lease: StitchId) -> NetResult<()> {
-        // lint:ascending(parts) — stitched leases store phase-1 parts
-        // in ascending shard order (built under the by_shard BTreeMap).
-        let parts = self
-            .leases
-            .remove(&lease.0)
+        let id = lease.lease().ok_or(NetError::UnknownLease(lease.0))?;
+        let (vnf, links) = self
+            .ledger
+            .lease_loads(id)
             .ok_or(NetError::UnknownLease(lease.0))?;
-        for (shard, sub) in parts.into_iter().rev() {
-            release_part(&mut self.ledgers[shard], &mut self.changes, sub)?;
-        }
-        Ok(())
+        self.changes.mark(vnf, links);
+        self.ledger.release(id)
     }
 
     /// Whether `lease` is currently outstanding.
     pub fn is_active(&self, lease: StitchId) -> bool {
-        self.leases.contains_key(&lease.0)
+        lease.lease().is_some_and(|id| self.ledger.is_active(id))
     }
 
-    /// Stitched leases currently outstanding.
+    /// Leases currently outstanding.
     pub fn active_leases(&self) -> usize {
-        self.leases.len()
+        self.ledger.active_leases()
     }
 
-    /// Applies one substrate fault to the **owner shard's** ledger —
-    /// faults are region-local, exactly like commits. Returns whether
-    /// the state changed.
+    /// Applies one substrate fault to the ledger, counted against the
+    /// shard that owns its target. Returns whether the state changed.
     pub fn apply_fault(&mut self, event: &FaultEvent) -> NetResult<bool> {
         let shard = match *event {
             FaultEvent::LinkDown { link }
@@ -660,48 +635,37 @@ impl<'n> ShardedEngine<'n> {
                 self.plan.shard_of(node)
             }
         };
-        let changed = self.ledgers[shard].apply_fault(event)?;
+        let changed = self.ledger.apply_fault(event)?;
         if changed {
+            self.faults_applied[shard] += 1;
             self.views.clear();
         }
         Ok(changed)
     }
 
-    /// Sets the owner tag for subsequent commits on every shard ledger
-    /// (`None` clears).
+    /// Sets the owner tag for subsequent commits (`None` clears).
     pub fn set_request_owner(&mut self, owner: Option<u64>) {
-        for ledger in &mut self.ledgers {
-            ledger.set_default_owner(owner);
-        }
+        self.ledger.set_default_owner(owner);
     }
 
-    /// Releases every sub-lease committed under `owner` across all
-    /// shards and drops the stitched leases they belonged to. Returns
-    /// the reclaimed stitched ids, ascending.
+    /// Releases every lease committed under `owner`. Returns the
+    /// reclaimed ids, ascending.
     pub fn reclaim_owner(&mut self, owner: u64) -> Vec<StitchId> {
-        let mut dead: Vec<(usize, LeaseId)> = Vec::new();
-        for (shard, ledger) in self.ledgers.iter_mut().enumerate() {
-            for sub in ledger.reclaim_owner(owner) {
-                dead.push((shard, sub));
-            }
+        let reclaimed = self.ledger.reclaim_owner(owner);
+        if !reclaimed.is_empty() {
+            self.views.clear();
         }
-        if dead.is_empty() {
-            return Vec::new();
-        }
-        self.views.clear();
-        let mut reclaimed = Vec::new();
-        self.leases.retain(|&id, parts| {
-            let hit = parts.iter().any(|p| dead.contains(p));
-            if hit {
-                reclaimed.push(StitchId(id));
-            }
-            !hit
-        });
-        reclaimed
+        reclaimed.into_iter().map(StitchId::from).collect()
     }
 
     /// The engine's aggregate counters.
     pub fn stats(&self) -> ShardedStats {
+        let plan = &self.plan;
+        let loads = self.ledger.state().load_by_region(
+            plan.shards(),
+            |node| plan.shard_of(node),
+            |link| plan.owner_of(link),
+        );
         ShardedStats {
             accepted: self.accepted,
             rejected: self.rejected,
@@ -709,17 +673,16 @@ impl<'n> ShardedEngine<'n> {
             rejected_rule: self.rejected_rule,
             rejected_capacity: self.rejected_capacity,
             total_cost: self.total_cost,
-            active_leases: self.leases.len() as u64,
-            released: self.ledgers.iter().map(|l| l.released_total()).sum(),
-            epoch: self.ledgers.iter().map(|l| l.epoch()).sum(),
-            outstanding_load: self.ledgers.iter().map(|l| l.outstanding_load()).sum(),
+            active_leases: self.ledger.active_leases() as u64,
+            released: self.ledger.released_total(),
+            epoch: self.ledger.epoch(),
+            outstanding_load: self.ledger.outstanding_load(),
             solver_cache_hits: self.solver_cache_hits,
             solver_cache_misses: self.solver_cache_misses,
             audits_run: self.audits_run,
             audits_failed: self.audits_failed,
-            faults_applied: self.ledgers.iter().map(|l| l.faults_applied()).sum(),
-            orphans_reclaimed: self.ledgers.iter().map(|l| l.orphans_reclaimed()).sum(),
-            commit_retries: self.commit_retries,
+            faults_applied: self.ledger.faults_applied(),
+            orphans_reclaimed: self.ledger.orphans_reclaimed(),
             cross_shard_offered: self.cross_shard_offered,
             cross_shard_accepted: self.cross_shard_accepted,
             per_algo: self
@@ -727,124 +690,19 @@ impl<'n> ShardedEngine<'n> {
                 .iter()
                 .map(|(name, acc)| (*name, acc.solves, acc.total))
                 .collect(),
-            per_shard: self
-                .ledgers
-                .iter()
+            per_shard: loads
+                .into_iter()
+                .zip(&self.faults_applied)
                 .enumerate()
-                .map(|(k, l)| ShardLoad {
+                .map(|(k, (outstanding_load, &faults_applied))| ShardLoad {
                     shard: k as u64,
-                    active_leases: l.active_leases() as u64,
-                    released: l.released_total(),
-                    epoch: l.epoch(),
-                    outstanding_load: l.outstanding_load(),
-                    faults_applied: l.faults_applied(),
-                    gateways: self.plan.gateways(k).len() as u64,
+                    outstanding_load,
+                    faults_applied,
+                    gateways: plan.gateways(k).len() as u64,
                 })
                 .collect(),
         }
     }
-}
-
-/// A phase-1 reservation awaiting its audit: one sub-lease per involved
-/// shard, ascending shard order.
-struct PendingCommit {
-    parts: Vec<(usize, LeaseId)>,
-    outcome: dagsfc_core::solvers::SolveOutcome,
-}
-
-/// Phase 1: solve over the stitched view, group the embedding's loads
-/// by owner shard, and reserve them ledger by ledger in ascending shard
-/// order. Any ledger refusal rolls back the reservations already made
-/// and surfaces as an ordinary [`EmbedRejection::Commit`]. Every load
-/// is logged in `changes` before its ledger sees it: a refused commit
-/// rolls its partial reservation back inside the ledger, which may
-/// leave a capacity a rounding step away from where it was.
-#[allow(clippy::too_many_arguments)]
-fn two_phase_reserve(
-    ledgers: &mut [CommitLedger<'_>],
-    changes: &mut ChangeLog,
-    plan: &ShardPlan,
-    view: &Network,
-    sfc: &DagSfc,
-    flow: &Flow,
-    algo: Algo,
-    seed: u64,
-) -> Result<PendingCommit, EmbedRejection> {
-    let solver = algo.build(seed);
-    let out = solver
-        .solve(view, sfc, flow)
-        .map_err(EmbedRejection::Solve)?;
-    let acct = out
-        .embedding
-        .try_account(view, sfc, flow)
-        .map_err(EmbedRejection::Account)?;
-
-    // Group every load by the shard whose ledger owns the resource.
-    type Loads = (Vec<(NodeId, VnfTypeId, f64)>, Vec<(LinkId, f64)>);
-    let mut by_shard: BTreeMap<usize, Loads> = BTreeMap::new();
-    for (&(node, kind), &load) in acct.vnf_load.iter() {
-        by_shard
-            .entry(plan.shard_of(node))
-            .or_default()
-            .0
-            .push((node, kind, load));
-    }
-    for (i, &load) in acct.link_load.iter().enumerate() {
-        if load > 0.0 {
-            let link = LinkId(i as u32);
-            by_shard
-                .entry(plan.owner_of(link))
-                .or_default()
-                .1
-                .push((link, load));
-        }
-    }
-
-    // lint:ascending(parts) — filled strictly in BTreeMap (ascending
-    // shard) order below; the lock-order pass checks every push.
-    let mut parts: Vec<(usize, LeaseId)> = Vec::with_capacity(by_shard.len());
-    for (shard, (vnf_loads, link_loads)) in by_shard {
-        changes.mark(&vnf_loads, &link_loads);
-        // Phase 1 of the shard gateway's 2PC: this module is the
-        // sanctioned multi-ledger commit site, and phase 2 audits the
-        // result before the lease is honored. lint:allow(raw-commit)
-        match ledgers[shard].commit(vnf_loads, link_loads) {
-            Ok(sub) => parts.push((shard, sub)),
-            Err(e) => {
-                rollback(ledgers, changes, &parts);
-                return Err(EmbedRejection::Commit(e));
-            }
-        }
-    }
-    Ok(PendingCommit {
-        parts,
-        outcome: out,
-    })
-}
-
-/// Releases every phase-1 reservation of a failed two-phase commit, in
-/// reverse acquisition order (descending shard), mirroring
-/// [`ShardedEngine::release`].
-fn rollback(ledgers: &mut [CommitLedger<'_>], changes: &mut ChangeLog, parts: &[(usize, LeaseId)]) {
-    // lint:ascending(parts) — phase 1 reserves under the by_shard
-    // BTreeMap, so `parts` is ascending by construction.
-    for &(shard, sub) in parts.iter().rev() {
-        release_part(&mut ledgers[shard], changes, sub)
-            // lint:allow(expect) — invariant: a fresh phase-1 sub-lease is active
-            .expect("sub-lease is active");
-    }
-}
-
-/// Logs the resources a sub-lease holds, then releases it.
-fn release_part(
-    ledger: &mut CommitLedger<'_>,
-    changes: &mut ChangeLog,
-    sub: LeaseId,
-) -> NetResult<()> {
-    if let Some((vnf, links)) = ledger.lease_loads(sub) {
-        changes.mark(vnf, links);
-    }
-    ledger.release(sub)
 }
 
 #[cfg(test)]
@@ -904,10 +762,7 @@ mod tests {
         let lease = lease.expect("some arrival fits");
         let committed = engine.unpartitioned_residual();
         assert!(std::ptr::eq(Arc::as_ptr(&committed), held));
-        assert!(same_capacities(
-            &committed,
-            &engine.raw_ledger(0).residual()
-        ));
+        assert!(same_capacities(&committed, &engine.raw_ledger().residual()));
         let before_release = committed.link_ids().map(|l| committed.link(l).capacity);
         let before_release: Vec<f64> = before_release.collect();
         drop(committed);
@@ -915,7 +770,7 @@ mod tests {
         let released = engine.unpartitioned_residual();
         assert!(std::ptr::eq(Arc::as_ptr(&released), held));
         assert!(Arc::ptr_eq(&released, &engine.views[&UNPARTITIONED].net));
-        assert!(same_capacities(&released, &engine.raw_ledger(0).residual()));
+        assert!(same_capacities(&released, &engine.raw_ledger().residual()));
         let after_release: Vec<f64> = released
             .link_ids()
             .map(|l| released.link(l).capacity)

@@ -1,10 +1,11 @@
 //! # dagsfc-shard — region-partitioned substrate serving
 //!
 //! Splits one substrate [`Network`](dagsfc_net::Network) into `N`
-//! region shards, each backed by its own
-//! [`CommitLedger`](dagsfc_net::CommitLedger) (and therefore its own
-//! lock domain), and serves embedding requests across them without
-//! giving up a single guarantee of the unsharded pipeline:
+//! region shards for routing, stitching and per-region statistics,
+//! over one [`CommitLedger`](dagsfc_net::CommitLedger) for the whole
+//! substrate — the single residual the paper's capacity constraints
+//! bound — without giving up a single guarantee of the unsharded
+//! pipeline:
 //!
 //! - **[`ShardPlan`]** — contiguous-range node partition, per-link
 //!   owner shards, gateway nodes, boundary links.
@@ -12,13 +13,13 @@
 //!   corridors per shard pair (the stitching price oracle).
 //! - **[`ShardRouter`]** — pure, deterministic request → home-shard
 //!   assignment.
-//! - **[`ShardedEngine`]** — stitched residual views, two-phase commit
-//!   across the involved ledgers (reserve → audit → commit, rollback on
-//!   any failure), and the solver-independent audit of every stitched
-//!   embedding against the **unpartitioned** substrate.
+//! - **[`ShardedEngine`]** — stitched residual views, commits through
+//!   `dagsfc_sim::embed_and_commit`, and the solver-independent audit
+//!   of every stitched embedding against the **unpartitioned**
+//!   substrate (a violation releases the lease again).
 //!
 //! The gateway API on [`ShardedEngine`] is the only sanctioned way to
-//! touch a shard's ledger; the `shard-ledger` lint rule fails CI on any
+//! touch the ledger; the `shard-ledger` lint rule fails CI on any
 //! direct access from outside this crate.
 
 #![warn(missing_docs)]
@@ -27,6 +28,6 @@ mod engine;
 mod plan;
 mod router;
 
-pub use engine::{Accepted, ShardLoad, ShardedEngine, ShardedStats, StitchId, MAX_COMMIT_RETRIES};
+pub use engine::{Accepted, ShardLoad, ShardedEngine, ShardedStats, StitchId};
 pub use plan::{GatewayTable, PlanSummary, ShardError, ShardPlan, TransitRoute};
 pub use router::{RoutePolicy, ShardRouter};

@@ -3,8 +3,8 @@
 //! The router is a *pure function* of the plan and the request: no
 //! load feedback, no randomness, no clock. That is a deliberate
 //! serving-layer invariant — the home shard of a request must be the
-//! same on every replica and in every replay, or the
-//! two-phase commit order (and with it the bit-for-bit replay
+//! same on every replica and in every replay, or the stitched view a
+//! request is solved on (and with it the bit-for-bit replay
 //! guarantee) falls apart.
 
 use crate::plan::ShardPlan;

@@ -1,10 +1,10 @@
-//! The engine's residual views are patched in place when the ledgers
-//! move. These tests drive a seeded mix of every ledger mutation the
+//! The engine's residual views are patched in place when the ledger
+//! moves. These tests drive a seeded mix of every ledger mutation the
 //! engine makes — accepted and rejected embeds, releases, link and node
-//! faults, owner reclaims, a forced phase-1 commit failure and (with
-//! shards) a forced audit rollback — and after every step compare the
-//! unpartitioned view against a network rebuilt from the shard ledgers'
-//! states, capacity bit for capacity bit, CSR snapshot included. The
+//! faults, owner reclaims, a forced commit refusal and (with shards) a
+//! forced audit rollback — and after every step compare the
+//! unpartitioned view against a network rebuilt from the ledger's
+//! state, capacity bit for capacity bit, CSR snapshot included. The
 //! stitched views go through the same patch, and debug builds check
 //! each patched refresh against a rebuild inside the engine.
 
@@ -44,21 +44,19 @@ impl Rng {
     }
 }
 
-/// The unpartitioned residual as a fresh rebuild from the shard ledgers:
-/// each resource's owner-ledger remaining capacity, zero while it is out
-/// of service, floored at zero.
+/// The unpartitioned residual as a fresh rebuild from the ledger: each
+/// resource's remaining capacity, zero while it is out of service,
+/// floored at zero.
 fn rebuilt_from_ledgers(engine: &ShardedEngine<'_>) -> Network {
-    let plan = engine.plan();
+    let state = engine.raw_ledger().state();
     engine.network().map_capacities(
         |node, kind, _| {
-            let state = engine.raw_ledger(plan.shard_of(node)).state();
             if !state.node_available(node) {
                 return 0.0;
             }
             state.vnf_remaining(node, kind).expect("instance").max(0.0)
         },
         |link, _| {
-            let state = engine.raw_ledger(plan.owner_of(link)).state();
             if !state.link_available(link) {
                 return 0.0;
             }
@@ -103,19 +101,20 @@ fn assert_view_is_current(engine: &mut ShardedEngine<'_>, step: &str) {
 /// capacity epsilon. Saturating request `i` a hair past the fresh
 /// capacity leaves its resources a hair below zero; the view floors
 /// them at zero, zero still admits a rate below `CAP_EPS`, so the same
-/// request at such a rate lands on them and the ledger refuses it in
-/// phase 1. With shards, a rate below `CAP_EPS` also fits every zeroed
+/// request at such a rate lands on them and the ledger refuses the
+/// commit. With shards, a rate below `CAP_EPS` also fits every zeroed
 /// out-of-scope resource, so a solve that leaves the stitched scope
-/// commits and is rolled back by the audit. Returns the number of
-/// phase-1 failures and audit rollbacks.
+/// commits and is released again by the audit. Returns the number of
+/// requests offered, commit refusals and audit rollbacks.
 fn force_failures(
     engine: &mut ShardedEngine<'_>,
     sim: &SimConfig,
     net: &Network,
     live: &mut Vec<StitchId>,
-) -> (u32, u32) {
-    let (mut commit_failures, mut audit_rollbacks) = (0, 0);
+) -> (u64, u32, u32) {
+    let (mut offered, mut commit_failures, mut audit_rollbacks) = (0, 0, 0);
     let mut offer = |engine: &mut ShardedEngine<'_>, i: usize, rate: f64| {
+        offered += 1;
         let (sfc, flow) = instance_request(sim, net, i);
         let flow = Flow { rate, ..flow };
         let result = engine.embed(&sfc, &flow, Algo::Mbbe, arrival_seed(sim.seed, i));
@@ -139,7 +138,7 @@ fn force_failures(
             offer(engine, i, hair);
         }
     }
-    (commit_failures, audit_rollbacks)
+    (offered, commit_failures, audit_rollbacks)
 }
 
 fn drive(shards: usize, seed: u64, steps: usize) {
@@ -152,16 +151,16 @@ fn drive(shards: usize, seed: u64, steps: usize) {
     let (mut accepted, mut rejected) = (0u32, 0u32);
     assert_view_is_current(&mut engine, "fresh engine");
 
-    let (commit_failures, audit_rollbacks) = force_failures(&mut engine, &sim, &net, &mut live);
-    assert!(
-        commit_failures > 0,
-        "{shards} shards: no phase-1 commit failure"
-    );
+    let (offered, commit_failures, audit_rollbacks) =
+        force_failures(&mut engine, &sim, &net, &mut live);
+    assert!(commit_failures > 0, "{shards} shards: no commit refusal");
     if shards > 1 {
         assert!(audit_rollbacks > 0, "{shards} shards: no audit rollback");
     }
     let stats = engine.stats();
-    assert!(stats.commit_retries > 0);
+    // A refused commit changes nothing, so nothing re-solves it.
+    let solves: u64 = stats.per_algo.iter().map(|a| a.1).sum();
+    assert_eq!(solves, offered, "{shards} shards: one solve per request");
     assert_eq!(stats.audits_failed, u64::from(audit_rollbacks));
 
     let links = net.link_count();

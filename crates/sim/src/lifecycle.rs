@@ -254,15 +254,14 @@ pub struct EmbedSuccess {
 /// with `algo` seeded by `seed`, account the embedding's loads, and
 /// commit them atomically to `ledger`.
 ///
-/// `residual` must reflect `ledger`'s current state (callers either
-/// pass `ledger.residual()` or an epoch-tagged cache of it); the commit
-/// then cannot fail, but if it ever does the ledger is left untouched
-/// and the request is merely rejected. The [`LedgerBackend`] routes
-/// every in-process request through this function. The shard engine
-/// behind the daemon solves and accounts the same way but commits
-/// through its own two-phase reservation across shard ledgers; at one
-/// shard the two decide alike, which is what makes trace replay
-/// bit-for-bit equivalent.
+/// `residual` must reflect `ledger`'s current state (callers pass
+/// `ledger.residual()` or a view patched to it, with resources outside
+/// a shard's scope zeroed); the commit then cannot fail, but if it ever
+/// does the ledger is left untouched and the request is merely
+/// rejected. Every commit goes through this function: the
+/// [`LedgerBackend`] behind in-process runs, and the shard engine
+/// behind the daemon. Both audit the outcome; at one shard they decide
+/// alike, which is what makes trace replay bit-for-bit equivalent.
 pub fn embed_and_commit(
     ledger: &mut CommitLedger<'_>,
     residual: &Network,

@@ -16,8 +16,8 @@
 //! robustness claim manifests at system level.
 
 use crate::config::SimConfig;
+use crate::lifecycle::{arrival_seed, LedgerBackend, LifecycleBackend};
 use crate::runner::{instance_network, instance_request, Algo};
-use dagsfc_net::{LinkId, NetworkState};
 use serde::Serialize;
 
 /// Configuration of one online simulation.
@@ -65,9 +65,12 @@ impl OnlineMetrics {
 
 /// Runs one online simulation: a fixed arrival sequence (deterministic
 /// in the config seed) embedded greedily against shared residual state.
+/// Each request goes through [`LedgerBackend`]'s audited commit, solved
+/// over the ledger's residual, so the solver sees exactly the capacity
+/// that is still available; nothing ever departs.
 pub fn run_online(cfg: &OnlineConfig) -> OnlineMetrics {
     let net = instance_network(&cfg.base);
-    let mut state = NetworkState::new(&net);
+    let mut backend = LedgerBackend::new(&net);
     let mut accepted = 0usize;
     let mut rejected = 0usize;
     let mut total_cost = 0.0;
@@ -80,43 +83,17 @@ pub fn run_online(cfg: &OnlineConfig) -> OnlineMetrics {
 
     for run in 0..cfg.requests {
         let (sfc, flow) = instance_request(&cfg.base, &net, run);
-        // Embed against the residual network so the solver sees exactly
-        // the capacity that is still available.
-        let residual = state.to_residual_network();
-        let solver = cfg.algo.build(cfg.base.seed ^ (run as u64) << 1);
-        // A solver success whose embedding fails accounting (it should
-        // never happen: solvers only place deployed instances) counts as
-        // a rejection rather than aborting the sweep.
-        let solved = solver.solve(&residual, &sfc, &flow).ok().and_then(|out| {
-            let acct = out.embedding.try_account(&residual, &sfc, &flow).ok()?;
-            Some((out, acct))
-        });
-        match solved {
-            Some((out, acct)) => {
-                // Commit the accepted embedding's loads. The solver
-                // validated against the residual capacities, so all
-                // reservations must succeed.
-                for (&(node, kind), &load) in &acct.vnf_load {
-                    state
-                        .reserve_vnf(node, kind, load)
-                        // lint:allow(expect) — invariant: solver respected residual VNF capacity
-                        .expect("solver respected residual VNF capacity");
-                }
-                for (i, &load) in acct.link_load.iter().enumerate() {
-                    if load > 0.0 {
-                        state
-                            .reserve_link(LinkId(i as u32), load)
-                            // lint:allow(expect) — invariant: solver respected residual bandwidth
-                            .expect("solver respected residual bandwidth");
-                    }
-                }
+        let seed = arrival_seed(cfg.base.seed, run);
+        match backend.embed(run, &sfc, &flow, cfg.algo, seed) {
+            Ok(Some((_, cost))) => {
                 accepted += 1;
-                total_cost += out.cost.total();
+                total_cost += cost;
             }
-            None => rejected += 1,
+            _ => rejected += 1,
         }
     }
 
+    let state = backend.ledger.state();
     OnlineMetrics {
         algo: cfg.algo.name(),
         accepted,

@@ -5,7 +5,7 @@
 use dagsfc::core::solvers::{MbbeSolver, MinvSolver, Solver};
 use dagsfc::core::{validate, DagSfc, Flow, Layer, VnfCatalog};
 use dagsfc::net::routing::{k_shortest_paths, min_cost_path, NoFilter};
-use dagsfc::net::{generator, NetGenConfig, Network, NetworkState, NodeId, VnfTypeId};
+use dagsfc::net::{generator, NetGenConfig, Network, NodeId, VnfTypeId};
 use dagsfc::nfp::{catalog::enterprise_catalog, to_hybrid, DependencyMatrix, TransformOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -97,37 +97,6 @@ proptest! {
             let opt = min_cost_path(&net, a, b, &NoFilter).expect("reachable");
             prop_assert!((first.price(&net) - opt.price(&net)).abs() < 1e-9);
         }
-    }
-
-    /// Reserving arbitrary resources and rolling back restores the state
-    /// exactly (checkpoint/rollback is an inverse).
-    #[test]
-    fn state_rollback_is_identity(
-        net in arb_net(),
-        ops in prop::collection::vec((0u32..14, 0u16..5, 0.01f64..0.4), 1..20),
-    ) {
-        let mut state = NetworkState::new(&net);
-        let before_links: Vec<f64> = net
-            .link_ids()
-            .map(|l| state.link_remaining(l).unwrap())
-            .collect();
-        let cp = state.checkpoint();
-        for (raw_node, raw_kind, rate) in ops {
-            let node = NodeId(raw_node % net.node_count() as u32);
-            let kind = VnfTypeId(raw_kind);
-            let _ = state.reserve_vnf(node, kind, rate);
-            if net.link_count() > 0 {
-                let link = dagsfc::net::LinkId(raw_node % net.link_count() as u32);
-                let _ = state.reserve_link(link, rate);
-            }
-        }
-        state.rollback(cp);
-        for (l, &before) in net.link_ids().zip(&before_links) {
-            prop_assert!((state.link_remaining(l).unwrap() - before).abs() < 1e-12);
-        }
-        prop_assert_eq!(state.reservation_count(), 0);
-        prop_assert!(state.total_link_load().abs() < 1e-12);
-        prop_assert!(state.total_vnf_load().abs() < 1e-12);
     }
 
     /// The NFP transformation preserves the NF multiset, keeps every
