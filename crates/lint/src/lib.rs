@@ -8,14 +8,12 @@
 //!   freedom, seeded randomness, oracle-routed paths, audited commits,
 //!   …) re-expressed on tokens, so string literals, comments, and
 //!   multi-line statements are classified correctly.
-//! * **Semantic passes** — three cross-file analyses:
+//! * **Semantic passes** — two cross-file analyses:
 //!   [`determinism`] (unordered `HashMap`/`HashSet` iteration feeding
 //!   ordered output, unseeded RNG constructors, float accumulation
-//!   over unordered sources), [`lock_order`] (every multi-ledger path
-//!   acquires shard ledgers in ascending shard order and releases in
-//!   reverse), and [`audit_gate`] (every `CommitLedger` commit is
-//!   reachable only through `embed_and_commit`, and every caller of it
-//!   audits the result).
+//!   over unordered sources) and [`audit_gate`] (every `CommitLedger`
+//!   commit is reachable only through `embed_and_commit`, and every
+//!   caller of it audits the result).
 //!
 //! Violations honor `lint:allow(rule)` markers (whole-statement
 //! scoped), `#[cfg(test)]` regions, and a checked-in baseline file
@@ -37,7 +35,6 @@ pub mod baseline;
 pub mod cli;
 pub mod determinism;
 pub mod lexer;
-pub mod lock_order;
 pub mod output;
 pub mod rules;
 pub mod scan;
@@ -128,11 +125,6 @@ pub const RULES: &[(&str, &str)] = &[
          solvers/layering seam, so the partial-order equivalence proof stays centralized",
     ),
     (
-        "lock-order",
-        "multi-ledger paths must acquire shard ledgers in ascending shard order and \
-         release in reverse (the 2PC invariant)",
-    ),
-    (
         "audit-gate",
         "CommitLedger commits are reachable only via embed_and_commit, and every caller \
          of it must audit the outcome",
@@ -203,7 +195,7 @@ pub(crate) fn emit(
     });
 }
 
-/// Runs the full engine — token rules plus all three semantic passes —
+/// Runs the full engine — token rules plus both semantic passes —
 /// over `files` and returns the unallowed violations, sorted by
 /// `(path, line, rule)`.
 pub fn analyze(files: &[SourceFile]) -> Vec<Violation> {
@@ -222,7 +214,6 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Violation> {
         if !ctx.in_fxmap {
             determinism::check(model, &mut out);
         }
-        lock_order::check_file(model, &mut out);
     }
     audit_gate::check(&models, &mut out);
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));

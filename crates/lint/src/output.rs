@@ -145,6 +145,6 @@ mod tests {
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"ruleId\":\"unwrap\""));
         assert!(s.contains("\"startLine\":3"));
-        assert!(s.contains("\"id\":\"lock-order\""));
+        assert!(s.contains("\"id\":\"audit-gate\""));
     }
 }

@@ -3,7 +3,7 @@
 //! (for whole-statement `lint:allow` scoping), `#[cfg(test)]` regions
 //! (tracked by *token* braces, so braces inside string literals can
 //! never end a test module early), function items, `for` loops, and
-//! the allow/ascending comment markers.
+//! the allow comment markers.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
 
@@ -74,8 +74,6 @@ pub struct FileModel {
     pub loops: Vec<ForLoop>,
     /// Allow markers.
     pub allows: Vec<AllowMarker>,
-    /// Idents declared ascending-by-shard via `lint:ascending(name)`.
-    pub ascending: Vec<String>,
 }
 
 impl FileModel {
@@ -86,7 +84,7 @@ impl FileModel {
         let test_regions = find_test_regions(&lexed.toks);
         let fns = find_fns(&lexed.toks);
         let loops = find_for_loops(&lexed.toks);
-        let (allows, ascending) = parse_markers(&lexed.comments);
+        let allows = parse_allows(&lexed.comments);
         FileModel {
             path: path.to_string(),
             lines: src.lines().map(str::to_string).collect(),
@@ -97,7 +95,6 @@ impl FileModel {
             fns,
             loops,
             allows,
-            ascending,
         }
     }
 
@@ -127,14 +124,6 @@ impl FileModel {
             .iter()
             .filter(|f| i > f.body_start && i < f.body_end)
             .min_by_key(|f| f.body_end - f.body_start)
-    }
-
-    /// The innermost `for` loop whose body contains token index `i`.
-    pub fn loop_of(&self, i: usize) -> Option<&ForLoop> {
-        self.loops
-            .iter()
-            .filter(|l| i > l.body_start && i < l.body_end)
-            .min_by_key(|l| l.body_end - l.body_start)
     }
 
     /// Whether a finding for `rule` at token `i` (on `line`) is
@@ -348,32 +337,26 @@ fn find_for_loops(toks: &[Tok]) -> Vec<ForLoop> {
     loops
 }
 
-fn parse_markers(comments: &[Comment]) -> (Vec<AllowMarker>, Vec<String>) {
+fn parse_allows(comments: &[Comment]) -> Vec<AllowMarker> {
+    let marker = "lint:allow(";
     let mut allows = Vec::new();
-    let mut ascending = Vec::new();
     for c in comments {
-        for (marker, sink) in [("lint:allow(", 0usize), ("lint:ascending(", 1usize)] {
-            let mut rest = c.text.as_str();
-            while let Some(pos) = rest.find(marker) {
-                rest = &rest[pos + marker.len()..];
-                let inner = rest.split(')').next().unwrap_or("");
-                let names: Vec<String> = inner
-                    .split(',')
-                    .map(|r| r.trim().to_string())
-                    .filter(|r| !r.is_empty())
-                    .collect();
-                if sink == 0 {
-                    allows.push(AllowMarker {
-                        line: c.line,
-                        rules: names,
-                    });
-                } else {
-                    ascending.extend(names);
-                }
-            }
+        let mut rest = c.text.as_str();
+        while let Some(pos) = rest.find(marker) {
+            rest = &rest[pos + marker.len()..];
+            let inner = rest.split(')').next().unwrap_or("");
+            let rules = inner
+                .split(',')
+                .map(|r| r.trim().to_string())
+                .filter(|r| !r.is_empty())
+                .collect();
+            allows.push(AllowMarker {
+                line: c.line,
+                rules,
+            });
         }
     }
-    (allows, ascending)
+    allows
 }
 
 #[cfg(test)]
@@ -416,7 +399,7 @@ mod tests {
         assert_eq!(m.fns[0].name, "outer");
         assert_eq!(m.loops.len(), 1);
         let it = m.toks.iter().position(|t| t.is_ident("use_it")).unwrap();
-        assert!(m.loop_of(it).is_some());
+        assert!(it > m.loops[0].body_start && it < m.loops[0].body_end);
         assert_eq!(m.fn_of(it).map(|f| f.name.as_str()), Some("outer"));
     }
 

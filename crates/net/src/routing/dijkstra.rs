@@ -72,7 +72,30 @@ pub(crate) fn search_in<F: LinkFilter>(
     target: Option<NodeId>,
     scratch: &mut RoutingScratch,
 ) {
-    search_weighted_in(snap, source, filter, target, scratch, ArcWeight::Price)
+    let stop = target.map_or(Stop::Exhausted, Stop::Settled);
+    search_weighted_in(snap, &[source], filter, stop, scratch, ArcWeight::Price)
+}
+
+/// Settles in `scratch` every node whose price distance from the
+/// nearest of `sources` is at most `radius`, ties at the radius
+/// included (`f64::INFINITY` settles every reachable node), over the
+/// links `filter` admits.
+///
+/// Every source starts at 0.0, so a node's distance is the least of its
+/// [`ShortestPathTree::dist_to`] over the sources' trees under the same
+/// filter, bit for bit. With one source, a settled node's distance and
+/// path are that source's tree's. Read them with
+/// [`RoutingScratch::settled_dist`] and [`RoutingScratch::settled_path`].
+pub fn settle_within_in<F: LinkFilter>(
+    net: &Network,
+    sources: &[NodeId],
+    filter: &F,
+    radius: f64,
+    scratch: &mut RoutingScratch,
+) {
+    let snap: &NetworkSnapshot = net.snapshot();
+    let stop = Stop::Beyond(radius);
+    search_weighted_in(snap, sources, filter, stop, scratch, ArcWeight::Price);
 }
 
 /// Predecessor entry of the source and of unreached nodes.
@@ -241,7 +264,8 @@ impl ShortestPathTree {
         weight: ArcWeight,
     ) -> Self {
         let snap: &NetworkSnapshot = net.snapshot();
-        search_weighted_in(snap, source, filter, target, scratch, weight);
+        let stop = target.map_or(Stop::Exhausted, Stop::Settled);
+        search_weighted_in(snap, &[source], filter, stop, scratch, weight);
         let n = snap.node_count();
         let mut dist = Vec::with_capacity(n);
         let mut prev = Vec::with_capacity(n);
@@ -359,7 +383,7 @@ pub fn min_cost_path_in<F: LinkFilter>(
     }
     let snap: &NetworkSnapshot = net.snapshot();
     search_in(snap, from, filter, Some(to), scratch);
-    scratch.extract_path(from, to)
+    scratch.settled_path(to)
 }
 
 #[cfg(test)]
@@ -523,6 +547,39 @@ mod tests {
         for weight in [ArcWeight::Price, ArcWeight::Lagrange(0.5)] {
             assert_eq!(prev_links(&g, 0, &no_chord, weight), want, "{weight:?}");
         }
+    }
+
+    /// Seeded at several sources, the search gives each node the least
+    /// of its distances in the sources' trees; from one source, a radius
+    /// settles every node at most that far, with its tree path, ties at
+    /// the radius included, and no node farther.
+    #[test]
+    fn settle_within_takes_the_nearest_source_and_stops_past_the_radius() {
+        let g = uniform_ring();
+        let mut scratch = RoutingScratch::new();
+        let sources = [NodeId(3), NodeId(17)];
+        let trees = sources.map(|s| ShortestPathTree::build(&g, s, &NoFilter, None));
+        settle_within_in(&g, &sources, &NoFilter, f64::INFINITY, &mut scratch);
+        for v in g.node_ids() {
+            let least = trees.iter().filter_map(|t| t.dist_to(v)).reduce(f64::min);
+            assert_eq!(scratch.settled_dist(v), least, "node {v:?}");
+        }
+        let tree = ShortestPathTree::build(&g, NodeId(0), &NoFilter, None);
+        settle_within_in(&g, &[NodeId(0)], &NoFilter, 2.0, &mut scratch);
+        let mut at_radius = 0;
+        for v in g.node_ids() {
+            let d = tree.dist_to(v).expect("the ring is connected");
+            at_radius += usize::from(d == 2.0);
+            assert_eq!(
+                scratch.settled_dist(v),
+                (d <= 2.0).then_some(d),
+                "node {v:?}"
+            );
+            let path = scratch.settled_path(v).map(|p| p.links().to_vec());
+            let want = (d <= 2.0).then(|| tree.path_to(v).expect("reached").links().to_vec());
+            assert_eq!(path, want, "node {v:?}");
+        }
+        assert!(at_radius > 1, "the radius must cut through a tie");
     }
 
     #[test]

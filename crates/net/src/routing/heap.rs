@@ -2,7 +2,8 @@
 //! snapshot.
 //!
 //! Every weighted query in the workspace — min-cost paths, oracle trees,
-//! Steiner rounds, LARAC's `Delay` and `Lagrange(λ)` trees — runs the
+//! Steiner rounds, LARAC's `Delay` and `Lagrange(λ)` trees, the shard
+//! layer's multi-source and radius-bounded corridor searches — runs the
 //! loop in [`settle_until`]. Its queue pops the cheapest distance first and
 //! breaks ties on the smaller node id, so predecessor trees are a pure
 //! function of the network, the filter and the weight.
@@ -98,6 +99,9 @@ pub(crate) enum Stop {
     /// nodes with a finite distance are then exactly the frontier, so a
     /// later run can resume from them.
     Relaxed(NodeId),
+    /// At the first pop farther than the radius: every node at most the
+    /// radius away is settled, ties at the radius included.
+    Beyond(f64),
 }
 
 /// The Dijkstra loop: pops the frontier in (distance, node id) order,
@@ -119,6 +123,9 @@ pub(crate) fn settle_until<S: SearchState, F: LinkFilter>(
     while let Some((d, node)) = heap.pop() {
         if state.is_settled(node) {
             continue;
+        }
+        if matches!(stop, Stop::Beyond(radius) if d > radius) {
+            return false;
         }
         state.settle(node);
         if stop == Stop::Settled(node) {
@@ -143,22 +150,29 @@ pub(crate) fn settle_until<S: SearchState, F: LinkFilter>(
     true
 }
 
-/// Runs the weighted CSR Dijkstra loop, leaving distances and
-/// predecessors in `scratch` under a fresh epoch. With an early
-/// `target`, the search stops once the target is settled.
+/// Runs the weighted CSR Dijkstra loop from every node of `sources`,
+/// each seeded at 0.0, until `stop`, leaving distances and predecessors
+/// in `scratch` under a fresh epoch.
+///
+/// A node's distance is then the least over the sources of its distance
+/// from that source alone, bit for bit: rounding is monotone and adding
+/// a non-negative weight never lowers a sum, so each search finds the
+/// least left-to-right sum over its paths, whatever order it settles
+/// nodes in.
 pub(crate) fn search_weighted_in<F: LinkFilter>(
     snap: &NetworkSnapshot,
-    source: NodeId,
+    sources: &[NodeId],
     filter: &F,
-    target: Option<NodeId>,
+    stop: Stop,
     scratch: &mut RoutingScratch,
     weight: ArcWeight,
 ) {
     scratch.begin(snap.node_count());
-    scratch.relax(source, 0.0, None);
     let mut heap = std::mem::take(&mut scratch.heap);
-    heap.push(0.0, source);
-    let stop = target.map_or(Stop::Exhausted, Stop::Settled);
+    for &source in sources {
+        scratch.relax(source, 0.0, None);
+        heap.push(0.0, source);
+    }
     settle_until(snap, filter, weight, scratch, &mut heap, stop);
     scratch.heap = heap;
 }

@@ -33,7 +33,9 @@ pub use csp::{
     constrained_min_cost_path, constrained_min_cost_path_exact, constrained_path,
     constrained_path_in, ConstrainedPath,
 };
-pub use dijkstra::{min_cost_path, min_cost_path_in, ArcWeight, ShortestPathTree};
+pub use dijkstra::{
+    min_cost_path, min_cost_path_in, settle_within_in, ArcWeight, ShortestPathTree,
+};
 pub use disjoint::{disjoint_path_pair, DisjointPair};
 pub use ksp::k_shortest_paths;
 pub use scratch::{with_thread_scratch, RoutingScratch};

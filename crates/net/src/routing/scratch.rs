@@ -124,12 +124,17 @@ impl RoutingScratch {
         (p != NO_PREV).then_some((NodeId(p), LinkId(l)))
     }
 
-    /// Extracts the found path `from -> to` from the predecessor chain
-    /// of the current search, or `None` when `to` was not reached.
-    pub(crate) fn extract_path(&self, from: NodeId, to: NodeId) -> Option<Path> {
-        if !self.dist(to).is_finite() {
-            return None;
-        }
+    /// The distance the last weighted search settled `v` at, or `None`
+    /// when it did not settle `v`.
+    pub fn settled_dist(&self, v: NodeId) -> Option<f64> {
+        (self.settled.get(v.index()) == Some(&self.epoch)).then(|| self.dist[v.index()])
+    }
+
+    /// The path the last weighted search settled `to` by, from the source
+    /// its predecessor chain starts at, or `None` when it did not settle
+    /// `to`.
+    pub fn settled_path(&self, to: NodeId) -> Option<Path> {
+        self.settled_dist(to)?;
         let mut nodes = vec![to];
         let mut links = Vec::new();
         let mut cur = to;
@@ -138,7 +143,6 @@ impl RoutingScratch {
             links.push(l);
             cur = p;
         }
-        debug_assert_eq!(cur, from);
         nodes.reverse();
         links.reverse();
         // Contiguity holds by construction of the predecessor chain.

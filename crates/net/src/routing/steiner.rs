@@ -100,7 +100,7 @@ pub fn multicast_tree_in<F: LinkFilter>(
             let (d, entry) = closest?; // a terminal can't reach the tree → fail
             if best.as_ref().is_none_or(|(bd, _, _)| d < *bd) {
                 // The entry was reached this search, so the path exists.
-                let path = scratch.extract_path(t, entry)?;
+                let path = scratch.settled_path(entry)?;
                 best = Some((d, i, path));
             }
         }

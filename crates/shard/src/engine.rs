@@ -80,15 +80,23 @@ pub struct Accepted {
 }
 
 /// Which resources a stitched view exposes.
-struct Exposure {
+struct Exposure<'t> {
     home: usize,
     dst: usize,
     /// Links of the precomputed corridor between `home` and `dst`,
     /// ascending (empty for intra-shard views).
-    corridor: Vec<LinkId>,
+    corridor: &'t [LinkId],
 }
 
-impl Exposure {
+impl<'t> Exposure<'t> {
+    fn new(table: &'t GatewayTable, home: usize, dst: usize) -> Self {
+        Exposure {
+            home,
+            dst,
+            corridor: table.corridor_links(home, dst),
+        }
+    }
+
     fn node_in_scope(&self, plan: &ShardPlan, node: NodeId) -> bool {
         let s = plan.shard_of(node);
         s == self.home || s == self.dst
@@ -420,19 +428,24 @@ impl<'n> ShardedEngine<'n> {
         &self.ledger
     }
 
-    /// Refreshes (or builds) the residual view for `exposure`; `None`
-    /// exposes every shard — the unpartitioned residual the auditor
-    /// checks against. A cached view the caller no longer shares is
-    /// patched in place with the changes logged since it was current.
-    fn view_for(&mut self, key: (u32, u32), exposure: Option<&Exposure>) -> Arc<Network> {
+    /// Refreshes (or builds) the residual view cached under `key`: the
+    /// stitched view of a `(home, dst)` pair, or with [`UNPARTITIONED`]
+    /// every shard — the unpartitioned residual the auditor checks
+    /// against. A cached view the caller no longer shares is patched in
+    /// place with the changes logged since it was current.
+    fn view_for(&mut self, key: (u32, u32)) -> Arc<Network> {
         let ShardedEngine {
             net,
             plan,
+            table,
             ledger,
             views,
             changes,
             ..
         } = self;
+        let exposure =
+            (key != UNPARTITIONED).then(|| Exposure::new(table, key.0 as usize, key.1 as usize));
+        let exposure = exposure.as_ref();
         let (net, end, epoch) = (*net, changes.end(), ledger.epoch());
         if let Some(cached) = views.get_mut(&key) {
             // An epoch that moved with nothing logged is a missed mark,
@@ -473,38 +486,17 @@ impl<'n> ShardedEngine<'n> {
         built
     }
 
-    fn exposure(&self, home: usize, dst: usize) -> Exposure {
-        let corridor = if home == dst {
-            Vec::new()
-        } else {
-            self.table
-                .corridor(home, dst)
-                .map(|r| {
-                    let mut links = r.path.links().to_vec();
-                    links.sort_unstable();
-                    links
-                })
-                .unwrap_or_default()
-        };
-        Exposure {
-            home,
-            dst,
-            corridor,
-        }
-    }
-
     /// The unpartitioned residual: the ledger's state over every shard.
     /// The audit target.
     pub fn unpartitioned_residual(&mut self) -> Arc<Network> {
-        self.view_for(UNPARTITIONED, None)
+        self.view_for(UNPARTITIONED)
     }
 
     /// The stitched view a request homed at shard `home` for a
     /// destination in shard `dst` is solved on (with one shard, embeds
     /// solve on [`Self::unpartitioned_residual`] instead).
     pub fn stitched_view(&mut self, home: usize, dst: usize) -> Arc<Network> {
-        let exposure = self.exposure(home, dst);
-        self.view_for((home as u32, dst as u32), Some(&exposure))
+        self.view_for((home as u32, dst as u32))
     }
 
     /// Solves, commits and audits one request. Counted either way.
@@ -521,7 +513,6 @@ impl<'n> ShardedEngine<'n> {
         if cross {
             self.cross_shard_offered += 1;
         }
-        let exposure = self.exposure(home, dst);
         // The audit target must predate the commit. With a single shard
         // the stitched view exposes every resource, so it *is* the
         // unpartitioned residual: solve and audit on that one cache
@@ -530,8 +521,7 @@ impl<'n> ShardedEngine<'n> {
             let unpart = self.unpartitioned_residual();
             (Arc::clone(&unpart), unpart)
         } else {
-            let view = self.view_for((home as u32, dst as u32), Some(&exposure));
-            (view, self.unpartitioned_residual())
+            (self.stitched_view(home, dst), self.unpartitioned_residual())
         };
         let started = Instant::now();
         let result = embed_and_commit(&mut self.ledger, &view, sfc, flow, algo, seed);
@@ -563,6 +553,7 @@ impl<'n> ShardedEngine<'n> {
         self.audits_run += 1;
         let out = &committed.outcome;
         let report = self.auditor.audit_outcome(&unpart, sfc, flow, out);
+        let exposure = Exposure::new(&self.table, home, dst);
         let scope = stitched_scope_violations(
             &out.embedding,
             &|node| exposure.node_in_scope(&self.plan, node),

@@ -10,7 +10,8 @@
 //! - **[`ShardPlan`]** — contiguous-range node partition, per-link
 //!   owner shards, gateway nodes, boundary links.
 //! - **[`GatewayTable`]** — precomputed min-cost gateway-to-gateway
-//!   corridors per shard pair (the stitching price oracle).
+//!   corridors per shard pair (the stitching price oracle), priced at
+//!   start-up by one multi-source search per home shard.
 //! - **[`ShardRouter`]** — pure, deterministic request → home-shard
 //!   assignment.
 //! - **[`ShardedEngine`]** — stitched residual views, commits through
@@ -29,5 +30,5 @@ mod plan;
 mod router;
 
 pub use engine::{Accepted, ShardLoad, ShardedEngine, ShardedStats, StitchId};
-pub use plan::{GatewayTable, PlanSummary, ShardError, ShardPlan, TransitRoute};
+pub use plan::{GatewayTable, ShardError, ShardPlan, TransitRoute};
 pub use router::{RoutePolicy, ShardRouter};

@@ -7,16 +7,16 @@
 //! the endpoints of links that cross a shard boundary. Gateways are
 //! where cross-shard embeddings are stitched together.
 //!
-//! On top of the plan, a [`GatewayTable`] prices the min-cost transit
-//! between every ordered pair of gateways over the base (full-capacity)
-//! substrate, and distils it into one *corridor* per ordered shard pair
-//! — the cheapest gateway-to-gateway route that a stitched embedding
-//! between those shards is allowed to use. The table
-//! is the pricing oracle of the stitching step: gateway selection is a
-//! table lookup, never a per-request graph search.
+//! On top of the plan, a [`GatewayTable`] holds one *corridor* per
+//! ordered shard pair: the cheapest gateway-to-gateway route over the
+//! base (full-capacity) substrate, which a stitched embedding between
+//! those shards is allowed to use. One search per home shard prices
+//! all of its corridors at once. The table is the pricing oracle of the
+//! stitching step: gateway selection is a table lookup, never a
+//! per-request graph search.
 
-use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle};
-use serde::Serialize;
+use dagsfc_net::routing::{settle_within_in, NoFilter, RoutingScratch};
+use dagsfc_net::{LinkId, Network, NodeId, Path};
 use std::collections::BTreeMap;
 
 /// Shard-layer failures.
@@ -158,121 +158,125 @@ pub struct TransitRoute {
     pub path: Path,
 }
 
-/// The inter-gateway distance table: min-cost transit between every
-/// gateway pair over the base substrate, distilled into the cheapest
-/// corridor per ordered shard pair.
+/// A corridor: its route, and the route's links in ascending order for
+/// the stitched views' scope checks.
+#[derive(Debug, Clone)]
+struct Corridor {
+    route: TransitRoute,
+    links: Vec<LinkId>,
+}
+
+impl Corridor {
+    /// The corridor along `path`, whose summed link price is `price`.
+    fn new(net: &Network, path: Path, price: f64) -> Corridor {
+        let mut links = path.links().to_vec();
+        links.sort_unstable();
+        let route = TransitRoute {
+            from: path.source(),
+            to: path.target(),
+            price,
+            delay_us: path.delay_us(net),
+            path,
+        };
+        Corridor { route, links }
+    }
+}
+
+/// Whether the last search in `scratch` settled `v` at exactly `price`.
+fn settled_at(scratch: &RoutingScratch, v: NodeId, price: f64) -> bool {
+    scratch.settled_dist(v).map(f64::to_bits) == Some(price.to_bits())
+}
+
+/// The inter-gateway distance table: the cheapest gateway-to-gateway
+/// transit over the base substrate, one corridor per ordered shard pair.
 #[derive(Debug, Clone, Default)]
 pub struct GatewayTable {
     /// `(home, dst)` shard pair → cheapest gateway-to-gateway route.
-    corridors: BTreeMap<(u32, u32), TransitRoute>,
-    /// Number of gateway pairs priced while building the table.
-    pairs_priced: usize,
+    corridors: BTreeMap<(u32, u32), Corridor>,
 }
 
 impl GatewayTable {
-    /// Prices every cross-shard gateway pair of `plan` over the base
-    /// capacities of `net` and keeps the cheapest route per ordered
-    /// shard pair (ties broken by ascending gateway ids, so the table
-    /// is deterministic).
+    /// The cheapest route from a gateway of one shard to a gateway of
+    /// another, for every ordered shard pair that any such route joins,
+    /// over every link of `net` at its base price. On a price tie the
+    /// lowest entry gateway wins, then the lowest exit gateway, so the
+    /// table is deterministic. One shard has no corridor to price.
     ///
-    /// Routing goes through a [`PathOracle`] at rate 0 — base topology,
-    /// no residual-capacity dependence — so the table never changes
-    /// during serving and gateway selection stays a lookup.
+    /// The routes ignore capacity, so the table never changes during
+    /// serving and gateway selection stays a lookup.
     ///
-    /// Each pair is priced by its tree distance; only a pair that beats
-    /// the corridor so far gets its path built. The distance has the
-    /// bits of the path's [`Path::price`]: both add the same link prices
-    /// in the same order from the source.
+    /// Per home shard, one search seeded at 0.0 from all of its gateways
+    /// prices every destination shard: a node's distance is the least
+    /// over the gateways of its distance in that gateway's own
+    /// shortest-path tree, bit for bit (see [`settle_within_in`]). Then
+    /// searches from the home gateways in ascending id, each settling
+    /// only as far as the dearest corridor still unplaced, find every
+    /// corridor's entry gateway: the first whose search settles a
+    /// destination gateway at exactly the corridor's price. Its
+    /// predecessors give the path, whose [`Path::price`] has the same
+    /// bits: both add the same link prices in the same order.
     pub fn build(net: &Network, plan: &ShardPlan) -> GatewayTable {
-        let oracle = PathOracle::new(net);
-        let mut corridors: BTreeMap<(u32, u32), TransitRoute> = BTreeMap::new();
-        let mut pairs_priced = 0usize;
+        let mut corridors = BTreeMap::new();
+        if plan.shards() < 2 {
+            return GatewayTable { corridors };
+        }
+        let mut scratch = RoutingScratch::new();
         for home in 0..plan.shards() {
-            for dst in 0..plan.shards() {
-                if home == dst {
+            let gateways = plan.gateways(home);
+            settle_within_in(net, gateways, &NoFilter, f64::INFINITY, &mut scratch);
+            // Per destination: the corridor's price, and the exits this
+            // search settled at exactly that price. No home gateway alone
+            // reaches an exit for less than the nearest one does, so only
+            // these exits can end the corridor.
+            let mut open = Vec::new();
+            for dst in (0..plan.shards()).filter(|&dst| dst != home) {
+                let exits = plan.gateways(dst).iter().copied();
+                let dists = exits.clone().filter_map(|gb| scratch.settled_dist(gb));
+                let Some(price) = dists.reduce(f64::min) else {
                     continue;
-                }
-                let key = (home as u32, dst as u32);
-                for &ga in plan.gateways(home) {
-                    let tree = oracle.tree(ga, 0.0);
-                    for &gb in plan.gateways(dst) {
-                        let Some(price) = tree.dist_to(gb) else {
-                            continue;
-                        };
-                        pairs_priced += 1;
-                        // Strict `<`: the ascending (ga, gb) iteration
-                        // order makes the lowest-id pair win ties.
-                        if corridors.get(&key).is_some_and(|cur| price >= cur.price) {
-                            continue;
-                        }
-                        let Some(path) = tree.path_to(gb) else {
-                            continue;
-                        };
-                        let delay_us = path.delay_us(net);
-                        corridors.insert(
-                            key,
-                            TransitRoute {
-                                from: ga,
-                                to: gb,
-                                price,
-                                delay_us,
-                                path,
-                            },
-                        );
-                    }
-                }
+                };
+                let exits: Vec<NodeId> = exits
+                    .filter(|&gb| settled_at(&scratch, gb, price))
+                    .collect();
+                open.push((dst, price, exits));
+            }
+            for &ga in gateways {
+                let Some(radius) = open.iter().map(|&(_, price, _)| price).reduce(f64::max) else {
+                    break;
+                };
+                settle_within_in(net, &[ga], &NoFilter, radius, &mut scratch);
+                open.retain(|&(dst, price, ref exits)| {
+                    let exit = exits.iter().find(|&&gb| settled_at(&scratch, gb, price));
+                    let Some(path) = exit.and_then(|&gb| scratch.settled_path(gb)) else {
+                        return true;
+                    };
+                    let corridor = Corridor::new(net, path, price);
+                    corridors.insert((home as u32, dst as u32), corridor);
+                    false
+                });
             }
         }
-        GatewayTable {
-            corridors,
-            pairs_priced,
-        }
+        GatewayTable { corridors }
     }
 
     /// The cheapest precomputed corridor from `home` to `dst`, if the
     /// pair is connected through any gateway pair.
     pub fn corridor(&self, home: usize, dst: usize) -> Option<&TransitRoute> {
-        self.corridors.get(&(home as u32, dst as u32))
+        self.corridors
+            .get(&(home as u32, dst as u32))
+            .map(|c| &c.route)
+    }
+
+    /// The links of the corridor from `home` to `dst`, ascending; empty
+    /// when the pair has none.
+    pub fn corridor_links(&self, home: usize, dst: usize) -> &[LinkId] {
+        self.corridors
+            .get(&(home as u32, dst as u32))
+            .map_or(&[], |c| &c.links)
     }
 
     /// Number of distinct shard pairs with a priced corridor.
     pub fn corridor_count(&self) -> usize {
         self.corridors.len()
-    }
-
-    /// Number of gateway pairs priced while building the table.
-    pub fn pairs_priced(&self) -> usize {
-        self.pairs_priced
-    }
-}
-
-/// JSON-friendly summary of a plan (the `dagsfc shard plan` command).
-#[derive(Debug, Serialize)]
-pub struct PlanSummary {
-    /// Number of shards.
-    pub shards: usize,
-    /// Nodes per shard.
-    pub shard_sizes: Vec<usize>,
-    /// Gateway count per shard.
-    pub gateway_counts: Vec<usize>,
-    /// Total boundary-crossing links.
-    pub cross_links: usize,
-    /// Shard pairs with a priced corridor.
-    pub corridors: usize,
-    /// Gateway pairs priced while building the table.
-    pub pairs_priced: usize,
-}
-
-impl PlanSummary {
-    /// Summarizes `plan` + `table`.
-    pub fn new(plan: &ShardPlan, table: &GatewayTable) -> PlanSummary {
-        PlanSummary {
-            shards: plan.shards(),
-            shard_sizes: (0..plan.shards()).map(|k| plan.shard_size(k)).collect(),
-            gateway_counts: (0..plan.shards()).map(|k| plan.gateways(k).len()).collect(),
-            cross_links: plan.cross_links().len(),
-            corridors: table.corridor_count(),
-            pairs_priced: table.pairs_priced(),
-        }
     }
 }

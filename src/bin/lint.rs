@@ -1,7 +1,7 @@
 //! `dagsfc-lint` — thin shim over the `dagsfc-lint` crate
 //! (`crates/lint`), which hosts the actual engine: a hand-rolled
-//! lexer, the token-based rule catalog, and the determinism /
-//! lock-ordering / audit-coverage semantic passes.
+//! lexer, the token-based rule catalog, and the determinism and
+//! audit-coverage semantic passes.
 //!
 //! Usage (unchanged from the old substring engine, plus baselines and
 //! SARIF):
