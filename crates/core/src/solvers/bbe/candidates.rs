@@ -27,7 +27,7 @@ use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
 use dagsfc_net::routing::{ArcWeight, ShortestPathTree};
-use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
+use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, RateClass, CAP_EPS};
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
@@ -208,13 +208,9 @@ pub(crate) struct EngineCtx<'a> {
     pub flow: Flow,
     pub cfg: &'a BbeConfig,
     oracle: &'a PathOracle<'a>,
-    /// Flat per-link price table (struct-of-arrays copy of
-    /// `net.link(l).price`): candidate scoring sweeps read contiguous
-    /// `f64`s instead of chasing a `Link` struct per relaxed link.
-    link_price: Vec<f64>,
-    /// Flat per-link static rate-feasibility under this flow's rate,
-    /// precomputed once per solve for the same reason.
-    link_rate_ok: Vec<bool>,
+    /// The flow rate's capacity class on the oracle, faults aside: the
+    /// static rate filter, scanned once per rate by the oracle.
+    class: RateClass,
     /// How the chain loads the residual, when lineage loads are tracked:
     /// while no level cut can bind, with or without a delay constraint,
     /// and only if some link or instance the chain can use binds (see
@@ -233,27 +229,23 @@ impl<'a> EngineCtx<'a> {
         oracle: &'a PathOracle<'a>,
     ) -> Self {
         let catalog = *sfc.catalog();
+        let class = oracle.rate_class(flow.rate);
+        // The threshold is the least admitted capacity and `link_binds`
+        // only loosens as capacity grows, so some admitted link binds
+        // exactly when the threshold does.
         let loads = cuts_never_bind(cfg, sfc.depth())
-            .then(|| Loads::new(sfc, &catalog, flow.rate, net.link_count()));
-        let mut link_price = Vec::with_capacity(net.link_count());
-        let mut link_rate_ok = Vec::with_capacity(net.link_count());
-        let mut binds = false;
-        for l in 0..net.link_count() {
-            let link = net.link(LinkId(l as u32));
-            let ok = link.capacity + CAP_EPS >= flow.rate;
-            link_price.push(link.price);
-            link_rate_ok.push(ok);
-            binds |= ok && loads.as_ref().is_some_and(|m| m.link_binds(link.capacity));
-        }
-        let loads = loads.filter(|m| binds || m.any_instance_binds(net));
+            .then(|| Loads::new(sfc, &catalog, flow.rate, net.link_count()))
+            .filter(|m| {
+                (class.threshold.is_finite() && m.link_binds(class.threshold))
+                    || m.any_instance_binds(net)
+            });
         EngineCtx {
             net,
             catalog,
             flow,
             cfg,
             oracle,
-            link_price,
-            link_rate_ok,
+            class,
             loads,
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
@@ -263,7 +255,7 @@ impl<'a> EngineCtx<'a> {
     /// Static rate-feasibility of a link (no global reservations during
     /// the search; complete solutions are re-validated at the end).
     pub fn link_ok(&self, l: LinkId) -> bool {
-        self.link_rate_ok[l.index()]
+        self.class.admits(l)
     }
 
     /// Static rate-feasibility of every link on a path.
@@ -388,13 +380,13 @@ pub(crate) fn layer_cost<'p>(
             for &l in p.links() {
                 if seen.get(l.0) == 0 {
                     seen.add(l.0, 1);
-                    link_price += ctx.link_price[l.index()];
+                    link_price += ctx.net.link(l).price;
                 }
             }
         }
         for p in inner {
             for &l in p.links() {
-                link_price += ctx.link_price[l.index()];
+                link_price += ctx.net.link(l).price;
             }
         }
         CostBreakdown {
@@ -1000,6 +992,83 @@ mod tests {
                 "{name}: at most {largest:?} candidates per pair"
             );
         }
+    }
+
+    /// The engine's static rate filter and its lineage-tracking decision
+    /// read the oracle's rate class. On seeded networks whose link
+    /// capacities sit on and around the rate and the chain's binding
+    /// loads (±`CAP_EPS`, zero, signed zero and ties included), they
+    /// equal the per-link definitions — `capacity + CAP_EPS >= rate`,
+    /// and tracking when some admitted link or some instance binds —
+    /// also while the oracle's overlay marks a link and a node down,
+    /// which the engine's filter ignores.
+    #[test]
+    fn rate_filter_and_tracking_match_the_per_link_definitions() {
+        use crate::solvers::bbe::loads::Loads;
+        use dagsfc_net::{generator, NetGenConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let c = VnfCatalog::new(3);
+        let cfg = BbeConfig::mbbe();
+        let mut outcomes = [0usize; 2];
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rate = [0.5, 1.0, 2.5][seed as usize % 3];
+            let gen = NetGenConfig {
+                nodes: rng.gen_range(6..24usize),
+                avg_degree: 3.0,
+                vnf_kinds: 3,
+                deploy_ratio: 0.6,
+                // Odd seeds: instances fit one use of the rate, not two.
+                vnf_capacity: if seed % 2 == 1 { 1.5 * rate } else { 1e6 },
+                ..NetGenConfig::default()
+            };
+            let mut g = generator::generate(&gen, &mut rng).unwrap();
+            // Capacities on and around m·rate for m from a seeded floor
+            // up, so the least admitted one binds on some seeds only.
+            let floor = rng.gen_range(1..=8u32);
+            let mut palette = vec![0.0, -0.0, 1e6];
+            for m in floor..=8 {
+                for off in [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0] {
+                    palette.push((f64::from(m) * rate + off * CAP_EPS).max(0.0));
+                }
+            }
+            let links: Vec<LinkId> = g.link_ids().collect();
+            for &l in &links {
+                let cap = palette[rng.gen_range(0..palette.len())];
+                g.set_link_capacity(l, cap).unwrap();
+            }
+            let kinds: &[u16] = if seed % 4 < 2 { &[0, 1, 0] } else { &[0, 1, 2] };
+            let kinds: Vec<VnfTypeId> = kinds.iter().map(|&k| VnfTypeId(k)).collect();
+            let sfc = DagSfc::sequential(&kinds, c).unwrap();
+            let flow = Flow {
+                rate,
+                ..Flow::unit(NodeId(0), NodeId(1))
+            };
+            let loads = Loads::new(&sfc, &c, rate, g.link_count());
+            let admits = |l: LinkId| g.link(l).capacity + CAP_EPS >= rate;
+            let binds = links
+                .iter()
+                .any(|&l| admits(l) && loads.link_binds(g.link(l).capacity));
+            let tracked = binds || loads.any_instance_binds(&g);
+            // Links alone decide on the seeds whose instances cannot bind.
+            if !loads.any_instance_binds(&g) {
+                outcomes[usize::from(binds)] += 1;
+            }
+            let oracle = PathOracle::new(&g);
+            for faults in [false, true] {
+                if faults {
+                    oracle.set_link_down(links[seed as usize % links.len()], true);
+                    oracle.set_node_down(NodeId(1), true);
+                }
+                let ctx = EngineCtx::new(&g, &sfc, flow, &cfg, &oracle);
+                for &l in &links {
+                    assert_eq!(ctx.link_ok(l), admits(l), "seed {seed} {l:?}");
+                }
+                assert_eq!(ctx.loads.is_some(), tracked, "seed {seed}");
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n >= 8), "{outcomes:?}");
     }
 
     #[test]

@@ -52,6 +52,7 @@ use crate::vnf::VnfCatalog;
 use dagsfc_net::routing::csp::DELAY_EPS;
 use dagsfc_net::{NodeId, Path};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -264,6 +265,13 @@ impl Solver for MbbeStSolver {
     }
 }
 
+/// The delay SLA a search runs under, borrowed from its source.
+#[derive(Clone, Copy)]
+struct Budget<'a> {
+    model: &'a DelayModel,
+    max_delay_us: f64,
+}
+
 /// Engine entry point shared by BBE and MBBE.
 fn run(
     ctx: &SolveCtx<'_>,
@@ -275,26 +283,28 @@ fn run(
     let start = Instant::now();
     let net = ctx.net;
     precheck(net, sfc, flow)?;
-    let mut cfg = config.clone();
     // Promote a request-level delay budget to a solver-level constraint
     // under the canonical substrate model, so the search itself prunes
     // and ranks deadline-aware instead of relying solely on the
     // post-hoc gate in `Solver::solve_in`. An explicit SLA in the
     // config keeps precedence (it may carry a richer model).
-    if cfg.delay_constraint.is_none() {
-        if let Some(budget) = flow.delay_budget_us {
-            cfg.delay_constraint = Some(DelayConstraint {
-                model: ctx.delay_model().clone(),
-                max_delay_us: budget,
-            });
-        }
-    }
+    let dc = match &config.delay_constraint {
+        Some(dc) => Some(Budget {
+            model: &dc.model,
+            max_delay_us: dc.max_delay_us,
+        }),
+        None => flow.delay_budget_us.map(|budget| Budget {
+            model: ctx.delay_model(),
+            max_delay_us: budget,
+        }),
+    };
+    let mut cfg = Cow::Borrowed(config);
     loop {
         // Counters is the always-on sink so every solve surfaces its
         // statistics; search code internal to `attempt` stays generic so
         // a NoInstrument caller would compile the probes away entirely.
         let mut ins = Counters::default();
-        match attempt(ctx, sfc, flow, &cfg, solver, &mut ins) {
+        match attempt(ctx, sfc, flow, &cfg, dc, solver, &mut ins) {
             Ok((embedding, explored, kept)) => {
                 let cost = embedding.try_cost(net, sfc, flow)?;
                 let mut stats = ins.stats;
@@ -321,7 +331,7 @@ fn run(
                 if !retry {
                     return Err(failed.error);
                 }
-                cfg.x_max = cfg.x_max.map(|x| (x.max(1) * 2).min(net.node_count()));
+                cfg.to_mut().x_max = cfg.x_max.map(|x| (x.max(1) * 2).min(net.node_count()));
             }
         }
     }
@@ -558,12 +568,13 @@ struct Failed {
     capped: bool,
 }
 
-/// One search attempt under a fixed configuration.
+/// One search attempt under a fixed configuration and delay SLA `dc`.
 fn attempt<I: Instrument>(
     ctx: &SolveCtx<'_>,
     sfc: &DagSfc,
     flow: &Flow,
     cfg: &BbeConfig,
+    dc: Option<Budget<'_>>,
     solver: &'static str,
     ins: &mut I,
 ) -> Result<(Embedding, usize, usize), Failed> {
@@ -576,7 +587,6 @@ fn attempt<I: Instrument>(
     // The root plus every candidate that reached a level before its
     // width cap.
     let mut kept = 1usize;
-    let dc = cfg.delay_constraint.as_ref();
     // Accumulated layer delays per sub-solution-tree node, indexed like
     // the tree's arena (root = 0.0). Maintained only under a delay
     // constraint; drives early pruning and the LARAC final-path repair.
@@ -657,8 +667,8 @@ fn attempt<I: Instrument>(
                 }
                 let mut delay = 0.0;
                 if let Some(dc) = dc {
-                    delay = node_delay[parent]
-                        + sub_delay_us(&dc.model, layer, &catalog, &m.arena, sub);
+                    delay =
+                        node_delay[parent] + sub_delay_us(dc.model, layer, &catalog, &m.arena, sub);
                     if cfg.early_delay_pruning && delay > dc.max_delay_us + 1e-9 {
                         // Already over budget with layers still to embed
                         // and the final path unpaid: no completion can
@@ -738,7 +748,7 @@ fn attempt<I: Instrument>(
     // one per leaf. Under a delay SLA the per-leaf forward search is
     // kept: equal-cost final paths can differ in hop count, which the
     // delay model observes.
-    let dst_tree = if cfg.delay_constraint.is_none() {
+    let dst_tree = if dc.is_none() {
         Some(ctx.oracle_tree(flow.dst))
     } else {
         None
@@ -1802,15 +1812,13 @@ mod delay_tests {
         let sfc = DagSfc::sequential(&[VnfTypeId(0)], VnfCatalog::new(1)).unwrap();
         let flow = Flow::unit(NodeId(0), NodeId(6)).with_delay_budget(15.0);
         let ctx = SolveCtx::new(&g);
-        let cfg = BbeConfig {
-            delay_constraint: Some(DelayConstraint {
-                model: ctx.delay_model().clone(),
-                max_delay_us: 15.0,
-            }),
-            ..BbeConfig::mbbe()
+        let dc = Budget {
+            model: ctx.delay_model(),
+            max_delay_us: 15.0,
         };
         let mut ins = Counters::default();
-        let Err(failed) = attempt(&ctx, &sfc, &flow, &cfg, "MBBE", &mut ins) else {
+        let cfg = BbeConfig::mbbe();
+        let Err(failed) = attempt(&ctx, &sfc, &flow, &cfg, Some(dc), "MBBE", &mut ins) else {
             panic!("no route meets a 15 µs budget");
         };
         assert_eq!(

@@ -70,7 +70,7 @@ pub use generator::NetGenConfig;
 pub use graph::{Link, Network, NetworkStats, Node, VnfInstance};
 pub use ids::{LinkId, NodeId, VnfTypeId};
 pub use ledger::{CommitLedger, LeaseId, LeaseLoads};
-pub use oracle::{OracleSession, OracleStats, PathOracle};
+pub use oracle::{OracleSession, OracleStats, PathOracle, RateClass};
 pub use path::Path;
 pub use snapshot::{Arc32, NetworkSnapshot};
 pub use state::{NetworkState, CAP_EPS};

@@ -13,12 +13,18 @@
 //! mutex, so one oracle instance can be shared by all runs (and
 //! threads) of a simulation instance.
 //!
+//! A rate's class ([`RateClass`]) is found in one pass over the links,
+//! which yields the threshold and the links that admit the rate
+//! together, and is memoized per rate. The BBE engine reads the same
+//! class for its static rate filter, so a fresh oracle scans the links
+//! once per rate, whoever asks first.
+//!
 //! A cache miss does not run a search: it returns a tree that settles
 //! nodes on demand (see [`ShortestPathTree`]). Each query settles the
 //! tree only as far as the queried node, and the next query resumes
 //! where the last one stopped, so a tree whose queries reach the nearest
 //! third of the network never settles the rest. The tree captures its
-//! filter — the class threshold and the down links and nodes, as one
+//! filter — the class's links less the down links and nodes, as one
 //! admitted-link set shared by every tree of the class — and the CSR
 //! snapshot when it is built, so its answers are those of a complete
 //! tree built at that moment, whatever the overlay does afterwards.
@@ -52,9 +58,9 @@ use std::sync::Arc;
 /// Default bound on cached trees (LRU-evicted beyond this).
 const DEFAULT_CAPACITY: usize = 1024;
 
-/// Bound on memoized rate → threshold entries, and on cached
-/// admitted-link sets (one per threshold); each memo starts over once
-/// it is full, so an oracle that sees many distinct rates stays small.
+/// Bound on memoized rate classes, and on cached overlay-filtered link
+/// sets (one per threshold); each memo starts over once it is full, so
+/// an oracle that sees many distinct rates stays small.
 const THRESHOLD_MEMO_CAPACITY: usize = 256;
 
 /// Counter snapshot of a [`PathOracle`] (see [`PathOracle::stats`]).
@@ -82,6 +88,60 @@ impl OracleStats {
     }
 }
 
+/// A rate's capacity class on an oracle's network (see
+/// [`PathOracle::rate_class`]): its threshold and the links whose
+/// capacity reaches it, whatever the fault overlay marks down.
+#[derive(Debug, Clone)]
+pub struct RateClass {
+    /// The smallest link capacity that admits the rate (`+∞` when no
+    /// link does).
+    pub threshold: f64,
+    /// Per link: whether its capacity reaches the threshold.
+    links: Arc<[bool]>,
+}
+
+impl RateClass {
+    /// The class of `rate` on `net`, in one pass over the links: a link
+    /// admits the rate unless `capacity + CAP_EPS < rate` (so a NaN rate
+    /// admits every link), and the threshold is the smallest admitting
+    /// capacity, the first in `total_cmp` order among equal values.
+    /// Every link admits the rate exactly when its capacity reaches the
+    /// threshold, so every rate of one class admits the same links.
+    fn scan(net: &Network, rate: f64) -> Self {
+        let mut threshold = f64::INFINITY;
+        let links = net
+            .link_ids()
+            .map(|l| {
+                let c = net.link(l).capacity;
+                let admits = (c + CAP_EPS).partial_cmp(&rate) != Some(std::cmp::Ordering::Less);
+                if admits && c.total_cmp(&threshold).is_lt() {
+                    threshold = c;
+                }
+                admits
+            })
+            .collect();
+        RateClass { threshold, links }
+    }
+
+    /// Whether `link`'s capacity admits the class's rates.
+    #[inline]
+    pub fn admits(&self, link: LinkId) -> bool {
+        self.links[link.index()]
+    }
+}
+
+/// Fault overlay: links and nodes taken out of service. Trees built
+/// while a resource is down exclude it, and flipping any flag flushes
+/// the cache (counted as an invalidation) — the fault-injection
+/// analogue of an epoch bump.
+struct Overlay {
+    links: Vec<bool>,
+    /// Incident links of a down node are excluded too.
+    nodes: Vec<bool>,
+    /// How many flags of `links` and `nodes` are set.
+    down: usize,
+}
+
 /// LRU bookkeeping guarded by the oracle's mutex.
 struct TreeCache {
     /// Price trees keyed by `(source, threshold bits)`.
@@ -90,58 +150,60 @@ struct TreeCache {
     /// keyed by `(source, threshold bits, ArcWeight::cache_key())`.
     /// Flushed together with `map` on every invalidation.
     wmap: FxHashMap<(NodeId, u64, u64), (Arc<ShortestPathTree>, u64)>,
-    /// Memoized [`PathOracle::rate_threshold`] per rate (keyed by the
-    /// rate's bits).
-    thresholds: FxHashMap<u64, f64>,
-    /// Per threshold (keyed by its bits): the links a tree of that
-    /// class may use under the current overlay, shared by the class's
+    /// Memoized [`RateClass`] per rate (keyed by the rate's bits).
+    classes: FxHashMap<u64, RateClass>,
+    /// Per threshold, while the overlay marks anything down: the class's
+    /// links that are up and between up nodes, shared by the class's
     /// trees. Flushed with the trees.
-    admitted: FxHashMap<u64, Arc<[bool]>>,
+    up_links: FxHashMap<u64, Arc<[bool]>>,
     tick: u64,
-    /// Fault overlay: links taken out of service. Trees built while a
-    /// resource is down exclude it, and flipping any flag flushes the
-    /// cache (counted as an invalidation) — the fault-injection
-    /// analogue of an epoch bump.
-    down_links: Vec<bool>,
-    /// Fault overlay: nodes taken out of service (incident links are
-    /// excluded too).
-    down_nodes: Vec<bool>,
-    /// How many flags of `down_links` and `down_nodes` are set.
-    down: usize,
+    overlay: Overlay,
 }
 
 impl TreeCache {
-    /// Drops every cached tree and admitted-link set.
+    /// Drops every cached tree and every overlay-filtered link set.
     fn flush(&mut self) {
         self.map.clear();
         self.wmap.clear();
-        self.admitted.clear();
+        self.up_links.clear();
     }
 
-    /// The links a tree of class `threshold` may use on `net` under the
-    /// current overlay: up, between up nodes, with capacity at least
-    /// `threshold`.
-    fn admitted(&mut self, net: &Network, threshold: f64) -> Arc<[bool]> {
-        let TreeCache {
-            admitted,
-            down_links,
-            down_nodes,
-            ..
-        } = self;
-        if admitted.len() >= THRESHOLD_MEMO_CAPACITY {
-            admitted.clear();
+    /// The class of `rate` on `net`, from the memo or by one pass over
+    /// the links.
+    fn class(&mut self, net: &Network, rate: f64) -> RateClass {
+        let key = rate.to_bits();
+        if self.classes.len() >= THRESHOLD_MEMO_CAPACITY && !self.classes.contains_key(&key) {
+            self.classes.clear();
         }
-        let set = admitted.entry(threshold.to_bits()).or_insert_with(|| {
-            net.link_ids()
-                .map(|l| {
-                    let link = net.link(l);
-                    !down_links[l.index()]
-                        && !down_nodes[link.a.index()]
-                        && !down_nodes[link.b.index()]
-                        && link.capacity >= threshold
-                })
-                .collect()
-        });
+        let class = self.classes.entry(key);
+        class.or_insert_with(|| RateClass::scan(net, rate)).clone()
+    }
+
+    /// The links a tree of `class` may use under the current overlay:
+    /// the class's links, less those down or with a down end.
+    fn tree_links(&mut self, net: &Network, class: &RateClass) -> Arc<[bool]> {
+        let TreeCache {
+            up_links, overlay, ..
+        } = self;
+        if overlay.down == 0 {
+            return Arc::clone(&class.links);
+        }
+        if up_links.len() >= THRESHOLD_MEMO_CAPACITY {
+            up_links.clear();
+        }
+        let set = up_links
+            .entry(class.threshold.to_bits())
+            .or_insert_with(|| {
+                net.link_ids()
+                    .map(|l| {
+                        let link = net.link(l);
+                        class.admits(l)
+                            && !overlay.links[l.index()]
+                            && !overlay.nodes[link.a.index()]
+                            && !overlay.nodes[link.b.index()]
+                    })
+                    .collect()
+            });
         Arc::clone(set)
     }
 }
@@ -176,12 +238,14 @@ impl<'n> PathOracle<'n> {
             cache: Mutex::new(TreeCache {
                 map: FxHashMap::default(),
                 wmap: FxHashMap::default(),
-                thresholds: FxHashMap::default(),
-                admitted: FxHashMap::default(),
+                classes: FxHashMap::default(),
+                up_links: FxHashMap::default(),
                 tick: 0,
-                down_links: vec![false; net.link_count()],
-                down_nodes: vec![false; net.node_count()],
-                down: 0,
+                overlay: Overlay {
+                    links: vec![false; net.link_count()],
+                    nodes: vec![false; net.node_count()],
+                    down: 0,
+                },
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -201,7 +265,15 @@ impl<'n> PathOracle<'n> {
     /// no link does). All rates of one class admit the identical link
     /// set, so their trees are interchangeable.
     pub fn rate_threshold(&self, rate: f64) -> f64 {
-        threshold_in(self.net, &mut self.cache.lock().thresholds, rate)
+        self.rate_class(rate).threshold
+    }
+
+    /// The capacity class of `rate`: its threshold (see
+    /// [`Self::rate_threshold`]) and the links whose capacity admits
+    /// it, faults aside — the static capacity filter
+    /// `capacity + CAP_EPS >= rate` of a finite rate.
+    pub fn rate_class(&self, rate: f64) -> RateClass {
+        self.cache.lock().class(self.net, rate)
     }
 
     /// The shortest-path tree rooted at `source` over links admitting
@@ -225,7 +297,7 @@ impl<'n> PathOracle<'n> {
         rate: f64,
     ) -> Option<(Arc<ShortestPathTree>, bool)> {
         let mut cache = self.cache.lock();
-        (cache.down == 0).then(|| self.price_tree(&mut cache, source, rate))
+        (cache.overlay.down == 0).then(|| self.price_tree(&mut cache, source, rate))
     }
 
     /// The price tree of `(source, class of rate)`, from `cache` (the
@@ -236,8 +308,8 @@ impl<'n> PathOracle<'n> {
         source: NodeId,
         rate: f64,
     ) -> (Arc<ShortestPathTree>, bool) {
-        let threshold = threshold_in(self.net, &mut cache.thresholds, rate);
-        let key = (source, threshold.to_bits());
+        let class = cache.class(self.net, rate);
+        let key = (source, class.threshold.to_bits());
         cache.tick += 1;
         let tick = cache.tick;
         if let Some((tree, last_used)) = cache.map.get_mut(&key) {
@@ -245,9 +317,9 @@ impl<'n> PathOracle<'n> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(tree), true);
         }
-        // Build with the class's canonical threshold so every rate of the
-        // class produces the bit-identical tree.
-        let admitted = cache.admitted(self.net, threshold);
+        // Every rate of the class admits the same links, so every rate of
+        // the class produces the bit-identical tree.
+        let admitted = cache.tree_links(self.net, &class);
         let tree = Arc::new(ShortestPathTree::paused(
             Arc::clone(self.net.snapshot()),
             source,
@@ -301,8 +373,8 @@ impl<'n> PathOracle<'n> {
             return self.tree(source, rate);
         }
         let mut cache = self.cache.lock();
-        let threshold = threshold_in(self.net, &mut cache.thresholds, rate);
-        let key = (source, threshold.to_bits(), weight.cache_key());
+        let class = cache.class(self.net, rate);
+        let key = (source, class.threshold.to_bits(), weight.cache_key());
         cache.tick += 1;
         let tick = cache.tick;
         if let Some((tree, last_used)) = cache.wmap.get_mut(&key) {
@@ -312,7 +384,7 @@ impl<'n> PathOracle<'n> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return tree;
         }
-        let admitted = cache.admitted(self.net, threshold);
+        let admitted = cache.tree_links(self.net, &class);
         let tree = Arc::new(ShortestPathTree::paused(
             Arc::clone(self.net.snapshot()),
             source,
@@ -379,36 +451,30 @@ impl<'n> PathOracle<'n> {
     /// changed; a change flushes every cached tree (one invalidation),
     /// since any of them may route over the link.
     pub fn set_link_down(&self, link: LinkId, down: bool) -> bool {
-        let mut cache = self.cache.lock();
-        let flag = match cache.down_links.get_mut(link.index()) {
-            Some(f) => f,
-            None => return false,
-        };
-        if *flag == down {
-            return false;
-        }
-        *flag = down;
-        cache.down = if down { cache.down + 1 } else { cache.down - 1 };
-        cache.flush();
-        drop(cache);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        true
+        self.set_down(down, |o| o.links.get_mut(link.index()))
     }
 
     /// Marks `node` in or out of service (incident links are excluded
     /// from routing while it is down). Returns whether the flag changed;
     /// a change flushes every cached tree.
     pub fn set_node_down(&self, node: NodeId, down: bool) -> bool {
+        self.set_down(down, |o| o.nodes.get_mut(node.index()))
+    }
+
+    /// Sets the overlay flag `flag` picks (`None` out of range) to
+    /// `down`; a change flushes every cached tree.
+    fn set_down(&self, down: bool, flag: impl FnOnce(&mut Overlay) -> Option<&mut bool>) -> bool {
         let mut cache = self.cache.lock();
-        let flag = match cache.down_nodes.get_mut(node.index()) {
-            Some(f) => f,
-            None => return false,
-        };
-        if *flag == down {
-            return false;
+        let overlay = &mut cache.overlay;
+        match flag(overlay) {
+            Some(flag) if *flag != down => *flag = down,
+            _ => return false,
         }
-        *flag = down;
-        cache.down = if down { cache.down + 1 } else { cache.down - 1 };
+        overlay.down = if down {
+            overlay.down + 1
+        } else {
+            overlay.down - 1
+        };
         cache.flush();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -454,30 +520,6 @@ impl<'n> PathOracle<'n> {
             searches: 0,
         }
     }
-}
-
-/// The threshold of `rate` on `net` (see [`PathOracle::rate_threshold`]),
-/// from `memo` or by one scan over the link capacities. The scan keeps
-/// the smallest capacity `c` that is not below `rate` by `CAP_EPS` —
-/// `!(c + CAP_EPS < rate)`, so a NaN rate still maps to the smallest
-/// capacity — taking the first in `total_cmp` order among equal values.
-fn threshold_in(net: &Network, memo: &mut FxHashMap<u64, f64>, rate: f64) -> f64 {
-    if let Some(&t) = memo.get(&rate.to_bits()) {
-        return t;
-    }
-    let mut threshold = f64::INFINITY;
-    for l in net.link_ids() {
-        let c = net.link(l).capacity;
-        let admits = (c + CAP_EPS).partial_cmp(&rate) != Some(std::cmp::Ordering::Less);
-        if admits && c.total_cmp(&threshold).is_lt() {
-            threshold = c;
-        }
-    }
-    if memo.len() >= THRESHOLD_MEMO_CAPACITY {
-        memo.clear();
-    }
-    memo.insert(rate.to_bits(), threshold);
-    threshold
 }
 
 /// Residual-capacity routing for one solve of a flow of one rate.

@@ -14,6 +14,11 @@
 //! state in an epoch-tagged [`RoutingScratch`], making steady-state
 //! searches allocation-free. Entry points without a scratch parameter
 //! borrow a per-thread scratch transparently.
+//!
+//! Oracle trees settle on demand (see [`ShortestPathTree`]). Between
+//! queries such a tree keeps one settled bit and one frontier bit per
+//! node, and a resume queues the frontier by walking its set bits, so
+//! its cost follows the frontier, not the node count.
 
 use super::heap::{search_weighted_in, settle_until, SearchState, Stop};
 use super::scratch::{with_thread_scratch, RoutingScratch};
@@ -114,12 +119,13 @@ const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
 /// the same (distance, node id) order whenever it pauses, and a settled
 /// node's distance and predecessor never change.
 ///
-/// A paused tree holds its distance and predecessor arrays, one settled
-/// flag per node and shared handles to what it searches (the CSR
+/// A paused tree holds its distance and predecessor arrays, two bitsets
+/// of one bit per node — the settled nodes, and the frontier (reached
+/// but not settled) — and shared handles to what it searches (the CSR
 /// snapshot and the admitted-link set it was built with), so it keeps
-/// answering as built whatever the oracle's overlay does later. It
-/// rebuilds its frontier from the tentative distances on each resume and
-/// drops the flags and handles once the search is complete.
+/// answering as built whatever the oracle's overlay does later. A resume
+/// queues the frontier by walking its bits, and the tree drops the
+/// bitsets and handles once the search is complete.
 #[derive(Debug)]
 pub struct ShortestPathTree {
     source: NodeId,
@@ -137,10 +143,52 @@ struct TreeNodes {
     paused: Option<Paused>,
 }
 
+/// One bit per node, 64 nodes a word.
+#[derive(Debug)]
+struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    /// `n` clear bits.
+    fn new(n: usize) -> Self {
+        NodeBits(vec![0; n.div_ceil(64)])
+    }
+
+    #[inline]
+    fn get(&self, v: NodeId) -> bool {
+        self.0[v.index() / 64] >> (v.index() % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn set(&mut self, v: NodeId) {
+        self.0[v.index() / 64] |= 1 << (v.index() % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, v: NodeId) {
+        self.0[v.index() / 64] &= !(1 << (v.index() % 64));
+    }
+
+    /// The set bits' nodes, ascending.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    NodeId(w as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
 /// The resumable part of a tree that settles on demand.
 #[derive(Debug)]
 struct Paused {
-    settled: Vec<bool>,
+    settled: NodeBits,
+    /// Reached but not settled: the nodes a resume queues.
+    frontier: NodeBits,
     snap: Arc<NetworkSnapshot>,
     /// Per link: whether the tree's filter admits it.
     admitted: Arc<[bool]>,
@@ -151,7 +199,8 @@ struct Paused {
 struct Resumed<'a> {
     dist: &'a mut [f64],
     prev: &'a mut [(u32, u32)],
-    settled: &'a mut [bool],
+    settled: &'a mut NodeBits,
+    frontier: &'a mut NodeBits,
 }
 
 impl SearchState for Resumed<'_> {
@@ -164,16 +213,18 @@ impl SearchState for Resumed<'_> {
     fn relax(&mut self, v: NodeId, d: f64, prev: Option<(NodeId, LinkId)>) {
         self.dist[v.index()] = d;
         self.prev[v.index()] = prev.map_or(NO_PREV, |(p, l)| (p.0, l.0));
+        self.frontier.set(v);
     }
 
     #[inline]
     fn is_settled(&self, v: NodeId) -> bool {
-        self.settled[v.index()]
+        self.settled.get(v)
     }
 
     #[inline]
     fn settle(&mut self, v: NodeId) {
-        self.settled[v.index()] = true;
+        self.settled.set(v);
+        self.frontier.clear(v);
     }
 }
 
@@ -186,7 +237,7 @@ impl TreeNodes {
         let Some(p) = paused else {
             return;
         };
-        if p.settled[node.index()] {
+        if p.settled.get(node) {
             return;
         }
         let admitted = &p.admitted;
@@ -195,14 +246,13 @@ impl TreeNodes {
             dist,
             prev,
             settled: &mut p.settled,
+            frontier: &mut p.frontier,
         };
         let complete = with_thread_scratch(|scratch| {
             let heap = &mut scratch.heap;
             heap.clear();
-            for (v, &d) in state.dist.iter().enumerate() {
-                if d.is_finite() && !state.settled[v] {
-                    heap.push(d, NodeId(v as u32));
-                }
+            for v in state.frontier.iter() {
+                heap.push(state.dist[v.index()], v);
             }
             let complete = settle_until(
                 &p.snap,
@@ -299,13 +349,16 @@ impl ShortestPathTree {
         let n = snap.node_count();
         let mut dist = vec![f64::INFINITY; n];
         dist[source.index()] = 0.0;
+        let mut frontier = NodeBits::new(n);
+        frontier.set(source);
         ShortestPathTree {
             source,
             nodes: Mutex::new(TreeNodes {
                 dist,
                 prev: vec![NO_PREV; n],
                 paused: Some(Paused {
-                    settled: vec![false; n],
+                    settled: NodeBits::new(n),
+                    frontier,
                     snap,
                     admitted,
                     weight,
@@ -580,6 +633,77 @@ mod tests {
             assert_eq!(path, want, "node {v:?}");
         }
         assert!(at_radius > 1, "the radius must cut through a tie");
+    }
+
+    /// A paused tree's frontier bits, after any sequence of queries, are
+    /// exactly the nodes it reached but has not settled, and every
+    /// answer equals the complete tree's.
+    #[test]
+    fn paused_frontier_bits_are_the_reached_unsettled_nodes() {
+        let mut g = uniform_ring();
+        // Uneven prices past the ring make distances differ, and a
+        // second component keeps some nodes unreached.
+        g.add_nodes(3);
+        g.add_link(NodeId(30), NodeId(31), 1.0, 100.0).unwrap();
+        g.add_link(NodeId(31), NodeId(32), 0.5, 100.0).unwrap();
+        for (a, b, price) in [(1, 16, 0.2), (7, 21, 0.0), (12, 27, 3.0), (20, 4, 0.7)] {
+            g.add_link(NodeId(a), NodeId(b), price, 100.0).unwrap();
+        }
+        let admitted: Arc<[bool]> = g.link_ids().map(|l| l.0 % 9 != 4).collect();
+        let filter = |l: LinkId| admitted[l.index()];
+        let n = g.node_count() as u32;
+        let mut lcg = 0x9E37_79B9_u32;
+        let mut paused_checks = 0;
+        for (source, weight) in [
+            (0, ArcWeight::Price),
+            (13, ArcWeight::Delay),
+            (31, ArcWeight::Price),
+        ] {
+            let full = ShortestPathTree::build_weighted_in(
+                &g,
+                NodeId(source),
+                &filter,
+                None,
+                &mut RoutingScratch::new(),
+                weight,
+            );
+            let tree = ShortestPathTree::paused(
+                Arc::clone(g.snapshot()),
+                NodeId(source),
+                Arc::clone(&admitted),
+                weight,
+            );
+            for q in 0..40 {
+                lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                // Ring nodes first, so trees on the ring stay paused for
+                // a while; then any node, unreached ones included.
+                let v = NodeId(lcg % if q < 20 { 30 } else { n });
+                if q % 2 == 0 {
+                    assert_eq!(tree.dist_to(v), full.dist_to(v), "{source} -> {v:?}");
+                } else {
+                    let links = |t: &ShortestPathTree| t.path_to(v).map(|p| p.links().to_vec());
+                    assert_eq!(links(&tree), links(&full), "{source} -> {v:?}");
+                }
+                let nodes = tree.nodes.lock();
+                let Some(p) = &nodes.paused else {
+                    break;
+                };
+                paused_checks += 1;
+                for u in 0..n {
+                    let u = NodeId(u);
+                    let reached = nodes.dist[u.index()].is_finite();
+                    assert_eq!(
+                        p.frontier.get(u),
+                        reached && !p.settled.get(u),
+                        "source {source}, query {q}, node {u:?}"
+                    );
+                }
+                let frontier: Vec<NodeId> = p.frontier.iter().collect();
+                assert!(frontier.windows(2).all(|w| w[0] < w[1]));
+                assert!(frontier.iter().all(|&u| p.frontier.get(u)));
+            }
+        }
+        assert!(paused_checks >= 10, "{paused_checks} paused states checked");
     }
 
     #[test]

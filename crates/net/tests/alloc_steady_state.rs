@@ -8,6 +8,9 @@
 //! and distance maps would blow the budget by two orders of magnitude,
 //! so this test pins the scratch-reuse contract down hard.
 //!
+//! It also pins that a query resuming a paused oracle tree allocates
+//! nothing once the thread's search heap is warm.
+//!
 //! The whole audit lives in a single `#[test]` so no sibling test's
 //! allocations bleed into the counters.
 
@@ -15,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dagsfc_net::routing::{min_cost_path_in, NoFilter, RoutingScratch, ShortestPathTree};
-use dagsfc_net::{Network, NodeId};
+use dagsfc_net::{Network, NodeId, PathOracle};
 
 /// Counts every allocation (and growth reallocation) made through the
 /// global allocator. Deallocations are free; we only budget acquisitions.
@@ -117,4 +120,22 @@ fn steady_state_queries_allocate_only_the_result_path() {
         "steady-state tree builds allocated {spent} times over 50 builds: \
          scratch reuse regressed"
     );
+
+    // Settling one oracle tree in full grows the thread's heap to what
+    // any tree from that source needs. A second oracle's tree from the
+    // same source then resumes query by query without allocating.
+    let oracle = PathOracle::new(&net);
+    let warm = oracle.tree(NodeId(3), 1.0);
+    for v in 0..N {
+        warm.dist_to(NodeId(v));
+    }
+    let cold = PathOracle::new(&net);
+    let tree = cold.tree(NodeId(3), 1.0);
+    let before = allocs();
+    let mut reached = 0;
+    for q in 0..N {
+        reached += usize::from(tree.dist_to(NodeId((q * 37) % N)).is_some());
+    }
+    assert_eq!(reached, N as usize);
+    assert_eq!(allocs() - before, 0, "resuming a paused tree allocated");
 }

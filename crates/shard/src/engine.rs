@@ -111,6 +111,13 @@ impl<'t> Exposure<'t> {
         let spans = (sa == self.home && sb == self.dst) || (sa == self.dst && sb == self.home);
         both_home || both_dst || spans || self.corridor.binary_search(&link).is_ok()
     }
+
+    fn exposes(&self, plan: &ShardPlan, net: &Network, res: Resource) -> bool {
+        match res {
+            Resource::Vnf(node, _) => self.node_in_scope(plan, node),
+            Resource::Link(link) => self.link_in_scope(plan, net, link),
+        }
+    }
 }
 
 /// One resource whose residual capacity a view exposes.
@@ -120,24 +127,12 @@ enum Resource {
     Link(LinkId),
 }
 
-/// The capacity a view with `exposure` (`None` exposes every shard)
-/// shows for `res`: zero outside the exposure or while the resource is
-/// out of service, else the ledger's remaining capacity floored at
-/// zero. A view rebuild and an in-place patch both call this, so a
-/// patched view is bit-identical to a rebuilt one.
-fn view_capacity(
-    net: &Network,
-    plan: &ShardPlan,
-    ledger: &CommitLedger<'_>,
-    exposure: Option<&Exposure>,
-    res: Resource,
-) -> f64 {
+/// The ledger's capacity for `res`: zero while the resource is out of
+/// service, else its remaining capacity floored at zero.
+fn residual_capacity(ledger: &CommitLedger<'_>, res: Resource) -> f64 {
     let state = ledger.state();
     match res {
         Resource::Vnf(node, kind) => {
-            if exposure.is_some_and(|e| !e.node_in_scope(plan, node)) {
-                return 0.0;
-            }
             if !state.node_available(node) {
                 return 0.0;
             }
@@ -148,9 +143,6 @@ fn view_capacity(
                 .max(0.0)
         }
         Resource::Link(link) => {
-            if exposure.is_some_and(|e| !e.link_in_scope(plan, net, link)) {
-                return 0.0;
-            }
             if !state.link_available(link) {
                 return 0.0;
             }
@@ -163,17 +155,27 @@ fn view_capacity(
     }
 }
 
-/// The fallback refresh: a fresh copy of `net` with every capacity
-/// mapped through [`view_capacity`].
+/// The fallback refresh: a fresh copy of `net` in which a view with
+/// `exposure` (`None` exposes every shard) shows zero for a resource
+/// outside the exposure and its [`residual_capacity`] for the others.
+/// An in-place patch applies the same rule to the changed resources it
+/// exposes, so a patched view is bit-identical to a rebuilt one.
 fn rebuild_view(
     net: &Network,
     plan: &ShardPlan,
     ledger: &CommitLedger<'_>,
     exposure: Option<&Exposure>,
 ) -> Network {
+    let capacity = |res| {
+        if exposure.is_some_and(|e| !e.exposes(plan, net, res)) {
+            0.0
+        } else {
+            residual_capacity(ledger, res)
+        }
+    };
     net.map_capacities(
-        |node, kind, _| view_capacity(net, plan, ledger, exposure, Resource::Vnf(node, kind)),
-        |link, _| view_capacity(net, plan, ledger, exposure, Resource::Link(link)),
+        |node, kind, _| capacity(Resource::Vnf(node, kind)),
+        |link, _| capacity(Resource::Link(link)),
     )
 }
 
@@ -332,10 +334,10 @@ pub struct ShardedStats {
 ///
 /// Residual views are long-lived. Every ledger change the engine makes
 /// — a commit, a release — logs the resources it touches (a refused
-/// commit touches none). A view refresh rewrites just those capacities
-/// in place ([`Network::set_link_capacity`] and
+/// commit touches none). A view refresh rewrites just those of them the
+/// view exposes, in place ([`Network::set_link_capacity`] and
 /// [`Network::set_vnf_capacity`]), so neither the network nor its CSR
-/// snapshot is rebuilt. A fault or an owner reclaim drops every view
+/// snapshot is rebuilt; the others read zero in the view and stay so. A fault or an owner reclaim drops every view
 /// instead. A view that a caller still holds, or that lags more than
 /// `MAX_PENDING_CHANGES` changes behind, is rebuilt in full.
 pub struct ShardedEngine<'n> {
@@ -456,13 +458,18 @@ impl<'n> ShardedEngine<'n> {
             if let (Some(pending), Some(view)) =
                 (changes.since(cached.synced), Arc::get_mut(&mut cached.net))
             {
+                // A resource outside the exposure shows zero and keeps
+                // showing zero, so only exposed ones are rewritten.
                 for res in pending {
-                    let cap = view_capacity(net, plan, ledger, exposure, res);
+                    if exposure.is_some_and(|e| !e.exposes(plan, net, res)) {
+                        continue;
+                    }
+                    let cap = residual_capacity(ledger, res);
                     let written = match res {
                         Resource::Vnf(node, kind) => view.set_vnf_capacity(node, kind, cap),
                         Resource::Link(link) => view.set_link_capacity(link, cap),
                     };
-                    // lint:allow(expect) — invariant: a logged resource exists and view_capacity is finite and >= 0
+                    // lint:allow(expect) — invariant: a logged resource exists and residual_capacity is finite and >= 0
                     written.expect("logged resource takes its view capacity");
                 }
                 cached.synced = end;

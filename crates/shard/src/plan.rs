@@ -57,8 +57,6 @@ pub struct ShardPlan {
     link_owner: Vec<u32>,
     /// Per shard: gateway nodes, ascending.
     gateways: Vec<Vec<NodeId>>,
-    /// Links whose endpoints live in different shards, ascending.
-    cross_links: Vec<LinkId>,
 }
 
 impl ShardPlan {
@@ -75,7 +73,6 @@ impl ShardPlan {
         }
         let node_shard: Vec<u32> = (0..n).map(|v| ((v * shards) / n) as u32).collect();
         let mut link_owner = Vec::with_capacity(net.link_count());
-        let mut cross_links = Vec::new();
         let mut is_gateway = vec![false; n];
         for li in 0..net.link_count() {
             let link = net.link(LinkId(li as u32));
@@ -83,7 +80,6 @@ impl ShardPlan {
             let sb = node_shard[link.b.index()];
             link_owner.push(sa.min(sb));
             if sa != sb {
-                cross_links.push(LinkId(li as u32));
                 is_gateway[link.a.index()] = true;
                 is_gateway[link.b.index()] = true;
             }
@@ -99,7 +95,6 @@ impl ShardPlan {
             node_shard,
             link_owner,
             gateways,
-            cross_links,
         })
     }
 
@@ -119,27 +114,9 @@ impl ShardPlan {
         self.link_owner[link.index()] as usize
     }
 
-    /// Whether `link` spans two shards.
-    pub fn is_cross(&self, link: LinkId) -> bool {
-        self.cross_links.binary_search(&link).is_ok()
-    }
-
     /// Gateway nodes of `shard`, ascending.
     pub fn gateways(&self, shard: usize) -> &[NodeId] {
         &self.gateways[shard]
-    }
-
-    /// All boundary-crossing links, ascending.
-    pub fn cross_links(&self) -> &[LinkId] {
-        &self.cross_links
-    }
-
-    /// Node count of `shard`.
-    pub fn shard_size(&self, shard: usize) -> usize {
-        self.node_shard
-            .iter()
-            .filter(|&&s| s as usize == shard)
-            .count()
     }
 }
 

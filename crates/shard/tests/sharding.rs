@@ -55,10 +55,18 @@ fn partition_covers_every_node_with_contiguous_balanced_regions() {
             sizes[s] += 1;
         }
         assert_eq!(sizes.iter().sum::<usize>(), net.node_count());
+        let n = net.node_count();
         for (s, &size) in sizes.iter().enumerate() {
             assert!(size > 0, "shard {s} is empty");
-            assert_eq!(size, plan.shard_size(s));
+            // Shard s holds the nodes v with s ≤ v·N/n < s + 1.
+            let start = |s: usize| (s * n).div_ceil(shards);
+            assert_eq!(size, start(s + 1) - start(s), "shard {s}");
         }
+        let (least, most) = (sizes.iter().min(), sizes.iter().max());
+        assert!(
+            most.zip(least).is_some_and(|(m, l)| m - l <= 1),
+            "{sizes:?}"
+        );
     }
 }
 
@@ -74,27 +82,31 @@ fn partition_rejects_degenerate_shard_counts() {
 fn cross_links_are_owned_by_min_shard_and_mark_gateways() {
     let net = instance_network(&cfg(50, 0xA3));
     let plan = ShardPlan::partition(&net, 4).expect("partition");
+    // Per shard: the endpoints of the links that cross out of it.
+    let mut ends = vec![std::collections::BTreeSet::new(); 4];
     let mut saw_cross = false;
     for l in 0..net.link_count() {
         let link = LinkId(l as u32);
         let e = net.link(link);
         let (sa, sb) = (plan.shard_of(e.a), plan.shard_of(e.b));
         assert_eq!(plan.owner_of(link), sa.min(sb), "owner must be min shard");
-        assert_eq!(plan.is_cross(link), sa != sb);
         if sa != sb {
             saw_cross = true;
-            assert!(plan.cross_links().contains(&link));
             assert!(
                 plan.gateways(sa).contains(&e.a) && plan.gateways(sb).contains(&e.b),
                 "both endpoints of cross link {link:?} must be gateways"
             );
+            ends[sa].insert(e.a);
+            ends[sb].insert(e.b);
         }
     }
     assert!(saw_cross, "a 4-way split of a connected net must cut links");
-    for s in 0..4 {
+    for (s, ends) in ends.iter().enumerate() {
         let gs = plan.gateways(s);
         assert!(!gs.is_empty(), "shard {s} has no gateway");
         assert!(gs.windows(2).all(|w| w[0] < w[1]), "gateways sorted+dedup");
+        // Every gateway ends some cross link, and no other node is one.
+        assert_eq!(gs, ends.iter().copied().collect::<Vec<_>>(), "shard {s}");
     }
 }
 
