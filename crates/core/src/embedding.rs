@@ -21,7 +21,6 @@ use crate::flow::Flow;
 use crate::metapath::{meta_paths, Endpoint, MetaPath, MetaPathKind};
 use dagsfc_net::{LinkId, Network, NodeId, Path, VnfTypeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
 
 /// A complete embedding: slot → node assignments plus one real-path per
 /// meta-path.
@@ -122,6 +121,10 @@ impl Embedding {
     /// `f64::INFINITY` and reported through `missing` (first miss wins);
     /// the validator uses this path directly because it reports missing
     /// instances itself with per-slot detail.
+    ///
+    /// Each term sorts what it charges — the slots' instances, the links'
+    /// occurrences — and sums the runs in that order, so identical
+    /// embeddings produce bit-identical costs across processes.
     pub(crate) fn account_lenient(
         &self,
         net: &Network,
@@ -129,21 +132,13 @@ impl Embedding {
         flow: &Flow,
         missing: &mut Option<(NodeId, VnfTypeId)>,
     ) -> Accounting {
-        let catalog = sfc.catalog();
         // --- VNF term: α_{v,i} counts slot assignments per instance.
-        // BTreeMaps keep summation order deterministic, so identical
-        // embeddings produce bit-identical costs across processes.
-        let mut vnf_uses: BTreeMap<(NodeId, VnfTypeId), u32> = BTreeMap::new();
-        for (l, slots) in self.assignments.iter().enumerate() {
-            let layer = sfc.layer(l);
-            for (slot, &node) in slots.iter().enumerate() {
-                let kind = layer.slot_kind(slot, catalog);
-                *vnf_uses.entry((node, kind)).or_insert(0) += 1;
-            }
-        }
+        let charged = self.charged_instances(sfc);
         let mut vnf_cost = 0.0;
-        let mut vnf_load: BTreeMap<(NodeId, VnfTypeId), f64> = BTreeMap::new();
-        for (&(node, kind), &uses) in &vnf_uses {
+        let mut vnf_load = Vec::with_capacity(charged.len());
+        for run in charged.chunk_by(|a, b| a == b) {
+            let (node, kind) = run[0];
+            let uses = run.len() as f64;
             let price = match net.instance(node, kind) {
                 Some(i) => i.price,
                 None => {
@@ -151,35 +146,41 @@ impl Embedding {
                     f64::INFINITY
                 }
             };
-            vnf_cost += uses as f64 * price * flow.size;
-            vnf_load.insert((node, kind), uses as f64 * flow.rate);
+            vnf_cost += uses * price * flow.size;
+            vnf_load.push(((node, kind), uses * flow.rate));
         }
 
-        // --- Link term: multicast dedup for inter-layer groups.
-        let mut link_uses: BTreeMap<LinkId, u32> = BTreeMap::new();
-        let mut group_links: BTreeMap<usize, HashSet<LinkId>> = BTreeMap::new();
+        // --- Link term: every charged link occurrence, with multicast
+        // dedup for inter-layer groups. A group's inter-layer meta-paths
+        // are contiguous, so the links charged since the group began are
+        // exactly the group's.
+        let mut crossed: Vec<LinkId> = Vec::with_capacity(self.paths.iter().map(Path::len).sum());
+        let mut group = None;
+        let mut group_start = 0;
         for (mp, path) in meta_paths(sfc).iter().zip(&self.paths) {
             match mp.kind {
                 MetaPathKind::InterLayer => {
-                    let seen = group_links.entry(mp.group).or_default();
+                    if group != Some(mp.group) {
+                        group = Some(mp.group);
+                        group_start = crossed.len();
+                    }
                     for &l in path.links() {
-                        if seen.insert(l) {
-                            *link_uses.entry(l).or_insert(0) += 1;
+                        if !crossed[group_start..].contains(&l) {
+                            crossed.push(l);
                         }
                     }
                 }
-                MetaPathKind::InnerLayer => {
-                    for &l in path.links() {
-                        *link_uses.entry(l).or_insert(0) += 1;
-                    }
-                }
+                MetaPathKind::InnerLayer => crossed.extend_from_slice(path.links()),
             }
         }
+        crossed.sort_unstable();
         let mut link_cost = 0.0;
-        let mut link_load = vec![0.0; net.link_count()];
-        for (&l, &uses) in &link_uses {
-            link_cost += uses as f64 * net.link(l).price * flow.size;
-            link_load[l.index()] = uses as f64 * flow.rate;
+        let mut link_load = Vec::with_capacity(crossed.len());
+        for run in crossed.chunk_by(|a, b| a == b) {
+            let l = run[0];
+            let uses = run.len() as f64;
+            link_cost += uses * net.link(l).price * flow.size;
+            link_load.push((l, uses * flow.rate));
         }
 
         Accounting {
@@ -190,6 +191,21 @@ impl Embedding {
             vnf_load,
             link_load,
         }
+    }
+
+    /// The `(node, kind)` instance of every slot, sorted: an instance
+    /// reused by `k` slots appears `k` times in a row.
+    fn charged_instances(&self, sfc: &DagSfc) -> Vec<(NodeId, VnfTypeId)> {
+        let catalog = sfc.catalog();
+        let mut charged = Vec::with_capacity(self.assignments.iter().map(Vec::len).sum());
+        for (l, slots) in self.assignments.iter().enumerate() {
+            let layer = sfc.layer(l);
+            for (slot, &node) in slots.iter().enumerate() {
+                charged.push((node, layer.slot_kind(slot, catalog)));
+            }
+        }
+        charged.sort_unstable();
+        charged
     }
 
     /// Convenience: just the objective value.
@@ -219,23 +235,11 @@ impl Embedding {
         distinct_nodes.sort_unstable();
         distinct_nodes.dedup();
 
-        let mut reused_instances = 0usize;
-        let catalog = sfc.catalog();
-        let mut uses: std::collections::BTreeMap<(NodeId, VnfTypeId), u32> =
-            std::collections::BTreeMap::new();
-        for (l, layer_slots) in self.assignments.iter().enumerate() {
-            let layer = sfc.layer(l);
-            for (slot, &node) in layer_slots.iter().enumerate() {
-                *uses
-                    .entry((node, layer.slot_kind(slot, catalog)))
-                    .or_insert(0) += 1;
-            }
-        }
-        for &count in uses.values() {
-            if count > 1 {
-                reused_instances += 1;
-            }
-        }
+        let reused_instances = self
+            .charged_instances(sfc)
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() > 1)
+            .count();
 
         let hops: Vec<usize> = self.paths.iter().map(Path::len).collect();
         let trivial_paths = hops.iter().filter(|&&h| h == 0).count();
@@ -282,10 +286,12 @@ pub struct EmbeddingStats {
 pub struct Accounting {
     /// Objective value, split into its two terms.
     pub cost: CostBreakdown,
-    /// Traffic load per used VNF instance (`α_{v,i}·R`), in key order.
-    pub vnf_load: BTreeMap<(NodeId, VnfTypeId), f64>,
-    /// Traffic load per link, indexed by [`LinkId`] (`α_{g,h}·R`).
-    pub link_load: Vec<f64>,
+    /// Traffic load (`α_{v,i}·R`) of every VNF instance the embedding
+    /// uses, sorted by `(node, kind)`.
+    pub vnf_load: Vec<((NodeId, VnfTypeId), f64)>,
+    /// Traffic load (`α_{g,h}·R`) of every link the embedding uses,
+    /// sorted by link id.
+    pub link_load: Vec<(LinkId, f64)>,
 }
 
 #[cfg(test)]
@@ -319,6 +325,12 @@ mod tests {
 
     fn path(net: &Network, nodes: &[u32]) -> Path {
         Path::from_nodes(net, nodes.iter().map(|&n| NodeId(n)).collect()).unwrap()
+    }
+
+    /// The load an accounting lists for `link` (0 when unused).
+    fn link_load(acct: &Accounting, link: LinkId) -> f64 {
+        let at = acct.link_load.iter().find(|e| e.0 == link);
+        at.map_or(0.0, |e| e.1)
     }
 
     /// Chain: L0 = {f0}, L1 = {f1, f2} + merger.
@@ -366,7 +378,7 @@ mod tests {
         assert!((acct.cost.total() - 13.0).abs() < 1e-12);
         // Load on link 1-2 is a single rate unit thanks to multicast.
         let l12 = g.link_between(NodeId(1), NodeId(2)).unwrap();
-        assert!((acct.link_load[l12.index()] - 1.0).abs() < 1e-12);
+        assert!((link_load(&acct, l12) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -393,7 +405,7 @@ mod tests {
         // Links: e01 (1) + e12 (1, dedup) + e23 ×2 (inner) = 4.
         assert!((acct.cost.link - 4.0).abs() < 1e-12);
         let l23 = g.link_between(NodeId(2), NodeId(3)).unwrap();
-        assert!((acct.link_load[l23.index()] - 2.0).abs() < 1e-12);
+        assert!((link_load(&acct, l23) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -416,7 +428,7 @@ mod tests {
         let acct = emb.try_account(&g, &s, &flow).unwrap();
         // α_{v2,f1} = 2 → vnf cost 2·3.0 = 6; load 2·rate.
         assert!((acct.cost.vnf - 6.0).abs() < 1e-12);
-        assert!((acct.vnf_load[&(NodeId(2), VnfTypeId(1))] - 2.0).abs() < 1e-12);
+        assert_eq!(acct.vnf_load, [((NodeId(2), VnfTypeId(1)), 2.0)]);
         // links: e01+e12 (src→f1) + e23 = 3.
         assert!((acct.cost.link - 3.0).abs() < 1e-12);
     }
@@ -444,7 +456,7 @@ mod tests {
             .unwrap();
         assert!((scaled.cost.total() - 3.0 * base.cost.total()).abs() < 1e-9);
         let l01 = g.link_between(NodeId(0), NodeId(1)).unwrap();
-        assert!((scaled.link_load[l01.index()] - 2.0).abs() < 1e-12);
+        assert!((link_load(&scaled, l01) - 2.0).abs() < 1e-12);
     }
 
     #[test]

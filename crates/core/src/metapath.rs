@@ -84,7 +84,7 @@ pub fn layer_endpoint(sfc: &DagSfc, layer: usize) -> Endpoint {
 /// slot, in slot order, parallel layers only) — and finally the
 /// inter-layer hop from the last layer's end point to the destination.
 pub fn meta_paths(sfc: &DagSfc) -> Vec<MetaPath> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(meta_path_count(sfc));
     for l in 0..sfc.depth() {
         let from = if l == 0 {
             Endpoint::Source

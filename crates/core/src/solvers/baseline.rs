@@ -14,18 +14,28 @@ use crate::embedding::Embedding;
 use crate::error::rule_infeasible_reason;
 use crate::error::SolveError;
 use crate::flow::Flow;
-use crate::metapath::{meta_paths, MetaPathKind};
-use dagsfc_net::{LinkId, Network, NetworkState, NodeId, Path, VnfTypeId};
+use crate::metapath::{meta_paths, Endpoint, MetaPathKind};
+use dagsfc_net::{LinkId, NodeId, Path, VnfTypeId, CAP_EPS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// A host of a slot's kind with room for the flow.
+#[derive(Debug, Clone, Copy)]
+struct Host {
+    /// Rental price of the host's instance.
+    price: f64,
+    node: NodeId,
+    /// The instance's capability left after this solve's reservations.
+    left: f64,
+}
+
 /// Node-selection policy of a two-phase baseline.
 trait PickNode {
-    fn pick(&self, net: &Network, kind: VnfTypeId, feasible: &[NodeId]) -> NodeId;
+    /// One of `feasible` (non-empty, in host order).
+    fn pick(&self, feasible: &[Host]) -> Host;
 }
 
 /// RANV: random feasible node per VNF + min-cost paths.
@@ -44,7 +54,7 @@ impl RanvSolver {
 }
 
 impl PickNode for RanvSolver {
-    fn pick(&self, _net: &Network, _kind: VnfTypeId, feasible: &[NodeId]) -> NodeId {
+    fn pick(&self, feasible: &[Host]) -> Host {
         *feasible
             .choose(
                 &mut *self
@@ -84,14 +94,11 @@ impl MinvSolver {
 }
 
 impl PickNode for MinvSolver {
-    fn pick(&self, net: &Network, kind: VnfTypeId, feasible: &[NodeId]) -> NodeId {
+    /// The least (price, node id).
+    fn pick(&self, feasible: &[Host]) -> Host {
         *feasible
             .iter()
-            .min_by(|&&a, &&b| {
-                let pa = net.vnf_price(a, kind).unwrap_or(f64::INFINITY);
-                let pb = net.vnf_price(b, kind).unwrap_or(f64::INFINITY);
-                pa.total_cmp(&pb).then(a.cmp(&b))
-            })
+            .min_by(|a, b| a.price.total_cmp(&b.price).then(a.node.cmp(&b.node)))
             // lint:allow(expect) — invariant: feasible set checked non-empty
             .expect("feasible set checked non-empty")
     }
@@ -127,10 +134,9 @@ fn assign_then_route(
     let net = ctx.net;
     precheck(net, sfc, flow)?;
     let catalog = sfc.catalog();
-    let mut state = NetworkState::new(net);
     // Routing filters on this solve's residuals through an oracle
-    // session. It reads the oracle's class trees while the state is over
-    // the oracle's network, the overlay marks nothing down and no
+    // session, which holds the solve's link reservations. It reads the
+    // oracle's class trees while the overlay marks nothing down and no
     // reservation has left a link below the rate; after that, one
     // target-bounded search per meta-path.
     let mut session = ctx.oracle.session(flow.rate);
@@ -143,17 +149,38 @@ fn assign_then_route(
     let rule_filter = RuleFilter::new(sfc);
     let mut rule_rejected = 0usize;
     let mut placed: Vec<(VnfTypeId, NodeId)> = Vec::new();
+    // Capability left on each instance this solve reserved; every other
+    // instance has its full capability.
+    let mut taken: Vec<((NodeId, VnfTypeId), f64)> = Vec::new();
+    // One slot's hosts with room for the flow, reused across slots.
+    let mut feasible: Vec<Host> = Vec::new();
     let mut assignments: Vec<Vec<NodeId>> = Vec::with_capacity(sfc.depth());
     for layer in layering::layers(sfc) {
         let mut slots = Vec::with_capacity(layer.slot_count());
         for slot in 0..layer.slot_count() {
             let kind = layer.slot_kind(slot, catalog);
-            let feasible: Vec<NodeId> = net
-                .hosts_of(kind)
-                .iter()
-                .copied()
-                .filter(|&n| state.vnf_fits(n, kind, flow.rate))
-                .collect();
+            let reused = taken.iter().any(|&((_, k), _)| k == kind);
+            feasible.clear();
+            for &node in net.hosts_of(kind) {
+                let Some(instance) = net.instance(node, kind) else {
+                    continue;
+                };
+                let left = if reused {
+                    taken
+                        .iter()
+                        .find(|&&(key, _)| key == (node, kind))
+                        .map_or(instance.capacity, |&(_, left)| left)
+                } else {
+                    instance.capacity
+                };
+                if left + CAP_EPS >= flow.rate {
+                    feasible.push(Host {
+                        price: instance.price,
+                        node,
+                        left,
+                    });
+                }
+            }
             explored += feasible.len();
             if feasible.is_empty() {
                 return Err(SolveError::NoFeasibleEmbedding {
@@ -161,89 +188,88 @@ fn assign_then_route(
                     reason: format!("no node with residual capability for {kind}"),
                 });
             }
-            let feasible = match &rule_filter {
-                Some(rf) => {
-                    let before = feasible.len();
-                    let kept: Vec<NodeId> = feasible
-                        .into_iter()
-                        .filter(|&n| rf.admits(&placed, kind, n))
-                        .collect();
-                    rule_rejected += before - kept.len();
-                    if kept.is_empty() {
-                        return Err(SolveError::NoFeasibleEmbedding {
-                            solver,
-                            reason: rule_infeasible_reason(&format!(
-                                "placement rules leave no admissible host for {kind}"
-                            )),
-                        });
-                    }
-                    kept
+            if let Some(rf) = &rule_filter {
+                let before = feasible.len();
+                feasible.retain(|h| rf.admits(&placed, kind, h.node));
+                rule_rejected += before - feasible.len();
+                if feasible.is_empty() {
+                    return Err(SolveError::NoFeasibleEmbedding {
+                        solver,
+                        reason: rule_infeasible_reason(&format!(
+                            "placement rules leave no admissible host for {kind}"
+                        )),
+                    });
                 }
-                None => feasible,
-            };
-            let node = pick.pick(net, kind, &feasible);
-            state
-                .reserve_vnf(node, kind, flow.rate)
-                // lint:allow(expect) — invariant: feasibility just checked
-                .expect("feasibility just checked");
-            if rule_filter.is_some() {
-                placed.push((kind, node));
             }
-            slots.push(node);
+            let host = pick.pick(&feasible);
+            let left = host.left - flow.rate;
+            match taken.iter_mut().find(|(key, _)| *key == (host.node, kind)) {
+                Some((_, entry)) => *entry = left,
+                None => taken.push(((host.node, kind), left)),
+            }
+            if rule_filter.is_some() {
+                placed.push((kind, host.node));
+            }
+            slots.push(host.node);
         }
         assignments.push(slots);
     }
 
     // Phase 2: minimum-cost paths per meta-path, honoring residual
-    // bandwidth and per-layer multicast sharing.
-    let mut group_links: HashMap<usize, HashSet<LinkId>> = HashMap::new();
-    let mut paths: Vec<Path> = Vec::new();
+    // bandwidth and per-layer multicast sharing. A group's inter-layer
+    // meta-paths are contiguous, so only the current group's links are
+    // kept.
+    let metas = meta_paths(sfc);
+    let mut group = None;
+    let mut group_links: Vec<LinkId> = Vec::new();
+    let mut paths: Vec<Path> = Vec::with_capacity(metas.len());
     let endpoint = |ep| match ep {
-        crate::metapath::Endpoint::Source => flow.src,
-        crate::metapath::Endpoint::Destination => flow.dst,
-        crate::metapath::Endpoint::Slot { layer, slot } => assignments[layer][slot],
+        Endpoint::Source => flow.src,
+        Endpoint::Destination => flow.dst,
+        Endpoint::Slot { layer, slot } => assignments[layer][slot],
     };
-    for mp in meta_paths(sfc) {
+    for mp in &metas {
         let from = endpoint(mp.from);
         let to = endpoint(mp.to);
         let path = match mp.kind {
             MetaPathKind::InterLayer => {
+                if group != Some(mp.group) {
+                    group = Some(mp.group);
+                    group_links.clear();
+                }
                 // The group's already reserved links stay admitted.
-                let shared = group_links.get(&mp.group);
                 let path = session
-                    .residual_path(&state, from, to, &|l: LinkId| {
-                        shared.is_some_and(|s| s.contains(&l))
-                    })
+                    .residual_path(from, to, &|l: LinkId| group_links.contains(&l))
                     .ok_or_else(|| SolveError::NoFeasibleEmbedding {
                         solver,
                         reason: format!("no bandwidth-feasible path {from} → {to}"),
                     })?;
-                let group = group_links.entry(mp.group).or_default();
                 for &l in path.links() {
-                    if group.insert(l) {
-                        session.reserve_link(&mut state, l).map_err(|_| {
-                            SolveError::NoFeasibleEmbedding {
+                    if !group_links.contains(&l) {
+                        group_links.push(l);
+                        session
+                            .reserve_link(l)
+                            .map_err(|_| SolveError::NoFeasibleEmbedding {
                                 solver,
                                 reason: format!("link {l} saturated while reserving"),
-                            }
-                        })?;
+                            })?;
                     }
                 }
                 path
             }
             MetaPathKind::InnerLayer => {
-                let path = session
-                    .residual_path(&state, from, to, &|_| false)
-                    .ok_or_else(|| SolveError::NoFeasibleEmbedding {
-                        solver,
-                        reason: format!("no bandwidth-feasible path {from} → {to}"),
-                    })?;
-                session.reserve_path(&mut state, &path).map_err(|_| {
+                let path = session.residual_path(from, to, &|_| false).ok_or_else(|| {
                     SolveError::NoFeasibleEmbedding {
                         solver,
-                        reason: "inner-layer path saturated while reserving".into(),
+                        reason: format!("no bandwidth-feasible path {from} → {to}"),
                     }
                 })?;
+                session
+                    .reserve_path(&path)
+                    .map_err(|_| SolveError::NoFeasibleEmbedding {
+                        solver,
+                        reason: "inner-layer path saturated while reserving".into(),
+                    })?;
                 path
             }
         };
@@ -277,6 +303,8 @@ mod tests {
     use crate::solvers::MbbeSolver;
     use crate::validate::validate;
     use crate::vnf::VnfCatalog;
+    use dagsfc_net::Network;
+    use std::collections::HashSet;
 
     /// v0..v4 path + chord; f0@{v1:1.0, v2:5.0}, f1@{v3}, merger@{v3}.
     fn net() -> Network {

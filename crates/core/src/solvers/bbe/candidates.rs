@@ -426,26 +426,22 @@ fn inner_path_options(ctx: &EngineCtx<'_>, bst: &SearchTree, node: NodeId, out: 
     }
 }
 
-/// Candidate nodes of a slot, cheapest rental first, capped.
+/// Candidate hosts of a slot as `(price, node)`, cheapest rental first,
+/// capped: each tree node's instance is read once, and the hosts sort on
+/// the stored (price, node id).
 fn slot_candidates(
     ctx: &EngineCtx<'_>,
     tree: &SearchTree,
     kind: dagsfc_net::VnfTypeId,
-) -> Vec<NodeId> {
-    let mut cands: Vec<NodeId> = tree
-        .hosting(ctx.net, kind)
-        .map(|i| tree.node(i).node)
-        .filter(|&n| {
-            ctx.net
-                .instance(n, kind)
-                .is_some_and(|i| i.capacity + CAP_EPS >= ctx.flow.rate)
+) -> Vec<(f64, NodeId)> {
+    let mut cands: Vec<(f64, NodeId)> = (0..tree.len())
+        .filter_map(|i| {
+            let node = tree.node(i).node;
+            let instance = ctx.net.instance(node, kind)?;
+            (instance.capacity + CAP_EPS >= ctx.flow.rate).then_some((instance.price, node))
         })
         .collect();
-    cands.sort_by(|&a, &b| {
-        let pa = ctx.net.vnf_price(a, kind).unwrap_or(f64::INFINITY);
-        let pb = ctx.net.vnf_price(b, kind).unwrap_or(f64::INFINITY);
-        pa.total_cmp(&pb).then(a.cmp(&b))
-    });
+    cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     cands.truncate(MAX_CANDIDATES_PER_SLOT);
     cands
 }
@@ -462,9 +458,7 @@ pub(crate) fn singleton_layer_subs(
     debug_assert!(!layer.needs_merger());
     let kind = layer.vnfs()[0];
     let before = arena.subs.len();
-    for node in slot_candidates(ctx, fst, kind) {
-        // lint:allow(expect) — invariant: candidate hosts kind
-        let price = ctx.net.vnf_price(node, kind).expect("candidate hosts kind");
+    for (price, node) in slot_candidates(ctx, fst, kind) {
         for inter in arena.push_paths(|out| inter_path_options(ctx, fst, node, out)) {
             let from = arena.picks.len();
             arena.picks.push(Pick {
@@ -537,17 +531,19 @@ pub(crate) fn parallel_layer_subs(
         .map(|&kind| {
             slot_candidates(ctx, bst, kind)
                 .into_iter()
-                .map(|node| match nodes.iter().position(|n| n.node == node) {
-                    Some(i) => i,
-                    None => {
-                        nodes.push(NodePaths {
-                            node,
-                            inter: None,
-                            inner: None,
-                        });
-                        nodes.len() - 1
-                    }
-                })
+                .map(
+                    |(_, node)| match nodes.iter().position(|n| n.node == node) {
+                        Some(i) => i,
+                        None => {
+                            nodes.push(NodePaths {
+                                node,
+                                inter: None,
+                                inner: None,
+                            });
+                            nodes.len() - 1
+                        }
+                    },
+                )
                 .collect()
         })
         .collect();
@@ -882,7 +878,8 @@ mod tests {
             inter_path_options(ctx, fst, node, &mut inters);
             inner_path_options(ctx, bst, node, &mut inners);
             let at = |opts: &[Path], p: &Path| opts.iter().position(|o| o == p).unwrap();
-            allocation = allocation * hosts.len() + hosts.iter().position(|&h| h == node).unwrap();
+            allocation =
+                allocation * hosts.len() + hosts.iter().position(|&(_, h)| h == node).unwrap();
             let pair =
                 at(&inters, sub.inter_paths[s]) * inners.len() + at(&inners, sub.inner_paths[s]);
             combo = combo * (inters.len() * inners.len()).min(pair_cap) + pair;

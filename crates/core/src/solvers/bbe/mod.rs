@@ -756,25 +756,36 @@ fn attempt<I: Instrument>(
     let mut finals: Vec<Final> = Vec::with_capacity(cands.len());
     // Each leaf's eagerly searched final path (delay constraint only).
     let mut eager: Vec<Option<Path>> = Vec::new();
-    for (at, c) in cands.iter().enumerate() {
-        let end = c.end_node;
-        let remaining = match &dst_tree {
-            Some(_) if end == flow.dst => Some(0.0),
-            Some(dt) => dt.dist_to(end),
-            None => {
-                let p = ctx.min_cost_path(end, flow.dst);
-                let price = p.as_ref().map(|p| p.price(net));
-                eager.push(p);
-                price
-            }
-        };
+    let mut price_leaf = |at: usize, remaining: Option<f64>| {
         if let Some(d) = remaining {
+            let c = &cands[at];
             finals.push(Final {
                 total: c.cum_cost + d * flow.size,
                 cum_cost: c.cum_cost,
                 seq: c.seq,
                 at,
             });
+        }
+    };
+    match &dst_tree {
+        // Every leaf's distance under one lock of the tree.
+        Some(dt) => dt.locked(|dt| {
+            for (at, c) in cands.iter().enumerate() {
+                let end = c.end_node;
+                let remaining = if end == flow.dst {
+                    Some(0.0)
+                } else {
+                    dt.dist_to(end)
+                };
+                price_leaf(at, remaining);
+            }
+        }),
+        None => {
+            for (at, c) in cands.iter().enumerate() {
+                let p = ctx.min_cost_path(c.end_node, flow.dst);
+                price_leaf(at, p.as_ref().map(|p| p.price(net)));
+                eager.push(p);
+            }
         }
     }
     let (h, m) = ctx.cache_counts();

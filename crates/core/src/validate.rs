@@ -177,9 +177,11 @@ pub fn validate(
     // Constraints (2)/(3): capacities under the reuse-aware loads. The
     // lenient accounting path is deliberate: a missing instance is
     // already reported per-slot by the hosting check above, and the
-    // validator must keep walking the remaining constraints.
+    // validator must keep walking the remaining constraints. Only used
+    // resources carry load: a capacity is finite and non-negative, so an
+    // unused one is never overloaded.
     let acct = emb.account_lenient(net, sfc, flow, &mut None);
-    for (&(node, kind), &load) in &acct.vnf_load {
+    for &((node, kind), load) in &acct.vnf_load {
         let capacity = net.instance(node, kind).map(|i| i.capacity).unwrap_or(0.0); // missing instance already reported above
         if net.hosts(node, kind) && overloaded(load, capacity) {
             violations.push(Violation::VnfOverload {
@@ -190,8 +192,7 @@ pub fn validate(
             });
         }
     }
-    for (i, &load) in acct.link_load.iter().enumerate() {
-        let link = LinkId(i as u32);
+    for &(link, load) in &acct.link_load {
         let capacity = net.link(link).capacity;
         if overloaded(load, capacity) {
             violations.push(Violation::LinkOverload {

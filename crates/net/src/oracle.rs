@@ -30,19 +30,18 @@
 //! tree built at that moment, whatever the overlay does afterwards.
 //!
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
-//! reserve bandwidth as they go) filter on a private [`NetworkState`]
-//! per solve, through an [`OracleSession`]. Until one of the solve's
-//! reservations leaves a link unable to fit the flow's rate, that filter
-//! admits exactly the links of the rate's class, so the session answers
-//! from the class trees. It reads them while three things hold: the
-//! solve's state is over the oracle's network, the overlay marks no link
-//! or node down (a fresh state knows no faults), and no reservation made
-//! through the session has left a link below the rate. From the first
-//! query at which one fails, every later query of the session runs a
-//! target-bounded Dijkstra under the residual filter in the session's
-//! own search buffers.
+//! reserve bandwidth as they go) route through an [`OracleSession`],
+//! which holds the solve's link reservations itself: the remaining
+//! bandwidth of each link the solve reserved, keyed by link. Until one
+//! of them leaves a link unable to fit the flow's rate, the residual
+//! filter admits exactly the links of the rate's class, so the session
+//! answers from the class trees. It reads them while the overlay marks
+//! no link or node down and no reservation has left a link below the
+//! rate. From the first query at which one fails, every later query of
+//! the session runs a target-bounded Dijkstra under the residual filter
+//! in the session's own search buffers.
 
-use crate::error::NetResult;
+use crate::error::{NetError, NetResult};
 use crate::fault::FaultEvent;
 use crate::fxmap::FxHashMap;
 use crate::graph::Network;
@@ -50,7 +49,7 @@ use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::routing::csp::{larac_core, ConstrainedPath};
 use crate::routing::{min_cost_path_in, ArcWeight, LinkFilter, RoutingScratch, ShortestPathTree};
-use crate::state::{NetworkState, CAP_EPS};
+use crate::state::CAP_EPS;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -289,8 +288,8 @@ impl<'n> PathOracle<'n> {
     }
 
     /// Like [`Self::tree_tracked`], but `None` while the overlay marks
-    /// any link or node down: such a tree excludes them, and a
-    /// [`NetworkState`] that knows no faults does not.
+    /// any link or node down: such a tree excludes them, and a session's
+    /// residual filter, which knows no faults, does not.
     fn tree_without_faults(
         &self,
         source: NodeId,
@@ -514,6 +513,7 @@ impl<'n> PathOracle<'n> {
             oracle: self,
             rate,
             reads_trees: rate.is_finite() && rate > 0.0,
+            reserved: FxHashMap::default(),
             scratch: RoutingScratch::new(),
             hits: 0,
             misses: 0,
@@ -524,12 +524,14 @@ impl<'n> PathOracle<'n> {
 
 /// Residual-capacity routing for one solve of a flow of one rate.
 ///
-/// The solve owns a [`NetworkState`] that starts fresh over the oracle's
-/// network (every link at its capacity, nothing down) and reserves every
-/// link through [`Self::reserve_link`] or [`Self::reserve_path`]. A
-/// query admits the links of that state that fit the rate, plus the
-/// links the caller says a multicast group already shares, which are
-/// links the solve reserved.
+/// The session holds the solve's link reservations: every link starts at
+/// its capacity on the oracle's network, nothing down, and the solve
+/// reserves links through [`Self::reserve_link`] or
+/// [`Self::reserve_path`], which keep the remaining bandwidth of each
+/// link they touched in a map keyed by link. A query admits the links
+/// whose remaining bandwidth fits the rate, plus the links the caller
+/// says a multicast group already shares, which are links the solve
+/// reserved.
 ///
 /// For a finite positive rate, `capacity + CAP_EPS >= rate` holds
 /// exactly when the capacity reaches the rate's class threshold, so
@@ -537,17 +539,17 @@ impl<'n> PathOracle<'n> {
 /// admits the class's links and the class tree's path is the answer. The
 /// session reads the oracle's trees while
 ///
-/// - the state is over the oracle's network,
 /// - the overlay marks no link or node down, and
 /// - no reservation made through the session has left a link unable to
 ///   fit the rate.
 ///
 /// Once one of them fails, this query and every later one runs a
 /// Dijkstra under the residual filter that stops once its target is
-/// settled, in buffers the session reuses. Both give the path a complete
-/// tree under the residual filter would: a settled node's predecessor
-/// never changes, and both search the same CSR snapshot. Debug builds
-/// check every tree answer against that search.
+/// settled, in buffers the session reuses; its filter reads the
+/// reservation map once per arc. Both give the path a complete tree
+/// under the residual filter would: a settled node's predecessor never
+/// changes, and both search the same CSR snapshot. Debug builds check
+/// every tree answer against that search.
 ///
 /// A tree found in the cache counts as a hit, and a tree built or a
 /// search run as a miss, in the session's counters and the oracle's.
@@ -556,6 +558,9 @@ pub struct OracleSession<'o, 'n> {
     rate: f64,
     /// Whether queries still read the class trees.
     reads_trees: bool,
+    /// Remaining bandwidth of each link the session reserved; every
+    /// other link has its full capacity.
+    reserved: FxHashMap<LinkId, f64>,
     /// Session-owned search buffers, reused by every search of the
     /// solve (see [`RoutingScratch`]).
     scratch: RoutingScratch,
@@ -565,11 +570,10 @@ pub struct OracleSession<'o, 'n> {
 }
 
 impl OracleSession<'_, '_> {
-    /// Cheapest path `from → to` over the links of `state` that fit the
-    /// session's rate and the links `shared` allows.
+    /// Cheapest path `from → to` over the links whose remaining
+    /// bandwidth fits the session's rate and the links `shared` allows.
     pub fn residual_path<F: LinkFilter>(
         &mut self,
-        state: &NetworkState<'_>,
         from: NodeId,
         to: NodeId,
         shared: &F,
@@ -577,8 +581,6 @@ impl OracleSession<'_, '_> {
         if from == to {
             return Some(Path::trivial(from));
         }
-        let filter = |l: LinkId| shared.allows(l) || state.link_fits(l, self.rate);
-        self.reads_trees &= std::ptr::eq(state.network(), self.oracle.net);
         if self.reads_trees {
             if let Some((tree, hit)) = self.oracle.tree_without_faults(from, self.rate) {
                 if hit {
@@ -589,8 +591,7 @@ impl OracleSession<'_, '_> {
                 let path = tree.path_to(to);
                 #[cfg(debug_assertions)]
                 {
-                    let searched =
-                        min_cost_path_in(self.oracle.net, from, to, &filter, &mut self.scratch);
+                    let searched = self.search(from, to, shared);
                     debug_assert_eq!(
                         path.as_ref().map(|p| (p.nodes(), p.links())),
                         searched.as_ref().map(|p| (p.nodes(), p.links())),
@@ -604,22 +605,84 @@ impl OracleSession<'_, '_> {
         self.misses += 1;
         self.searches += 1;
         self.oracle.misses.fetch_add(1, Ordering::Relaxed);
-        min_cost_path_in(self.oracle.net, from, to, &filter, &mut self.scratch)
+        self.search(from, to, shared)
     }
 
-    /// Reserves the session's rate on `link` of `state`.
-    pub fn reserve_link(&mut self, state: &mut NetworkState<'_>, link: LinkId) -> NetResult<()> {
-        state.reserve_link(link, self.rate)?;
-        self.reads_trees &= state.link_fits(link, self.rate);
+    /// The target-bounded search under the residual filter.
+    fn search<F: LinkFilter>(&mut self, from: NodeId, to: NodeId, shared: &F) -> Option<Path> {
+        let OracleSession {
+            oracle,
+            rate,
+            reserved,
+            scratch,
+            ..
+        } = self;
+        let net = oracle.net;
+        let filter = |l: LinkId| {
+            shared.allows(l)
+                || reserved.get(&l).copied().unwrap_or(net.link(l).capacity) + CAP_EPS >= *rate
+        };
+        min_cost_path_in(net, from, to, &filter, scratch)
+    }
+
+    /// Remaining bandwidth of `link` after the session's reservations.
+    pub fn link_remaining(&self, link: LinkId) -> NetResult<f64> {
+        match self.reserved.get(&link) {
+            Some(&left) => Ok(left),
+            None => Ok(self.oracle.net.try_link(link)?.capacity),
+        }
+    }
+
+    /// Whether `link` can absorb `load` more, as the error
+    /// [`NetworkState::reserve_link`](crate::NetworkState::reserve_link)
+    /// returns for it on a fresh state carrying the same reservations.
+    fn check(&self, link: LinkId, load: f64) -> NetResult<()> {
+        let available = self.link_remaining(link)?;
+        if available + CAP_EPS < load {
+            return Err(NetError::InsufficientBandwidth {
+                link,
+                requested: load,
+                available,
+            });
+        }
         Ok(())
     }
 
-    /// Reserves the session's rate on every link of `path` in `state`;
-    /// on failure nothing is reserved (see
-    /// [`NetworkState::reserve_path`]).
-    pub fn reserve_path(&mut self, state: &mut NetworkState<'_>, path: &Path) -> NetResult<()> {
-        state.reserve_path(path, self.rate)?;
-        self.reads_trees &= path.links().iter().all(|&l| state.link_fits(l, self.rate));
+    /// Takes the session's rate off `link`, which [`Self::check`]
+    /// admitted. A link left unable to fit the rate ends the tree reads.
+    fn take(&mut self, link: LinkId) {
+        let net = self.oracle.net;
+        let left = self
+            .reserved
+            .entry(link)
+            .or_insert_with(|| net.link(link).capacity);
+        *left -= self.rate;
+        self.reads_trees &= *left + CAP_EPS >= self.rate;
+    }
+
+    /// Reserves the session's rate on `link`.
+    pub fn reserve_link(&mut self, link: LinkId) -> NetResult<()> {
+        self.check(link, self.rate)?;
+        self.take(link);
+        Ok(())
+    }
+
+    /// Reserves the session's rate on every link of `path`, or nothing:
+    /// each link is checked for the rate times the number of times the
+    /// path crosses it before any is reserved, as
+    /// [`NetworkState::reserve_path`](crate::NetworkState::reserve_path)
+    /// does.
+    pub fn reserve_path(&mut self, path: &Path) -> NetResult<()> {
+        let links = path.links();
+        for (i, &link) in links.iter().enumerate() {
+            if !links[..i].contains(&link) {
+                let crossings = links[i..].iter().filter(|&&l| l == link).count();
+                self.check(link, self.rate * crossings as f64)?;
+            }
+        }
+        for &link in links {
+            self.take(link);
+        }
         Ok(())
     }
 
@@ -758,43 +821,34 @@ mod tests {
     fn session_paths_track_residual_updates() {
         let g = diamond();
         let oracle = PathOracle::new(&g);
-        let mut state = NetworkState::new(&g);
         let mut session = oracle.session(0.8);
         let none = |_l: LinkId| false;
 
         // Nothing reserved yet: the class tree answers, and a second
         // query from the same source finds it in the cache.
-        let p1 = session
-            .residual_path(&state, NodeId(0), NodeId(3), &none)
-            .unwrap();
+        let p1 = session.residual_path(NodeId(0), NodeId(3), &none).unwrap();
         assert_eq!(p1.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
-        session
-            .residual_path(&state, NodeId(0), NodeId(1), &none)
-            .unwrap();
+        session.residual_path(NodeId(0), NodeId(1), &none).unwrap();
         assert_eq!((session.hits(), session.misses()), (1, 1));
 
         // A reservation that still leaves the rate room keeps the trees.
-        session.reserve_link(&mut state, LinkId(0)).unwrap();
-        session
-            .residual_path(&state, NodeId(0), NodeId(3), &none)
-            .unwrap();
+        session.reserve_link(LinkId(0)).unwrap();
+        session.residual_path(NodeId(0), NodeId(3), &none).unwrap();
         assert_eq!(session.searches(), 0);
 
         // Reserving the cheap 2-3 link (capacity 1.0) leaves 0.2 < 0.8:
         // the next query searches the residuals and routes around it.
-        session.reserve_link(&mut state, LinkId(3)).unwrap();
-        let p2 = session
-            .residual_path(&state, NodeId(0), NodeId(3), &none)
-            .unwrap();
+        session.reserve_link(LinkId(3)).unwrap();
+        let p2 = session.residual_path(NodeId(0), NodeId(3), &none).unwrap();
         assert_eq!(p2.nodes(), &[NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
         // Links a multicast group shares stay admitted.
         let shared = |l: LinkId| l == LinkId(3);
         let p3 = session
-            .residual_path(&state, NodeId(0), NodeId(3), &shared)
+            .residual_path(NodeId(0), NodeId(3), &shared)
             .unwrap();
         assert_eq!(p3.nodes(), p1.nodes());
         // Trivial queries count nothing.
-        let p4 = session.residual_path(&state, NodeId(1), NodeId(1), &none);
+        let p4 = session.residual_path(NodeId(1), NodeId(1), &none);
         assert!(p4.unwrap().is_empty());
         assert_eq!(session.searches(), 2);
         assert_eq!((session.hits(), session.misses()), (2, 3));
@@ -803,36 +857,58 @@ mod tests {
     }
 
     #[test]
-    fn session_searches_under_faults_and_foreign_states() {
+    fn session_searches_under_faults() {
         let g = diamond();
-        let other = diamond();
         let none = |_l: LinkId| false;
-        // A link down on the oracle: the fresh state does not know it.
+        // A link down on the oracle: the session's filter does not know
+        // it, so the session searches.
         let oracle = PathOracle::new(&g);
         oracle.set_link_down(LinkId(3), true);
-        let state = NetworkState::new(&g);
         let mut session = oracle.session(0.5);
-        let p = session
-            .residual_path(&state, NodeId(0), NodeId(3), &none)
-            .unwrap();
+        let p = session.residual_path(NodeId(0), NodeId(3), &none).unwrap();
         assert_eq!(p.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
         // Bringing it back up does not resume the tree reads.
         oracle.set_link_down(LinkId(3), false);
-        session.residual_path(&state, NodeId(0), NodeId(3), &none);
-        assert_eq!(session.searches(), 2);
-        // A state over another network: an equal one, but not the same.
-        let oracle = PathOracle::new(&g);
-        let foreign = NetworkState::new(&other);
-        let mut session = oracle.session(0.5);
-        session.residual_path(&foreign, NodeId(0), NodeId(3), &none);
-        session.residual_path(&state, NodeId(0), NodeId(3), &none);
+        session.residual_path(NodeId(0), NodeId(3), &none);
         assert_eq!(session.searches(), 2);
         // A rate outside the finite positive range never reads a tree.
         let mut session = oracle.session(f64::INFINITY);
-        assert!(session
-            .residual_path(&state, NodeId(0), NodeId(3), &none)
-            .is_none());
+        assert!(session.residual_path(NodeId(0), NodeId(3), &none).is_none());
         assert_eq!(session.searches(), 1);
+    }
+
+    /// A reservation the link cannot absorb fails as a fresh
+    /// `NetworkState` carrying the same reservations fails, and reserves
+    /// nothing: a path is checked for every crossing first.
+    #[test]
+    fn refused_reservations_match_the_state_and_reserve_nothing() {
+        let g = diamond();
+        let oracle = PathOracle::new(&g);
+        let mut state = NetworkState::new(&g);
+        let mut session = oracle.session(0.6);
+        // Link 2-3 (capacity 1.0) takes one 0.6 reservation, not two.
+        session.reserve_link(LinkId(3)).unwrap();
+        state.reserve_link(LinkId(3), 0.6).unwrap();
+        assert_eq!(
+            session.reserve_link(LinkId(3)),
+            state.reserve_link(LinkId(3), 0.6)
+        );
+        assert_eq!(
+            session.reserve_link(LinkId(99)),
+            state.reserve_link(LinkId(99), 0.6)
+        );
+        // 0-2-3 fails on 2-3 after checking 0-2; 0-2 keeps its capacity.
+        let p = Path::from_nodes(&g, vec![NodeId(0), NodeId(2), NodeId(3)]).unwrap();
+        assert!(session.reserve_path(&p).is_err());
+        assert_eq!(session.reserve_path(&p), state.reserve_path(&p, 0.6));
+        // 0-1-0 crosses 0-1 twice: checked for 1.2, and fits.
+        let back = Path::from_nodes(&g, vec![NodeId(0), NodeId(1), NodeId(0)]).unwrap();
+        session.reserve_path(&back).unwrap();
+        state.reserve_path(&back, 0.6).unwrap();
+        for l in g.link_ids() {
+            assert_eq!(session.link_remaining(l), state.link_remaining(l));
+        }
+        assert_eq!(session.reserved.len(), 2, "only 2-3 and 0-1 are reserved");
     }
 
     /// The session's answers equal a complete tree's under the residual
@@ -850,7 +926,8 @@ mod tests {
         // 1-2-3-4 cycle, which 0-5 and 2-5 joined before.
         for reserve in [0, 2] {
             for _ in 0..reserve {
-                session.reserve_link(&mut state, LinkId(7)).unwrap();
+                session.reserve_link(LinkId(7)).unwrap();
+                state.reserve_link(LinkId(7), 0.9).unwrap();
             }
             let filter = |l: LinkId| state.link_fits(l, 0.9);
             let searches = session.searches();
@@ -858,7 +935,7 @@ mod tests {
             for from in 0..g.node_count() as u32 {
                 let tree = ShortestPathTree::build(&g, NodeId(from), &filter, None);
                 for to in 0..g.node_count() as u32 {
-                    let got = session.residual_path(&state, NodeId(from), NodeId(to), &none);
+                    let got = session.residual_path(NodeId(from), NodeId(to), &none);
                     let full = if from == to {
                         Some(Path::trivial(NodeId(from)))
                     } else {

@@ -229,6 +229,13 @@ impl SearchState for Resumed<'_> {
 }
 
 impl TreeNodes {
+    /// The distance to `node`, settled first if it is not yet.
+    fn dist_to(&mut self, node: NodeId) -> Option<f64> {
+        self.settle_through(node);
+        let d = self.dist[node.index()];
+        d.is_finite().then_some(d)
+    }
+
     /// Resumes a paused search until `node` is settled, or until the
     /// search completes. A complete tree, or a settled `node`, returns
     /// at once.
@@ -376,10 +383,17 @@ impl ShortestPathTree {
     /// Total weight of the lightest path to `node` under the tree's
     /// [`ArcWeight`] (its price for a price tree), if reachable.
     pub fn dist_to(&self, node: NodeId) -> Option<f64> {
+        self.nodes.lock().dist_to(node)
+    }
+
+    /// Runs `queries` with the tree locked once, for a caller that asks
+    /// many distances in a row (BBE's finals ask one per leaf). The
+    /// [`LockedTree::dist_to`] it is given answers as [`Self::dist_to`]
+    /// does and settles the same nodes in the same order as per-node
+    /// calls would; only the lock is taken once instead of per node.
+    pub fn locked<R>(&self, queries: impl FnOnce(&mut LockedTree<'_>) -> R) -> R {
         let mut nodes = self.nodes.lock();
-        nodes.settle_through(node);
-        let d = nodes.dist[node.index()];
-        d.is_finite().then_some(d)
+        queries(&mut LockedTree(&mut nodes))
     }
 
     /// The cheapest path from the source to `node`, if reachable.
@@ -406,6 +420,18 @@ impl ShortestPathTree {
         links.reverse();
         // Contiguity holds by construction of the predecessor chain.
         Some(Path::from_parts_unchecked(nodes, links))
+    }
+}
+
+/// A [`ShortestPathTree`] held locked for a run of queries (see
+/// [`ShortestPathTree::locked`]).
+pub struct LockedTree<'a>(&'a mut TreeNodes);
+
+impl LockedTree<'_> {
+    /// [`ShortestPathTree::dist_to`] under the held lock.
+    #[inline]
+    pub fn dist_to(&mut self, node: NodeId) -> Option<f64> {
+        self.0.dist_to(node)
     }
 }
 
@@ -704,6 +730,59 @@ mod tests {
             }
         }
         assert!(paused_checks >= 10, "{paused_checks} paused states checked");
+    }
+
+    /// Reads under one lock answer as per-node `dist_to` calls do on a
+    /// twin paused tree, and after every read both trees hold the same
+    /// distances, predecessors, settled bits and frontier bits.
+    #[test]
+    fn locked_reads_match_per_node_reads_on_a_paused_tree() {
+        let mut g = uniform_ring();
+        g.add_nodes(2);
+        g.add_link(NodeId(30), NodeId(31), 1.0, 100.0).unwrap();
+        g.add_link(NodeId(3), NodeId(17), 0.3, 100.0).unwrap();
+        let admitted: Arc<[bool]> = g.link_ids().map(|l| l.0 % 7 != 2).collect();
+        let twin = || {
+            ShortestPathTree::paused(
+                Arc::clone(g.snapshot()),
+                NodeId(4),
+                Arc::clone(&admitted),
+                ArcWeight::Price,
+            )
+        };
+        let (per_node, locked) = (twin(), twin());
+        // Near nodes first, repeats, the source itself, then far and
+        // unreached nodes, so the trees stay paused for a while.
+        let mut lcg = 0x2545_F491_u32;
+        let queries: Vec<NodeId> = (0..48u32)
+            .map(|q| {
+                lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let span = if q < 24 { 9 } else { 32 };
+                NodeId((lcg >> 8) % span)
+            })
+            .chain([NodeId(4), NodeId(31)])
+            .collect();
+        type State = (Vec<u64>, Vec<(u32, u32)>, Option<(Vec<u64>, Vec<u64>)>);
+        let state = |t: &TreeNodes| -> State {
+            let bits = |b: &NodeBits| b.0.clone();
+            (
+                t.dist.iter().map(|d| d.to_bits()).collect(),
+                t.prev.clone(),
+                t.paused
+                    .as_ref()
+                    .map(|p| (bits(&p.settled), bits(&p.frontier))),
+            )
+        };
+        let paused = locked.locked(|t| {
+            let mut paused = 0;
+            for &v in &queries {
+                assert_eq!(t.dist_to(v), per_node.dist_to(v), "node {v:?}");
+                assert_eq!(state(t.0), state(&per_node.nodes.lock()), "after {v:?}");
+                paused += usize::from(t.0.paused.is_some());
+            }
+            paused
+        });
+        assert!(paused >= 20, "only {paused} reads on a paused tree");
     }
 
     #[test]

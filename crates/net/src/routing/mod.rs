@@ -34,7 +34,7 @@ pub use csp::{
     constrained_path_in, ConstrainedPath,
 };
 pub use dijkstra::{
-    min_cost_path, min_cost_path_in, settle_within_in, ArcWeight, ShortestPathTree,
+    min_cost_path, min_cost_path_in, settle_within_in, ArcWeight, LockedTree, ShortestPathTree,
 };
 pub use disjoint::{disjoint_path_pair, DisjointPair};
 pub use ksp::k_shortest_paths;

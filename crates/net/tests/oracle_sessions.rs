@@ -1,21 +1,23 @@
-//! Property tests for the oracle session, which answers a solve's
-//! residual-capacity queries from the class trees until the residuals
-//! stop matching them: every answer must equal a target-bounded search
-//! under the residual filter, and the session must switch to those
-//! searches exactly when the residual filter can differ from the class
-//! filter.
+//! Property tests for the oracle session, which holds a solve's link
+//! reservations and answers its residual-capacity queries from the class
+//! trees until the residuals stop matching them: every answer must equal
+//! a target-bounded search under the residual filter, and the session
+//! must switch to those searches exactly when the residual filter can
+//! differ from the class filter.
 //!
 //! The reference is `min_cost_path_in` under the filter a baseline solve
-//! routes with: links of the solve's `NetworkState` that fit the rate,
-//! plus the links a multicast group shares. The session reads trees
-//! while three things hold: the state is over the oracle's network, the
-//! overlay marks nothing down, and no reservation has left a link below
-//! the rate. Networks draw prices with repeats and zeros (ties,
-//! zero-length arcs) and capacities on both sides of a class boundary
-//! and within `CAP_EPS` of one.
+//! routes with: `RateFilter` over a `NetworkState` that mirrors every
+//! reservation made through the session, plus the links a multicast
+//! group shares. Every reservation, refused ones included, must return
+//! what the mirror's returns and leave each link's remaining bandwidth
+//! bit-equal to the mirror's. The session reads trees while the overlay
+//! marks nothing down and no reservation has left a link below the
+//! rate. Networks draw prices with repeats and zeros (ties, zero-length
+//! arcs) and capacities on both sides of a class boundary and within
+//! `CAP_EPS` of one.
 
-use dagsfc_net::routing::{min_cost_path_in, RoutingScratch};
-use dagsfc_net::{LinkId, Network, NetworkState, NodeId, Path, PathOracle};
+use dagsfc_net::routing::{min_cost_path_in, LinkFilter, RateFilter, RoutingScratch};
+use dagsfc_net::{LinkId, Network, NetworkState, NodeId, OracleSession, Path, PathOracle};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,14 +103,43 @@ impl Fault {
     }
 }
 
+/// A random walk of up to four hops from a random node; it may cross a
+/// link twice.
+fn walk(rng: &mut StdRng, net: &Network) -> Path {
+    let mut nodes = vec![NodeId(rng.gen_range(0..net.node_count()) as u32)];
+    for _ in 0..rng.gen_range(1..5) {
+        // lint:allow(unwrap) — test fixture: the walk is never empty
+        let adj = net.neighbors(*nodes.last().unwrap());
+        nodes.push(adj[rng.gen_range(0..adj.len())].0);
+    }
+    // lint:allow(unwrap) — test fixture: consecutive nodes are adjacent
+    Path::from_nodes(net, nodes).unwrap()
+}
+
+/// Whether the session and its mirror agree on every link's remaining
+/// bandwidth, bit for bit.
+fn same_residuals(
+    session: &OracleSession<'_, '_>,
+    state: &NetworkState<'_>,
+    net: &Network,
+) -> bool {
+    net.link_ids().all(|l| {
+        let bits = |r: Result<f64, _>| r.map(f64::to_bits);
+        bits(session.link_remaining(l)) == bits(state.link_remaining(l))
+    })
+}
+
 /// One solve-shaped query sequence on a random network: queries between
 /// random nodes, each path then reserved either link by link into a
 /// shared multicast set or as a whole, with a fault on the oracle from
-/// some query on. Checks that every answer equals the residual
-/// search and that the session searches exactly from the first query at
-/// which the invariant is broken; returns how many queries read a tree
-/// and how many searched.
-fn solve_shaped(seed: u64, n: usize) -> Result<(u64, u64), TestCaseError> {
+/// some query on, and now and then a reservation of a random link or
+/// walk that need not fit. Checks that every answer equals the residual
+/// search over the mirror state, that every reservation returns what the
+/// mirror's does and leaves the same residuals, and that the session
+/// searches exactly from the first query at which the invariant is
+/// broken; returns how many queries read a tree, how many searched and
+/// how many reservations were refused.
+fn solve_shaped(seed: u64, n: usize) -> Result<(u64, u64, u64), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = network(&mut rng, n);
     let oracle = PathOracle::new(&net);
@@ -131,6 +162,7 @@ fn solve_shaped(seed: u64, n: usize) -> Result<(u64, u64), TestCaseError> {
     let mut shared = vec![false; net.link_count()];
     let warm = oracle.stats();
     let mut queries = 0u64;
+    let mut refused = 0u64;
     for step in 0..STEPS {
         if fault_at == Some(step) {
             fault.set(&oracle, true);
@@ -139,13 +171,33 @@ fn solve_shaped(seed: u64, n: usize) -> Result<(u64, u64), TestCaseError> {
         if repair_at == Some(step) {
             fault.set(&oracle, false);
         }
+        // A reservation outside any answer: a random link, or a walk
+        // that may cross a link twice. Either may not fit.
+        if rng.gen_bool(0.3) {
+            let walk = walk(&mut rng, &net);
+            let (got, want, links) = if rng.gen_bool(0.5) {
+                let l = walk.links()[0];
+                let got = session.reserve_link(l);
+                (got, state.reserve_link(l, rate), &walk.links()[..1])
+            } else {
+                let got = session.reserve_path(&walk);
+                (got, state.reserve_path(&walk, rate), walk.links())
+            };
+            prop_assert_eq!(&got, &want, "seed {} step {}", seed, step);
+            prop_assert!(same_residuals(&session, &state, &net), "seed {}", seed);
+            refused += u64::from(got.is_err());
+            if got.is_ok() {
+                broken |= links.iter().any(|&l| !state.link_fits(l, rate));
+            }
+        }
         let from = NodeId(rng.gen_range(0..n) as u32);
         let to = NodeId(rng.gen_range(0..n) as u32);
         let grouped = rng.gen_bool(0.5);
         let admits_shared = |l: LinkId| grouped && shared[l.index()];
         let searches = session.searches();
-        let got = session.residual_path(&state, from, to, &admits_shared);
-        let residual = |l: LinkId| admits_shared(l) || state.link_fits(l, rate);
+        let got = session.residual_path(from, to, &admits_shared);
+        let fits = RateFilter::new(&state, rate);
+        let residual = |l: LinkId| admits_shared(l) || fits.allows(l);
         let want = min_cost_path_in(&net, from, to, &residual, &mut scratch);
         prop_assert_eq!(
             route(got.as_ref()),
@@ -171,20 +223,27 @@ fn solve_shaped(seed: u64, n: usize) -> Result<(u64, u64), TestCaseError> {
             for &l in path.links() {
                 if !shared[l.index()] {
                     shared[l.index()] = true;
-                    if session.reserve_link(&mut state, l).is_ok() {
+                    let got = session.reserve_link(l);
+                    prop_assert_eq!(&got, &state.reserve_link(l, rate));
+                    if got.is_ok() {
                         broken |= !state.link_fits(l, rate);
                     }
                 }
             }
-        } else if session.reserve_path(&mut state, &path).is_ok() {
-            broken |= path.links().iter().any(|&l| !state.link_fits(l, rate));
+        } else {
+            let got = session.reserve_path(&path);
+            prop_assert_eq!(&got, &state.reserve_path(&path, rate));
+            if got.is_ok() {
+                broken |= path.links().iter().any(|&l| !state.link_fits(l, rate));
+            }
         }
+        prop_assert!(same_residuals(&session, &state, &net), "seed {}", seed);
     }
     prop_assert_eq!(session.hits() + session.misses(), queries);
     let s = oracle.stats();
     prop_assert_eq!(s.hits - warm.hits, session.hits());
     prop_assert_eq!(s.misses - warm.misses, session.misses());
-    Ok((queries - session.searches(), session.searches()))
+    Ok((queries - session.searches(), session.searches(), refused))
 }
 
 proptest! {
@@ -198,12 +257,14 @@ proptest! {
 
 /// The generator reaches every regime: sequences that read trees to the
 /// end, sequences that search from the start, and sequences that switch
-/// from one to the other part-way.
+/// from one to the other part-way; and some reservations are refused.
 #[test]
-fn sequences_reach_tree_reads_searches_and_the_switch() {
+fn sequences_reach_tree_reads_searches_the_switch_and_refusals() {
     let mut seen = [0usize; 3];
+    let mut refused = 0;
     for seed in 0..64 {
-        let (reads, searches) = solve_shaped(seed, 2 + seed as usize % 28).expect("sequence");
+        let (reads, searches, r) = solve_shaped(seed, 2 + seed as usize % 28).expect("sequence");
+        refused += r;
         if searches == 0 {
             seen[0] += usize::from(reads > 0);
         } else if reads == 0 {
@@ -216,4 +277,5 @@ fn sequences_reach_tree_reads_searches_and_the_switch() {
         seen.iter().all(|&k| k > 0),
         "reads only / searches only / both: {seen:?}"
     );
+    assert!(refused > 0, "no reservation was refused");
 }

@@ -34,7 +34,7 @@ use crate::runner::{instance_network, instance_request, Algo};
 use dagsfc_audit::ConstraintAuditor;
 use dagsfc_core::solvers::SolveOutcome;
 use dagsfc_core::{DagSfc, Flow, ModelError, SolveError};
-use dagsfc_net::{CommitLedger, FaultEvent, LeaseId, LinkId, NetError, Network};
+use dagsfc_net::{CommitLedger, FaultEvent, LeaseId, NetError, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -281,15 +281,10 @@ pub fn embed_and_commit(
     let vnf_loads = acct
         .vnf_load
         .iter()
-        .map(|(&(node, kind), &load)| (node, kind, load));
-    let link_loads = acct
-        .link_load
-        .iter()
-        .enumerate()
-        .map(|(i, &load)| (LinkId(i as u32), load));
+        .map(|&((node, kind), load)| (node, kind, load));
     let lease = ledger
         // lint:allow(raw-commit) — this *is* the sanctioned wrapper
-        .commit(vnf_loads, link_loads)
+        .commit(vnf_loads, acct.link_load.iter().copied())
         .map_err(EmbedRejection::Commit)?;
     Ok(EmbedSuccess {
         lease,
