@@ -205,6 +205,8 @@ fn double_charged_multicast_link_fires_cost_check() {
         &dagsfc_core::SolveOutcome {
             embedding: emb,
             cost: double_charged,
+            vnf_load: Vec::new(),
+            link_load: Vec::new(),
             stats: Default::default(),
         },
     );

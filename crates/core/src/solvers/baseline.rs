@@ -8,7 +8,7 @@
 //! Neither considers link proximity when assigning, which is exactly the
 //! weakness BBE/MBBE exploit.
 
-use super::{layering, precheck, RuleFilter, SolveCtx, SolveOutcome, Solver, SolverStats};
+use super::{layering, RuleFilter, SolveCtx, Solver, SolverStats};
 use crate::chain::DagSfc;
 use crate::embedding::Embedding;
 use crate::error::rule_infeasible_reason;
@@ -20,7 +20,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A host of a slot's kind with room for the flow.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +76,7 @@ impl Solver for RanvSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         assign_then_route(ctx, sfc, flow, self, "RANV")
     }
 }
@@ -114,7 +113,7 @@ impl Solver for MinvSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         assign_then_route(ctx, sfc, flow, self, "MINV")
     }
 }
@@ -129,10 +128,8 @@ fn assign_then_route(
     flow: &Flow,
     pick: &dyn PickNode,
     solver: &'static str,
-) -> Result<SolveOutcome, SolveError> {
-    let start = Instant::now();
+) -> Result<(Embedding, SolverStats), SolveError> {
     let net = ctx.net;
-    precheck(net, sfc, flow)?;
     let catalog = sfc.catalog();
     // Routing filters on this solve's residuals through an oracle
     // session, which holds the solve's link reservations. It reads the
@@ -276,24 +273,18 @@ fn assign_then_route(
         paths.push(path);
     }
 
-    let embedding = Embedding::new(sfc, assignments, paths)?;
-    let cost = embedding.try_cost(net, sfc, flow)?;
-    Ok(SolveOutcome {
-        embedding,
-        cost,
-        stats: SolverStats {
-            explored,
-            kept: 1,
-            elapsed: start.elapsed(),
-            // Tree hits, and tree builds plus residual searches. The
-            // solver battery's work and cache-traffic digests leave both
-            // out for MINV/RANV: they count oracle traffic, not search.
-            cache_hits: session.hits(),
-            cache_misses: session.misses(),
-            candidates_rule_rejected: rule_rejected,
-            ..SolverStats::default()
-        },
-    })
+    let stats = SolverStats {
+        explored,
+        kept: 1,
+        // Tree hits, and tree builds plus residual searches. The solver
+        // battery's work and cache-traffic digests leave both out for
+        // MINV/RANV: they count oracle traffic, not search.
+        cache_hits: session.hits(),
+        cache_misses: session.misses(),
+        candidates_rule_rejected: rule_rejected,
+        ..SolverStats::default()
+    };
+    Ok((Embedding::new(sfc, assignments, paths)?, stats))
 }
 
 #[cfg(test)]

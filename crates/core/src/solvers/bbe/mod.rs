@@ -42,7 +42,7 @@ use self::forward::forward_search;
 use self::loads::{Use, UseLists};
 use self::subtree::{SubHandle, SubTree};
 use super::instrument::{Counters, Instrument};
-use super::{precheck, SolveCtx, SolveOutcome, Solver};
+use super::{SolveCtx, Solver, SolverStats};
 use crate::chain::{DagSfc, Layer};
 use crate::delay::DelayModel;
 use crate::embedding::Embedding;
@@ -172,7 +172,7 @@ impl Solver for BbeSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         run(ctx, sfc, flow, &self.config, "BBE")
     }
 }
@@ -220,7 +220,7 @@ impl Solver for MbbeSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         run(ctx, sfc, flow, &self.config, "MBBE")
     }
 }
@@ -260,7 +260,7 @@ impl Solver for MbbeStSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         run(ctx, sfc, flow, &self.config, "MBBE-ST")
     }
 }
@@ -279,10 +279,8 @@ fn run(
     flow: &Flow,
     config: &BbeConfig,
     solver: &'static str,
-) -> Result<SolveOutcome, SolveError> {
-    let start = Instant::now();
+) -> Result<(Embedding, SolverStats), SolveError> {
     let net = ctx.net;
-    precheck(net, sfc, flow)?;
     // Promote a request-level delay budget to a solver-level constraint
     // under the canonical substrate model, so the search itself prunes
     // and ranks deadline-aware instead of relying solely on the
@@ -306,16 +304,10 @@ fn run(
         let mut ins = Counters::default();
         match attempt(ctx, sfc, flow, &cfg, dc, solver, &mut ins) {
             Ok((embedding, explored, kept)) => {
-                let cost = embedding.try_cost(net, sfc, flow)?;
                 let mut stats = ins.stats;
                 stats.explored = explored;
                 stats.kept = kept;
-                stats.elapsed = start.elapsed();
-                return Ok(SolveOutcome {
-                    embedding,
-                    cost,
-                    stats,
-                });
+                return Ok((embedding, stats));
             }
             Err(failed) => {
                 // Adaptive X_max: double and retry only when the bound cut

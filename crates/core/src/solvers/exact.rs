@@ -18,7 +18,7 @@
 //! enough to enumerate every loopless path, making it exact outright.
 //! Runtime is exponential — guard rails reject oversized instances.
 
-use super::{layering, precheck, RuleFilter, SolveCtx, SolveOutcome, Solver, SolverStats};
+use super::{layering, RuleFilter, SolveCtx, Solver, SolverStats};
 use crate::chain::DagSfc;
 use crate::embedding::Embedding;
 use crate::error::{rule_infeasible_reason, SolveError};
@@ -28,7 +28,6 @@ use dagsfc_net::routing::k_shortest_paths;
 use dagsfc_net::{LinkId, Network, NodeId, Path, VnfTypeId, CAP_EPS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Configuration of the exact solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,14 +82,12 @@ impl Solver for ExactSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         // The shared oracle serves single-source shortest-path trees; the
         // exact solver needs k-shortest *alternatives* per endpoint pair,
         // so it keeps its own private Yen memo and only reports its
         // hit/miss counts through the common stats channel.
         let net = ctx.net;
-        let start = Instant::now();
-        precheck(net, sfc, flow)?;
         let catalog = sfc.catalog();
 
         // Flatten slots and their candidate hosts.
@@ -143,44 +140,24 @@ impl Solver for ExactSolver {
             placed: Vec::with_capacity(slots.len()),
             rule_rejected: 0,
             best: None,
+            first_feasible: false,
             explored: 0,
             path_cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
         };
-        let mut assignment: Vec<NodeId> = Vec::with_capacity(slots.len());
-        let mut vnf_count: HashMap<(NodeId, VnfTypeId), u32> = HashMap::new();
-        search.assign(0, 0.0, &mut assignment, &mut vnf_count);
-
-        let explored = search.explored;
-        let rule_rejected = search.rule_rejected;
-        let (cache_hits, cache_misses) = (search.cache_hits, search.cache_misses);
+        search.run();
         let Some((_, assignment, paths)) = search.best else {
             // The rule pruning is prefix-monotone, so this search is
             // complete under the rules. To report a *certified* cause,
-            // re-run rule-blind: if that finds an embedding, the rules —
-            // not capacity — made the instance infeasible.
-            if rule_rejected > 0 {
-                let mut unfiltered = Search {
-                    net,
-                    flow,
-                    cfg: &self.config,
-                    slots: &slots,
-                    candidates: &candidates,
-                    mps: &mps,
-                    rules: None,
-                    placed: Vec::new(),
-                    rule_rejected: 0,
-                    best: None,
-                    explored: 0,
-                    path_cache: HashMap::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                };
-                let mut a = Vec::with_capacity(slots.len());
-                let mut vc = HashMap::new();
-                unfiltered.assign(0, 0.0, &mut a, &mut vc);
-                if unfiltered.best.is_some() {
+            // re-run it rule-blind up to the first feasible embedding: if
+            // one exists, the rules — not capacity — made the instance
+            // infeasible.
+            if search.rule_rejected > 0 {
+                search.rules = None;
+                search.first_feasible = true;
+                search.run();
+                if search.best.is_some() {
                     return Err(SolveError::NoFeasibleEmbedding {
                         solver: "EXACT",
                         reason: rule_infeasible_reason(
@@ -203,21 +180,15 @@ impl Solver for ExactSolver {
         for (&(l, _, _), &n) in slots.iter().zip(&assignment) {
             shaped[l].push(n);
         }
-        let embedding = Embedding::new(sfc, shaped, paths)?;
-        let cost = embedding.try_cost(net, sfc, flow)?;
-        Ok(SolveOutcome {
-            embedding,
-            cost,
-            stats: SolverStats {
-                explored,
-                kept: 1,
-                elapsed: start.elapsed(),
-                cache_hits,
-                cache_misses,
-                candidates_rule_rejected: rule_rejected,
-                ..SolverStats::default()
-            },
-        })
+        let stats = SolverStats {
+            explored: search.explored,
+            kept: 1,
+            cache_hits: search.cache_hits,
+            cache_misses: search.cache_misses,
+            candidates_rule_rejected: search.rule_rejected,
+            ..SolverStats::default()
+        };
+        Ok((Embedding::new(sfc, shaped, paths)?, stats))
     }
 }
 
@@ -240,6 +211,9 @@ struct Search<'a> {
     rule_rejected: usize,
     /// Best (total cost, flat assignment, paths) found so far.
     best: Option<(f64, Vec<NodeId>, Vec<Path>)>,
+    /// Stop at the first feasible embedding instead of the optimum:
+    /// once `best` holds one, every branch is pruned.
+    first_feasible: bool,
     explored: usize,
     /// Memoized k-cheapest paths per (from, to).
     path_cache: HashMap<(NodeId, NodeId), Vec<Path>>,
@@ -250,8 +224,20 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
+    /// Runs the branch and bound from the first slot.
+    fn run(&mut self) {
+        let mut assignment = Vec::with_capacity(self.slots.len());
+        self.assign(0, 0.0, &mut assignment, &mut HashMap::new());
+    }
+
+    /// The cost a branch must stay below to be explored: the
+    /// incumbent's, or −∞ once a first-feasible search holds one.
     fn best_cost(&self) -> f64 {
-        self.best.as_ref().map(|b| b.0).unwrap_or(f64::INFINITY)
+        match &self.best {
+            None => f64::INFINITY,
+            Some(_) if self.first_feasible => f64::NEG_INFINITY,
+            Some(b) => b.0,
+        }
     }
 
     /// DFS over slot assignments with VNF-cost and capability pruning.

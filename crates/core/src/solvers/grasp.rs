@@ -12,8 +12,7 @@
 
 use super::localsearch::{improve_in, LocalSearchConfig};
 use super::{
-    first_rule_violation, layering, oracle_min_cost_path, precheck, RuleFilter, SolveCtx,
-    SolveOutcome, Solver, SolverStats,
+    first_rule_violation, layering, oracle_min_cost_path, RuleFilter, SolveCtx, Solver, SolverStats,
 };
 use crate::chain::DagSfc;
 use crate::embedding::Embedding;
@@ -25,7 +24,6 @@ use dagsfc_net::{NodeId, CAP_EPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// GRASP configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +83,8 @@ impl Solver for GraspSolver {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
-        let start = Instant::now();
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         let net = ctx.net;
-        precheck(net, sfc, flow)?;
         let catalog = sfc.catalog();
         let mut rng = self
             .rng
@@ -241,20 +237,15 @@ impl Solver for GraspSolver {
                 reason: "no randomized start produced a feasible embedding".into(),
             });
         };
-        let cost = embedding.try_cost(net, sfc, flow)?;
-        Ok(SolveOutcome {
-            embedding,
-            cost,
-            stats: SolverStats {
-                explored,
-                kept: 1,
-                elapsed: start.elapsed(),
-                cache_hits,
-                cache_misses,
-                candidates_rule_rejected: rule_rejected,
-                ..SolverStats::default()
-            },
-        })
+        let stats = SolverStats {
+            explored,
+            kept: 1,
+            cache_hits,
+            cache_misses,
+            candidates_rule_rejected: rule_rejected,
+            ..SolverStats::default()
+        };
+        Ok((embedding, stats))
     }
 }
 

@@ -13,14 +13,13 @@
 //! * as a wrapper solver (`ImprovedSolver`) that runs any inner solver
 //!   and then polishes its result.
 
-use super::{layering, oracle_min_cost_path, RuleFilter, SolveCtx, SolveOutcome, Solver};
+use super::{layering, oracle_min_cost_path, RuleFilter, SolveCtx, Solver, SolverStats};
 use crate::chain::DagSfc;
 use crate::embedding::Embedding;
 use crate::error::SolveError;
 use crate::flow::Flow;
 use crate::metapath::{meta_paths, Endpoint, MetaPathKind};
 use dagsfc_net::{Network, NodeId, Path, VnfTypeId, CAP_EPS};
-use std::time::Instant;
 
 /// Configuration of the local search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,21 +279,14 @@ impl<S: Solver> Solver for ImprovedSolver<S> {
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError> {
-        let start = Instant::now();
+    ) -> Result<(Embedding, SolverStats), SolveError> {
         let base = self.inner.solve_in(ctx, sfc, flow)?;
         let improved = improve_in(ctx, sfc, flow, &base.embedding, self.config);
-        let cost = improved.embedding.try_cost(ctx.net, sfc, flow)?;
-        let mut stats = base.stats.clone();
+        let mut stats = base.stats;
         stats.explored += improved.moves;
         stats.cache_hits += improved.cache_hits;
         stats.cache_misses += improved.cache_misses;
-        stats.elapsed = start.elapsed();
-        Ok(SolveOutcome {
-            embedding: improved.embedding,
-            cost,
-            stats,
-        })
+        Ok((improved.embedding, stats))
     }
 }
 

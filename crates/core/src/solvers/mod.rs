@@ -2,8 +2,9 @@
 //! branch-and-bound reference.
 //!
 //! All solvers implement [`Solver`]: given an immutable network, a
-//! DAG-SFC, and a flow, they either return a complete [`Embedding`]
-//! (with its objective cost and search statistics) or a typed failure.
+//! DAG-SFC, and a flow, their search returns a complete [`Embedding`]
+//! (with its search statistics) or a typed failure, and
+//! [`Solver::solve_in`] accounts that embedding once and gates it.
 //! Solvers never mutate the network; feasibility is checked against the
 //! declared capacities and every returned embedding passes
 //! [`crate::validate::validate`].
@@ -31,11 +32,11 @@ use crate::embedding::Embedding;
 use crate::error::{deadline_infeasible_reason, rule_infeasible_reason, SolveError};
 use crate::flow::{Flow, PlacementRules};
 use dagsfc_net::Network;
-use dagsfc_net::{NodeId, Path, PathOracle};
+use dagsfc_net::{LinkId, NodeId, Path, PathOracle, VnfTypeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Search statistics reported by every solver.
 ///
@@ -407,13 +408,18 @@ pub(crate) fn oracle_min_cost_path(
     tree.path_to(to)
 }
 
-/// A successful embedding with its cost and statistics.
+/// A successful embedding with its cost, its loads and statistics.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// The embedding found.
     pub embedding: Embedding,
     /// Its objective value (eq. (1)).
     pub cost: CostBreakdown,
+    /// Its load on every VNF instance it uses
+    /// ([`crate::Accounting::vnf_load`]): what a commit reserves.
+    pub vnf_load: Vec<((NodeId, VnfTypeId), f64)>,
+    /// Its load on every link it uses ([`crate::Accounting::link_load`]).
+    pub link_load: Vec<(LinkId, f64)>,
     /// Search statistics.
     pub stats: SolverStats,
 }
@@ -424,26 +430,30 @@ pub trait Solver {
     /// "MINV", …).
     fn name(&self) -> &'static str;
 
-    /// The algorithm body: embeds `sfc` for `flow` without the audit
-    /// gate. Implementations provide this; callers go through
-    /// [`Solver::solve_in`] so the gate cannot be skipped by accident.
+    /// The search: embeds `sfc` for `flow` and returns the embedding
+    /// with the search's own counters. Implementations provide this;
+    /// callers go through [`Solver::solve_in`] so the envelope cannot be
+    /// skipped by accident.
     fn solve_raw(
         &self,
         ctx: &SolveCtx<'_>,
         sfc: &DagSfc,
         flow: &Flow,
-    ) -> Result<SolveOutcome, SolveError>;
+    ) -> Result<(Embedding, SolverStats), SolveError>;
 
     /// Embeds `sfc` for `flow` using a shared [`SolveCtx`], so repeated
-    /// solves on one network reuse cached shortest-path trees. Before
-    /// the search, the chain's carried precedence order is verified
-    /// against its layered rendering ([`layering::verify_admissible`]);
-    /// after it, the delay and placement-rule gates run. When
-    /// `ctx.audit` is set (the default under `debug_assertions`), every
-    /// produced embedding is re-validated against the model constraints
-    /// and its reported cost cross-checked before being returned —
-    /// failures surface as [`SolveError::AuditFailed`], never as a
-    /// silently wrong embedding.
+    /// solves on one network reuse cached shortest-path trees: the one
+    /// envelope around every search. Before the search, the chain's
+    /// carried precedence order is verified against its layered
+    /// rendering ([`layering::verify_admissible`]) and the request is
+    /// [`precheck`]ed; after it, the embedding is accounted once
+    /// ([`Embedding::try_account`]) into the outcome's cost and loads,
+    /// and the delay and placement-rule gates run. When `ctx.audit` is
+    /// set (the default under `debug_assertions`), every produced
+    /// embedding is re-validated against the model constraints and its
+    /// reported cost cross-checked before being returned — failures
+    /// surface as [`SolveError::AuditFailed`], never as a silently wrong
+    /// embedding.
     fn solve_in(
         &self,
         ctx: &SolveCtx<'_>,
@@ -451,7 +461,18 @@ pub trait Solver {
         flow: &Flow,
     ) -> Result<SolveOutcome, SolveError> {
         layering::verify_admissible(sfc)?;
-        let out = self.solve_raw(ctx, sfc, flow)?;
+        let start = Instant::now();
+        precheck(ctx.net, sfc, flow)?;
+        let (embedding, mut stats) = self.solve_raw(ctx, sfc, flow)?;
+        let acct = embedding.try_account(ctx.net, sfc, flow)?;
+        stats.elapsed = start.elapsed();
+        let out = SolveOutcome {
+            embedding,
+            cost: acct.cost,
+            vnf_load: acct.vnf_load,
+            link_load: acct.link_load,
+            stats,
+        };
         enforce_delay_budget(self.name(), ctx, sfc, flow, &out)?;
         enforce_placement_rules(self.name(), sfc, &out)?;
         if ctx.audit {

@@ -7,9 +7,10 @@
 //! 1. **Direct commits.** A `.commit(…)` whose receiver is a ledger
 //!    (`ledger`, `ledgers[…]`, `raw_ledger(…)`, or any identifier
 //!    containing "ledger") may appear only inside the one sanctioned
-//!    wrapper, `embed_and_commit` (the solve → account → commit kernel
-//!    in `crates/sim`). Any other function committing to a ledger is a
-//!    new unaudited commit path and fails the build.
+//!    wrapper, `embed_and_commit` (the kernel in `crates/sim` that
+//!    solves and commits the loads the solve accounted). Any other
+//!    function committing to a ledger is a new unaudited commit path and
+//!    fails the build.
 //!
 //! 2. **Wrapper callers.** Every function that *calls* the wrapper
 //!    must itself audit the outcome: its body must reference the

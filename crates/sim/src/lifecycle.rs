@@ -14,8 +14,8 @@
 //! path and the daemon's serving path cannot drift apart:
 //!
 //! * [`embed_and_commit`] — the per-request kernel: solve over the
-//!   residual network, account the loads, and commit them atomically to
-//!   a [`CommitLedger`], yielding a lease;
+//!   residual network and commit the loads the solve accounted
+//!   atomically to a [`CommitLedger`], yielding a lease;
 //! * [`ReplayTrace`] — a solver-independent arrival/departure schedule.
 //!   Holding times are drawn for **every** arrival up front (accepted
 //!   or not), so the schedule depends only on the seed: an external
@@ -33,7 +33,7 @@ use crate::departures::DepartureQueue;
 use crate::runner::{instance_network, instance_request, Algo};
 use dagsfc_audit::ConstraintAuditor;
 use dagsfc_core::solvers::SolveOutcome;
-use dagsfc_core::{DagSfc, Flow, ModelError, SolveError};
+use dagsfc_core::{DagSfc, Flow, SolveError};
 use dagsfc_net::{CommitLedger, FaultEvent, LeaseId, NetError, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,9 +198,6 @@ pub fn arrival_seed(base: u64, arrival: usize) -> u64 {
 pub enum EmbedRejection {
     /// The solver found no feasible embedding.
     Solve(SolveError),
-    /// The solver's embedding failed reuse accounting (references an
-    /// undeployed instance) — should not happen, but never aborts.
-    Account(ModelError),
     /// The ledger refused the commit (capacity raced away) — should not
     /// happen when solving over the ledger's own residual.
     Commit(NetError),
@@ -214,7 +211,6 @@ impl std::fmt::Display for EmbedRejection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EmbedRejection::Solve(e) => write!(f, "{e}"),
-            EmbedRejection::Account(e) => write!(f, "accounting failed: {e}"),
             EmbedRejection::Commit(e) => write!(f, "commit failed: {e}"),
             EmbedRejection::Audit(summary) => write!(f, "audit failed: {summary}"),
         }
@@ -245,14 +241,15 @@ impl std::error::Error for EmbedRejection {}
 pub struct EmbedSuccess {
     /// Handle for the committed resources (release on departure).
     pub lease: LeaseId,
-    /// The solve outcome: embedding, objective cost and the solver's
-    /// instrumentation counters.
+    /// The solve outcome: embedding, objective cost, the loads the
+    /// lease holds and the solver's instrumentation counters.
     pub outcome: SolveOutcome,
 }
 
 /// The per-request serving kernel: solve `(sfc, flow)` over `residual`
-/// with `algo` seeded by `seed`, account the embedding's loads, and
-/// commit them atomically to `ledger`.
+/// with `algo` seeded by `seed`, and commit the loads the solve
+/// accounted ([`SolveOutcome::vnf_load`] and
+/// [`SolveOutcome::link_load`]) atomically to `ledger`.
 ///
 /// `residual` must reflect `ledger`'s current state (callers pass
 /// `ledger.residual()` or a view patched to it, with resources outside
@@ -274,17 +271,13 @@ pub fn embed_and_commit(
     let out = solver
         .solve(residual, sfc, flow)
         .map_err(EmbedRejection::Solve)?;
-    let acct = out
-        .embedding
-        .try_account(residual, sfc, flow)
-        .map_err(EmbedRejection::Account)?;
-    let vnf_loads = acct
+    let vnf_loads = out
         .vnf_load
         .iter()
         .map(|&((node, kind), load)| (node, kind, load));
     let lease = ledger
         // lint:allow(raw-commit) — this *is* the sanctioned wrapper
-        .commit(vnf_loads, acct.link_load.iter().copied())
+        .commit(vnf_loads, out.link_load.iter().copied())
         .map_err(EmbedRejection::Commit)?;
     Ok(EmbedSuccess {
         lease,
@@ -736,6 +729,24 @@ mod tests {
         assert!(ledger.is_active(s.lease));
         assert!(ledger.outstanding_load() > 0.0);
         assert!(s.outcome.cost.total() > 0.0);
+        // The lease holds exactly the non-zero loads the solve accounted.
+        let (vnf, links) = ledger.lease_loads(s.lease).unwrap();
+        let out = &s.outcome;
+        let want_vnf: Vec<_> = out
+            .vnf_load
+            .iter()
+            .filter(|e| e.1 > 0.0)
+            .map(|&((n, k), r)| (n, k, r))
+            .collect();
+        let want_links: Vec<_> = out
+            .link_load
+            .iter()
+            .copied()
+            .filter(|e| e.1 > 0.0)
+            .collect();
+        assert!(!want_vnf.is_empty() && !want_links.is_empty());
+        assert_eq!(vnf, want_vnf.as_slice());
+        assert_eq!(links, want_links.as_slice());
         ledger.release(s.lease).unwrap();
         assert!(ledger.outstanding_load().abs() < 1e-12);
     }

@@ -20,7 +20,7 @@ use crate::config::SimConfig;
 use crate::sfcgen::{random_flow, random_rules, random_sfc_of_size};
 use crate::stats::Summary;
 use dagsfc_core::solvers::SolveCtx;
-use dagsfc_core::{validate, DagSfc, Flow};
+use dagsfc_core::{DagSfc, Flow};
 use dagsfc_net::{generator, Network};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -130,7 +130,6 @@ struct RunRecord {
 /// Solves one `(run, algorithm)` pair against the shared solve context.
 fn solve_run(
     ctx: &SolveCtx<'_>,
-    net: &Network,
     cfg: &SimConfig,
     sfc: &DagSfc,
     flow: &Flow,
@@ -142,25 +141,18 @@ fn solve_run(
     let outcome = solver.solve_in(ctx, sfc, flow);
     let elapsed = started.elapsed();
     match outcome {
-        Ok(out) => {
-            debug_assert!(
-                validate(net, sfc, flow, &out.embedding).is_ok(),
-                "{} returned an invalid embedding",
-                algo.name()
-            );
-            RunRecord {
-                cost: Some((out.cost.total(), out.cost.vnf, out.cost.link)),
-                deadline_failure: false,
-                elapsed,
-                explored: out.stats.explored,
-                nodes_expanded: out.stats.nodes_expanded,
-                candidates_generated: out.stats.candidates_generated,
-                candidates_pruned: out.stats.candidates_pruned,
-                candidates_delay_rejected: out.stats.candidates_delay_rejected,
-                cache_hits: out.stats.cache_hits,
-                cache_misses: out.stats.cache_misses,
-            }
-        }
+        Ok(out) => RunRecord {
+            cost: Some((out.cost.total(), out.cost.vnf, out.cost.link)),
+            deadline_failure: false,
+            elapsed,
+            explored: out.stats.explored,
+            nodes_expanded: out.stats.nodes_expanded,
+            candidates_generated: out.stats.candidates_generated,
+            candidates_pruned: out.stats.candidates_pruned,
+            candidates_delay_rejected: out.stats.candidates_delay_rejected,
+            cache_hits: out.stats.cache_hits,
+            cache_misses: out.stats.cache_misses,
+        },
         Err(e) => RunRecord {
             cost: None,
             deadline_failure: e.is_deadline_infeasible(),
@@ -301,7 +293,7 @@ pub fn run_instance_on(cfg: &SimConfig, net: &Network, algos: &[Algo]) -> Instan
         for run in 0..cfg.runs {
             let (sfc, flow) = instance_request(cfg, net, run);
             for (ai, &algo) in algos.iter().enumerate() {
-                let rec = solve_run(&ctx, net, cfg, &sfc, &flow, run, algo);
+                let rec = solve_run(&ctx, cfg, &sfc, &flow, run, algo);
                 records[ai].lock()[run] = Some(rec);
             }
         }
@@ -322,7 +314,7 @@ pub fn run_instance_on(cfg: &SimConfig, net: &Network, algos: &[Algo]) -> Instan
                     while let Ok(run) = rx.recv() {
                         let (sfc, flow) = instance_request(cfg, net, run);
                         for (ai, &algo) in algos.iter().enumerate() {
-                            let rec = solve_run(ctx, net, cfg, &sfc, &flow, run, algo);
+                            let rec = solve_run(ctx, cfg, &sfc, &flow, run, algo);
                             records[ai].lock()[run] = Some(rec);
                         }
                     }
@@ -406,7 +398,7 @@ pub fn run_instances_with_threads(
             for run in 0..cfg.runs {
                 let (sfc, flow) = instance_request(cfg, &nets[pi], run);
                 for (ai, &algo) in algos.iter().enumerate() {
-                    let rec = solve_run(&ctxs[pi], &nets[pi], cfg, &sfc, &flow, run, algo);
+                    let rec = solve_run(&ctxs[pi], cfg, &sfc, &flow, run, algo);
                     records[pi][ai].lock()[run] = Some(rec);
                 }
             }
@@ -440,8 +432,7 @@ pub fn run_instances_with_threads(
                         for run in runs {
                             let (sfc, flow) = instance_request(cfg, &nets[pi], run);
                             for (ai, &algo) in algos.iter().enumerate() {
-                                let rec =
-                                    solve_run(&ctxs[pi], &nets[pi], cfg, &sfc, &flow, run, algo);
+                                let rec = solve_run(&ctxs[pi], cfg, &sfc, &flow, run, algo);
                                 records[pi][ai].lock()[run] = Some(rec);
                             }
                         }

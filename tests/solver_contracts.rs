@@ -1,20 +1,67 @@
 //! Cross-solver contracts: every algorithm, on a battery of random
 //! instances, must (a) return embeddings the independent validator
-//! accepts, (b) report failures as typed errors, and (c) respect the
-//! qualitative orderings the paper claims.
+//! accepts, with the cost and loads a fresh accounting gives, (b)
+//! report failures as typed errors, and (c) respect the qualitative
+//! orderings the paper claims.
 
-use dagsfc::core::solvers::{BbeConfig, BbeSolver, MbbeSolver, MinvSolver, RanvSolver, Solver};
-use dagsfc::core::{validate, Flow, SolveError};
-use dagsfc::net::NodeId;
+use dagsfc::core::solvers::{
+    BbeConfig, BbeSolver, ExactSolver, GraspSolver, ImprovedSolver, MbbeSolver, MbbeStSolver,
+    MinvSolver, RanvSolver, SolveOutcome, Solver,
+};
+use dagsfc::core::{validate, DagSfc, Flow, SolveError};
+use dagsfc::net::{Network, NodeId};
 use dagsfc::sim::{runner::instance_network, runner::instance_request, SimConfig};
 
 fn solvers() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(BbeSolver::new()),
         Box::new(MbbeSolver::new()),
+        Box::new(MbbeStSolver::new()),
         Box::new(RanvSolver::new(99)),
         Box::new(MinvSolver::new()),
+        Box::new(GraspSolver::new(99)),
+        Box::new(ImprovedSolver::new(RanvSolver::new(99))),
     ]
+}
+
+/// Asserts `out` validates, and that its cost and loads are those a
+/// fresh accounting of its embedding gives, bit for bit: the loads a
+/// commit reserves are the embedding's own.
+fn assert_outcome_accounted(
+    name: &str,
+    net: &Network,
+    sfc: &DagSfc,
+    flow: &Flow,
+    out: &SolveOutcome,
+) {
+    let cost = validate(net, sfc, flow, &out.embedding)
+        .unwrap_or_else(|v| panic!("{name} invalid: {v:?}"));
+    assert!(
+        (cost.total() - out.cost.total()).abs() < 1e-9,
+        "{name} reported {} but validator computed {cost}",
+        out.cost,
+    );
+    let fresh = out
+        .embedding
+        .try_account(net, sfc, flow)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let cost_bits = |c: dagsfc::core::CostBreakdown| (c.vnf.to_bits(), c.link.to_bits());
+    assert_eq!(cost_bits(out.cost), cost_bits(fresh.cost), "{name}: cost");
+    assert_eq!(
+        bits(&out.vnf_load),
+        bits(&fresh.vnf_load),
+        "{name}: VNF loads"
+    );
+    assert_eq!(
+        bits(&out.link_load),
+        bits(&fresh.link_load),
+        "{name}: link loads"
+    );
+}
+
+/// A load list with each load as its bit pattern.
+fn bits<K: Copy>(loads: &[(K, f64)]) -> Vec<(K, u64)> {
+    loads.iter().map(|&(k, r)| (k, r.to_bits())).collect()
 }
 
 fn cfg(seed: u64) -> SimConfig {
@@ -26,8 +73,10 @@ fn cfg(seed: u64) -> SimConfig {
     }
 }
 
-/// Every solver's output on every instance passes full validation, and
-/// the reported cost equals the independently recomputed cost.
+/// Every solver's output on every instance passes full validation, the
+/// reported cost equals the independently recomputed cost, and the
+/// outcome's cost and loads equal a fresh accounting bit for bit. EXACT
+/// runs on a 10-node substrate, where its search stays small.
 #[test]
 fn all_outputs_validate_with_matching_cost() {
     for seed in 0..4u64 {
@@ -39,17 +88,20 @@ fn all_outputs_validate_with_matching_cost() {
                 let out = solver
                     .solve(&net, &sfc, &flow)
                     .unwrap_or_else(|e| panic!("{} failed: {e}", solver.name()));
-                let cost = validate(&net, &sfc, &flow, &out.embedding)
-                    .unwrap_or_else(|v| panic!("{} invalid: {v:?}", solver.name()));
-                assert!(
-                    (cost.total() - out.cost.total()).abs() < 1e-9,
-                    "{} reported {} but validator computed {}",
-                    solver.name(),
-                    out.cost,
-                    cost
-                );
+                assert_outcome_accounted(solver.name(), &net, &sfc, &flow, &out);
             }
         }
+        let small = SimConfig {
+            network_size: 10,
+            sfc_size: 3,
+            ..c
+        };
+        let net = instance_network(&small);
+        let (sfc, flow) = instance_request(&small, &net, 0);
+        let out = ExactSolver::new()
+            .solve(&net, &sfc, &flow)
+            .unwrap_or_else(|e| panic!("EXACT failed: {e}"));
+        assert_outcome_accounted("EXACT", &net, &sfc, &flow, &out);
     }
 }
 
